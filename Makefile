@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover clean
+.PHONY: all build vet test test-short bench bench-test bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover clean
 
 all: build vet test
 
@@ -20,6 +20,12 @@ test-short:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The host-time benchmark's own tests (bench/ is a separate module): every
+# workload at 1% length must reproduce its pinned digest, which pins the
+# event and journey streams byte for byte.
+bench-test:
+	$(GO) -C bench test ./...
 
 # Machine-readable interval benchmarks: one dated BENCH_<date>.json tracking
 # ns/interval and intervals/sec per protocol across commits.
@@ -226,6 +232,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzAdjacentSwapCodec -fuzztime=30s ./internal/perm
 	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
+	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=30s ./internal/telemetry
+	$(GO) test -fuzz=FuzzAppendJourneyJSON -fuzztime=30s ./internal/journey
 
 cover:
 	$(GO) test -cover ./...

@@ -27,7 +27,7 @@ type Tracer struct {
 	links  int
 	sample int64
 	buf    *bufio.Writer
-	enc    *json.Encoder
+	line   []byte // encoder scratch, reused for every journey
 	err    error
 
 	// Interval-local state, owned by the simulation goroutine.
@@ -104,7 +104,6 @@ func NewTracer(links int, w io.Writer, sample int, opts ...Option) (*Tracer, err
 	}
 	if w != nil {
 		t.buf = bufio.NewWriter(w)
-		t.enc = json.NewEncoder(t.buf)
 		header := telemetry.StreamHeader{
 			Schema:  telemetry.JourneyStreamSchema,
 			Version: telemetry.JourneyStreamVersion,
@@ -301,10 +300,11 @@ func (t *Tracer) EndInterval(served []int, debt func(link int) float64) {
 // encode streams one finished journey; errors are sticky, like the telemetry
 // JSONL sink, so a failed disk write cannot silently truncate mid-record.
 func (t *Tracer) encode(j *Journey) {
-	if t.enc == nil || t.err != nil {
+	if t.buf == nil || t.err != nil {
 		return
 	}
-	if err := t.enc.Encode(j); err != nil {
+	t.line = appendJSON(t.line[:0], j)
+	if _, err := t.buf.Write(t.line); err != nil {
 		t.err = fmt.Errorf("journey: stream: %w", err)
 		return
 	}

@@ -1,9 +1,11 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
@@ -19,12 +21,14 @@ import (
 // PermutationValid checks every "prio" snapshot for bijectivity and checks
 // that consecutive snapshots differ exactly by the interval's accepted swaps.
 type PermutationValid struct {
-	links   int
-	prev    []int // σ by link from the last prio event, nil before the first
-	prevK   int64
-	pending []swapRec // accepted swaps since the last prio event
-	scratch []int
-	seen    []bool
+	links    int
+	prev     []int // σ by link from the last prio event, nil before the first
+	prevK    int64
+	pending  []swapRec // accepted swaps since the last prio event
+	scratch  []int
+	expected []int // σ(k-1) with the pending swaps applied
+	seen     []bool
+	keys     []string // the "l<n>" field names of a prio snapshot
 }
 
 type swapRec struct {
@@ -35,11 +39,17 @@ type swapRec struct {
 
 // NewPermutationValid builds the checker for an N-link network.
 func NewPermutationValid(links int) *PermutationValid {
-	return &PermutationValid{
-		links:   links,
-		scratch: make([]int, links),
-		seen:    make([]bool, links+2),
+	c := &PermutationValid{
+		links:    links,
+		scratch:  make([]int, links),
+		expected: make([]int, links),
+		seen:     make([]bool, links+2),
+		keys:     make([]string, links),
 	}
+	for link := range c.keys {
+		c.keys[link] = "l" + strconv.Itoa(link)
+	}
+	return c
 }
 
 // Name implements Checker.
@@ -95,7 +105,7 @@ func (c *PermutationValid) decode(ev telemetry.Event, report Reporter) ([]int, b
 		c.seen[i] = false
 	}
 	for link := 0; link < c.links; link++ {
-		v, ok := ev.Fields[prioKey(link)]
+		v, ok := ev.Fields[c.keys[link]]
 		if !ok {
 			report(Violation{
 				Check: c.Name(), K: ev.K, At: ev.At, Link: link,
@@ -129,7 +139,8 @@ func (c *PermutationValid) decode(ev telemetry.Event, report Reporter) ([]int, b
 // checkEvolution verifies σ(k) = σ(k-1) with the interval's accepted swaps
 // applied; any other difference means priorities changed outside Algorithm 2.
 func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report Reporter) {
-	expected := append([]int(nil), c.prev...)
+	expected := c.expected
+	copy(expected, c.prev)
 	for _, s := range c.pending {
 		if s.down < 0 || s.down >= c.links || s.up < 0 || s.up >= c.links {
 			report(Violation{
@@ -163,8 +174,6 @@ func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report 
 	}
 }
 
-func prioKey(link int) string { return fmt.Sprintf("l%d", link) }
-
 // ---------------------------------------------------------------------------
 // single_adjacent_swap — Algorithm 2 draws one adjacent pair (C, C+1) per
 // interval, uniformly over {1..N-1}; Remark 6 allows m pairwise non-adjacent
@@ -178,6 +187,7 @@ type SingleAdjacentSwap struct {
 	links, pairs int
 	curK         int64
 	draws        []int
+	sorted       []int // flush's scratch copy of draws
 	haveK        bool
 
 	counts []int64
@@ -245,8 +255,9 @@ func (c *SingleAdjacentSwap) flush(ev telemetry.Event, report Reporter) {
 		})
 		return
 	}
-	sorted := append([]int(nil), c.draws...)
-	sort.Ints(sorted)
+	c.sorted = append(c.sorted[:0], c.draws...)
+	sorted := c.sorted
+	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i]-sorted[i-1] < 2 {
 			report(Violation{
@@ -443,12 +454,21 @@ type AirtimeConserved struct {
 	interval sim.Time
 	graph    *medium.Graph // nil = fully interfering
 	spans    map[int64][]txSpan
+	free     [][]txSpan // emptied span slices of settled intervals, for reuse
 }
 
 type txSpan struct {
 	start, end sim.Time
 	link       int
 	collided   bool
+}
+
+// compareSpans orders spans by start, then by link.
+func compareSpans(a, b txSpan) int {
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.link, b.link)
 }
 
 // NewAirtimeConserved builds the checker for interval length T. graph is the
@@ -472,7 +492,12 @@ func (c *AirtimeConserved) Observe(ev telemetry.Event, report Reporter) {
 	switch ev.Kind {
 	case telemetry.EventTx:
 		dur := sim.Time(ev.Fields["dur"])
-		c.spans[ev.K] = append(c.spans[ev.K], txSpan{
+		spans, ok := c.spans[ev.K]
+		if !ok && len(c.free) > 0 {
+			spans = c.free[len(c.free)-1]
+			c.free = c.free[:len(c.free)-1]
+		}
+		c.spans[ev.K] = append(spans, txSpan{
 			start:    ev.At - dur,
 			end:      ev.At,
 			link:     ev.Link,
@@ -483,8 +508,9 @@ func (c *AirtimeConserved) Observe(ev telemetry.Event, report Reporter) {
 		// Bound memory even when interval events are missing for some K
 		// (sampled or truncated streams): everything at or before the
 		// finished interval is settled.
-		for k := range c.spans {
+		for k, spans := range c.spans {
 			if k <= ev.K {
+				c.free = append(c.free, spans[:0])
 				delete(c.spans, k)
 			}
 		}
@@ -511,12 +537,7 @@ func (c *AirtimeConserved) finish(ev telemetry.Event, report Reporter) {
 			break
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].start != spans[j].start {
-			return spans[i].start < spans[j].start
-		}
-		return spans[i].link < spans[j].link
-	})
+	slices.SortFunc(spans, compareSpans)
 	// Pairwise overlap scan: with a conflict graph, non-conflicting spans
 	// legitimately overlap (spatial reuse), so a single furthest-reaching
 	// open span no longer summarizes the channel — every overlapping pair is

@@ -104,7 +104,10 @@ const maxRetained = 256
 // Monitor fans the event stream into its checkers. It implements
 // telemetry.Sink, so it attaches anywhere a JSONL stream does.
 type Monitor struct {
-	checkers   []Checker
+	checkers []Checker
+	// reporter is m.report bound once: a method value built per Observe
+	// call would allocate per event and checker.
+	reporter   Reporter
 	strict     bool
 	output     telemetry.Sink
 	violations []Violation
@@ -136,6 +139,7 @@ func New(cfg Config) (*Monitor, error) {
 		output:   cfg.Output,
 		perCheck: make(map[string]*telemetry.Counter),
 	}
+	m.reporter = m.report
 	if cfg.Checkers != nil {
 		m.checkers = cfg.Checkers
 	} else {
@@ -169,7 +173,7 @@ func (m *Monitor) Emit(ev telemetry.Event) {
 		return
 	}
 	for _, c := range m.checkers {
-		c.Observe(ev, m.report)
+		c.Observe(ev, m.reporter)
 	}
 }
 

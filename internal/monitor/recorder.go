@@ -1,9 +1,10 @@
 package monitor
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,17 +15,82 @@ import (
 // in a bounded ring, crash-recorder style: it costs a bounded amount of
 // memory no matter how long the run is, and on a violation (or on demand) it
 // dumps exactly the window of history that explains what happened.
+//
+// The ring holds K interval buckets. A bucket keeps its events and a flat
+// arena of their fields' key/value pairs; when a new interval evicts the
+// oldest, that bucket is emptied and reused, so once every bucket has held
+// its largest interval, recording copies an event without allocating. Field
+// maps are rebuilt only by Events, the cold dump path. A recycled map would
+// grow to the largest key set it ever held; the arena holds exactly the
+// pairs recorded.
 type FlightRecorder struct {
 	capacity int
-	buckets  map[int64][]telemetry.Event
-	order    []int64
-	dropped  int64
-	total    int64
+	// ring[(head+i) % capacity] is the i-th oldest of the n retained
+	// intervals, in order of first appearance (not of K).
+	ring    []bucket
+	head, n int
+	dropped int64
+	total   int64
 	// pinned holds run-scoped events exempt from windowed eviction: the
 	// conflict-graph edges emitted once at k=0. A dump of intervals
 	// [k, k+64] without them would audit a spatial-reuse run against the
 	// complete graph, so they are retained forever and written first.
-	pinned []telemetry.Event
+	pinned bucket
+}
+
+// bucket is one interval's recorded events, in emission order.
+type bucket struct {
+	k      int64
+	events []recorded
+	fields []field
+}
+
+// recorded is one event with its Fields moved into the bucket's arena at
+// fields[lo : lo+n]; n is -1 when the event's Fields map was nil.
+type recorded struct {
+	ev    telemetry.Event
+	lo, n int
+}
+
+type field struct {
+	key   string
+	value float64
+}
+
+func (b *bucket) add(ev telemetry.Event) {
+	rec := recorded{lo: len(b.fields), n: -1}
+	if ev.Fields != nil {
+		rec.n = len(ev.Fields)
+		for k, v := range ev.Fields {
+			b.fields = append(b.fields, field{k, v})
+		}
+		ev.Fields = nil
+	}
+	rec.ev = ev
+	b.events = append(b.events, rec)
+}
+
+// reset empties the bucket for interval k, keeping its storage.
+func (b *bucket) reset(k int64) {
+	b.k = k
+	b.events = b.events[:0]
+	b.fields = b.fields[:0]
+}
+
+// appendEvents appends the bucket's events to out with freshly built Fields
+// maps.
+func (b *bucket) appendEvents(out []telemetry.Event) []telemetry.Event {
+	for _, rec := range b.events {
+		ev := rec.ev
+		if rec.n >= 0 {
+			ev.Fields = make(map[string]float64, rec.n)
+			for _, f := range b.fields[rec.lo : rec.lo+rec.n] {
+				ev.Fields[f.key] = f.value
+			}
+		}
+		out = append(out, ev)
+	}
+	return out
 }
 
 // NewFlightRecorder returns a recorder keeping the most recent `intervals`
@@ -35,38 +101,43 @@ func NewFlightRecorder(intervals int) (*FlightRecorder, error) {
 	}
 	return &FlightRecorder{
 		capacity: intervals,
-		buckets:  make(map[int64][]telemetry.Event, intervals+1),
+		ring:     make([]bucket, intervals),
 	}, nil
 }
 
 // Emit implements telemetry.Sink. Events are grouped by interval index; when
 // a new interval appears beyond the capacity, the oldest interval's events
-// are dropped. Field maps are copied (the Sink contract does not grant
-// ownership).
+// are dropped. Field values are copied into the recorder's arena (the Sink
+// contract does not grant ownership of the map).
 func (r *FlightRecorder) Emit(ev telemetry.Event) {
-	if ev.Fields != nil {
-		f := make(map[string]float64, len(ev.Fields))
-		for k, v := range ev.Fields {
-			f[k] = v
-		}
-		ev.Fields = f
-	}
+	r.total++
 	if ev.Kind == telemetry.EventConflict {
-		r.pinned = append(r.pinned, ev)
-		r.total++
+		r.pinned.add(ev)
 		return
 	}
-	if _, ok := r.buckets[ev.K]; !ok {
-		r.order = append(r.order, ev.K)
-		if len(r.order) > r.capacity {
-			oldest := r.order[0]
-			r.order = r.order[1:]
-			r.dropped += int64(len(r.buckets[oldest]))
-			delete(r.buckets, oldest)
+	r.bucketFor(ev.K).add(ev)
+}
+
+// bucketFor returns interval k's bucket. An interval not retained gets a new
+// bucket, which evicts the oldest interval when the ring is full.
+func (r *FlightRecorder) bucketFor(k int64) *bucket {
+	// Newest first: almost every event belongs to the latest interval.
+	for i := r.n - 1; i >= 0; i-- {
+		if b := &r.ring[(r.head+i)%r.capacity]; b.k == k {
+			return b
 		}
 	}
-	r.buckets[ev.K] = append(r.buckets[ev.K], ev)
-	r.total++
+	var b *bucket
+	if r.n < r.capacity {
+		b = &r.ring[(r.head+r.n)%r.capacity]
+		r.n++
+	} else {
+		b = &r.ring[r.head]
+		r.head = (r.head + 1) % r.capacity
+		r.dropped += int64(len(b.events))
+	}
+	b.reset(k)
+	return b
 }
 
 // Total returns how many events were observed, including dropped ones.
@@ -76,27 +147,36 @@ func (r *FlightRecorder) Total() int64 { return r.total }
 func (r *FlightRecorder) Dropped() int64 { return r.dropped }
 
 // Intervals returns how many intervals are currently retained.
-func (r *FlightRecorder) Intervals() int { return len(r.order) }
+func (r *FlightRecorder) Intervals() int { return r.n }
 
 // Events returns the retained events: pinned run-scoped events (the conflict
-// topology) first, then the windowed intervals oldest first, in emission
-// order within each interval. The slice is a copy.
+// topology) first, then the windowed intervals in ascending K, in emission
+// order within each interval. The slice and every Fields map are new; none
+// aliases the recorder's storage.
 func (r *FlightRecorder) Events() []telemetry.Event {
-	ks := append([]int64(nil), r.order...)
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	out := append([]telemetry.Event(nil), r.pinned...)
-	for _, k := range ks {
-		out = append(out, r.buckets[k]...)
+	retained := make([]*bucket, r.n)
+	for i := range retained {
+		retained[i] = &r.ring[(r.head+i)%r.capacity]
+	}
+	slices.SortFunc(retained, func(a, b *bucket) int { return cmp.Compare(a.k, b.k) })
+	out := r.pinned.appendEvents(nil)
+	for _, b := range retained {
+		out = b.appendEvents(out)
 	}
 	return out
 }
 
-// WriteJSONL dumps the retained window as JSON Lines — the same format the
-// live event stream uses, so `rtmacsim -checkevents` audits a dump directly.
+// WriteJSONL dumps the retained window as JSON Lines — the same format and
+// encoder the live event stream uses, so each dumped line equals the stream's
+// line for that event and `rtmacsim -checkevents` audits a dump directly.
 func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
+	var line []byte
 	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
+		var err error
+		if line, err = telemetry.AppendJSON(line[:0], ev); err == nil {
+			_, err = w.Write(line)
+		}
+		if err != nil {
 			return fmt.Errorf("monitor: flight recorder dump: %w", err)
 		}
 	}

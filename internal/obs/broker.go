@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 
@@ -33,10 +32,11 @@ func (b *Broker) Emit(ev telemetry.Event) {
 	if b.nsubs.Load() == 0 {
 		return
 	}
-	data, err := json.Marshal(ev)
+	line, err := telemetry.AppendJSON(nil, ev)
 	if err != nil {
 		return
 	}
+	data := line[:len(line)-1] // SSE frames the event; drop the newline
 	b.mu.Lock()
 	for ch := range b.subs {
 		select {

@@ -23,9 +23,9 @@ type Event struct {
 	Link int `json:"link"`
 	// Kind names the event type (e.g. "tx", "interval", "swap", "debt").
 	Kind string `json:"kind"`
-	// Fields carries the kind-specific numeric payload. encoding/json
-	// serializes map keys in sorted order, which keeps the JSONL stream
-	// byte-for-byte deterministic for a fixed seed.
+	// Fields carries the kind-specific numeric payload. Encoders write its
+	// keys in sorted order, which keeps the JSONL stream byte-for-byte
+	// deterministic for a fixed seed.
 	Fields map[string]float64 `json:"f,omitempty"`
 	// Check names the invariant checker that produced a "violation" event;
 	// empty for every other kind.
@@ -87,8 +87,10 @@ const (
 	EventAlert = "alert"
 )
 
-// Sink consumes events. Implementations must not retain the Fields map
-// beyond the call unless they own it.
+// Sink consumes events. Emitters reuse one scratch Fields map per emission
+// site, so an implementation must not retain ev.Fields beyond the call. A
+// sink that keeps events copies their key/value pairs into storage it owns,
+// as the flight recorder does into its per-interval arenas.
 type Sink interface {
 	Emit(ev Event)
 }
@@ -135,8 +137,9 @@ func Only(kinds ...string) JSONLOption {
 // errors are sticky: the first one is retained and all later events are
 // dropped, so a failed disk write cannot silently truncate mid-record.
 type JSONL struct {
-	w      *bufio.Writer
-	enc    *json.Encoder
+	w *bufio.Writer
+	// line is the encoder's scratch, reused for every event.
+	line   []byte
 	sample map[string]int
 	seen   map[string]int
 	only   map[string]bool
@@ -151,8 +154,10 @@ type JSONL struct {
 func NewJSONL(w io.Writer, opts ...JSONLOption) *JSONL {
 	bw := bufio.NewWriter(w)
 	j := &JSONL{
-		w:      bw,
-		enc:    json.NewEncoder(bw),
+		w: bw,
+		// Sized for every simulator event at N <= 16, so steady-state
+		// emission never grows it.
+		line:   make([]byte, 0, 512),
 		sample: make(map[string]int),
 		seen:   make(map[string]int),
 	}
@@ -181,7 +186,11 @@ func (j *JSONL) Emit(ev Event) {
 			return
 		}
 	}
-	if err := j.enc.Encode(ev); err != nil {
+	var err error
+	if j.line, err = AppendJSON(j.line[:0], ev); err == nil {
+		_, err = j.w.Write(j.line)
+	}
+	if err != nil {
 		j.err = fmt.Errorf("telemetry: event stream: %w", err)
 		return
 	}

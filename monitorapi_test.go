@@ -117,6 +117,52 @@ func TestMonitorFlightRecorderDumpAuditsClean(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderDumpMatchesStream pins one encoder for every writer of
+// event JSON: each line of a flight-recorder dump equals the live stream's
+// line for the same event. On the two-clique graph the dump starts with the
+// pinned conflict events, which also open the stream; the retained window is
+// the stream's tail.
+func TestFlightRecorderDumpMatchesStream(t *testing.T) {
+	s := newHotPathSimConflicts(t, rtmac.DBDP(), hotPathConflicts(t))
+	var live bytes.Buffer
+	stream := s.StreamEvents(&live)
+	mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true, FlightRecorderIntervals: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(40); err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if err := mon.WriteFlightRecorder(&dump); err != nil {
+		t.Fatal(err)
+	}
+	lines := func(b *bytes.Buffer) []string {
+		return strings.SplitAfter(strings.TrimSuffix(b.String(), "\n"), "\n")
+	}
+	liveLines, dumpLines := lines(&live)[1:], lines(&dump) // [1:] drops the schema header
+	pinned := 0
+	for pinned < len(dumpLines) && strings.Contains(dumpLines[pinned], `"kind":"conflict"`) {
+		pinned++
+	}
+	if pinned == 0 || len(dumpLines) == pinned {
+		t.Fatalf("dump holds %d pinned and %d windowed lines, want both", pinned, len(dumpLines)-pinned)
+	}
+	tail := liveLines[len(liveLines)-(len(dumpLines)-pinned):]
+	for i, line := range dumpLines {
+		want := liveLines[i]
+		if i >= pinned {
+			want = tail[i-pinned]
+		}
+		if line != want {
+			t.Fatalf("dump line %d differs from the stream:\ndump:   %q\nstream: %q", i, line, want)
+		}
+	}
+}
+
 func TestMonitorFlightRecorderDisabled(t *testing.T) {
 	s := monitorTestSim(t, rtmac.DBDP())
 	mon, err := s.EnableMonitor(rtmac.MonitorConfig{FlightRecorderIntervals: -1})
