@@ -234,6 +234,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzAppendJourneyJSON -fuzztime=30s ./internal/journey
+	$(GO) test -fuzz=FuzzContentionGraph -fuzztime=30s -fuzzminimizetime=2s ./internal/mac
 
 cover:
 	$(GO) test -cover ./...

@@ -137,6 +137,28 @@ func BenchmarkIntervalConflictGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkIntervalCliques prices graph-mode contention as the network
+// grows: DB-DP on the control workload over N links split into disjoint
+// 10-link cliques (N = 10 would be one clique, the complete graph, which
+// takes the single-grid path). With per-link costs flat in N, ns/interval
+// grows linearly; the contention clock's due tree keeps each backoff
+// transition at O(log N).
+func BenchmarkIntervalCliques(b *testing.B) {
+	for _, n := range []int{20, 50, 200} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			s, err := rtmac.NewSimulation(cliqueConfig(b, n, rtmac.DBDP(), 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkIntervalDBDPLargeNetwork stresses the video scenario with 20
 // bursty links per interval.
 func BenchmarkIntervalDBDPLargeNetwork(b *testing.B) {

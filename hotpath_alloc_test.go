@@ -15,12 +15,12 @@ import (
 // Every layer under Simulation.Run — engine timer pool and slot clock, medium
 // transmission pool, contention bookkeeping, protocol scratch, debt vectors,
 // telemetry instrumentation — reuses memory once the first intervals have
-// sized the pools. This test pins that contract with testing.AllocsPerRun so
-// any future per-interval allocation fails CI instead of silently eroding
-// throughput. AllocsPerRun divides by the run count and rounds down, so it
-// proves fewer than one allocation per interval on average; the event-stream
-// pin below counts mallocs exactly. See docs/PERFORMANCE.md for the
-// discipline these guards enforce.
+// sized the pools. These tests pin that contract by counting
+// runtime.MemStats.Mallocs exactly over a window of steady-state intervals,
+// so any future per-interval allocation fails CI instead of silently eroding
+// throughput. testing.AllocsPerRun would divide by the run count and round
+// down, hiding a few allocations per hundred intervals. See
+// docs/PERFORMANCE.md for the discipline these guards enforce.
 // ---------------------------------------------------------------------------
 
 // newHotPathSim builds the control scenario used by the BenchmarkInterval*
@@ -79,12 +79,12 @@ func hotPathProtocols() map[string]rtmac.Protocol {
 
 // TestHotPathZeroAlloc runs each protocol past its warm-up (the first
 // intervals size the timer, transmission, and scratch pools) and then demands
-// exactly zero allocations per simulated interval with telemetry events
-// disabled (no sinks attached — the default).
+// exactly zero allocations over 100 simulated intervals with telemetry
+// events disabled (no sinks attached — the default).
 func TestHotPathZeroAlloc(t *testing.T) {
 	const (
 		warmup = 200 // intervals to fill every pool and scratch buffer
-		runs   = 100 // intervals measured by AllocsPerRun
+		runs   = 100 // intervals per measured window
 	)
 	for name, protocol := range hotPathProtocols() {
 		t.Run(name, func(t *testing.T) {
@@ -92,24 +92,22 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			if err := s.Run(warmup); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(runs, func() {
-				if err := s.Run(1); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s: %.1f allocs per steady-state interval, want 0", name, allocs)
+			if allocs := fewestMallocs(t, s, runs); allocs != 0 {
+				t.Errorf("%s: %d allocs over %d steady-state intervals, want 0", name, allocs, runs)
 			}
 		})
 	}
 }
 
 // TestHotPathZeroAllocConflictGraph extends the zero-allocation contract to
-// the conflict-graph medium: both the complete graph (which must ride the
-// exact legacy code paths) and a genuinely sparse two-clique graph (which
-// exercises the per-neighborhood contention clock, the graph-mode protocol
-// branches, and the medium's neighborhood busy counters) must stay
-// allocation-free per interval once warm, with observability disabled.
+// the conflict-graph medium: the complete graph (which must ride the exact
+// legacy code paths), a genuinely sparse two-clique graph (which exercises
+// the per-neighborhood contention clock, the graph-mode protocol branches,
+// and the medium's neighborhood busy counters), and 50 links in five
+// disjoint 10-link cliques, where the contention clock's due tree spans 64
+// leaves. DCF runs on the five cliques too: it re-Adds a link from its
+// transmission's onDone callback. All must be allocation-free once warm,
+// with observability disabled.
 func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 	const (
 		warmup = 200
@@ -130,17 +128,27 @@ func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 				if err := s.Run(warmup); err != nil {
 					t.Fatal(err)
 				}
-				allocs := testing.AllocsPerRun(runs, func() {
-					if err := s.Run(1); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s/%s: %.1f allocs per steady-state interval, want 0",
-						gName, pName, allocs)
+				if allocs := fewestMallocs(t, s, runs); allocs != 0 {
+					t.Errorf("%s/%s: %d allocs over %d steady-state intervals, want 0",
+						gName, pName, allocs, runs)
 				}
 			})
 		}
+	}
+	for pName, protocol := range map[string]rtmac.Protocol{"dbdp": rtmac.DBDP(), "dcf": rtmac.DCF()} {
+		t.Run("five-cliques-50/"+pName, func(t *testing.T) {
+			s, err := rtmac.NewSimulation(cliqueConfig(t, 50, protocol, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(warmup); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := fewestMallocs(t, s, runs); allocs != 0 {
+				t.Errorf("five-cliques-50/%s: %d allocs over %d steady-state intervals, want 0",
+					pName, allocs, runs)
+			}
+		})
 	}
 }
 
@@ -148,10 +156,7 @@ func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 // a JSONL event stream: the instrumentation reuses scratch field maps and the
 // stream encodes each event into its own reused line buffer (see
 // docs/PERFORMANCE.md), so an interval with the stream attached allocates
-// nothing either. The count is exact, not rounded per interval. The malloc
-// counter is process-wide, so a stray allocation by the test harness or the
-// runtime can land in a window; the pin takes the fewest over three windows,
-// which a per-event allocation would still leave above zero.
+// nothing either, counted exactly like the bare hot path.
 func TestHotPathAllocBoundWithTelemetry(t *testing.T) {
 	s := newHotPathSim(t, rtmac.DBDP())
 	stream := s.StreamEvents(io.Discard)
@@ -160,15 +165,7 @@ func TestHotPathAllocBoundWithTelemetry(t *testing.T) {
 	}
 	before := stream.Count()
 	const runs = 100
-	allocs := uint64(math.MaxUint64)
-	for range 3 {
-		allocs = min(allocs, mallocsDuring(runs, func() {
-			if err := s.Run(1); err != nil {
-				t.Fatal(err)
-			}
-		}))
-	}
-	if allocs != 0 {
+	if allocs := fewestMallocs(t, s, runs); allocs != 0 {
 		t.Errorf("telemetry-enabled intervals allocate %d over %d, want 0", allocs, runs)
 	}
 	if stream.Count() == before {
@@ -231,6 +228,24 @@ func TestHotPathZeroAllocObserved(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fewestMallocs is the fewest heap allocations over three windows of runs
+// single-interval Run calls on s, each counted exactly by mallocsDuring. The
+// malloc counter is process-wide, so the runtime's own background work (GC
+// workers, goroutine stacks) can land in one window; a per-interval
+// allocation would show in all three.
+func fewestMallocs(t *testing.T, s *rtmac.Simulation, runs int) uint64 {
+	t.Helper()
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		fewest = min(fewest, mallocsDuring(runs, func() {
+			if err := s.Run(1); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	return fewest
 }
 
 // mallocsDuring returns the exact number of heap allocations made by runs

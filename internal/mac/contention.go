@@ -83,7 +83,17 @@ type Contention struct {
 	anchors    []sim.Time
 	frozen     []bool
 	inBoundary bool
+	// due is a min tournament tree over the per-link interesting
+	// boundaries: leaf leaf+link holds anchors[link] + horizon·slot for an
+	// active, unfrozen entry and never otherwise, node i holds the minimum
+	// of nodes 2i and 2i+1, and the root due[1] is the instant the clock is
+	// armed at. leaf is the smallest power of two >= the link count.
+	due  []sim.Time
+	leaf int
 }
+
+// never is the due instant of a link with nothing to fire or sense.
+const never = sim.Time(1<<63 - 1)
 
 // NewContention creates a coordinator for the given medium with the given
 // backoff slot duration and subscribes it to carrier-sense transitions.
@@ -106,6 +116,12 @@ func NewContention(eng *sim.Engine, med *medium.Medium, slot sim.Time) (*Content
 		c.graph = g
 		c.anchors = make([]sim.Time, med.Links())
 		c.frozen = make([]bool, med.Links())
+		c.leaf = 1
+		for c.leaf < med.Links() {
+			c.leaf *= 2
+		}
+		c.due = make([]sim.Time, 2*c.leaf)
+		c.resetDue()
 		// Per-link countdown grids with per-neighborhood freezing: the clock
 		// dispatches to the graph boundary walk and carrier sensing arrives
 		// per link.
@@ -149,6 +165,7 @@ func (c *Contention) Add(link, counter int, contender Contender) {
 		c.active++
 		c.anchors[link] = c.eng.Now()
 		c.frozen[link] = c.med.BusyFor(link)
+		c.refresh(link)
 		if c.backoffHist != nil {
 			c.backoffHist.Observe(float64(counter))
 		}
@@ -224,6 +241,7 @@ func (c *Contention) Remove(link int) {
 	c.active--
 	if c.graph != nil {
 		c.frozen[link] = false
+		c.setDue(link, never)
 		c.rearmGraph()
 		return
 	}
@@ -243,6 +261,7 @@ func (c *Contention) Clear() {
 		for i := range c.frozen {
 			c.frozen[i] = false
 		}
+		c.resetDue()
 		if c.eng.ClockArmed() {
 			c.eng.DisarmClock()
 		}
@@ -263,6 +282,9 @@ func (c *Contention) Counter(link int) (int, bool) {
 	}
 	if c.graph != nil {
 		c.materialize(link, c.eng.Now())
+		// Materializing onto a due instant whose boundary has not run yet
+		// moves the link's grid past it; the leaf follows.
+		c.refresh(link)
 		return c.entries[link].counter, true
 	}
 	c.sync()
@@ -451,9 +473,13 @@ func (c *Contention) finishBoundary() {
 // With a non-complete conflict graph there is no single countdown grid:
 // links in disjoint neighborhoods freeze and resume independently, so each
 // entry carries its own grid anchor. The engine clock is armed at the global
-// minimum over unfrozen entries of anchor + horizon·slot; everything the
-// clock skips is, per link, a pure decrement applied in bulk when the link
-// is next touched (boundary, freeze, or Counter read).
+// minimum over unfrozen entries of anchor + horizon·slot, which the due tree
+// keeps at its root; everything the clock skips is, per link, a pure
+// decrement applied in bulk when the link is next touched (boundary, freeze,
+// or Counter read). Materializing before the due instant moves the anchor
+// forward and the counter down by the same number of slots, so the due
+// instant itself stays put: a leaf changes only when its entry joins,
+// leaves, freezes, resumes, or reaches its due boundary.
 
 // materialize applies link's elapsed grid boundaries up to now: advances the
 // anchor to the last boundary at or before now and bulk-decrements the
@@ -474,22 +500,50 @@ func (c *Contention) materialize(link int, now sim.Time) {
 	}
 }
 
-// rearmGraph points the engine clock at the earliest interesting boundary
-// over all active unfrozen entries, or disarms it when there is none.
-func (c *Contention) rearmGraph() {
-	best := sim.Time(-1)
-	for link := range c.entries {
-		e := &c.entries[link]
-		if !e.active || c.frozen[link] {
-			continue
-		}
-		at := c.anchors[link] + sim.Time(horizon(e))*c.slot
-		if best < 0 || at < best {
-			best = at
-		}
+// resetDue marks every link as having nothing due.
+func (c *Contention) resetDue() {
+	for i := range c.due {
+		c.due[i] = never
 	}
+}
+
+// refresh recomputes link's leaf from its entry: the next boundary at which
+// it fires or senses, or never while it is inactive or frozen.
+func (c *Contention) refresh(link int) {
+	e := &c.entries[link]
+	if !e.active || c.frozen[link] {
+		c.setDue(link, never)
+		return
+	}
+	c.setDue(link, c.anchors[link]+sim.Time(horizon(e))*c.slot)
+}
+
+// setDue stores link's leaf and repairs the minima on its path to the root,
+// stopping at the first node that does not change: O(log N) at most.
+func (c *Contention) setDue(link int, at sim.Time) {
+	due := c.due
+	i := c.leaf + link
+	if due[i] == at {
+		return
+	}
+	due[i] = at
+	for i > 1 {
+		at = min(at, due[i^1])
+		i /= 2
+		if due[i] == at {
+			return
+		}
+		due[i] = at
+	}
+}
+
+// rearmGraph points the engine clock at the earliest interesting boundary
+// over all active unfrozen entries — the root of the due tree — or disarms
+// it when there is none.
+func (c *Contention) rearmGraph() {
+	best := c.due[1]
 	armed := c.eng.ClockArmed()
-	if best < 0 {
+	if best == never {
 		if armed {
 			c.eng.DisarmClock()
 		}
@@ -505,41 +559,41 @@ func (c *Contention) rearmGraph() {
 	c.eng.ArmClock(best)
 }
 
-// onBoundaryGraph is the graph-mode clock callback: materialize every
-// unfrozen entry and classify the ones whose own grid has a boundary at this
-// exact instant (anchors land on now only then — entries that joined at now
-// have k == 0 and wait for their first full slot).
+// onBoundaryGraph is the graph-mode clock callback: fire or sense the
+// entries whose own grid has an interesting boundary at this exact instant.
+// Every other entry stays lazy; entries that joined at now wait for their
+// first full slot.
 func (c *Contention) onBoundaryGraph() {
-	now := c.eng.Now()
 	c.inBoundary = true
 	c.fired = c.fired[:0]
 	c.sensed = c.sensed[:0]
-	for link := range c.entries {
-		e := &c.entries[link]
-		if !e.active || c.frozen[link] {
-			continue
-		}
-		k := int((now - c.anchors[link]) / c.slot)
-		if k <= 0 {
-			continue
-		}
-		c.anchors[link] += sim.Time(k) * c.slot
-		if e.counter > 0 {
-			if e.counter -= k; e.counter < 0 {
-				e.counter = 0
-			}
-		}
-		if c.anchors[link] != now {
-			continue
-		}
-		switch e.counter {
-		case 0:
-			c.fired = append(c.fired, link)
-		case 1:
-			c.sensed = append(c.sensed, link)
-		}
-	}
+	c.collectDue(1, c.eng.Now())
 	c.finishBoundaryGraph()
+}
+
+// collectDue walks the subtree of node i down to every leaf due at now, left
+// child first, so links are collected in index order. A due entry
+// materializes onto now at counter 0 (fire) or 1 (sense: a counter-1 entry
+// is only due while its hook is live). Its leaf is recomputed at once, so an
+// Add or Remove from the callbacks that follow rearms against the same
+// instants a full rescan would see.
+func (c *Contention) collectDue(i int, now sim.Time) {
+	if c.due[i] != now {
+		return
+	}
+	if i < c.leaf {
+		c.collectDue(2*i, now)
+		c.collectDue(2*i+1, now)
+		return
+	}
+	link := i - c.leaf
+	c.materialize(link, now)
+	if c.entries[link].counter == 0 {
+		c.fired = append(c.fired, link)
+	} else {
+		c.sensed = append(c.sensed, link)
+	}
+	c.refresh(link)
 }
 
 // settleGraph is Settle under a conflict graph: entries already at zero or
@@ -574,6 +628,9 @@ func (c *Contention) finishBoundaryGraph() {
 		c.entries[link] = contentionEntry{}
 		c.frozen[link] = false
 		c.active--
+		// Clear the leaf before Fire runs: an entry the callback re-Adds
+		// sets its own.
+		c.setDue(link, never)
 		ok := fire()
 		if c.fireObs != nil {
 			c.fireObs(link, ok)
@@ -585,6 +642,8 @@ func (c *Contention) finishBoundaryGraph() {
 			continue
 		}
 		if hook := e.contender.ReachedOne; hook != nil {
+			// Clearing the hook leaves the leaf alone: an entry at one is
+			// due one slot on either way.
 			e.contender.ReachedOne = nil
 			// Carrier sensing is local: the link hears only its own
 			// neighborhood, not fires elsewhere in the graph.
@@ -607,6 +666,7 @@ func (c *Contention) LinkBusy(link int, at sim.Time) {
 	}
 	c.materialize(link, at)
 	c.frozen[link] = true
+	c.setDue(link, never)
 	if !c.inBoundary {
 		c.rearmGraph()
 	}
@@ -621,6 +681,7 @@ func (c *Contention) LinkIdle(link int, at sim.Time) {
 	}
 	c.frozen[link] = false
 	c.anchors[link] = at
+	c.refresh(link)
 	if !c.inBoundary {
 		c.rearmGraph()
 	}

@@ -302,3 +302,198 @@ func TestContentionZeroCounterAddedDuringBusyDefersOneSlot(t *testing.T) {
 		t.Fatalf("fired at %v, want %v (one slot after idle)", fireAt, sim.Time(100+testSlot))
 	}
 }
+
+// newGraphContentionFixture builds graph-mode contention on six links: two
+// 3-cliques {0,1,2} and {3,4,5} joined by the single bridging edge 2-3.
+func newGraphContentionFixture(t *testing.T) (*sim.Engine, *medium.Medium, *Contention) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	g, err := medium.NewGraph(6, [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	med, err := medium.New(eng, []float64{1, 1, 1, 1, 1, 1}, medium.WithGraph(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cont, err := NewContention(eng, med, testSlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cont.graph == nil {
+		t.Fatal("fixture contention is not in graph mode")
+	}
+	return eng, med, cont
+}
+
+func TestContentionGraphFreezesPerNeighborhood(t *testing.T) {
+	eng, med, cont := newGraphContentionFixture(t)
+	fireAt := map[int]sim.Time{}
+	for _, link := range []int{0, 5} {
+		cont.Add(link, 3, Contender{Fire: func() bool { fireAt[link] = eng.Now(); return false }})
+	}
+	cont.Settle()
+	// Link 1 is busy over [5, 105): it silences link 0's neighborhood only.
+	eng.ScheduleAt(5, func() { med.Start(1, 100, false, nil) })
+	eng.Run()
+	if fireAt[5] != 3*testSlot {
+		t.Errorf("link 5 (other clique) fired at %v, want %v", fireAt[5], sim.Time(3*testSlot))
+	}
+	if want := sim.Time(105 + 3*testSlot); fireAt[0] != want {
+		t.Errorf("link 0 fired at %v, want %v (frozen before its first boundary)", fireAt[0], want)
+	}
+}
+
+func TestContentionGraphIdleReanchorLosesPartialSlot(t *testing.T) {
+	eng, med, cont := newGraphContentionFixture(t)
+	var fireAt sim.Time = -1
+	cont.Add(0, 2, Contender{Fire: func() bool { fireAt = eng.Now(); return false }})
+	cont.Settle()
+	// One boundary elapses at 9 (counter 1); the freeze at 14 drops the
+	// 5 µs of the next slot, and the countdown restarts on a grid anchored
+	// at 50.
+	eng.ScheduleAt(14, func() { med.Start(1, 36, false, nil) })
+	eng.Run()
+	if want := sim.Time(50 + testSlot); fireAt != want {
+		t.Fatalf("fired at %v, want %v", fireAt, want)
+	}
+}
+
+func TestContentionGraphSameInstantFiresInLinkOrder(t *testing.T) {
+	eng, med, cont := newGraphContentionFixture(t)
+	var order []int
+	outcomes := map[int]medium.Outcome{}
+	for _, link := range []int{5, 1, 0} {
+		cont.Add(link, 2, Contender{Fire: func() bool {
+			if eng.Now() != 2*testSlot {
+				t.Errorf("link %d fired at %v, want %v", link, eng.Now(), sim.Time(2*testSlot))
+			}
+			order = append(order, link)
+			med.Start(link, 50, false, func(o medium.Outcome) { outcomes[link] = o })
+			return true
+		}})
+	}
+	cont.Settle()
+	eng.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 5 {
+		t.Fatalf("fire order %v, want [0 1 5]", order)
+	}
+	// 0 and 1 share a clique and collide; 5 reuses the channel.
+	if outcomes[0] != medium.Collided || outcomes[1] != medium.Collided || outcomes[5] != medium.Delivered {
+		t.Fatalf("outcomes %v, want 0 and 1 collided, 5 delivered", outcomes)
+	}
+}
+
+func TestContentionGraphZeroCounterWhileBusyWaitsOneSlot(t *testing.T) {
+	eng, med, cont := newGraphContentionFixture(t)
+	fireAt := map[int]sim.Time{}
+	med.Start(1, 100, false, nil)
+	for _, link := range []int{0, 5} {
+		cont.Add(link, 0, Contender{Fire: func() bool { fireAt[link] = eng.Now(); return false }})
+	}
+	cont.Settle() // fires link 5 at once; link 0's neighborhood is busy
+	eng.Run()
+	if fireAt[5] != 0 {
+		t.Errorf("idle-neighborhood zero fired at %v, want 0", fireAt[5])
+	}
+	if want := sim.Time(100 + testSlot); fireAt[0] != want {
+		t.Errorf("busy-neighborhood zero fired at %v, want %v (one slot after idle)", fireAt[0], want)
+	}
+}
+
+func TestContentionGraphReachedOneOnceWithLocalBusy(t *testing.T) {
+	eng, med, cont := newGraphContentionFixture(t)
+	cont.Add(0, 1, Contender{Fire: func() bool {
+		med.Start(0, 50, false, nil)
+		return true
+	}})
+	sensed := map[int][]bool{}
+	fired := map[int]sim.Time{}
+	for _, link := range []int{1, 5} {
+		cont.Add(link, 2, Contender{
+			Fire:       func() bool { fired[link] = eng.Now(); return false },
+			ReachedOne: func(busy bool) { sensed[link] = append(sensed[link], busy) },
+		})
+	}
+	cont.Settle()
+	eng.Run()
+	// At 9 link 0 fires; link 1 hears it, link 5 in the other clique does
+	// not. Link 1 then freezes until 59 and fires a slot later without
+	// sensing again.
+	if s := sensed[1]; len(s) != 1 || !s[0] {
+		t.Errorf("link 1 sensed %v, want exactly [true]", s)
+	}
+	if s := sensed[5]; len(s) != 1 || s[0] {
+		t.Errorf("link 5 sensed %v, want exactly [false]", s)
+	}
+	if want := sim.Time(testSlot + 50 + testSlot); fired[1] != want {
+		t.Errorf("link 1 fired at %v, want %v", fired[1], want)
+	}
+	if fired[5] != 2*testSlot {
+		t.Errorf("link 5 fired at %v, want %v", fired[5], sim.Time(2*testSlot))
+	}
+}
+
+func TestContentionGraphClearCancelsClock(t *testing.T) {
+	eng, _, cont := newGraphContentionFixture(t)
+	fired := false
+	for _, link := range []int{0, 4} {
+		cont.Add(link, 3, Contender{Fire: func() bool { fired = true; return false }})
+	}
+	cont.Settle()
+	cont.Clear()
+	if eng.ClockArmed() || eng.Pending() != 0 || cont.Active() != 0 {
+		t.Fatalf("after Clear: clock armed %v, %d pending, %d active",
+			eng.ClockArmed(), eng.Pending(), cont.Active())
+	}
+	eng.Run()
+	if fired {
+		t.Fatal("cleared entry fired")
+	}
+	// The next interval's contention starts from a clean slate.
+	var fireAt sim.Time = -1
+	cont.Add(2, 1, Contender{Fire: func() bool { fireAt = eng.Now(); return false }})
+	start := eng.Now()
+	eng.Run()
+	if fireAt != start+testSlot {
+		t.Fatalf("entry added after Clear fired at %v, want %v", fireAt, start+testSlot)
+	}
+}
+
+func TestContentionGraphCounterMatchesPerSlotCountdown(t *testing.T) {
+	eng, med, cont := newGraphContentionFixture(t)
+	fireAt := map[int]sim.Time{}
+	for _, lc := range [][2]int{{0, 7}, {5, 4}} {
+		link := lc[0]
+		cont.Add(link, lc[1], Contender{Fire: func() bool { fireAt[link] = eng.Now(); return false }})
+	}
+	cont.Settle()
+	// Link 1 is busy over [20, 60). Per slot, link 0 counts 7 → 6 at 9,
+	// 5 at 18, freezes, resumes on a grid anchored at 60 (4 at 69, ...,
+	// 1 at 96) and fires at 105; link 5 counts 3, 2, 1 at 9, 18, 27 and
+	// fires at 36. Reads land between boundaries or on pure decrements.
+	eng.ScheduleAt(20, func() { med.Start(1, 40, false, nil) })
+	want := []struct {
+		at      sim.Time
+		link    int
+		counter int
+	}{
+		{0, 0, 7}, {9, 0, 6}, {9, 5, 3}, {13, 0, 6}, {18, 0, 5}, {30, 0, 5}, {30, 5, 1},
+		{40, 5, -1}, {60, 0, 5}, {69, 0, 4}, {100, 0, 1}, {110, 0, -1},
+	}
+	for _, w := range want {
+		eng.ScheduleAt(w.at, func() {
+			got, ok := cont.Counter(w.link)
+			if !ok {
+				got = -1
+			}
+			if got != w.counter {
+				t.Errorf("Counter(%d) at %v = %d, want %d", w.link, w.at, got, w.counter)
+			}
+		})
+	}
+	eng.Run()
+	if fireAt[0] != 105 || fireAt[5] != 36 {
+		t.Fatalf("fired at %v, want link 0 at 105 and link 5 at 36", fireAt)
+	}
+}
