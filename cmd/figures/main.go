@@ -122,7 +122,8 @@ func main() {
 		opts.Recorder = recorder
 		manifest = telemetry.NewManifest("figures", opts.BaseSeed)
 		manifest.Config = map[string]string{
-			"seeds": fmt.Sprint(*seeds),
+			// The effective replication count: -seedlist overrides -seeds.
+			"seeds": fmt.Sprint(opts.Seeds),
 			"scale": fmt.Sprint(*scale),
 		}
 		if *figID != "" {

@@ -3,8 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"rtmac/internal/mac"
 	"rtmac/internal/metrics"
+	"rtmac/internal/phy"
 )
 
 // ExtraDelay measures what the deficiency sweeps do not show: the delivery
@@ -22,75 +22,50 @@ func (delayFigure) Title() string {
 	return "Delivery-delay percentiles (fraction of deadline) vs load, video network"
 }
 
-func (delayFigure) Run(opts RunOptions) (*Result, error) {
+func (f delayFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
 	xs := sweepRange(0.40, 0.60, 0.05)
 	specs := []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()}
-	out := &Result{
-		ID:     "extra-delay",
-		Title:  delayFigure{}.Title(),
-		XLabel: "alpha*",
-		YLabel: "delay / deadline",
+	// One BaseSeed run per (x, protocol); hists[si*len(xs)+xi] keeps its
+	// 200-bucket delay histogram.
+	hists := make([]*metrics.DelayStats, len(specs)*len(xs))
+	var jobs []job
+	for xi, x := range xs {
+		sc, err := videoScenario(x, videoRho, opts.scaled(videoIntervals))
+		if err != nil {
+			return nil, fmt.Errorf("experiment extra-delay: %w", err)
+		}
+		sc.delayBuckets = 200
+		for si, spec := range specs {
+			slot := &hists[si*len(xs)+xi]
+			jobs = append(jobs, job{key: fmt.Sprintf("%g/%s", x, spec.label), spec: spec, sc: sc,
+				seed: opts.BaseSeed, reduce: func(out runOut) { *slot = out.hist }})
+		}
 	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted("extra-delay", delayFigure{}.Title(), len(specs)*len(xs))
-		defer opts.Tracker.FigureFinished("extra-delay")
+	if err := runJobs(f, jobs, opts); err != nil {
+		return nil, fmt.Errorf("experiment extra-delay: %w", err)
 	}
-	for _, spec := range specs {
+	deadline := float64(phy.Video().Interval)
+	res := &Result{ID: f.ID(), Title: f.Title(), XLabel: "alpha*", YLabel: "delay / deadline"}
+	for si, spec := range specs {
 		p50 := Series{Label: spec.label + " p50"}
 		p99 := Series{Label: spec.label + " p99"}
-		for _, x := range xs {
-			sc, err := videoScenario(x, videoRho, opts.scaled(videoIntervals))
-			if err != nil {
-				return nil, fmt.Errorf("experiment extra-delay: %w", err)
-			}
-			prot, err := spec.build(len(sc.successProb))
-			if err != nil {
-				return nil, fmt.Errorf("experiment extra-delay: %w", err)
-			}
-			col, err := metrics.NewCollector(sc.required)
+		for xi, x := range xs {
+			hist := hists[si*len(xs)+xi]
+			q50, err := hist.Quantile(0.5)
 			if err != nil {
 				return nil, err
 			}
-			nw, err := mac.NewNetwork(mac.NetworkConfig{
-				Seed:        opts.BaseSeed,
-				Profile:     sc.profile,
-				SuccessProb: sc.successProb,
-				Arrivals:    sc.arrivals,
-				Required:    sc.required,
-				Protocol:    prot,
-				Observers:   []mac.Observer{col},
-				Telemetry:   opts.Telemetry,
-				Events:      opts.Events,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment extra-delay: %w", err)
-			}
-			delay, err := metrics.NewDelayStats(sc.profile.Interval, 200)
-			if err != nil {
-				return nil, err
-			}
-			delay.Attach(nw.Medium())
-			if err := nw.Run(sc.intervals); err != nil {
-				return nil, fmt.Errorf("experiment extra-delay: %w", err)
-			}
-			q50, err := delay.Quantile(0.5)
-			if err != nil {
-				return nil, err
-			}
-			q99, err := delay.Quantile(0.99)
+			q99, err := hist.Quantile(0.99)
 			if err != nil {
 				return nil, err
 			}
 			p50.X = append(p50.X, x)
-			p50.Y = append(p50.Y, float64(q50)/float64(sc.profile.Interval))
+			p50.Y = append(p50.Y, float64(q50)/deadline)
 			p99.X = append(p99.X, x)
-			p99.Y = append(p99.Y, float64(q99)/float64(sc.profile.Interval))
-			if opts.Tracker != nil {
-				opts.Tracker.JobCompleted("extra-delay")
-			}
+			p99.Y = append(p99.Y, float64(q99)/deadline)
 		}
-		out.Series = append(out.Series, p50, p99)
+		res.Series = append(res.Series, p50, p99)
 	}
-	return out, nil
+	return res, nil
 }

@@ -1,7 +1,11 @@
 // Package experiment defines the paper's evaluation scenarios (Section VI)
 // and a harness that regenerates every data figure: total timely-throughput
 // deficiency sweeps (Figs. 3, 4, 7, 8, 9, 10), the convergence comparison
-// (Fig. 5), and the fixed-priority throughput profile (Fig. 6).
+// (Fig. 5), and the fixed-priority throughput profile (Fig. 6), plus the
+// repository's beyond-paper experiments. Every figure declares its
+// simulations as jobs and runs them through one worker pool (runJobs, which
+// alone calls runOne), so every RunOptions plane — monitor, watch engine,
+// telemetry, events, progress — reaches every simulation.
 //
 // Absolute numbers come from this repository's simulator rather than the
 // authors' ns-3 build, so the comparison target is the *shape* of each
@@ -15,7 +19,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -27,9 +30,11 @@ import (
 	"rtmac/internal/mac/fcsma"
 	"rtmac/internal/mac/framecsma"
 	"rtmac/internal/mac/ldf"
+	"rtmac/internal/medium"
 	"rtmac/internal/metrics"
 	"rtmac/internal/monitor"
 	"rtmac/internal/phy"
+	"rtmac/internal/sim"
 	"rtmac/internal/stats"
 	"rtmac/internal/telemetry"
 	"rtmac/internal/watch"
@@ -251,17 +256,23 @@ func framecsmaSpec() protocolSpec {
 type scenario struct {
 	profile     phy.Profile
 	successProb []float64
+	// channel, when set, replaces successProb with a time-varying channel
+	// model bound to each network's engine.
+	channel     func(eng *sim.Engine, links int) (medium.Model, error)
 	arrivals    arrival.VectorProcess
 	required    []float64
 	intervals   int
 	seriesEvery int
+	// delayBuckets, when positive, also records each run's delivery delays
+	// in a histogram of that many buckets per deadline.
+	delayBuckets int
 }
 
 // runOut is everything one simulation yields to its reducer.
 type runOut struct {
 	col   *metrics.Collector
 	delay *metrics.DelaySketch
-	prot  mac.Protocol
+	hist  *metrics.DelayStats // nil unless the scenario asked for delayBuckets
 }
 
 // replication packages the run as one seed-tagged replication for the
@@ -277,12 +288,14 @@ func (o runOut) replication(seed uint64, value float64) stats.Replication {
 	}
 }
 
-// runOne simulates a scenario under a protocol and returns the collector and
-// a delivery-delay sketch. With opts.Monitor, the strict invariant monitor
+// runOne simulates a scenario under a protocol and returns the collector, a
+// delivery-delay sketch and, when the scenario asks for one, a delay
+// histogram. With opts.Monitor, the strict invariant monitor
 // rides along and the run fails at the end of the first violating interval.
 // opts.Telemetry and opts.Events, when set, are attached to the network.
 func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOut, error) {
-	prot, err := spec.build(len(sc.successProb))
+	links := len(sc.required)
+	prot, err := spec.build(links)
 	if err != nil {
 		return runOut{}, fmt.Errorf("experiment: building %s: %w", spec.label, err)
 	}
@@ -295,30 +308,37 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 		return runOut{}, err
 	}
 	nw, err := mac.NewNetwork(mac.NetworkConfig{
-		Seed:        seed,
-		Profile:     sc.profile,
-		SuccessProb: sc.successProb,
-		Arrivals:    sc.arrivals,
-		Required:    sc.required,
-		Protocol:    prot,
-		Observers:   []mac.Observer{col},
-		Telemetry:   opts.Telemetry,
-		Events:      opts.Events,
+		Seed:           seed,
+		Profile:        sc.profile,
+		SuccessProb:    sc.successProb,
+		ChannelFactory: sc.channel,
+		Arrivals:       sc.arrivals,
+		Required:       sc.required,
+		Protocol:       prot,
+		Observers:      []mac.Observer{col},
+		Telemetry:      opts.Telemetry,
+		Events:         opts.Events,
 	})
 	if err != nil {
 		return runOut{}, err
 	}
-	delay, err := metrics.NewDelaySketch(sc.profile.Interval)
-	if err != nil {
+	out := runOut{col: col}
+	if out.delay, err = metrics.NewDelaySketch(sc.profile.Interval); err != nil {
 		return runOut{}, err
 	}
-	delay.Attach(nw.Medium())
+	out.delay.Attach(nw.Medium())
+	if sc.delayBuckets > 0 {
+		if out.hist, err = metrics.NewDelayStats(sc.profile.Interval, sc.delayBuckets); err != nil {
+			return runOut{}, err
+		}
+		out.hist.Attach(nw.Medium())
+	}
 	// The event-sink chain grows as options stack: monitor and watch engine
 	// ride alongside whatever external stream the caller already attached.
 	sinks := make(telemetry.MultiSink, 0, 3)
 	if opts.Monitor {
 		mon, err := monitor.New(monitor.Config{
-			Links:         len(sc.successProb),
+			Links:         links,
 			Interval:      sc.profile.Interval,
 			CollisionFree: spec.collisionFree,
 			SwapPairs:     spec.swapPairs,
@@ -334,7 +354,7 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 	var eng *watch.Engine
 	if opts.Watch {
 		eng, err = watch.New(watch.Config{
-			Links:    len(sc.successProb),
+			Links:    links,
 			Required: sc.required,
 			Budget:   opts.WatchBudget,
 			Registry: nw.Telemetry(),
@@ -361,36 +381,32 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 	if eng != nil && opts.WatchTally != nil {
 		opts.WatchTally.Merge(eng)
 	}
-	return runOut{col: col, delay: delay, prot: prot}, nil
+	return out, nil
 }
 
 // job is one (sweep point, protocol, seed) simulation; reduce merges its
-// output into the aggregate.
+// output into the figure's aggregate.
 type job struct {
-	key    string // "<x>/<protocol>"
-	x      float64
+	key    string // progress and profile label, e.g. "<x>/<protocol>"
 	spec   protocolSpec
 	sc     scenario
 	seed   uint64
-	reduce func(seed uint64, out runOut)
+	reduce func(out runOut)
 }
 
-// figureMeta identifies the figure a job pool belongs to, for progress
-// reporting.
-type figureMeta struct {
-	id    string
-	title string
-}
-
-// runJobs executes jobs across a worker pool; reduce callbacks run under a
-// single mutex so they can write shared aggregates without further locking.
-// The tracker (when set) sees the figure start, every job completion, and
-// the figure finish; Progress writes go through the options' synchronized
-// writer outside the reduce lock.
-func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
+// runJobs executes jobs across a worker pool and is the only place figures
+// simulate. Reduce callbacks run under a single mutex in completion order,
+// so they can write shared aggregates without further locking; a figure
+// whose fold depends on order stores each output in its job's own slot and
+// folds after runJobs returns. The tracker (when set) sees the figure start
+// with len(jobs), every job completion, and the figure finish; Progress
+// writes go through the options' synchronized writer outside the reduce
+// lock.
+func runJobs(fig Figure, jobs []job, opts RunOptions) error {
+	id := fig.ID()
 	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted(meta.id, meta.title, len(jobs))
-		defer opts.Tracker.FigureFinished(meta.id)
+		opts.Tracker.FigureStarted(id, fig.Title(), len(jobs))
+		defer opts.Tracker.FigureFinished(id)
 	}
 	var (
 		wg       sync.WaitGroup
@@ -399,7 +415,6 @@ func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
 	)
 	sem := make(chan struct{}, opts.Workers)
 	for _, j := range jobs {
-		j := j
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -411,7 +426,7 @@ func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
 			var out runOut
 			var err error
 			pprof.Do(context.Background(), pprof.Labels(
-				"figure", meta.id, "point", j.key, "seed", strconv.FormatUint(j.seed, 10),
+				"figure", id, "point", j.key, "seed", strconv.FormatUint(j.seed, 10),
 			), func(context.Context) {
 				out, err = runOne(j.sc, j.spec, j.seed, opts)
 			})
@@ -424,10 +439,10 @@ func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
 				return
 			}
 			mu.Lock()
-			j.reduce(j.seed, out)
+			j.reduce(out)
 			mu.Unlock()
 			if opts.Tracker != nil {
-				opts.Tracker.JobCompleted(meta.id)
+				opts.Tracker.JobCompleted(id)
 			}
 			if opts.Progress != nil {
 				fmt.Fprintf(opts.Progress, "done %s seed=%d deficiency=%.4f\n",
@@ -442,120 +457,9 @@ func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
 // ciLevel is the confidence level figure aggregates report.
 const ciLevel = 0.95
 
-// deficiencySweep runs a standard deficiency-vs-x figure: for each x value
-// and protocol, aggregate TotalDeficiency over opts.Seeds replications into
-// mean, standard error, 95% confidence half-width and delivery-delay
-// quantiles. Replications are seed-tagged, so the summary is independent of
-// worker completion order.
-func deficiencySweep(meta figureMeta, xs []float64, build func(x float64) (scenario, error),
-	specs []protocolSpec, opts RunOptions) ([]Series, error) {
-	aggregates := make(map[string]*stats.PointAggregate)
-	var jobs []job
-	for _, x := range xs {
-		sc, err := build(x)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range specs {
-			key := fmt.Sprintf("%g/%s", x, spec.label)
-			a := &stats.PointAggregate{}
-			aggregates[key] = a
-			for s := 0; s < opts.Seeds; s++ {
-				jobs = append(jobs, job{
-					key:  key,
-					x:    x,
-					spec: spec,
-					sc:   sc,
-					seed: opts.seedFor(s, len(jobs)),
-					reduce: func(seed uint64, out runOut) {
-						a.Add(out.replication(seed, out.col.TotalDeficiency()))
-					},
-				})
-			}
-		}
-	}
-	if err := runJobs(meta, jobs, opts); err != nil {
-		return nil, err
-	}
-	series := make([]Series, 0, len(specs))
-	for _, spec := range specs {
-		s := Series{Label: spec.label}
-		for _, x := range xs {
-			a := aggregates[fmt.Sprintf("%g/%s", x, spec.label)]
-			if a.Count() == 0 {
-				return nil, fmt.Errorf("experiment: no completed replications for %s at %g", spec.label, x)
-			}
-			s.addSummary(x, a.Summary(ciLevel))
-			opts.Recorder.RecordAggregate(meta.id, spec.label, x, "deficiency", ledger.BetterLower, a)
-		}
-		series = append(series, s)
-	}
-	return series, nil
-}
-
-// groupDeficiencySweep is deficiencySweep but splits the deficiency by link
-// group, producing one curve per (protocol, group). The delay quantiles are
-// network-wide, so both group curves of one protocol share them.
-func groupDeficiencySweep(meta figureMeta, xs []float64, build func(x float64) (scenario, error),
-	specs []protocolSpec, groups map[string][]int, opts RunOptions) ([]Series, error) {
-	aggregates := make(map[string]map[string]*stats.PointAggregate)
-	var jobs []job
-	for _, x := range xs {
-		sc, err := build(x)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range specs {
-			key := fmt.Sprintf("%g/%s", x, spec.label)
-			byGroup := make(map[string]*stats.PointAggregate, len(groups))
-			for g := range groups {
-				byGroup[g] = &stats.PointAggregate{}
-			}
-			aggregates[key] = byGroup
-			for s := 0; s < opts.Seeds; s++ {
-				jobs = append(jobs, job{
-					key:  key,
-					spec: spec,
-					sc:   sc,
-					seed: opts.seedFor(s, len(jobs)),
-					reduce: func(seed uint64, out runOut) {
-						for g, links := range groups {
-							byGroup[g].Add(out.replication(seed, out.col.GroupDeficiency(links)))
-						}
-					},
-				})
-			}
-		}
-	}
-	if err := runJobs(meta, jobs, opts); err != nil {
-		return nil, err
-	}
-	groupNames := make([]string, 0, len(groups))
-	for g := range groups {
-		groupNames = append(groupNames, g)
-	}
-	sort.Strings(groupNames)
-	var series []Series
-	for _, spec := range specs {
-		for _, g := range groupNames {
-			s := Series{Label: fmt.Sprintf("%s %s", spec.label, g)}
-			for _, x := range xs {
-				a := aggregates[fmt.Sprintf("%g/%s", x, spec.label)][g]
-				if a.Count() == 0 {
-					return nil, fmt.Errorf("experiment: no completed replications for %s at %g", spec.label, x)
-				}
-				s.addSummary(x, a.Summary(ciLevel))
-				opts.Recorder.RecordAggregate(meta.id, s.Label, x, "deficiency", ledger.BetterLower, a)
-			}
-			series = append(series, s)
-		}
-	}
-	return series, nil
-}
-
 // sweepRange returns lo, lo+step, ..., hi (inclusive within rounding),
 // with each value rounded to six decimals so accumulated float error never
-// leaks into labels or map keys.
+// leaks into labels.
 func sweepRange(lo, hi, step float64) []float64 {
 	var xs []float64
 	for x := lo; x <= hi+step/2; x += step {

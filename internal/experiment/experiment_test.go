@@ -3,11 +3,14 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"rtmac/internal/mac"
+	"rtmac/internal/telemetry"
+	"rtmac/internal/watch"
 )
 
 // fastOpts keeps the figure sweeps affordable in CI while preserving shape:
@@ -520,20 +523,18 @@ func TestSweepPropagatesBuildErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = deficiencySweep(figureMeta{id: "t"}, []float64{0.5}, func(float64) (scenario, error) { return sc, nil },
-		[]protocolSpec{broken}, RunOptions{}.fill())
-	if err == nil {
+	built := func(float64, RunOptions) (scenario, error) { return sc, nil }
+	fig := &sweepFigure{id: "t", xs: []float64{0.5}, build: built, specs: []protocolSpec{broken}}
+	if _, err := fig.Run(RunOptions{}); err == nil {
 		t.Fatal("broken protocol build did not propagate")
 	}
-	_, err = groupDeficiencySweep(figureMeta{id: "t"}, []float64{0.5}, func(float64) (scenario, error) { return sc, nil },
-		[]protocolSpec{broken}, map[string][]int{"g": {0}}, RunOptions{}.fill())
-	if err == nil {
+	fig.groups = []linkGroup{{"g", []int{0}}}
+	if _, err := fig.Run(RunOptions{}); err == nil {
 		t.Fatal("broken protocol build did not propagate through group sweep")
 	}
-	_, err = deficiencySweep(figureMeta{id: "t"}, []float64{0.5},
-		func(float64) (scenario, error) { return scenario{}, fmt.Errorf("bad scenario") },
-		[]protocolSpec{ldfSpec()}, RunOptions{}.fill())
-	if err == nil {
+	fig = &sweepFigure{id: "t", xs: []float64{0.5}, specs: []protocolSpec{ldfSpec()},
+		build: func(float64, RunOptions) (scenario, error) { return scenario{}, fmt.Errorf("bad scenario") }}
+	if _, err := fig.Run(RunOptions{}); err == nil {
 		t.Fatal("scenario build error not propagated")
 	}
 }
@@ -669,5 +670,62 @@ func TestSweepAggregatesDelayAndCI(t *testing.T) {
 				t.Fatalf("%s: implausible p99 delay %v µs", s.Label, s.DelayP99[i])
 			}
 		}
+	}
+}
+
+// countingSink counts the events a run streams to RunOptions.Events.
+type countingSink struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *countingSink) Emit(telemetry.Event) {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+}
+
+// TestObservationPlanesReachEveryFigure runs every figure with the strict
+// monitor, the watch engine, an event sink and one shared telemetry registry,
+// and requires each plane to have ridden along in every simulation the
+// figure announced: one watch tally per job, the monitor's violation counter
+// registered, and a non-empty event stream. A figure that simulated outside
+// the shared runner would skip them silently.
+func TestObservationPlanesReachEveryFigure(t *testing.T) {
+	for _, fig := range Extended() {
+		fig := fig
+		t.Run(fig.ID(), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			tally := &watch.Tally{}
+			tr := newCountingTracker()
+			events := &countingSink{}
+			_, err := fig.Run(RunOptions{
+				Seeds:         2,
+				IntervalScale: 0.01,
+				Workers:       2,
+				Monitor:       true,
+				Watch:         true,
+				WatchTally:    tally,
+				Telemetry:     reg,
+				Events:        events,
+				Tracker:       tr,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := tr.started[fig.ID()]
+			if jobs == 0 || tally.Runs() != int64(jobs) {
+				t.Fatalf("watch tallied %d runs, FigureStarted announced %d jobs", tally.Runs(), jobs)
+			}
+			if tr.done[fig.ID()] != jobs {
+				t.Fatalf("JobCompleted %d times, FigureStarted announced %d jobs", tr.done[fig.ID()], jobs)
+			}
+			if !slices.Contains(reg.Names(), "rtmac_monitor_violations_total") {
+				t.Fatalf("shared registry lacks rtmac_monitor_violations_total: %v", reg.Names())
+			}
+			if events.n == 0 {
+				t.Fatal("no events reached RunOptions.Events")
+			}
+		})
 	}
 }

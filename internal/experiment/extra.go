@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"rtmac/internal/core"
-	"rtmac/internal/ledger"
 	"rtmac/internal/mac"
 	"rtmac/internal/phy"
 	"rtmac/internal/sim"
-	"rtmac/internal/stats"
 )
 
 // overheadFigure sweeps a timing parameter of the DP protocol's overhead
-// budget and reports DB-DP's deficiency at a fixed near-capacity load. Two
-// instances exist:
+// budget and reports DB-DP's deficiency at a fixed near-capacity load
+// (α* = 0.6, near the video network's capacity knee). Two instances exist:
 //
 //   - extra-slottime: the backoff slot duration. The paper (§IV-C) quantifies
 //     the protocol's backoff overhead as at most N+1 slots per interval and
@@ -21,125 +19,50 @@ import (
 //     figure measures exactly that sensitivity.
 //   - extra-emptycost: the airtime of the empty priority-claiming frame,
 //     which the paper bounds at two per interval.
-type overheadFigure struct {
-	id, title, xlabel string
-	xs                []float64 // µs values of the swept parameter
-	apply             func(p *phy.Profile, x float64)
-}
-
-func (f *overheadFigure) ID() string    { return f.id }
-func (f *overheadFigure) Title() string { return f.title }
-
-func (f *overheadFigure) Run(opts RunOptions) (*Result, error) {
-	opts = opts.fill()
-	const alpha = 0.6 // near the video network's capacity knee
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted(f.id, f.title, len(f.xs)*opts.Seeds)
-		defer opts.Tracker.FigureFinished(f.id)
-	}
-	var series Series
-	series.Label = "DB-DP"
-	for _, x := range f.xs {
-		sc, err := videoScenario(alpha, videoRho, opts.scaled(videoIntervals))
-		if err != nil {
-			return nil, err
-		}
-		f.apply(&sc.profile, x)
-		if err := sc.profile.Validate(); err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", f.id, err)
-		}
-		var agg stats.PointAggregate
-		for s := 0; s < opts.Seeds; s++ {
-			seed := opts.seedFor(s, 0)
-			run, err := runOne(sc, dbdpSpec(), seed, opts)
+func overheadFigure(id, title, xlabel string, xs []float64, apply func(p *phy.Profile, x float64)) Figure {
+	return &sweepFigure{
+		id:          id,
+		title:       title,
+		xlabel:      xlabel,
+		xs:          xs, // µs values of the swept parameter
+		specs:       []protocolSpec{dbdpSpec()},
+		replaySeeds: true,
+		build: func(x float64, opts RunOptions) (scenario, error) {
+			sc, err := videoScenario(0.6, videoRho, opts.scaled(videoIntervals))
 			if err != nil {
-				return nil, fmt.Errorf("experiment %s: %w", f.id, err)
+				return scenario{}, err
 			}
-			agg.Add(run.replication(seed, run.col.TotalDeficiency()))
-			if opts.Tracker != nil {
-				opts.Tracker.JobCompleted(f.id)
-			}
-		}
-		series.addSummary(x, agg.Summary(ciLevel))
-		opts.Recorder.RecordAggregate(f.id, series.Label, x, "deficiency", ledger.BetterLower, &agg)
+			apply(&sc.profile, x)
+			return sc, sc.profile.Validate()
+		},
 	}
-	return &Result{
-		ID:     f.id,
-		Title:  f.title,
-		XLabel: f.xlabel,
-		YLabel: "total timely-throughput deficiency",
-		Series: []Series{series},
-	}, nil
 }
 
 // ExtraSlotTime returns the backoff-slot sensitivity ablation.
 func ExtraSlotTime() Figure {
-	return &overheadFigure{
-		id:     "extra-slottime",
-		title:  "DB-DP overhead sensitivity: backoff slot duration (video, alpha*=0.6)",
-		xlabel: "backoff slot (us)",
-		// 1 µs ≈ WiFi-Nano territory, 9 µs = 802.11a, then progressively
-		// clumsier carrier sensing.
-		xs: []float64{1, 5, 9, 18, 36, 72},
-		apply: func(p *phy.Profile, x float64) {
-			p.Slot = sim.Time(x)
-		},
-	}
+	// 1 µs ≈ WiFi-Nano territory, 9 µs = 802.11a, then progressively
+	// clumsier carrier sensing.
+	return overheadFigure("extra-slottime",
+		"DB-DP overhead sensitivity: backoff slot duration (video, alpha*=0.6)",
+		"backoff slot (us)", []float64{1, 5, 9, 18, 36, 72},
+		func(p *phy.Profile, x float64) { p.Slot = sim.Time(x) })
 }
 
 // ExtraEmptyCost returns the empty-frame airtime ablation.
 func ExtraEmptyCost() Figure {
-	return &overheadFigure{
-		id:     "extra-emptycost",
-		title:  "DB-DP overhead sensitivity: empty priority-claim frame airtime (video, alpha*=0.6)",
-		xlabel: "empty frame airtime (us)",
-		xs:     []float64{10, 70, 150, 330},
-		apply: func(p *phy.Profile, x float64) {
-			p.EmptyAirtime = sim.Time(x)
-		},
-	}
+	return overheadFigure("extra-emptycost",
+		"DB-DP overhead sensitivity: empty priority-claim frame airtime (video, alpha*=0.6)",
+		"empty frame airtime (us)", []float64{10, 70, 150, 330},
+		func(p *phy.Profile, x float64) { p.EmptyAirtime = sim.Time(x) })
 }
 
 // ExtraSwapPairs compares the Remark-6 multi-pair extension's convergence:
 // windowed throughput of the initially lowest-priority link for 1, 3 and 6
 // swap pairs per interval.
-func ExtraSwapPairs() Figure { return swapPairsFigure{} }
-
-type swapPairsFigure struct{}
-
-func (swapPairsFigure) ID() string { return "extra-swappairs" }
-
-func (swapPairsFigure) Title() string {
-	return "Remark-6 extension: convergence of the lowest-priority link vs swap pairs per interval"
-}
-
-func (swapPairsFigure) Run(opts RunOptions) (*Result, error) {
-	opts = opts.fill()
-	const rho = 0.93
-	intervals := opts.scaled(videoIntervals)
-	seriesEvery := intervals / 25
-	if seriesEvery < 1 {
-		seriesEvery = 1
-	}
-	sc, err := videoScenario(0.55, rho, intervals)
-	if err != nil {
-		return nil, err
-	}
-	sc.seriesEvery = seriesEvery
-	watched := videoLinks - 1
-	out := &Result{
-		ID:     "extra-swappairs",
-		Title:  swapPairsFigure{}.Title(),
-		XLabel: "interval",
-		YLabel: fmt.Sprintf("windowed timely-throughput of link %d", watched),
-	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted("extra-swappairs", swapPairsFigure{}.Title(), 3)
-		defer opts.Tracker.FigureFinished("extra-swappairs")
-	}
+func ExtraSwapPairs() Figure {
+	var specs []protocolSpec
 	for _, pairs := range []int{1, 3, 6} {
-		pairs := pairs
-		spec := protocolSpec{
+		specs = append(specs, protocolSpec{
 			label:         fmt.Sprintf("%d pair(s)", pairs),
 			collisionFree: true,
 			swapPairs:     pairs,
@@ -149,20 +72,14 @@ func (swapPairsFigure) Run(opts RunOptions) (*Result, error) {
 				}
 				return core.New(n, core.PaperDebtGlauber(), core.WithPairs(pairs))
 			},
-		}
-		run, err := runOne(sc, spec, opts.BaseSeed, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment extra-swappairs: %w", err)
-		}
-		s := Series{Label: spec.label}
-		for _, snap := range run.col.Series() {
-			s.X = append(s.X, float64(snap.Intervals))
-			s.Y = append(s.Y, snap.Windowed[watched])
-		}
-		out.Series = append(out.Series, s)
-		if opts.Tracker != nil {
-			opts.Tracker.JobCompleted("extra-swappairs")
-		}
+		})
 	}
-	return out, nil
+	return &trajectoryFigure{
+		id:    "extra-swappairs",
+		title: "Remark-6 extension: convergence of the lowest-priority link vs swap pairs per interval",
+		ylabel: func(watched int, _ float64) string {
+			return fmt.Sprintf("windowed timely-throughput of link %d", watched)
+		},
+		specs: specs,
+	}
 }

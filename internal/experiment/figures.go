@@ -2,11 +2,15 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"rtmac/internal/arrival"
 	"rtmac/internal/core"
+	"rtmac/internal/ledger"
 	"rtmac/internal/mac"
+	"rtmac/internal/metrics"
 	"rtmac/internal/phy"
+	"rtmac/internal/stats"
 )
 
 // Paper constants for the two evaluation scenarios (Section VI).
@@ -98,24 +102,49 @@ func controlScenario(lambda, rho float64, intervals int) (scenario, error) {
 	}, nil
 }
 
+// linkGroup is a named subset of links whose deficiencies one curve sums;
+// the unnamed group with nil links stands for every link.
+type linkGroup struct {
+	name  string
+	links []int
+}
+
+// deficiency is a run's timely-throughput deficiency over the group.
+func (g linkGroup) deficiency(col *metrics.Collector) float64 {
+	if g.links == nil {
+		return col.TotalDeficiency()
+	}
+	return col.GroupDeficiency(g.links)
+}
+
 // asymmetricGroups names the two link groups of Figs. 7–8.
-func asymmetricGroups() map[string][]int {
+func asymmetricGroups() []linkGroup {
 	g1 := make([]int, videoLinks/2)
 	g2 := make([]int, videoLinks/2)
 	for i := range g1 {
 		g1[i] = i
 		g2[i] = videoLinks/2 + i
 	}
-	return map[string][]int{"group1": g1, "group2": g2}
+	return []linkGroup{{"group1", g1}, {"group2", g2}}
 }
 
-// sweepFigure is a deficiency-vs-x figure fully described by data.
+// sweepFigure is a deficiency-vs-x figure fully described by data: every
+// (x, protocol, replication) is one job, and each curve point aggregates a
+// point's replications into mean, standard error, 95% confidence half-width
+// and delivery-delay quantiles. Replications are seed-tagged, so the summary
+// is independent of worker completion order.
 type sweepFigure struct {
 	id, title, xlabel string
 	xs                []float64
 	build             func(x float64, opts RunOptions) (scenario, error)
-	groups            map[string][]int // nil for total deficiency
+	groups            []linkGroup // nil for total deficiency
 	specs             []protocolSpec
+	// replaySeeds gives every point the same replication seeds,
+	// seedFor(s, 0), instead of folding the job index in.
+	replaySeeds bool
+	// fresh builds a new scenario for every job: its arrival process keeps
+	// state across intervals, so concurrent simulations cannot share one.
+	fresh bool
 }
 
 func (f *sweepFigure) ID() string    { return f.id }
@@ -123,25 +152,62 @@ func (f *sweepFigure) Title() string { return f.title }
 
 func (f *sweepFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
-	build := func(x float64) (scenario, error) { return f.build(x, opts) }
-	var (
-		series []Series
-		err    error
-	)
-	meta := figureMeta{id: f.id, title: f.title}
-	if f.groups == nil {
-		series, err = deficiencySweep(meta, f.xs, build, f.specs, opts)
-	} else {
-		series, err = groupDeficiencySweep(meta, f.xs, build, f.specs, f.groups, opts)
+	// Each curve is one (protocol, link group) pair; without groups there is
+	// one unnamed group covering every link.
+	groups, ylabel := f.groups, "group-wide timely-throughput deficiency"
+	if groups == nil {
+		groups, ylabel = []linkGroup{{}}, "total timely-throughput deficiency"
 	}
-	if err != nil {
+	// aggs[(xi*len(specs)+si)*len(groups)+gi] is one curve point.
+	aggs := make([]stats.PointAggregate, len(f.xs)*len(f.specs)*len(groups))
+	var jobs []job
+	for xi, x := range f.xs {
+		shared, err := f.build(x, opts)
+		if err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", f.id, err)
+		}
+		for si, spec := range f.specs {
+			point := aggs[(xi*len(f.specs)+si)*len(groups):][:len(groups)]
+			for s := 0; s < opts.Seeds; s++ {
+				sc, seed := shared, opts.seedFor(s, len(jobs))
+				if f.fresh {
+					if sc, err = f.build(x, opts); err != nil {
+						return nil, fmt.Errorf("experiment %s: %w", f.id, err)
+					}
+				}
+				if f.replaySeeds {
+					seed = opts.seedFor(s, 0)
+				}
+				jobs = append(jobs, job{
+					key:  fmt.Sprintf("%g/%s", x, spec.label),
+					spec: spec,
+					sc:   sc,
+					seed: seed,
+					reduce: func(out runOut) {
+						for gi, g := range groups {
+							point[gi].Add(out.replication(seed, g.deficiency(out.col)))
+						}
+					},
+				})
+			}
+		}
+	}
+	if err := runJobs(f, jobs, opts); err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", f.id, err)
 	}
-	ylabel := "total timely-throughput deficiency"
-	if f.groups != nil {
-		ylabel = "group-wide timely-throughput deficiency"
+	res := &Result{ID: f.id, Title: f.title, XLabel: f.xlabel, YLabel: ylabel}
+	for si, spec := range f.specs {
+		for gi, g := range groups {
+			s := Series{Label: strings.TrimSpace(spec.label + " " + g.name)}
+			for xi, x := range f.xs {
+				a := &aggs[(xi*len(f.specs)+si)*len(groups)+gi]
+				s.addSummary(x, a.Summary(ciLevel))
+				opts.Recorder.RecordAggregate(f.id, s.Label, x, "deficiency", ledger.BetterLower, a)
+			}
+			res.Series = append(res.Series, s)
+		}
 	}
-	return &Result{ID: f.id, Title: f.title, XLabel: f.xlabel, YLabel: ylabel, Series: series}, nil
+	return res, nil
 }
 
 // Fig3 sweeps the symmetric video network's burst probability α* at a fixed
@@ -233,66 +299,67 @@ func Fig10() Figure {
 	}
 }
 
-// convergenceFigure regenerates Fig. 5: the cumulative timely-throughput of
-// the link holding the lowest priority at time zero, under DB-DP and LDF,
-// at α* = 0.55 and 93 % delivery ratio.
-type convergenceFigure struct{}
-
-// Fig5 returns the convergence-time comparison.
-func Fig5() Figure { return convergenceFigure{} }
-
-func (convergenceFigure) ID() string { return "fig5" }
-
-func (convergenceFigure) Title() string {
-	return "Convergence: throughput of the initially lowest-priority link (alpha*=0.55, 93% ratio)"
+// trajectoryFigure follows the windowed timely-throughput of the link that
+// holds the lowest priority at time zero, one BaseSeed run per protocol, on
+// the video network at α* = 0.55 and 93 % delivery ratio.
+type trajectoryFigure struct {
+	id, title string
+	ylabel    func(watched int, target float64) string
+	specs     []protocolSpec
 }
 
-func (convergenceFigure) Run(opts RunOptions) (*Result, error) {
+func (f *trajectoryFigure) ID() string    { return f.id }
+func (f *trajectoryFigure) Title() string { return f.title }
+
+func (f *trajectoryFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
-	const rho = 0.93
 	intervals := opts.scaled(videoIntervals)
-	// 25 checkpoints: wide enough windows that the windowed throughput of a
-	// single link is not drowned in arrival noise.
-	seriesEvery := intervals / 25
-	if seriesEvery < 1 {
-		seriesEvery = 1
-	}
-	sc, err := videoScenario(0.55, rho, intervals)
+	sc, err := videoScenario(0.55, 0.93, intervals)
 	if err != nil {
 		return nil, err
 	}
-	sc.seriesEvery = seriesEvery
+	// 25 checkpoints: wide enough windows that the windowed throughput of a
+	// single link is not drowned in arrival noise.
+	sc.seriesEvery = max(intervals/25, 1)
 	// With identity initial priorities and link-ID tie-breaking in LDF, the
-	// initially worst-off link is the last one in both policies.
+	// initially worst-off link is the last one in every policy.
 	watched := videoLinks - 1
-	target := sc.required[watched]
-	specs := []protocolSpec{dbdpSpec(), ldfSpec()}
-	out := &Result{
-		ID:     "fig5",
-		Title:  convergenceFigure{}.Title(),
+	res := &Result{
+		ID:     f.id,
+		Title:  f.title,
 		XLabel: "interval",
-		YLabel: fmt.Sprintf("timely-throughput of link %d over time (target %.3f)", watched, target),
+		YLabel: f.ylabel(watched, sc.required[watched]),
+		Series: make([]Series, len(f.specs)),
 	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted("fig5", convergenceFigure{}.Title(), len(specs))
-		defer opts.Tracker.FigureFinished("fig5")
+	jobs := make([]job, len(f.specs))
+	for i, spec := range f.specs {
+		s := &res.Series[i]
+		s.Label = spec.label
+		jobs[i] = job{key: spec.label, spec: spec, sc: sc, seed: opts.BaseSeed,
+			reduce: func(out runOut) {
+				for _, snap := range out.col.Series() {
+					s.X = append(s.X, float64(snap.Intervals))
+					s.Y = append(s.Y, snap.Windowed[watched])
+				}
+			}}
 	}
-	for _, spec := range specs {
-		run, err := runOne(sc, spec, opts.BaseSeed, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment fig5: %w", err)
-		}
-		s := Series{Label: spec.label}
-		for _, snap := range run.col.Series() {
-			s.X = append(s.X, float64(snap.Intervals))
-			s.Y = append(s.Y, snap.Windowed[watched])
-		}
-		out.Series = append(out.Series, s)
-		if opts.Tracker != nil {
-			opts.Tracker.JobCompleted("fig5")
-		}
+	if err := runJobs(f, jobs, opts); err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", f.id, err)
 	}
-	return out, nil
+	return res, nil
+}
+
+// Fig5 compares convergence: the cumulative timely-throughput of the
+// initially lowest-priority link under DB-DP and LDF.
+func Fig5() Figure {
+	return &trajectoryFigure{
+		id:    "fig5",
+		title: "Convergence: throughput of the initially lowest-priority link (alpha*=0.55, 93% ratio)",
+		ylabel: func(watched int, target float64) string {
+			return fmt.Sprintf("timely-throughput of link %d over time (target %.3f)", watched, target)
+		},
+		specs: []protocolSpec{dbdpSpec(), ldfSpec()},
+	}
 }
 
 // priorityProfileFigure regenerates Fig. 6: average timely-throughput per
@@ -308,41 +375,39 @@ func (priorityProfileFigure) Title() string {
 	return "Average timely-throughput per priority index under a fixed ordering (alpha*=0.6)"
 }
 
-func (priorityProfileFigure) Run(opts RunOptions) (*Result, error) {
+func (f priorityProfileFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
 	sc, err := videoScenario(0.60, videoRho, opts.scaled(videoIntervals))
 	if err != nil {
 		return nil, err
 	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted("fig6", priorityProfileFigure{}.Title(), opts.Seeds)
-		defer opts.Tracker.FigureFinished("fig6")
+	spec := protocolSpec{label: "DP (frozen)", collisionFree: true, build: func(n int) (mac.Protocol, error) {
+		return core.New(n, core.PaperDebtGlauber(), core.WithFrozenPriorities())
+	}}
+	// Each replication keeps its own collector so the per-link sums below
+	// run in replication order, whatever order the workers finish in.
+	cols := make([]*metrics.Collector, opts.Seeds)
+	jobs := make([]job, opts.Seeds)
+	for s := range jobs {
+		jobs[s] = job{key: spec.label, spec: spec, sc: sc, seed: opts.seedFor(s, 0),
+			reduce: func(out runOut) { cols[s] = out.col }}
 	}
-	sums := make([]float64, videoLinks)
-	for s := 0; s < opts.Seeds; s++ {
-		spec := protocolSpec{label: "DP (frozen)", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-			return core.New(n, core.PaperDebtGlauber(), core.WithFrozenPriorities())
-		}}
-		run, err := runOne(sc, spec, opts.seedFor(s, 0), opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment fig6: %w", err)
-		}
-		// With identity priorities, link n holds priority index n+1.
-		for link := 0; link < videoLinks; link++ {
-			sums[link] += run.col.Throughput(link)
-		}
-		if opts.Tracker != nil {
-			opts.Tracker.JobCompleted("fig6")
-		}
+	if err := runJobs(f, jobs, opts); err != nil {
+		return nil, fmt.Errorf("experiment fig6: %w", err)
 	}
+	// With identity priorities, link n holds priority index n+1.
 	series := Series{Label: "DP (frozen priorities)"}
 	for link := 0; link < videoLinks; link++ {
+		sum := 0.0
+		for _, col := range cols {
+			sum += col.Throughput(link)
+		}
 		series.X = append(series.X, float64(link+1))
-		series.Y = append(series.Y, sums[link]/float64(opts.Seeds))
+		series.Y = append(series.Y, sum/float64(opts.Seeds))
 	}
 	return &Result{
-		ID:     "fig6",
-		Title:  priorityProfileFigure{}.Title(),
+		ID:     f.ID(),
+		Title:  f.Title(),
 		XLabel: "priority index (1 = highest)",
 		YLabel: "average timely-throughput (packets/interval)",
 		Series: []Series{series},

@@ -17,13 +17,13 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestGoldenFigures pins the exact CSV output of a tiny deterministic run of
-// every paper figure. Any change to the engine's event ordering, a
+// every figure, the paper's and the beyond-paper ones. Any change to the engine's event ordering, a
 // protocol's decisions, RNG stream derivation, or the figure definitions
 // shows up as a golden diff — an end-to-end determinism regression net over
 // the whole stack.
 func TestGoldenFigures(t *testing.T) {
 	opts := RunOptions{Seeds: 1, IntervalScale: 0.01, BaseSeed: 424242}
-	for _, fig := range All() {
+	for _, fig := range Extended() {
 		fig := fig
 		t.Run(fig.ID(), func(t *testing.T) {
 			res, err := fig.Run(opts)

@@ -1,75 +1,34 @@
 package experiment
 
 import (
-	"fmt"
-
 	"rtmac/internal/core"
-	"rtmac/internal/ledger"
 	"rtmac/internal/mac"
-	"rtmac/internal/stats"
 )
 
 // ExtraLearning compares DB-DP with the known-p_n oracle against DB-DP that
 // LEARNS reliability online from its own ACKs (the paper's suggested
 // alternative to assuming p_n). Run on the asymmetric two-group network,
 // where wrong reliability estimates would misweight the two groups.
-func ExtraLearning() Figure { return learningFigure{} }
-
-type learningFigure struct{}
-
-func (learningFigure) ID() string { return "extra-learning" }
-
-func (learningFigure) Title() string {
-	return "DB-DP with known p_n vs online-learned reliability (asymmetric network, 90% ratio)"
-}
-
-func (learningFigure) Run(opts RunOptions) (*Result, error) {
-	opts = opts.fill()
-	xs := sweepRange(0.50, 0.75, 0.05)
-	specs := []protocolSpec{
-		dbdpSpec(),
-		{label: "DB-DP (learned p)", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-			policy, err := core.NewEstimatedDebtGlauber(n)
-			if err != nil {
-				return nil, err
-			}
-			return core.New(n, policy)
-		}},
-		ldfSpec(),
-	}
-	out := &Result{
-		ID:     "extra-learning",
-		Title:  learningFigure{}.Title(),
-		XLabel: "alpha*",
-		YLabel: "total timely-throughput deficiency",
-	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted("extra-learning", learningFigure{}.Title(), len(specs)*len(xs)*opts.Seeds)
-		defer opts.Tracker.FigureFinished("extra-learning")
-	}
-	for _, spec := range specs {
-		s := Series{Label: spec.label}
-		for _, x := range xs {
-			sc, err := asymmetricScenario(x, videoRho, opts.scaled(videoIntervals))
-			if err != nil {
-				return nil, fmt.Errorf("experiment extra-learning: %w", err)
-			}
-			var agg stats.PointAggregate
-			for seed := 0; seed < opts.Seeds; seed++ {
-				sv := opts.seedFor(seed, 0)
-				run, err := runOne(sc, spec, sv, opts)
+func ExtraLearning() Figure {
+	return &sweepFigure{
+		id:     "extra-learning",
+		title:  "DB-DP with known p_n vs online-learned reliability (asymmetric network, 90% ratio)",
+		xlabel: "alpha*",
+		xs:     sweepRange(0.50, 0.75, 0.05),
+		specs: []protocolSpec{
+			dbdpSpec(),
+			{label: "DB-DP (learned p)", collisionFree: true, build: func(n int) (mac.Protocol, error) {
+				policy, err := core.NewEstimatedDebtGlauber(n)
 				if err != nil {
-					return nil, fmt.Errorf("experiment extra-learning: %w", err)
+					return nil, err
 				}
-				agg.Add(run.replication(sv, run.col.TotalDeficiency()))
-				if opts.Tracker != nil {
-					opts.Tracker.JobCompleted("extra-learning")
-				}
-			}
-			s.addSummary(x, agg.Summary(ciLevel))
-			opts.Recorder.RecordAggregate("extra-learning", spec.label, x, "deficiency", ledger.BetterLower, &agg)
-		}
-		out.Series = append(out.Series, s)
+				return core.New(n, policy)
+			}},
+			ldfSpec(),
+		},
+		replaySeeds: true,
+		build: func(x float64, opts RunOptions) (scenario, error) {
+			return asymmetricScenario(x, videoRho, opts.scaled(videoIntervals))
+		},
 	}
-	return out, nil
 }

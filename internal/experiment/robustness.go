@@ -1,16 +1,10 @@
 package experiment
 
 import (
-	"fmt"
-
 	"rtmac/internal/arrival"
-	"rtmac/internal/ledger"
-	"rtmac/internal/mac"
 	"rtmac/internal/medium"
-	"rtmac/internal/metrics"
 	"rtmac/internal/phy"
 	"rtmac/internal/sim"
-	"rtmac/internal/stats"
 )
 
 // robustnessFigure sweeps load on the video network under a model that
@@ -18,74 +12,16 @@ import (
 // correlated arrivals — and compares DB-DP with LDF. The optimality proofs
 // do not cover these regimes; the experiments show whether the protocol's
 // debt feedback still tracks the centralized comparator.
-type robustnessFigure struct {
-	id, title string
-	build     func(x float64, opts RunOptions) (mac.NetworkConfig, error)
-}
-
-func (f *robustnessFigure) ID() string    { return f.id }
-func (f *robustnessFigure) Title() string { return f.title }
-
-func (f *robustnessFigure) Run(opts RunOptions) (*Result, error) {
-	opts = opts.fill()
-	xs := sweepRange(0.40, 0.65, 0.05)
-	specs := []protocolSpec{dbdpSpec(), ldfSpec()}
-	out := &Result{
-		ID:     f.id,
-		Title:  f.title,
-		XLabel: "alpha*",
-		YLabel: "total timely-throughput deficiency",
+func robustnessFigure(id, title string, build func(x float64, opts RunOptions) (scenario, error)) *sweepFigure {
+	return &sweepFigure{
+		id:          id,
+		title:       title,
+		xlabel:      "alpha*",
+		xs:          sweepRange(0.40, 0.65, 0.05),
+		specs:       []protocolSpec{dbdpSpec(), ldfSpec()},
+		replaySeeds: true,
+		build:       build,
 	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted(f.id, f.title, len(specs)*len(xs)*opts.Seeds)
-		defer opts.Tracker.FigureFinished(f.id)
-	}
-	for _, spec := range specs {
-		s := Series{Label: spec.label}
-		for _, x := range xs {
-			var agg stats.PointAggregate
-			for seed := 0; seed < opts.Seeds; seed++ {
-				cfg, err := f.build(x, opts)
-				if err != nil {
-					return nil, fmt.Errorf("experiment %s: %w", f.id, err)
-				}
-				prot, err := spec.build(len(cfg.Required))
-				if err != nil {
-					return nil, fmt.Errorf("experiment %s: %w", f.id, err)
-				}
-				col, err := metrics.NewCollector(cfg.Required)
-				if err != nil {
-					return nil, err
-				}
-				sv := opts.seedFor(seed, 0)
-				cfg.Seed = sv
-				cfg.Protocol = prot
-				cfg.Observers = []mac.Observer{col}
-				cfg.Telemetry = opts.Telemetry
-				cfg.Events = opts.Events
-				nw, err := mac.NewNetwork(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("experiment %s: %w", f.id, err)
-				}
-				delay, err := metrics.NewDelaySketch(cfg.Profile.Interval)
-				if err != nil {
-					return nil, err
-				}
-				delay.Attach(nw.Medium())
-				if err := nw.Run(opts.scaled(videoIntervals)); err != nil {
-					return nil, fmt.Errorf("experiment %s: %w", f.id, err)
-				}
-				agg.Add(runOut{col: col, delay: delay}.replication(sv, col.TotalDeficiency()))
-				if opts.Tracker != nil {
-					opts.Tracker.JobCompleted(f.id)
-				}
-			}
-			s.addSummary(x, agg.Summary(ciLevel))
-			opts.Recorder.RecordAggregate(f.id, spec.label, x, "deficiency", ledger.BetterLower, &agg)
-		}
-		out.Series = append(out.Series, s)
-	}
-	return out, nil
 }
 
 // ExtraFading compares DB-DP and LDF over a Gilbert–Elliott fading channel
@@ -94,77 +30,76 @@ func (f *robustnessFigure) Run(opts RunOptions) (*Result, error) {
 // ~20 ms coherence. Both policies compute debt weights from the MEAN (what
 // a real transmitter would learn), so neither gets inside information.
 func ExtraFading() Figure {
-	return &robustnessFigure{
-		id: "extra-fading",
-		title: "Robustness: Gilbert–Elliott fading channel (mean p=0.7), " +
-			"DB-DP vs LDF on the video network",
-		build: func(x float64, opts RunOptions) (mac.NetworkConfig, error) {
+	return robustnessFigure("extra-fading",
+		"Robustness: Gilbert–Elliott fading channel (mean p=0.7), DB-DP vs LDF on the video network",
+		func(x float64, opts RunOptions) (scenario, error) {
 			proc, err := arrival.PaperVideo(x)
 			if err != nil {
-				return mac.NetworkConfig{}, err
+				return scenario{}, err
 			}
 			av, err := arrival.Uniform(videoLinks, proc)
 			if err != nil {
-				return mac.NetworkConfig{}, err
+				return scenario{}, err
 			}
-			// NewGilbertElliott needs the engine's RNG; mac.NewNetwork owns
-			// the engine, so the model is bound through a deferred
-			// constructor: build a placeholder engine-independent model by
-			// deferring creation to the channel hook below.
-			return mac.NetworkConfig{
-				Profile:  phy.Video(),
-				Arrivals: av,
-				Required: uniformVec(videoLinks, videoRho*proc.Mean()),
-				ChannelFactory: func(eng *sim.Engine, n int) (medium.Model, error) {
+			// NewGilbertElliott needs the engine's RNG and each network owns
+			// its engine, so the model is built per network by the channel
+			// constructor.
+			return scenario{
+				profile:  phy.Video(),
+				arrivals: av,
+				required: uniformVec(videoLinks, videoRho*proc.Mean()),
+				channel: func(eng *sim.Engine, n int) (medium.Model, error) {
 					// Equal 20 ms mean dwell in each state; mean reliability
 					// 0.65 and mean attempts-per-delivery E[1/p] ≈ 1.70, so
 					// the capacity knee sits near α* ≈ 0.55 — inside the
 					// sweep, like the paper's static scenario.
 					return medium.NewGilbertElliott(eng, n, 0.85, 0.45, 0.05, 0.05, sim.Millisecond)
 				},
+				intervals: opts.scaled(videoIntervals),
 			}, nil
-		},
-	}
+		})
 }
 
 // ExtraCorrelated compares DB-DP and LDF when arrivals are Markov-modulated
 // across intervals (video GOP-like bursts), violating the i.i.d. assumption
 // of the optimality proofs.
 func ExtraCorrelated() Figure {
-	return &robustnessFigure{
-		id: "extra-correlated",
-		title: "Robustness: Markov-modulated (temporally correlated) arrivals, " +
-			"DB-DP vs LDF on the video network",
-		build: func(x float64, opts RunOptions) (mac.NetworkConfig, error) {
+	f := robustnessFigure("extra-correlated",
+		"Robustness: Markov-modulated (temporally correlated) arrivals, DB-DP vs LDF on the video network",
+		func(x float64, opts RunOptions) (scenario, error) {
 			// Low regime: half the burst probability; high regime: 1.5×.
 			// Stationary mix with P(high)=0.5 matches the nominal alpha.
 			lowProc, err := arrival.PaperVideo(0.5 * x)
 			if err != nil {
-				return mac.NetworkConfig{}, err
+				return scenario{}, err
 			}
 			highProc, err := arrival.PaperVideo(1.5 * x)
 			if err != nil {
-				return mac.NetworkConfig{}, err
+				return scenario{}, err
 			}
 			low, err := arrival.Uniform(videoLinks, lowProc)
 			if err != nil {
-				return mac.NetworkConfig{}, err
+				return scenario{}, err
 			}
 			high, err := arrival.Uniform(videoLinks, highProc)
 			if err != nil {
-				return mac.NetworkConfig{}, err
+				return scenario{}, err
 			}
 			av, err := arrival.NewMarkovModulated(low, high, 0.05, 0.05)
 			if err != nil {
-				return mac.NetworkConfig{}, err
+				return scenario{}, err
 			}
 			// Requirements use the stationary mean λ = 3.5·x.
-			return mac.NetworkConfig{
-				Profile:     phy.Video(),
-				SuccessProb: uniformVec(videoLinks, videoP),
-				Arrivals:    av,
-				Required:    uniformVec(videoLinks, videoRho*3.5*x),
+			return scenario{
+				profile:     phy.Video(),
+				successProb: uniformVec(videoLinks, videoP),
+				arrivals:    av,
+				required:    uniformVec(videoLinks, videoRho*3.5*x),
+				intervals:   opts.scaled(videoIntervals),
 			}, nil
-		},
-	}
+		})
+	// The regime process keeps state across intervals, so every simulation
+	// gets a fresh one.
+	f.fresh = true
+	return f
 }
