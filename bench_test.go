@@ -106,7 +106,7 @@ func BenchmarkIntervalDCF(b *testing.B)   { benchProtocolIntervals(b, rtmac.DCF(
 // BenchmarkIntervalConflictGraph prices the spatial-reuse medium: the same
 // control workload as BenchmarkIntervalDBDP, but on a two-clique conflict
 // graph so the per-neighborhood contention clock, the local DP backoff ranks,
-// and the medium's neighborhood busy counters are all on the hot path.
+// and the medium's neighborhood busy bitsets are all on the hot path.
 // Compare against BenchmarkIntervalDBDP for the graph-mode overhead.
 func BenchmarkIntervalConflictGraph(b *testing.B) {
 	conflicts, err := rtmac.CliqueConflicts(10, [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}})
@@ -141,8 +141,10 @@ func BenchmarkIntervalConflictGraph(b *testing.B) {
 // grows: DB-DP on the control workload over N links split into disjoint
 // 10-link cliques (N = 10 would be one clique, the complete graph, which
 // takes the single-grid path). With per-link costs flat in N, ns/interval
-// grows linearly; the contention clock's due tree keeps each backoff
-// transition at O(log N).
+// grows linearly: each transmission reaches the contention clock as one
+// batched busy and one batched idle call for its whole neighborhood, which
+// freezes or resumes the clique with word operations and repairs the due
+// tree once, in about 2k + log N minima for a k-link clique.
 func BenchmarkIntervalCliques(b *testing.B) {
 	for _, n := range []int{20, 50, 200} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

@@ -250,3 +250,36 @@ func TestSpatialReuseImprovesDelivery(t *testing.T) {
 	}
 	t.Logf("mean delivery ratio: two cliques %.4f, complete graph %.4f", sparse, complete)
 }
+
+// TestConflictsOutOfRange pins the public conflict query at the edges of
+// the link range: a link outside [0, Links()) conflicts with nothing, not
+// with whatever bit of another link's row its index lands on.
+func TestConflictsOutOfRange(t *testing.T) {
+	g, err := rtmac.NewConflictGraph(10, [][2]int{{0, 1}, {3, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		a, b int
+		want bool
+	}{
+		{0, 1, true},
+		{1, 0, true},
+		{3, 8, true},
+		{0, 2, false},
+		{4, 4, true},
+		{9, 9, true},
+		{0, 200, false}, // index 200 lands on link 3's row, bit 8: the 3-8 edge
+		{200, 0, false},
+		{-1, 3, false},
+		{3, -1, false},
+		{10, 10, false},
+		{-1, -1, false},
+		{0, 10, false},
+		{9, 10, false},
+	} {
+		if got := g.Conflicts(tc.a, tc.b); got != tc.want {
+			t.Errorf("Conflicts(%d, %d) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}

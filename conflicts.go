@@ -60,8 +60,15 @@ func (c *ConflictGraph) Edges() int { return c.g.Edges() }
 // Complete reports whether every pair of links conflicts.
 func (c *ConflictGraph) Complete() bool { return c.g.Complete() }
 
-// Conflicts reports whether links a and b interfere (true when a == b).
-func (c *ConflictGraph) Conflicts(a, b int) bool { return c.g.Conflicts(a, b) }
+// Conflicts reports whether links a and b interfere (true when a == b). A
+// link outside [0, Links()) conflicts with nothing.
+func (c *ConflictGraph) Conflicts(a, b int) bool {
+	n := c.g.Links()
+	if a < 0 || a >= n || b < 0 || b >= n {
+		return false
+	}
+	return c.g.Conflicts(a, b)
+}
 
 func (c *ConflictGraph) String() string { return c.g.String() }
 

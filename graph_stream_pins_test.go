@@ -83,10 +83,47 @@ func cliqueConfig(tb testing.TB, n int, protocol rtmac.Protocol, seed uint64) rt
 	}
 }
 
+// ringConflicts is the ring over n links: link i conflicts with i-1 and i+1
+// (mod n).
+func ringConflicts(tb testing.TB, n int) *rtmac.ConflictGraph {
+	tb.Helper()
+	edges := make([][2]int, n)
+	for i := range edges {
+		edges[i] = [2]int{i, (i + 1) % n}
+	}
+	g, err := rtmac.NewConflictGraph(n, edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// pinConfig is the property-graph workload (p = 0.8, Bernoulli 0.6
+// arrivals, delivery ratio 0.9, seed 7) on the given conflict graph.
+func pinConfig(graph *rtmac.ConflictGraph, protocol rtmac.Protocol) rtmac.Config {
+	links := make([]rtmac.Link, graph.Links())
+	for i := range links {
+		links[i] = rtmac.Link{
+			SuccessProb:   0.8,
+			Arrivals:      rtmac.MustBernoulliArrivals(0.6),
+			DeliveryRatio: 0.9,
+		}
+	}
+	return rtmac.Config{
+		Seed:      7,
+		Profile:   rtmac.ControlProfile(),
+		Links:     links,
+		Conflicts: graph,
+		Protocol:  protocol,
+	}
+}
+
 // TestGraphModeStreamsPinned pins the event and journey streams of every
 // protocol on every property graph, plus the 50-link five-clique DB-DP
 // workload, to digests recorded before the graph-mode contention clock was
-// rebuilt around a due-time tree. Complete graphs take the single grid, so
+// rebuilt around a due-time tree. The 130-link clique and ring pins were
+// recorded before carrier sensing moved to batched bitset transitions;
+// they are the only pins whose neighbourhoods span several words. Complete graphs take the single grid, so
 // TestCompleteGraphEquivalence never reaches this code; these pins are its
 // byte-identity guard. Regenerate with -update-graph-pins only for an
 // intended behaviour change.
@@ -99,24 +136,17 @@ func TestGraphModeStreamsPinned(t *testing.T) {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		for _, tc := range propertyProtocols() {
-			links := make([]rtmac.Link, g.links)
-			for i := range links {
-				links[i] = rtmac.Link{
-					SuccessProb:   0.8,
-					Arrivals:      rtmac.MustBernoulliArrivals(0.6),
-					DeliveryRatio: 0.9,
-				}
-			}
-			got[g.name+"/"+tc.name] = graphStreamDigests(t, rtmac.Config{
-				Seed:      7,
-				Profile:   rtmac.ControlProfile(),
-				Links:     links,
-				Conflicts: graph,
-				Protocol:  tc.p,
-			}, intervals)
+			got[g.name+"/"+tc.name] = graphStreamDigests(t, pinConfig(graph, tc.p), intervals)
 		}
 	}
 	got["five-cliques-50/dbdp"] = graphStreamDigests(t, cliqueConfig(t, 50, rtmac.DBDP(), 7), intervals)
+	// Wider than one 64-bit word: clique 60-69 and the ring's 63-64 and
+	// 127-128 edges straddle word boundaries of the neighbourhood bitsets.
+	got["cliques-130/dbdp"] = graphStreamDigests(t, cliqueConfig(t, 130, rtmac.DBDP(), 7), intervals)
+	ring := ringConflicts(t, 130)
+	for _, tc := range propertyProtocols() {
+		got["ring-130/"+tc.name] = graphStreamDigests(t, pinConfig(ring, tc.p), intervals)
+	}
 
 	if *updateGraphPins {
 		data, err := json.MarshalIndent(got, "", "  ")

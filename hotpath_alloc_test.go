@@ -103,11 +103,12 @@ func TestHotPathZeroAlloc(t *testing.T) {
 // the conflict-graph medium: the complete graph (which must ride the exact
 // legacy code paths), a genuinely sparse two-clique graph (which exercises
 // the per-neighborhood contention clock, the graph-mode protocol branches,
-// and the medium's neighborhood busy counters), and 50 links in five
-// disjoint 10-link cliques, where the contention clock's due tree spans 64
-// leaves. DCF runs on the five cliques too: it re-Adds a link from its
-// transmission's onDone callback. All must be allocation-free once warm,
-// with observability disabled.
+// and the medium's neighborhood bitsets), and three wide graphs: 50 links
+// in five disjoint 10-link cliques, where the contention clock's due tree
+// spans 64 leaves, and 130 links as 13 cliques or as a ring, whose
+// neighborhood sets and scratch masks span three words. DCF runs on the wide
+// graphs too: it re-Adds a link from its transmission's onDone callback. All
+// must be allocation-free once warm, with observability disabled.
 func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 	const (
 		warmup = 200
@@ -135,20 +136,30 @@ func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 			})
 		}
 	}
-	for pName, protocol := range map[string]rtmac.Protocol{"dbdp": rtmac.DBDP(), "dcf": rtmac.DCF()} {
-		t.Run("five-cliques-50/"+pName, func(t *testing.T) {
-			s, err := rtmac.NewSimulation(cliqueConfig(t, 50, protocol, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Run(warmup); err != nil {
-				t.Fatal(err)
-			}
-			if allocs := fewestMallocs(t, s, runs); allocs != 0 {
-				t.Errorf("five-cliques-50/%s: %d allocs over %d steady-state intervals, want 0",
-					pName, allocs, runs)
-			}
-		})
+	ring := ringConflicts(t, 130)
+	wide := map[string]func(rtmac.Protocol) rtmac.Config{
+		"five-cliques-50": func(p rtmac.Protocol) rtmac.Config { return cliqueConfig(t, 50, p, 1) },
+		"cliques-130":     func(p rtmac.Protocol) rtmac.Config { return cliqueConfig(t, 130, p, 1) },
+		"ring-130":        func(p rtmac.Protocol) rtmac.Config { return pinConfig(ring, p) },
+	}
+	protocols := hotPathProtocols()
+	protocols["dcf"] = rtmac.DCF()
+	for gName, config := range wide {
+		for pName, protocol := range protocols {
+			t.Run(gName+"/"+pName, func(t *testing.T) {
+				s, err := rtmac.NewSimulation(config(protocol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Run(warmup); err != nil {
+					t.Fatal(err)
+				}
+				if allocs := fewestMallocs(t, s, runs); allocs != 0 {
+					t.Errorf("%s/%s: %d allocs over %d steady-state intervals, want 0",
+						gName, pName, allocs, runs)
+				}
+			})
+		}
 	}
 }
 

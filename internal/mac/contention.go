@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
@@ -76,16 +77,20 @@ type Contention struct {
 	// non-complete conflict graph. Each link counts down on its own slot
 	// grid, anchored at anchors[link] (interval join or the instant its
 	// neighborhood went idle), and freezes independently while its
-	// neighborhood is busy (frozen[link]). The engine clock is armed at the
-	// global minimum of the per-link interesting boundaries. A complete (or
-	// absent) graph uses the seed single-grid path above, byte-identically.
-	graph      *medium.Graph
-	anchors    []sim.Time
-	frozen     []bool
-	inBoundary bool
+	// neighborhood is busy. The engine clock is armed at the global minimum
+	// of the per-link interesting boundaries. A complete (or absent) graph
+	// uses the seed single-grid path above, byte-identically.
+	graph   *medium.Graph
+	anchors []sim.Time
+	// waiting and held partition the active entries as bitsets in the
+	// medium's neighborhood layout (bit link%64 of word link/64): waiting
+	// links count down, held links are frozen by a busy neighborhood. A
+	// carrier-sense batch picks its candidates with one AND per word.
+	waiting, held []uint64
+	inBoundary    bool
 	// due is a min tournament tree over the per-link interesting
-	// boundaries: leaf leaf+link holds anchors[link] + horizon·slot for an
-	// active, unfrozen entry and never otherwise, node i holds the minimum
+	// boundaries: leaf leaf+link holds anchors[link] + horizon·slot for a
+	// waiting entry and never otherwise, node i holds the minimum
 	// of nodes 2i and 2i+1, and the root due[1] is the instant the clock is
 	// armed at. leaf is the smallest power of two >= the link count.
 	due  []sim.Time
@@ -115,7 +120,9 @@ func NewContention(eng *sim.Engine, med *medium.Medium, slot sim.Time) (*Content
 	if g := med.Graph(); g != nil && !g.Complete() {
 		c.graph = g
 		c.anchors = make([]sim.Time, med.Links())
-		c.frozen = make([]bool, med.Links())
+		words := len(g.ClosedRow(0))
+		c.waiting = make([]uint64, words)
+		c.held = make([]uint64, words)
 		c.leaf = 1
 		for c.leaf < med.Links() {
 			c.leaf *= 2
@@ -164,7 +171,11 @@ func (c *Contention) Add(link, counter int, contender Contender) {
 		c.entries[link] = contentionEntry{counter: counter, active: true, contender: contender}
 		c.active++
 		c.anchors[link] = c.eng.Now()
-		c.frozen[link] = c.med.BusyFor(link)
+		if c.med.BusyFor(link) {
+			c.held[link/64] |= bit(link)
+		} else {
+			c.waiting[link/64] |= bit(link)
+		}
 		c.refresh(link)
 		if c.backoffHist != nil {
 			c.backoffHist.Observe(float64(counter))
@@ -240,7 +251,7 @@ func (c *Contention) Remove(link int) {
 	c.entries[link] = contentionEntry{}
 	c.active--
 	if c.graph != nil {
-		c.frozen[link] = false
+		c.release(link)
 		c.setDue(link, never)
 		c.rearmGraph()
 		return
@@ -258,9 +269,8 @@ func (c *Contention) Clear() {
 	}
 	c.active = 0
 	if c.graph != nil {
-		for i := range c.frozen {
-			c.frozen[i] = false
-		}
+		clear(c.waiting)
+		clear(c.held)
 		c.resetDue()
 		if c.eng.ClockArmed() {
 			c.eng.DisarmClock()
@@ -473,7 +483,7 @@ func (c *Contention) finishBoundary() {
 // With a non-complete conflict graph there is no single countdown grid:
 // links in disjoint neighborhoods freeze and resume independently, so each
 // entry carries its own grid anchor. The engine clock is armed at the global
-// minimum over unfrozen entries of anchor + horizon·slot, which the due tree
+// minimum over waiting entries of anchor + horizon·slot, which the due tree
 // keeps at its root; everything the clock skips is, per link, a pure
 // decrement applied in bulk when the link is next touched (boundary, freeze,
 // or Counter read). Materializing before the due instant moves the anchor
@@ -484,9 +494,9 @@ func (c *Contention) finishBoundary() {
 // materialize applies link's elapsed grid boundaries up to now: advances the
 // anchor to the last boundary at or before now and bulk-decrements the
 // counter. By construction of the armed target no fire or sense boundary is
-// ever skipped, so the decrements are pure. Frozen links don't count down.
+// ever skipped, so the decrements are pure. Held links don't count down.
 func (c *Contention) materialize(link int, now sim.Time) {
-	if c.frozen[link] {
+	if c.held[link/64]&bit(link) != 0 {
 		return
 	}
 	e := &c.entries[link]
@@ -507,15 +517,28 @@ func (c *Contention) resetDue() {
 	}
 }
 
+// bit returns link's mask within its bitset word.
+func bit(link int) uint64 { return 1 << uint(link%64) }
+
+// release drops link from the waiting and held sets.
+func (c *Contention) release(link int) {
+	c.waiting[link/64] &^= bit(link)
+	c.held[link/64] &^= bit(link)
+}
+
 // refresh recomputes link's leaf from its entry: the next boundary at which
-// it fires or senses, or never while it is inactive or frozen.
+// it fires or senses, or never unless it is waiting.
 func (c *Contention) refresh(link int) {
-	e := &c.entries[link]
-	if !e.active || c.frozen[link] {
+	if c.waiting[link/64]&bit(link) == 0 {
 		c.setDue(link, never)
 		return
 	}
-	c.setDue(link, c.anchors[link]+sim.Time(horizon(e))*c.slot)
+	c.setDue(link, c.dueAt(link))
+}
+
+// dueAt is a waiting link's next interesting boundary on its own grid.
+func (c *Contention) dueAt(link int) sim.Time {
+	return c.anchors[link] + sim.Time(horizon(&c.entries[link]))*c.slot
 }
 
 // setDue stores link's leaf and repairs the minima on its path to the root,
@@ -537,8 +560,21 @@ func (c *Contention) setDue(link int, at sim.Time) {
 	}
 }
 
+// repairDue recomputes every inner node above the leaves of links lo..hi,
+// level by level up to the root, after a batch wrote those leaves directly.
+// The touched range halves per level, so a contiguous neighborhood of k
+// links costs about 2k + log N minima.
+func (c *Contention) repairDue(lo, hi int) {
+	due := c.due
+	for lo, hi = (c.leaf+lo)/2, (c.leaf+hi)/2; lo >= 1; lo, hi = lo/2, hi/2 {
+		for i := lo; i <= hi; i++ {
+			due[i] = min(due[2*i], due[2*i+1])
+		}
+	}
+}
+
 // rearmGraph points the engine clock at the earliest interesting boundary
-// over all active unfrozen entries — the root of the due tree — or disarms
+// over all waiting entries — the root of the due tree — or disarms
 // it when there is none.
 func (c *Contention) rearmGraph() {
 	best := c.due[1]
@@ -603,16 +639,16 @@ func (c *Contention) settleGraph() {
 	c.inBoundary = true
 	c.fired = c.fired[:0]
 	c.sensed = c.sensed[:0]
-	for link := range c.entries {
-		e := &c.entries[link]
-		if !e.active || c.frozen[link] {
-			continue
-		}
-		switch e.counter {
-		case 0:
-			c.fired = append(c.fired, link)
-		case 1:
-			c.sensed = append(c.sensed, link)
+	for w, word := range c.waiting {
+		for word != 0 {
+			link := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			switch c.entries[link].counter {
+			case 0:
+				c.fired = append(c.fired, link)
+			case 1:
+				c.sensed = append(c.sensed, link)
+			}
 		}
 	}
 	c.finishBoundaryGraph()
@@ -626,7 +662,7 @@ func (c *Contention) finishBoundaryGraph() {
 	for _, link := range c.fired {
 		fire := c.entries[link].contender.Fire
 		c.entries[link] = contentionEntry{}
-		c.frozen[link] = false
+		c.release(link)
 		c.active--
 		// Clear the leaf before Fire runs: an entry the callback re-Adds
 		// sets its own.
@@ -658,30 +694,67 @@ func (c *Contention) finishBoundaryGraph() {
 	c.rearmGraph()
 }
 
-// LinkBusy implements medium.LinkListener: freeze link's countdown. Partial
-// slot progress is lost, like the global freeze (sync floors elapsed slots).
-func (c *Contention) LinkBusy(link int, at sim.Time) {
-	if !c.entries[link].active || c.frozen[link] {
-		return
+// LinksBusy implements medium.LinkListener: freeze the waiting links of
+// set. Partial slot progress is lost, like the global freeze (sync floors
+// elapsed slots). The frozen leaves are written directly and the tree is
+// repaired once over their range.
+func (c *Contention) LinksBusy(set []uint64, at sim.Time) {
+	lo, hi := -1, 0
+	for w, word := range set {
+		moved := word & c.waiting[w]
+		if moved == 0 {
+			continue
+		}
+		for m := moved; m != 0; m &= m - 1 {
+			link := w*64 + bits.TrailingZeros64(m)
+			c.materialize(link, at)
+			c.due[c.leaf+link] = never
+			if lo < 0 {
+				lo = link
+			}
+			hi = link
+		}
+		c.waiting[w] &^= moved
+		c.held[w] |= moved
 	}
-	c.materialize(link, at)
-	c.frozen[link] = true
-	c.setDue(link, never)
-	if !c.inBoundary {
-		c.rearmGraph()
-	}
+	c.settleBatch(lo, hi)
 }
 
-// LinkIdle implements medium.LinkListener: resume link's countdown on a
-// fresh grid anchored at the idle instant, like the global resume re-anchors
-// base at ChannelIdle.
-func (c *Contention) LinkIdle(link int, at sim.Time) {
-	if !c.entries[link].active || !c.frozen[link] {
+// LinksIdle implements medium.LinkListener: resume the held links of set,
+// each on a fresh grid anchored at the idle instant, like the global resume
+// re-anchors base at ChannelIdle.
+func (c *Contention) LinksIdle(set []uint64, at sim.Time) {
+	lo, hi := -1, 0
+	for w, word := range set {
+		moved := word & c.held[w]
+		if moved == 0 {
+			continue
+		}
+		c.held[w] &^= moved
+		c.waiting[w] |= moved
+		for m := moved; m != 0; m &= m - 1 {
+			link := w*64 + bits.TrailingZeros64(m)
+			c.anchors[link] = at
+			c.due[c.leaf+link] = c.dueAt(link)
+			if lo < 0 {
+				lo = link
+			}
+			hi = link
+		}
+	}
+	c.settleBatch(lo, hi)
+}
+
+// settleBatch repairs the due tree over the leaves a batch wrote (none when
+// lo < 0) and re-arms the clock once. A batch moves the root one way only —
+// freezes raise it, resumes lower it — and schedules no heap event, so the
+// single arm lands in the same (time, seq) order against every heap event
+// as arming after each link would.
+func (c *Contention) settleBatch(lo, hi int) {
+	if lo < 0 {
 		return
 	}
-	c.frozen[link] = false
-	c.anchors[link] = at
-	c.refresh(link)
+	c.repairDue(lo, hi)
 	if !c.inBoundary {
 		c.rearmGraph()
 	}

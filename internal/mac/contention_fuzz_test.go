@@ -47,11 +47,11 @@ func (s *scriptBytes) next() int {
 
 func (s *scriptBytes) done() bool { return s.pos >= len(s.data) }
 
-// scriptGraph reads a link count in [2, 70] and a random graph of that size
+// scriptGraph reads a link count in [2, 130] and a random graph of that size
 // from the script. A complete graph would take the single grid, so one edge
 // is dropped if the draw is complete.
 func scriptGraph(s *scriptBytes) *medium.Graph {
-	n := 2 + s.next()%69
+	n := 2 + s.next()%129
 	density := float64(s.next()) / 255
 	rng := rand.New(rand.NewPCG(uint64(s.next()), uint64(n)))
 	var edges [][2]int
@@ -217,12 +217,12 @@ func boolInt(b bool) int {
 }
 
 // contentionScriptSeeds are the committed seed scripts: link counts across
-// the range (2, 8, 33, 64, 65, 70), sparse to dense graphs, each with 1 200
-// random script bytes.
+// the range (2, 8, 33, 64, 65, 70, 129, 130), sparse to dense graphs, each
+// with 1 200 random script bytes.
 func contentionScriptSeeds() [][]byte {
 	var seeds [][]byte
 	for i, cfg := range [][2]byte{
-		{68, 40}, {68, 200}, {63, 128}, {62, 20}, {31, 90}, {6, 128}, {0, 0}, {6, 250},
+		{68, 40}, {68, 200}, {63, 128}, {62, 20}, {31, 90}, {6, 128}, {0, 0}, {6, 250}, {127, 30}, {128, 160},
 	} {
 		rng := rand.New(rand.NewPCG(uint64(i), 11))
 		b := make([]byte, 1203)

@@ -2,16 +2,19 @@ package mac
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
 )
 
 // refGraphContention is the graph-mode contention clock as it was before the
-// due tree: every Add, Remove, LinkBusy, LinkIdle and boundary rescans all
-// entries for the earliest interesting boundary and materializes every
-// unfrozen entry at each boundary. It is kept only as the reference that
-// FuzzContentionGraph compares Contention against.
+// due tree and batched carrier sensing: it unpacks every LinksBusy and
+// LinksIdle set into one freeze or resume per link, and every Add, Remove,
+// per-link transition and boundary rescans all entries for the earliest
+// interesting boundary and re-arms, and each boundary materializes every
+// unfrozen entry. It is kept only as the reference that FuzzContentionGraph
+// compares Contention against.
 type refGraphContention struct {
 	eng        *sim.Engine
 	med        *medium.Medium
@@ -205,7 +208,25 @@ func (c *refGraphContention) finishBoundary() {
 	c.rearm()
 }
 
-func (c *refGraphContention) LinkBusy(link int, at sim.Time) {
+func (c *refGraphContention) LinksBusy(set []uint64, at sim.Time) {
+	eachLink(set, func(link int) { c.linkBusy(link, at) })
+}
+
+func (c *refGraphContention) LinksIdle(set []uint64, at sim.Time) {
+	eachLink(set, func(link int) { c.linkIdle(link, at) })
+}
+
+// eachLink calls fn for every link in set, in ascending order.
+func eachLink(set []uint64, fn func(link int)) {
+	for w, word := range set {
+		for word != 0 {
+			fn(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+}
+
+func (c *refGraphContention) linkBusy(link int, at sim.Time) {
 	if !c.entries[link].active || c.frozen[link] {
 		return
 	}
@@ -216,7 +237,7 @@ func (c *refGraphContention) LinkBusy(link int, at sim.Time) {
 	}
 }
 
-func (c *refGraphContention) LinkIdle(link int, at sim.Time) {
+func (c *refGraphContention) linkIdle(link int, at sim.Time) {
 	if !c.entries[link].active || !c.frozen[link] {
 		return
 	}

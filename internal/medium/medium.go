@@ -12,7 +12,6 @@ package medium
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
@@ -59,11 +58,21 @@ type Listener interface {
 // (itself or a conflicting link) is in flight. Only meaningful on a medium
 // built with WithGraph; without a graph every link shares the global
 // Listener view.
+//
+// One transmission starting or finishing moves a whole neighborhood at once,
+// so the transitioned links arrive together as a bitset: bit j%64 of word
+// j/64 is set for link j, with one word per 64 links (the layout of
+// Graph.ClosedRow). Each call carries at least one link. The set aliases the
+// medium's scratch storage: it is valid only until the call returns, must
+// not be modified, and the listener must not start a transmission from
+// inside the call.
 type LinkListener interface {
-	// LinkBusy fires when link's neighborhood transitions idle -> busy.
-	LinkBusy(link int, at sim.Time)
-	// LinkIdle fires when link's neighborhood transitions busy -> idle.
-	LinkIdle(link int, at sim.Time)
+	// LinksBusy fires when the neighborhoods of the links in set
+	// transition idle -> busy.
+	LinksBusy(set []uint64, at sim.Time)
+	// LinksIdle fires when the neighborhoods of the links in set
+	// transition busy -> idle.
+	LinksIdle(set []uint64, at sim.Time)
 }
 
 // Transmission is one in-flight or completed channel occupancy.
@@ -175,13 +184,16 @@ type Medium struct {
 	// exact legacy code path.
 	graph         *Graph
 	linkListeners []LinkListener
-	// nbrBusy[n] counts in-flight transmissions in link n's closed
-	// neighborhood; pendingIdle[n] marks a neighborhood that emptied during a
-	// finish, so a transmission chained from onDone keeps the link
-	// continuously busy with no idle/busy flap (the per-link analogue of
-	// inFinish).
-	nbrBusy     []int32
-	pendingIdle []bool
+	// Neighborhood bitsets, one bit per link in Graph.ClosedRow's layout.
+	// busy has link n's bit set while a transmission in its closed
+	// neighborhood is in flight; pendingIdle marks a neighborhood that
+	// emptied during a finish, so a transmission chained from onDone keeps
+	// the link continuously busy with no idle/busy flap (the per-link
+	// analogue of inFinish). pendingIdle is always disjoint from busy and
+	// empty outside finish. notify is the scratch set handed to listeners.
+	busy        []uint64
+	pendingIdle []uint64
+	notify      []uint64
 }
 
 // Option configures a Medium at construction.
@@ -253,8 +265,9 @@ func NewWithModel(eng *sim.Engine, links int, model Model, opts ...Option) (*Med
 			return nil, fmt.Errorf("medium: conflict graph covers %d links, medium has %d",
 				m.graph.Links(), links)
 		}
-		m.nbrBusy = make([]int32, links)
-		m.pendingIdle = make([]bool, links)
+		m.busy = make([]uint64, m.graph.words)
+		m.pendingIdle = make([]uint64, m.graph.words)
+		m.notify = make([]uint64, m.graph.words)
 	}
 	if m.reg == nil {
 		m.reg = telemetry.NewRegistry()
@@ -287,7 +300,7 @@ func (m *Medium) BusyFor(n int) bool {
 	if m.graph == nil {
 		return len(m.active) > 0
 	}
-	return m.nbrBusy[n] > 0
+	return m.busy[n/64]&(1<<uint(n%64)) != 0
 }
 
 // ActiveCount returns the number of overlapping in-flight transmissions.
@@ -438,62 +451,61 @@ func (m *Medium) Start(link int, duration sim.Time, empty bool, onDone func(Outc
 	return tx
 }
 
-// noteStart raises the closed-neighborhood busy counts of a starting
-// transmission and notifies per-link listeners of idle -> busy transitions.
-// A neighborhood that was drained inside the enclosing finish (pendingIdle)
-// is simply kept busy: back-to-back occupancy produces no flap.
+// noteStart marks the closed neighborhood of a starting transmission busy
+// and notifies per-link listeners of the links that turned busy. A
+// neighborhood that was drained inside the enclosing finish (pendingIdle) is
+// simply kept busy: back-to-back occupancy produces no flap.
 func (m *Medium) noteStart(link int, now sim.Time) {
 	row := m.graph.ClosedRow(link)
-	for w, word := range row {
-		for word != 0 {
-			j := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			m.nbrBusy[j]++
-			if m.nbrBusy[j] == 1 {
-				if m.pendingIdle[j] {
-					m.pendingIdle[j] = false
-				} else {
-					for _, l := range m.linkListeners {
-						l.LinkBusy(j, now)
-					}
-				}
-			}
+	var moved uint64
+	for w, r := range row {
+		newly := r &^ m.busy[w]
+		m.busy[w] |= r
+		m.notify[w] = newly &^ m.pendingIdle[w]
+		m.pendingIdle[w] &^= newly
+		moved |= m.notify[w]
+	}
+	if moved != 0 {
+		for _, l := range m.linkListeners {
+			l.LinksBusy(m.notify, now)
 		}
 	}
 }
 
-// noteFinishDown lowers the closed-neighborhood busy counts of a finishing
-// transmission. Neighborhoods that drain are not declared idle yet — the
-// finishing link's onDone may chain a follow-up transmission — but marked
-// pendingIdle; noteFinishIdle settles them after onDone ran.
+// noteFinishDown drops a finishing transmission from the busy set. Only the
+// words its closed neighborhood touches can change; each is rebuilt as the
+// union of the closed rows of the transmissions still in flight. Links that
+// drain are not declared idle yet — the finishing link's onDone may chain a
+// follow-up transmission — but marked pendingIdle; noteFinishIdle settles
+// them after onDone ran.
 func (m *Medium) noteFinishDown(link int) {
 	row := m.graph.ClosedRow(link)
-	for w, word := range row {
-		for word != 0 {
-			j := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			m.nbrBusy[j]--
-			if m.nbrBusy[j] == 0 {
-				m.pendingIdle[j] = true
-			}
+	for w, r := range row {
+		if r == 0 {
+			continue
 		}
+		var busy uint64
+		for _, tx := range m.active {
+			busy |= m.graph.closed[tx.Link*m.graph.words+w]
+		}
+		m.busy[w] = busy
+		m.pendingIdle[w] |= r &^ busy
 	}
 }
 
-// noteFinishIdle delivers LinkIdle for every neighborhood of the finished
-// transmission that is still drained after onDone had its chance to chain.
+// noteFinishIdle delivers LinksIdle for the neighborhoods of the finished
+// transmission that are still drained after onDone had its chance to chain.
 func (m *Medium) noteFinishIdle(link int, now sim.Time) {
 	row := m.graph.ClosedRow(link)
-	for w, word := range row {
-		for word != 0 {
-			j := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if m.pendingIdle[j] {
-				m.pendingIdle[j] = false
-				for _, l := range m.linkListeners {
-					l.LinkIdle(j, now)
-				}
-			}
+	var moved uint64
+	for w, r := range row {
+		m.notify[w] = r & m.pendingIdle[w]
+		m.pendingIdle[w] &^= m.notify[w]
+		moved |= m.notify[w]
+	}
+	if moved != 0 {
+		for _, l := range m.linkListeners {
+			l.LinksIdle(m.notify, now)
 		}
 	}
 }
