@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-test bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover clean
+.PHONY: all build vet test test-short bench bench-test bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover clean
 
 all: build vet test
 
@@ -27,23 +27,14 @@ bench:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Machine-readable interval benchmarks: one dated BENCH_<date>.json tracking
-# ns/interval and intervals/sec per protocol across commits.
-bench-json:
-	$(GO) run ./cmd/benchtrend
-
-# Diff two benchtrend reports and fail on a >10% ns/interval regression or
-# any allocs/op growth:
-#   make bench-compare OLD=BENCH_2026-08-01.json NEW=BENCH_2026-08-06.json
-bench-compare:
-	$(GO) run ./cmd/benchtrend -compare $(OLD) $(NEW)
-
-# Performance regression gate: measure the current tree and compare it
-# against the newest committed BENCH_*.json, failing on >10% ns/interval or
-# ANY allocs/op growth on any protocol. CI runs this on every push.
+# Performance regression gate: run bench/ on the parent commit (HEAD^1) and
+# on this tree, alternating on this host, and fail when the median of any
+# end-to-end metric on any workload is worse than its bound in
+# BENCHMARK.json, or when any rep fails a check. Needs jq. To gate
+# uncommitted work against the last commit, run
+# `scripts/bench-gate.sh HEAD` instead. CI runs this on every push.
 bench-gate:
-	$(GO) run ./cmd/benchtrend -out /tmp/bench-gate.json
-	$(GO) run ./cmd/benchtrend -compare $$(ls BENCH_*.json | sort | tail -1) /tmp/bench-gate.json
+	bash scripts/bench-gate.sh HEAD^1
 
 # Regenerate every figure of the paper at full fidelity (plus CSVs).
 figures:

@@ -10,7 +10,6 @@
 //	ledgerctl [-dir DIR] merge REF REF...
 //	ledgerctl [-dir DIR] diff OLD NEW
 //	ledgerctl [-dir DIR] equal A B
-//	ledgerctl [-dir DIR] import BENCH_*.json...
 //
 // REF is a full record ID, a unique prefix (≥4 hex chars), or "latest"
 // (optionally "latest~N"). In diff, OLD and NEW may also be comma-separated
@@ -61,7 +60,7 @@ func main() {
 		eventsNew  = flag.String("events-new", "", "diff: NEW run's recorded JSONL event stream (see -events-old)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ledgerctl [-dir DIR] <list|show|merge|diff|equal|import> [args]\n")
+		fmt.Fprintf(os.Stderr, "usage: ledgerctl [-dir DIR] <list|show|merge|diff|equal> [args]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -90,8 +89,6 @@ func main() {
 		}, *eventsOld, *eventsNew)
 	case "equal":
 		err = runEqual(store, args)
-	case "import":
-		err = runImport(store, args)
 	default:
 		fmt.Fprintf(os.Stderr, "ledgerctl: unknown command %q\n", cmd)
 		flag.Usage()
@@ -357,24 +354,6 @@ func loadSet(store *ledger.Store, refs []string) (*ledger.Record, error) {
 	default:
 		return ledger.Merge(recs, ids)
 	}
-}
-
-func runImport(store *ledger.Store, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("import takes one or more BENCH_*.json files")
-	}
-	for _, path := range args {
-		rec, err := ledger.ImportBench(path)
-		if err != nil {
-			return err
-		}
-		id, err := store.Append(rec)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("imported %s as %s (%d points)\n", path, id[:12], len(rec.Points))
-	}
-	return nil
 }
 
 // fatal reports a usage or I/O failure. Exit code 2 keeps it distinct from

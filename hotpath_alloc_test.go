@@ -74,6 +74,7 @@ func hotPathProtocols() map[string]rtmac.Protocol {
 		"fcsma":     rtmac.FCSMA(),
 		"framecsma": rtmac.FrameCSMA(),
 		"tdma":      rtmac.TDMA(),
+		"dcf":       rtmac.DCF(),
 	}
 }
 
@@ -106,9 +107,9 @@ func TestHotPathZeroAlloc(t *testing.T) {
 // and the medium's neighborhood bitsets), and three wide graphs: 50 links
 // in five disjoint 10-link cliques, where the contention clock's due tree
 // spans 64 leaves, and 130 links as 13 cliques or as a ring, whose
-// neighborhood sets and scratch masks span three words. DCF runs on the wide
-// graphs too: it re-Adds a link from its transmission's onDone callback. All
-// must be allocation-free once warm, with observability disabled.
+// neighborhood sets and scratch masks span three words. DCF re-Adds a link
+// from its transmission's onDone callback. All must be allocation-free once
+// warm, with observability disabled.
 func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 	const (
 		warmup = 200
@@ -142,10 +143,8 @@ func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 		"cliques-130":     func(p rtmac.Protocol) rtmac.Config { return cliqueConfig(t, 130, p, 1) },
 		"ring-130":        func(p rtmac.Protocol) rtmac.Config { return pinConfig(ring, p) },
 	}
-	protocols := hotPathProtocols()
-	protocols["dcf"] = rtmac.DCF()
 	for gName, config := range wide {
-		for pName, protocol := range protocols {
+		for pName, protocol := range hotPathProtocols() {
 			t.Run(gName+"/"+pName, func(t *testing.T) {
 				s, err := rtmac.NewSimulation(config(protocol))
 				if err != nil {

@@ -31,7 +31,7 @@ type Bernoulli struct {
 
 // NewBernoulli validates p and returns the process.
 func NewBernoulli(p float64) (Bernoulli, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return Bernoulli{}, fmt.Errorf("arrival: Bernoulli probability %v outside [0, 1]", p)
 	}
 	return Bernoulli{P: p}, nil
@@ -65,7 +65,7 @@ type BurstyUniform struct {
 // NewBurstyUniform validates the parameters and returns the process.
 func NewBurstyUniform(alpha float64, lo, hi int) (BurstyUniform, error) {
 	switch {
-	case alpha < 0 || alpha > 1:
+	case !(alpha >= 0 && alpha <= 1):
 		return BurstyUniform{}, fmt.Errorf("arrival: burst probability %v outside [0, 1]", alpha)
 	case lo < 0:
 		return BurstyUniform{}, fmt.Errorf("arrival: negative burst size %d", lo)
@@ -132,7 +132,7 @@ func NewBinomial(n int, p float64) (Binomial, error) {
 	if n < 0 {
 		return Binomial{}, fmt.Errorf("arrival: negative trial count %d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return Binomial{}, fmt.Errorf("arrival: Binomial probability %v outside [0, 1]", p)
 	}
 	return Binomial{N: n, P: p}, nil

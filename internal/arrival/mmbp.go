@@ -30,7 +30,7 @@ func NewMarkovModulated(low, high VectorProcess, lowToHigh, highToLow float64) (
 		return nil, fmt.Errorf("arrival: nil regime process")
 	case low.Links() != high.Links():
 		return nil, fmt.Errorf("arrival: regime link counts differ: %d vs %d", low.Links(), high.Links())
-	case lowToHigh <= 0 || lowToHigh > 1 || highToLow <= 0 || highToLow > 1:
+	case !(lowToHigh > 0 && lowToHigh <= 1 && highToLow > 0 && highToLow <= 1):
 		return nil, fmt.Errorf("arrival: switch probabilities (%v, %v) outside (0, 1]", lowToHigh, highToLow)
 	}
 	return &MarkovModulated{low: low, high: high, lowToHigh: lowToHigh, highToLow: highToLow}, nil

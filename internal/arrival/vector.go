@@ -95,7 +95,7 @@ type CommonShock struct {
 // must describe the same number of links.
 func NewCommonShock(gamma float64, low, high VectorProcess) (*CommonShock, error) {
 	switch {
-	case gamma < 0 || gamma > 1:
+	case !(gamma >= 0 && gamma <= 1):
 		return nil, fmt.Errorf("arrival: shock probability %v outside [0, 1]", gamma)
 	case low == nil || high == nil:
 		return nil, fmt.Errorf("arrival: nil regime process")

@@ -26,6 +26,9 @@ type InfluenceFunc struct {
 // Name identifies the function in reports.
 func (f InfluenceFunc) Name() string { return f.name }
 
+// IsZero reports whether f is the zero value, which has no function to apply.
+func (f InfluenceFunc) IsZero() bool { return f.eval == nil }
+
 // Eval applies the function. Negative inputs are clamped to zero, matching
 // the d⁺ = max{0, d} convention used everywhere in the paper.
 func (f InfluenceFunc) Eval(x float64) float64 {
@@ -42,8 +45,8 @@ func Identity() InfluenceFunc {
 
 // Power returns f(x) = x^m for m ≥ 0.
 func Power(m float64) (InfluenceFunc, error) {
-	if m < 0 {
-		return InfluenceFunc{}, fmt.Errorf("debt: power exponent %v must be nonnegative", m)
+	if !(m >= 0 && m < math.Inf(1)) {
+		return InfluenceFunc{}, fmt.Errorf("debt: power exponent %v must be finite and nonnegative", m)
 	}
 	return InfluenceFunc{
 		name: fmt.Sprintf("power(%g)", m),
@@ -55,8 +58,8 @@ func Power(m float64) (InfluenceFunc, error) {
 // The paper uses scale = 100 (§VI). The max{1, ·} floor keeps the range
 // nonnegative, and the +1 shift keeps zero debt finite.
 func Log(scale float64) (InfluenceFunc, error) {
-	if scale <= 0 {
-		return InfluenceFunc{}, fmt.Errorf("debt: log scale %v must be positive", scale)
+	if !(scale > 0 && scale < math.Inf(1)) {
+		return InfluenceFunc{}, fmt.Errorf("debt: log scale %v must be finite and positive", scale)
 	}
 	return InfluenceFunc{
 		name: fmt.Sprintf("log(%g)", scale),

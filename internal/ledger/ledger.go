@@ -50,8 +50,7 @@ type Record struct {
 	// Schema is the record layout version (RecordSchema).
 	Schema int `json:"schema"`
 	// Kind classifies the producer: "figures" (experiment sweeps), "run"
-	// (one rtmacsim simulation), "bench" (imported benchtrend report), or
-	// "merged" (output of Merge).
+	// (one rtmacsim simulation), or "merged" (output of Merge).
 	Kind string `json:"kind"`
 	// Scenario is a human-readable workload description.
 	Scenario string `json:"scenario,omitempty"`
@@ -70,7 +69,7 @@ type Record struct {
 // replication-multiset partial, an optional delivery-delay sketch partial,
 // and a display summary derived from the partial.
 type Point struct {
-	// Figure groups points ("fig3", "run", "bench").
+	// Figure groups points ("fig3", "run").
 	Figure string `json:"figure"`
 	// Series labels the curve within the figure (usually the protocol).
 	Series string `json:"series"`

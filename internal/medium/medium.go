@@ -230,7 +230,7 @@ func New(eng *sim.Engine, success []float64, opts ...Option) (*Medium, error) {
 		return nil, fmt.Errorf("medium: no links")
 	}
 	for n, p := range success {
-		if p <= 0 || p > 1 {
+		if !(p > 0 && p <= 1) {
 			return nil, fmt.Errorf("medium: link %d: success probability %v outside (0, 1]", n, p)
 		}
 	}

@@ -53,11 +53,11 @@ func NewGilbertElliott(eng *sim.Engine, n int, pGood, pBad, goodToBad, badToGood
 	switch {
 	case n <= 0:
 		return nil, fmt.Errorf("medium: need at least one link, got %d", n)
-	case pGood <= 0 || pGood > 1 || pBad <= 0 || pBad > 1:
+	case !(pGood > 0 && pGood <= 1 && pBad > 0 && pBad <= 1):
 		return nil, fmt.Errorf("medium: state probabilities (%v, %v) outside (0, 1]", pGood, pBad)
 	case pBad > pGood:
 		return nil, fmt.Errorf("medium: bad-state probability %v above good-state %v", pBad, pGood)
-	case goodToBad < 0 || goodToBad > 1 || badToGood <= 0 || badToGood > 1:
+	case !(goodToBad >= 0 && goodToBad <= 1 && badToGood > 0 && badToGood <= 1):
 		return nil, fmt.Errorf("medium: transition probabilities (%v, %v) invalid", goodToBad, badToGood)
 	case period <= 0:
 		return nil, fmt.Errorf("medium: non-positive fading period %v", period)

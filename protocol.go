@@ -2,6 +2,7 @@ package rtmac
 
 import (
 	"fmt"
+	"math"
 
 	"rtmac/internal/core"
 	"rtmac/internal/debt"
@@ -122,12 +123,18 @@ func DBDP(opts ...DBDPOption) Protocol {
 				}
 				coreOpts = append(coreOpts, core.WithInitialPriorities(prio))
 			}
-			if cfg.r <= 0 {
-				return nil, fmt.Errorf("rtmac: Glauber constant R must be positive, got %v", cfg.r)
+			if !(cfg.r > 0 && cfg.r < math.Inf(1)) {
+				return nil, fmt.Errorf("rtmac: Glauber constant R must be finite and positive, got %v", cfg.r)
+			}
+			if err := cfg.f.check(); err != nil {
+				return nil, err
 			}
 			var policy core.MuPolicy
 			switch {
 			case cfg.useConst:
+				if !(cfg.constMu >= 0 && cfg.constMu <= 1) {
+					return nil, fmt.Errorf("rtmac: constant µ %v outside [0, 1]", cfg.constMu)
+				}
 				policy = core.ConstantMu{Value: cfg.constMu}
 			case cfg.learned:
 				learned, err := core.NewEstimatedDebtGlauber(n)
@@ -162,7 +169,12 @@ func ELDF(f InfluenceFunc) Protocol {
 		label:                fmt.Sprintf("ELDF[%s]", f.f.Name()),
 		collisionFree:        true,
 		collisionFreeOnGraph: true,
-		build:                func(int) (mac.Protocol, error) { return ldf.New(f.f), nil },
+		build: func(int) (mac.Protocol, error) {
+			if err := f.check(); err != nil {
+				return nil, err
+			}
+			return ldf.New(f.f), nil
+		},
 	}
 }
 
@@ -230,6 +242,14 @@ func (f InfluenceFunc) Name() string { return f.f.Name() }
 
 // Eval applies the function (negative debts clamp to zero).
 func (f InfluenceFunc) Eval(x float64) float64 { return f.f.Eval(x) }
+
+// check rejects the zero value, which has no function to apply.
+func (f InfluenceFunc) check() error {
+	if f.f.IsZero() {
+		return fmt.Errorf("rtmac: zero-value InfluenceFunc; build one with IdentityInfluence, PaperInfluence, LogInfluence or PowerInfluence")
+	}
+	return nil
+}
 
 // IdentityInfluence returns f(x) = x (turns ELDF into classical LDF).
 func IdentityInfluence() InfluenceFunc { return InfluenceFunc{f: debt.Identity()} }

@@ -40,6 +40,7 @@ package rtmac
 
 import (
 	"fmt"
+	"math"
 
 	"rtmac/internal/arrival"
 	"rtmac/internal/journey"
@@ -69,14 +70,14 @@ type Link struct {
 
 func (l Link) required() (float64, error) {
 	switch {
-	case l.Required < 0:
-		return 0, fmt.Errorf("rtmac: negative requirement %v", l.Required)
+	case !(l.Required >= 0 && l.Required < math.Inf(1)):
+		return 0, fmt.Errorf("rtmac: requirement %v must be finite and nonnegative", l.Required)
+	case !(l.DeliveryRatio >= 0 && l.DeliveryRatio <= 1):
+		return 0, fmt.Errorf("rtmac: delivery ratio %v outside [0, 1]", l.DeliveryRatio)
 	case l.Required > 0 && l.DeliveryRatio > 0:
 		return 0, fmt.Errorf("rtmac: set either Required or DeliveryRatio, not both")
 	case l.Required > 0:
 		return l.Required, nil
-	case l.DeliveryRatio < 0 || l.DeliveryRatio > 1:
-		return 0, fmt.Errorf("rtmac: delivery ratio %v outside [0, 1]", l.DeliveryRatio)
 	default:
 		return l.DeliveryRatio * l.Arrivals.proc.Mean(), nil
 	}

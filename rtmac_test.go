@@ -58,6 +58,75 @@ func TestNewSimulationValidation(t *testing.T) {
 	}
 }
 
+// constructed turns a constructor's (value, error) result into a table case.
+func constructed[T any](_ T, err error) func() error { return func() error { return err } }
+
+// TestNonFiniteAndZeroInputsRejected feeds NaN, infinite and zero-value
+// inputs to the public constructors and Config fields. Range checks written
+// as x < lo || x > hi let NaN through, and a zero-value InfluenceFunc has no
+// function to apply; each case must return an error, not run or panic.
+func TestNonFiniteAndZeroInputsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	simulate := func(mutate func(*rtmac.Config)) error {
+		cfg := rtmac.Config{
+			Seed:     1,
+			Profile:  rtmac.ControlProfile(),
+			Links:    controlLinks(2, 0.7, 0.5, 0.9),
+			Protocol: rtmac.DBDP(),
+		}
+		mutate(&cfg)
+		s, err := rtmac.NewSimulation(cfg)
+		if err != nil {
+			return err
+		}
+		return s.Run(10)
+	}
+	protocol := func(p rtmac.Protocol) func() error {
+		return func() error { return simulate(func(c *rtmac.Config) { c.Protocol = p }) }
+	}
+	link := func(mutate func(*rtmac.Link)) func() error {
+		return func() error { return simulate(func(c *rtmac.Config) { mutate(&c.Links[0]) }) }
+	}
+	tests := []struct {
+		name string
+		err  func() error
+	}{
+		{"SuccessProb NaN", link(func(l *rtmac.Link) { l.SuccessProb = nan })},
+		{"DeliveryRatio NaN", link(func(l *rtmac.Link) { l.DeliveryRatio = nan })},
+		{"Required NaN", link(func(l *rtmac.Link) { l.Required, l.DeliveryRatio = nan, 0 })},
+		{"Required +Inf", link(func(l *rtmac.Link) { l.Required, l.DeliveryRatio = inf, 0 })},
+		{"Fading NaN", func() error {
+			return simulate(func(c *rtmac.Config) {
+				c.Fading = &rtmac.Fading{PGood: nan, PBad: 0.5, GoodToBad: 0.1, BadToGood: 0.1, Period: rtmac.Millisecond}
+			})
+		}},
+		{"BernoulliArrivals NaN", constructed(rtmac.BernoulliArrivals(nan))},
+		{"BinomialArrivals NaN", constructed(rtmac.BinomialArrivals(3, nan))},
+		{"VideoArrivals NaN", constructed(rtmac.VideoArrivals(nan))},
+		{"LogInfluence NaN", constructed(rtmac.LogInfluence(nan))},
+		{"LogInfluence +Inf", constructed(rtmac.LogInfluence(inf))},
+		{"PowerInfluence NaN", constructed(rtmac.PowerInfluence(nan))},
+		{"PowerInfluence +Inf", constructed(rtmac.PowerInfluence(inf))},
+		{"WithConstantMu NaN", protocol(rtmac.DBDP(rtmac.WithConstantMu(nan)))},
+		{"WithInfluence R NaN", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.PaperInfluence(), nan)))},
+		{"WithInfluence R +Inf", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.PaperInfluence(), inf)))},
+		{"WithInfluence zero value", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.InfluenceFunc{}, 10)))},
+		{"ELDF zero value", protocol(rtmac.ELDF(rtmac.InfluenceFunc{}))},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := tc.err(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
 func TestArrivalConstructors(t *testing.T) {
 	if _, err := rtmac.BernoulliArrivals(1.5); err == nil {
 		t.Error("Bernoulli p > 1 accepted")
