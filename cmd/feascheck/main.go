@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtmac"
@@ -45,21 +46,37 @@ type report struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point returning the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("feascheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		configPath  = flag.String("config", "", "JSON scenario file (overrides the uniform-network flags)")
-		profileName = flag.String("profile", "control", "video | control")
-		links       = flag.Int("links", 10, "number of links")
-		p           = flag.Float64("p", 0.7, "per-link delivery probability")
-		arrName     = flag.String("arrivals", "bernoulli", "bernoulli | video | fixed")
-		rate        = flag.Float64("rate", 0.78, "arrival parameter")
-		ratio       = flag.Float64("ratio", 0.99, "required delivery ratio")
-		intervals   = flag.Int("intervals", 3000, "probe length in intervals")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		frontier    = flag.Bool("frontier", false, "binary-search the feasible scale of the requirement vector")
-		subsets     = flag.Bool("subsets", false, "scan subset-level necessary bounds (links ≤ 14, uniform mode only)")
-		jsonOut     = flag.Bool("json", false, "emit the assessment as one JSON document")
+		configPath  = fs.String("config", "", "JSON scenario file (overrides the uniform-network flags)")
+		profileName = fs.String("profile", "control", "video | control")
+		links       = fs.Int("links", 10, "number of links")
+		p           = fs.Float64("p", 0.7, "per-link delivery probability")
+		arrName     = fs.String("arrivals", "bernoulli", "bernoulli | video | fixed")
+		rate        = fs.Float64("rate", 0.78, "arrival parameter: Bernoulli p, video alpha, or fixed whole count")
+		ratio       = fs.Float64("ratio", 0.99, "required delivery ratio")
+		intervals   = fs.Int("intervals", 3000, "probe length in intervals")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		frontier    = fs.Bool("frontier", false, "binary-search the feasible scale of the requirement vector")
+		subsets     = fs.Bool("subsets", false, "scan subset-level necessary bounds (links ≤ 14, uniform mode only)")
+		jsonOut     = fs.Bool("json", false, "emit the assessment as one JSON document")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package already printed the error
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "feascheck:", err)
+		return 2
+	}
+	if *subsets && *configPath != "" {
+		return fail(fmt.Errorf("-subsets supports only the uniform-network flags"))
+	}
 
 	var (
 		cfg    rtmac.Config
@@ -70,15 +87,29 @@ func main() {
 		source = *configPath
 		cfg, _, _, err = scenario.LoadAnyFile(*configPath)
 	} else {
+		// The uniform network goes through the scenario document, so the
+		// flags share its names and checks. The protocol is only a
+		// placeholder: the probe always runs LDF.
 		source = "flags"
-		cfg, err = uniformConfig(*profileName, *links, *p, *arrName, *rate, *ratio, *seed)
+		cfg, _, err = scenario.Build(scenario.Document{
+			Seed:      *seed,
+			Intervals: *intervals,
+			Profile:   scenario.ProfileSpec{Preset: *profileName},
+			Protocol:  scenario.ProtocolSpec{Name: "ldf"},
+			Links: []scenario.LinkGroup{{
+				Count:         *links,
+				SuccessProb:   *p,
+				Arrivals:      scenario.ArrivalsSpec{Type: *arrName, Param: *rate},
+				DeliveryRatio: *ratio,
+			}},
+		})
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	res, err := rtmac.CheckFeasibility(cfg, *intervals)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	doc := report{
 		Source:                source,
@@ -94,97 +125,58 @@ func main() {
 		PerLink:               res.PerLink,
 	}
 	if *frontier {
-		gamma, err := rtmac.CapacityFrontier(cfg, *intervals)
-		if err != nil {
-			fatal(err)
+		if doc.Frontier, err = rtmac.CapacityFrontier(cfg, *intervals); err != nil {
+			return fail(err)
 		}
-		doc.Frontier = gamma
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
-		printHuman(doc)
+		printHuman(stdout, doc)
 		if *subsets {
-			if *configPath != "" {
-				fatal(fmt.Errorf("-subsets supports only the uniform-network flags"))
+			if err := printSubsets(stdout, *profileName, *links, *p, *arrName, *rate, *ratio, *seed); err != nil {
+				return fail(err)
 			}
-			printSubsets(*profileName, *links, *p, *arrName, *rate, *ratio, *seed)
 		}
 	}
 	if !doc.Feasible {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// uniformConfig assembles the symmetric network the CLI flags describe
-// through the public API, so the assessment shares NewSimulation's
-// validation path.
-func uniformConfig(profileName string, links int, p float64, arrName string, rate, ratio float64, seed uint64) (rtmac.Config, error) {
-	var profile rtmac.Profile
-	switch profileName {
-	case "video":
-		profile = rtmac.VideoProfile()
-	case "control":
-		profile = rtmac.ControlProfile()
-	default:
-		return rtmac.Config{}, fmt.Errorf("unknown profile %q", profileName)
-	}
-	var arr rtmac.Arrivals
-	var err error
-	switch arrName {
-	case "bernoulli":
-		arr, err = rtmac.BernoulliArrivals(rate)
-	case "video":
-		arr, err = rtmac.VideoArrivals(rate)
-	case "fixed":
-		arr = rtmac.FixedArrivals(int(rate))
-	default:
-		err = fmt.Errorf("unknown arrival process %q", arrName)
-	}
-	if err != nil {
-		return rtmac.Config{}, err
-	}
-	if links <= 0 {
-		return rtmac.Config{}, fmt.Errorf("links must be positive, got %d", links)
-	}
-	ls := make([]rtmac.Link, links)
-	for i := range ls {
-		ls[i] = rtmac.Link{SuccessProb: p, Arrivals: arr, DeliveryRatio: ratio}
-	}
-	return rtmac.Config{Seed: seed, Profile: profile, Links: ls}, nil
-}
-
-func printHuman(doc report) {
-	fmt.Printf("%s: profile %s, %d links, workload %.2f of %d slots/interval (margin %.2f)\n",
+func printHuman(w io.Writer, doc report) {
+	fmt.Fprintf(w, "%s: profile %s, %d links, workload %.2f of %d slots/interval (margin %.2f)\n",
 		doc.Source, doc.Profile, doc.Links, doc.WorkloadSlots, doc.CapacitySlots, doc.MarginSlots)
 	if len(doc.PerLink) > 0 {
-		fmt.Printf("requirement: q[0] = %.4f packets/interval (use -json for the full vector)\n",
+		fmt.Fprintf(w, "requirement: q[0] = %.4f packets/interval (use -json for the full vector)\n",
 			doc.PerLink[0].Required)
 	}
 	if doc.NecessaryBoundsOK {
-		fmt.Println("necessary bounds: satisfied")
+		fmt.Fprintln(w, "necessary bounds: satisfied")
 	} else {
-		fmt.Printf("necessary bounds: VIOLATED — %s\n", doc.NecessaryBoundsReason)
+		fmt.Fprintf(w, "necessary bounds: VIOLATED — %s\n", doc.NecessaryBoundsReason)
 	}
 	verdict := "FEASIBLE"
 	if !doc.Feasible {
 		verdict = "INFEASIBLE"
 	}
-	fmt.Printf("LDF probe: deficiency %.4f — empirically %s\n", doc.ProbeDeficiency, verdict)
+	fmt.Fprintf(w, "LDF probe: deficiency %.4f — empirically %s\n", doc.ProbeDeficiency, verdict)
 	if doc.Frontier != 0 {
-		fmt.Printf("capacity frontier: γ ≈ %.3f (q scaled by γ is the empirical feasibility boundary)\n",
+		fmt.Fprintf(w, "capacity frontier: γ ≈ %.3f (q scaled by γ is the empirical feasibility boundary)\n",
 			doc.Frontier)
 	}
 }
 
 // printSubsets scans subset-level necessary bounds, which need the internal
-// problem form and therefore remain a uniform-flags extra.
-func printSubsets(profileName string, links int, p float64, arrName string, rate, ratio float64, seed uint64) {
+// problem form and therefore remain a uniform-flags extra. The flags were
+// already validated by scenario.Build.
+func printSubsets(w io.Writer, profileName string, links int, p float64, arrName string, rate, ratio float64, seed uint64) error {
 	var profile phy.Profile
 	switch profileName {
 	case "video":
@@ -201,13 +193,15 @@ func printSubsets(profileName string, links int, p float64, arrName string, rate
 		proc, err = arrival.PaperVideo(rate)
 	case "fixed":
 		proc = arrival.Deterministic{N: int(rate)}
+	default:
+		err = fmt.Errorf("-subsets supports bernoulli, video and fixed arrivals, not %q", arrName)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	av, err := arrival.Uniform(links, proc)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	probs := make([]float64, links)
 	req := make([]float64, links)
@@ -218,16 +212,12 @@ func printSubsets(profileName string, links int, p float64, arrName string, rate
 	problem := feasibility.Problem{Profile: profile, SuccessProb: probs, Arrivals: av, Required: req}
 	msg, err := feasibility.SubsetBoundViolation(problem, seed, 4000)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if msg == "" {
-		fmt.Println("subset bounds: satisfied")
+		fmt.Fprintln(w, "subset bounds: satisfied")
 	} else {
-		fmt.Printf("subset bounds: VIOLATED — %s\n", msg)
+		fmt.Fprintf(w, "subset bounds: VIOLATED — %s\n", msg)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "feascheck:", err)
-	os.Exit(2)
+	return nil
 }

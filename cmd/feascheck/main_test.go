@@ -1,0 +1,75 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+func runFeas(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestFactoryScenarioJSON checks the document rtmacwatch -slo consumes: the
+// feasible factory scenario exits 0 and carries one positive requirement
+// per link, indexed in order.
+func TestFactoryScenarioJSON(t *testing.T) {
+	code, out, errs := runFeas(t, "-config", "../../scenarios/factory.json", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (feasible):\n%s", code, errs)
+	}
+	var doc report
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if !doc.Feasible || !doc.NecessaryBoundsOK || doc.MarginSlots <= 0 {
+		t.Errorf("factory scenario assessed feasible=%v bounds=%v margin=%v", doc.Feasible, doc.NecessaryBoundsOK, doc.MarginSlots)
+	}
+	if doc.Links == 0 || len(doc.PerLink) != doc.Links {
+		t.Fatalf("%d per-link entries for %d links", len(doc.PerLink), doc.Links)
+	}
+	for i, l := range doc.PerLink {
+		if l.Link != i || l.Required <= 0 {
+			t.Errorf("per_link[%d] = %+v", i, l)
+		}
+	}
+}
+
+// TestExitCodeFollowsVerdict checks that the uniform flags exit 0 on a
+// feasible network and 1 on an overloaded one.
+func TestExitCodeFollowsVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		links    string
+		feasible bool
+		code     int
+	}{{"4", true, 0}, {"12", false, 1}} {
+		code, out, errs := runFeas(t, "-links", tc.links, "-intervals", "500", "-json")
+		var doc report
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("-links %s: %v\n%s", tc.links, err, errs)
+		}
+		if doc.Feasible != tc.feasible || code != tc.code {
+			t.Errorf("-links %s: feasible=%v exit %d, want %v and %d", tc.links, doc.Feasible, code, tc.feasible, tc.code)
+		}
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-arrivals", "fixed"},                // the default rate 0.78 is no whole count
+		{"-arrivals", "fixed", "-rate", "-2"}, // negative count
+		{"-arrivals", "poisson"},
+		{"-profile", "lte"},
+		{"-links", "0"},
+		{"-config", "../../scenarios/factory.json", "-subsets"},
+		{"-nope"},
+	} {
+		if code, _, errs := runFeas(t, args...); code != 2 || errs == "" {
+			t.Errorf("%s: exit %d, want 2 with an error", strings.Join(args, " "), code)
+		}
+	}
+}

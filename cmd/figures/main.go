@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,46 +34,63 @@ import (
 )
 
 func main() {
-	var (
-		figID     = flag.String("fig", "", "figure to regenerate (see -list); default: the paper's fig3..fig10")
-		scale     = flag.Float64("scale", 1.0, "interval-count scale factor (1 = paper fidelity)")
-		seeds     = flag.Int("seeds", 3, "independent replications per point")
-		csvDir    = flag.String("csv", "", "directory to write per-figure CSV files into")
-		quiet     = flag.Bool("quiet", false, "suppress per-point progress output")
-		list      = flag.Bool("list", false, "list available figure IDs and exit")
-		extended  = flag.Bool("extended", false, "run the beyond-paper figures too")
-		htmlPath  = flag.String("html", "", "write all regenerated figures into one self-contained HTML report")
-		monitor   = flag.Bool("monitor", true, "run the strict invariant monitor inside every simulation; a violation fails the figure")
-		serve     = flag.String("serve", "", "serve the live observability plane (dashboard, /metrics, /api/progress, /events SSE) on this address (e.g. :8080) while the sweep runs")
-		ledgerDir = flag.String("ledger", "", "append this run's aggregated points to the run ledger in DIR (see ledgerctl)")
-		seedList  = flag.String("seedlist", "", "comma-separated exact replication seeds, overriding -seeds and the derived schedule (e.g. 101,202); lets separately recorded ledger runs merge into exactly one combined run")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile for the whole sweep to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		healthFlag  = flag.Bool("health", false, "sample runtime health (GC pauses, heap, scheduler latency) during the sweep; summary lands in the ledger manifest and on /api/health when -serve is active")
-		profileRing = flag.String("profilering", "", "continuously capture CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
-		watchFlag   = flag.Bool("watch", false, "run the SLO conformance watch engine inside every simulation and report the cross-sweep alert tally (informational: sweep points cross the capacity frontier by design, so alerts are expected)")
-		sloBudget   = flag.Float64("slo-budget", 0, "deadline-miss budget fraction for the watch engine (default 0.1); setting it implies -watch")
+// run is the testable entry point returning the process exit code: 0 on
+// success, 1 when a figure or an output fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		figID     = fs.String("fig", "", "figure to regenerate (see -list); default: the paper's fig3..fig10")
+		scale     = fs.Float64("scale", 1.0, "interval-count scale factor (1 = paper fidelity)")
+		seeds     = fs.Int("seeds", 3, "independent replications per point")
+		csvDir    = fs.String("csv", "", "directory to write per-figure CSV files into")
+		quiet     = fs.Bool("quiet", false, "suppress per-point progress output")
+		list      = fs.Bool("list", false, "list available figure IDs and exit")
+		extended  = fs.Bool("extended", false, "run the beyond-paper figures too")
+		htmlPath  = fs.String("html", "", "write all regenerated figures into one self-contained HTML report")
+		monitor   = fs.Bool("monitor", true, "run the strict invariant monitor inside every simulation; a violation fails the figure")
+		serve     = fs.String("serve", "", "serve the live observability plane (dashboard, /metrics, /api/progress, /events SSE) on this address (e.g. :8080) while the sweep runs")
+		ledgerDir = fs.String("ledger", "", "append this run's aggregated points to the run ledger in DIR (see ledgerctl)")
+		seedList  = fs.String("seedlist", "", "comma-separated exact replication seeds, overriding -seeds and the derived schedule (e.g. 101,202); lets separately recorded ledger runs merge into exactly one combined run")
+
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile for the whole sweep to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		healthFlag  = fs.Bool("health", false, "sample runtime health (GC pauses, heap, scheduler latency) during the sweep; summary lands in the ledger manifest and on /api/health when -serve is active")
+		profileRing = fs.String("profilering", "", "continuously capture CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
+		watchFlag   = fs.Bool("watch", false, "run the SLO conformance watch engine inside every simulation and report the cross-sweep alert tally (informational: sweep points cross the capacity frontier by design, so alerts are expected)")
+		sloBudget   = fs.Float64("slo-budget", 0, "deadline-miss budget fraction for the watch engine (default 0.1); setting it implies -watch")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package already printed the error
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "figures:", err)
+		return code
+	}
 	if *profileRing != "" {
 		*healthFlag = true
 	}
 
 	if *list {
 		for _, f := range experiment.Extended() {
-			fmt.Printf("%-16s %s\n", f.ID(), f.Title())
+			fmt.Fprintf(stdout, "%-16s %s\n", f.ID(), f.Title())
 		}
-		return
+		return 0
 	}
 
 	if *cpuprofile != "" {
 		stop, err := health.StartCPUProfile(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		defer stop()
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(stderr, "figures:", err)
+			}
+		}()
 	}
 
 	figures := experiment.All()
@@ -82,8 +100,7 @@ func main() {
 	if *figID != "" {
 		fig, err := experiment.ByID(*figID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		figures = []experiment.Figure{fig}
 	}
@@ -103,15 +120,14 @@ func main() {
 		for _, part := range strings.Split(*seedList, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -seedlist entry %q: %v\n", part, err)
-				os.Exit(2)
+				return fail(2, fmt.Errorf("bad -seedlist entry %q: %v", part, err))
 			}
 			opts.SeedList = append(opts.SeedList, v)
 		}
 		opts.Seeds = len(opts.SeedList)
 	}
 	if !*quiet {
-		opts.Progress = os.Stderr
+		opts.Progress = stderr
 	}
 	var (
 		recorder *ledger.Recorder
@@ -140,16 +156,14 @@ func main() {
 		opts.Telemetry = plane.Registry
 		opts.Events = plane.Broker
 		if err := plane.Start(*serve); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "observability: serving on http://%s (dashboard, /metrics, /api/progress, /events)\n",
+		fmt.Fprintf(stderr, "observability: serving on http://%s (dashboard, /metrics, /api/progress, /events)\n",
 			plane.Addr())
 		if *ledgerDir != "" {
 			store, err := ledger.Open(*ledgerDir)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			plane.SetRunsProvider(func() any {
 				h, err := ledger.BuildHistory(store, 200)
@@ -188,12 +202,11 @@ func main() {
 				Labels: map[string]string{"tool": "figures"},
 			})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			ring.Start()
 			healthRing = ring
-			fmt.Fprintf(os.Stderr, "health: profile ring capturing into %s\n", *profileRing)
+			fmt.Fprintf(stderr, "health: profile ring capturing into %s\n", *profileRing)
 		}
 		if plane != nil {
 			plane.SetHealthProvider(func() any {
@@ -203,8 +216,7 @@ func main() {
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	var htmlResults []*experiment.Result
@@ -212,57 +224,48 @@ func main() {
 		start := time.Now()
 		res, err := fig.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", fig.ID(), err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("%s: %v", fig.ID(), err))
 		}
 		if *htmlPath != "" {
 			htmlResults = append(htmlResults, res)
 		}
-		if err := experiment.WriteTable(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := experiment.WriteTable(stdout, res); err != nil {
+			return fail(1, err)
 		}
-		fmt.Println()
-		if err := experiment.WriteASCIIChart(os.Stdout, res, 72, 18); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		fmt.Fprintln(stdout)
+		if err := experiment.WriteASCIIChart(stdout, res, 72, 18); err != nil {
+			return fail(1, err)
 		}
-		fmt.Printf("(%s completed in %v)\n\n", fig.ID(), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", fig.ID(), time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, res.ID+".csv")
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			if err := experiment.WriteCSV(f, res); err != nil {
 				f.Close()
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			fmt.Fprintf(stderr, "wrote %s\n", path)
 		}
 	}
 	if *htmlPath != "" {
 		f, err := os.Create(*htmlPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if err := experiment.WriteHTMLReport(f, htmlResults); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *htmlPath)
+		fmt.Fprintf(stderr, "wrote %s\n", *htmlPath)
 	}
 	if healthCol != nil {
 		if healthRing != nil {
@@ -273,7 +276,7 @@ func main() {
 		if manifest != nil {
 			manifest.Health = &sum
 		}
-		fmt.Fprintf(os.Stderr, "health: %d samples · peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%v total, max %v)\n",
+		fmt.Fprintf(stderr, "health: %d samples · peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%v total, max %v)\n",
 			sum.Samples, float64(sum.HeapLivePeakBytes)/(1<<20), sum.GoroutinePeak,
 			sum.GCPauses, time.Duration(sum.GCPauseTotalNS).Round(time.Microsecond),
 			time.Duration(sum.GCPauseMaxNS).Round(time.Microsecond))
@@ -296,7 +299,7 @@ func main() {
 			}
 			detail = " (" + strings.Join(parts, " ") + ")"
 		}
-		fmt.Fprintf(os.Stderr, "watch: %d SLO alerts across %d simulations%s — informational; sweep points cross the capacity frontier by design\n",
+		fmt.Fprintf(stderr, "watch: %d SLO alerts across %d simulations%s — informational; sweep points cross the capacity frontier by design\n",
 			tally.Alerts(), tally.Runs(), detail)
 	}
 	if recorder != nil {
@@ -310,32 +313,28 @@ func main() {
 		manifest.Finish()
 		rec, err := recorder.Finalize("figures", scenario, manifest)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		store, err := ledger.Open(*ledgerDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		id, err := store.Append(rec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "ledger: appended %s (%d points, %d seeds) to %s\n",
+		fmt.Fprintf(stderr, "ledger: appended %s (%d points, %d seeds) to %s\n",
 			id[:12], len(rec.Points), len(rec.Seeds), *ledgerDir)
 	}
 	if plane != nil {
 		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	if *memprofile != "" {
 		if err := health.WriteHeapProfile(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
+	return 0
 }

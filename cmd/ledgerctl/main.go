@@ -21,25 +21,27 @@
 // record a single process running all the seeds would have produced.
 //
 // equal exits non-zero unless the two records (or sets) carry byte-identical
-// point statistics — the merge-fidelity assertion used by `make ledger-smoke`.
+// point statistics — the merge-fidelity assertion.
 //
 // diff is the regression sentinel: it compares every matching point with
 // Welch's t-test at the chosen confidence (falling back to a relative-delta
 // threshold when either side has fewer than two replications), checks delay
 // quantiles for growth, and exits non-zero when any point regressed
 // significantly in its "worse" direction. With -events-old and -events-new
-// pointing at the two runs' recorded JSONL event streams (rtmacsim
-// -record-for-diff), diff drills from the statistical verdict down to the
-// first divergent event — interval, link, kind, field delta — via the
-// rundiff engine.
+// pointing at the two runs' recorded JSONL event streams (events.jsonl in
+// an `rtmacsim -record` directory), diff drills from the statistical verdict
+// down to the first divergent event — interval, link, kind, field delta —
+// via the rundiff engine.
 //
 // Exit codes: 0 success (no difference found), 1 comparison found a
 // difference (diff regression, equal inequality), 2 usage or I/O error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -51,55 +53,77 @@ import (
 )
 
 func main() {
-	var (
-		dir        = flag.String("dir", ".ledger", "ledger directory")
-		confidence = flag.Float64("confidence", 0.95, "diff: Welch test confidence level (0.90, 0.95 or 0.99)")
-		rel        = flag.Float64("rel", 0.10, "diff: relative-delta threshold used when a side has <2 replications")
-		quantRel   = flag.Float64("quantile-rel", 0.25, "diff: relative growth of delay p50/p95/p99 flagged as regression")
-		eventsOld  = flag.String("events-old", "", "diff: OLD run's recorded JSONL event stream; with -events-new, drill to the first divergent event")
-		eventsNew  = flag.String("events-new", "", "diff: NEW run's recorded JSONL event stream (see -events-old)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ledgerctl [-dir DIR] <list|show|merge|diff|equal> [args]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	store, err := ledger.Open(*dir)
-	if err != nil {
-		fatal(err)
-	}
-	cmd, args := args[0], args[1:]
-	switch cmd {
-	case "list":
-		err = runList(store, args)
-	case "show":
-		err = runShow(store, args)
-	case "merge":
-		err = runMerge(store, args)
-	case "diff":
-		err = runDiff(store, args, ledger.DiffOptions{
-			Confidence:        *confidence,
-			RelThreshold:      *rel,
-			QuantileThreshold: *quantRel,
-		}, *eventsOld, *eventsNew)
-	case "equal":
-		err = runEqual(store, args)
-	default:
-		fmt.Fprintf(os.Stderr, "ledgerctl: unknown command %q\n", cmd)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fatal(err)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func runList(store *ledger.Store, args []string) error {
+// errDiffer marks a comparison that found a difference (exit 1), as opposed
+// to a usage or I/O failure (exit 2).
+var errDiffer = errors.New("difference found")
+
+// run is the testable entry point returning the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ledgerctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dir        = fs.String("dir", ".ledger", "ledger directory")
+		confidence = fs.Float64("confidence", 0.95, "diff: Welch test confidence level (0.90, 0.95 or 0.99)")
+		rel        = fs.Float64("rel", 0.10, "diff: relative-delta threshold used when a side has <2 replications")
+		quantRel   = fs.Float64("quantile-rel", 0.25, "diff: relative growth of delay p50/p95/p99 flagged as regression")
+		eventsOld  = fs.String("events-old", "", "diff: OLD run's recorded JSONL event stream; with -events-new, drill to the first divergent event")
+		eventsNew  = fs.String("events-new", "", "diff: NEW run's recorded JSONL event stream (see -events-old)")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: ledgerctl [-dir DIR] <list|show|merge|diff|equal> [args]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package already printed the error
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
+	}
+	cmd, args := fs.Arg(0), fs.Args()[1:]
+	// Every subcommand reads the ledger, so a missing directory is an error
+	// here rather than an empty ledger; only Append creates one.
+	if info, err := os.Stat(*dir); err != nil || !info.IsDir() {
+		fmt.Fprintf(stderr, "ledgerctl: no ledger directory %s\n", *dir)
+		return 2
+	}
+	store, err := ledger.Open(*dir)
+	if err == nil {
+		switch cmd {
+		case "list":
+			err = runList(store, args, stdout)
+		case "show":
+			err = runShow(store, args, stdout)
+		case "merge":
+			err = runMerge(store, args, stdout)
+		case "diff":
+			err = runDiff(store, args, ledger.DiffOptions{
+				Confidence:        *confidence,
+				RelThreshold:      *rel,
+				QuantileThreshold: *quantRel,
+			}, *eventsOld, *eventsNew, stdout)
+		case "equal":
+			err = runEqual(store, args, stdout)
+		default:
+			fmt.Fprintf(stderr, "ledgerctl: unknown command %q\n", cmd)
+			fs.Usage()
+			return 2
+		}
+	}
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "ledgerctl:", err)
+	if errors.Is(err, errDiffer) {
+		return 1
+	}
+	return 2
+}
+
+func runList(store *ledger.Store, args []string, stdout io.Writer) error {
 	if len(args) != 0 {
 		return fmt.Errorf("list takes no arguments")
 	}
@@ -108,10 +132,10 @@ func runList(store *ledger.Store, args []string) error {
 		return err
 	}
 	if len(entries) == 0 {
-		fmt.Printf("ledger %s is empty\n", store.Dir())
+		fmt.Fprintf(stdout, "ledger %s is empty\n", store.Dir())
 		return nil
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ID\tAPPENDED\tKIND\tTOOL\tSCENARIO\tCOMMIT\tSEEDS\tPOINTS")
 	for _, e := range entries {
 		commit := e.Commit
@@ -128,7 +152,7 @@ func runList(store *ledger.Store, args []string) error {
 	return tw.Flush()
 }
 
-func runShow(store *ledger.Store, args []string) error {
+func runShow(store *ledger.Store, args []string, stdout io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("show takes exactly one reference")
 	}
@@ -140,37 +164,37 @@ func runShow(store *ledger.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("record   %s\n", id)
-	fmt.Printf("kind     %s\n", rec.Kind)
+	fmt.Fprintf(stdout, "record   %s\n", id)
+	fmt.Fprintf(stdout, "kind     %s\n", rec.Kind)
 	if rec.Scenario != "" {
-		fmt.Printf("scenario %s\n", rec.Scenario)
+		fmt.Fprintf(stdout, "scenario %s\n", rec.Scenario)
 	}
 	if len(rec.Seeds) > 0 {
 		seeds := make([]string, len(rec.Seeds))
 		for i, s := range rec.Seeds {
 			seeds[i] = fmt.Sprint(s)
 		}
-		fmt.Printf("seeds    %s\n", strings.Join(seeds, " "))
+		fmt.Fprintf(stdout, "seeds    %s\n", strings.Join(seeds, " "))
 	}
 	if m := rec.Manifest; m != nil {
-		fmt.Printf("tool     %s\n", m.Tool)
-		fmt.Printf("go       %s\n", m.GoVersion)
+		fmt.Fprintf(stdout, "tool     %s\n", m.Tool)
+		fmt.Fprintf(stdout, "go       %s\n", m.GoVersion)
 		if m.VCSRevision != "" {
 			dirty := ""
 			if m.VCSModified {
 				dirty = " (dirty)"
 			}
-			fmt.Printf("commit   %s%s\n", m.VCSRevision, dirty)
+			fmt.Fprintf(stdout, "commit   %s%s\n", m.VCSRevision, dirty)
 		}
 		if m.Hostname != "" {
-			fmt.Printf("host     %s (GOMAXPROCS %d)\n", m.Hostname, m.GoMaxProcs)
+			fmt.Fprintf(stdout, "host     %s (GOMAXPROCS %d)\n", m.Hostname, m.GoMaxProcs)
 		}
 		if !m.Started.IsZero() {
-			fmt.Printf("started  %s", m.Started.Format("2006-01-02 15:04:05 MST"))
+			fmt.Fprintf(stdout, "started  %s", m.Started.Format("2006-01-02 15:04:05 MST"))
 			if m.Elapsed > 0 {
-				fmt.Printf("  elapsed %s", m.Elapsed.Round(1e6))
+				fmt.Fprintf(stdout, "  elapsed %s", m.Elapsed.Round(1e6))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if len(m.Config) > 0 {
 			keys := make([]string, 0, len(m.Config))
@@ -179,11 +203,11 @@ func runShow(store *ledger.Store, args []string) error {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fmt.Printf("config   %s=%s\n", k, m.Config[k])
+				fmt.Fprintf(stdout, "config   %s=%s\n", k, m.Config[k])
 			}
 		}
 		if h := m.Health; h != nil {
-			fmt.Printf("health   peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%s total, max %s) over %d samples\n",
+			fmt.Fprintf(stdout, "health   peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%s total, max %s) over %d samples\n",
 				float64(h.HeapLivePeakBytes)/(1<<20), h.GoroutinePeak, h.GCPauses,
 				time.Duration(h.GCPauseTotalNS).Round(time.Microsecond),
 				time.Duration(h.GCPauseMaxNS).Round(time.Microsecond), h.Samples)
@@ -195,18 +219,18 @@ func runShow(store *ledger.Store, args []string) error {
 						time.Duration(h.MaxOverrunNS).Round(time.Microsecond),
 						h.StallsGC, h.StallsSched, h.StallsUser)
 				}
-				fmt.Println(verdict)
+				fmt.Fprintln(stdout, verdict)
 			}
 		}
 	}
 	if len(rec.Merged) > 0 {
-		fmt.Printf("merged from %d records:\n", len(rec.Merged))
+		fmt.Fprintf(stdout, "merged from %d records:\n", len(rec.Merged))
 		for _, src := range rec.Merged {
-			fmt.Printf("  %s\n", src)
+			fmt.Fprintf(stdout, "  %s\n", src)
 		}
 	}
-	fmt.Println()
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(stdout)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "FIGURE\tSERIES\tX\tMETRIC\tN\tMEAN\t±CI95\tP50\tP95\tP99")
 	for _, p := range rec.Points {
 		d50, d95, d99 := "-", "-", "-"
@@ -222,7 +246,7 @@ func runShow(store *ledger.Store, args []string) error {
 	return tw.Flush()
 }
 
-func runMerge(store *ledger.Store, args []string) error {
+func runMerge(store *ledger.Store, args []string, stdout io.Writer) error {
 	if len(args) < 2 {
 		return fmt.Errorf("merge takes at least two references")
 	}
@@ -234,12 +258,12 @@ func runMerge(store *ledger.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("merged %d records into %s (%d points, %d seeds)\n",
+	fmt.Fprintf(stdout, "merged %d records into %s (%d points, %d seeds)\n",
 		len(args), id, len(rec.Points), len(rec.Seeds))
 	return nil
 }
 
-func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, eventsOld, eventsNew string) error {
+func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, eventsOld, eventsNew string, stdout io.Writer) error {
 	if len(args) != 2 {
 		return fmt.Errorf("diff takes exactly two references (each may be a comma-separated set)")
 	}
@@ -258,30 +282,28 @@ func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, events
 	if err != nil {
 		return err
 	}
-	report.WriteText(os.Stdout)
+	report.WriteText(stdout)
 	diverged := false
 	if eventsOld != "" {
 		// Deep mode: drill from the statistical verdict to the pathwise
 		// cause — the first event where the two recorded runs part ways.
-		diverged, err = deepEventDiff(eventsOld, eventsNew)
+		diverged, err = deepEventDiff(eventsOld, eventsNew, stdout)
 		if err != nil {
 			return err
 		}
 	}
 	if report.HasRegression() {
-		fmt.Fprintf(os.Stderr, "ledgerctl: %d significant regressions\n", report.Regressions)
-		os.Exit(1)
+		return fmt.Errorf("%d significant regressions: %w", report.Regressions, errDiffer)
 	}
 	if diverged {
-		fmt.Fprintln(os.Stderr, "ledgerctl: event streams diverge (no metric regression)")
-		os.Exit(1)
+		return fmt.Errorf("event streams diverge (no metric regression): %w", errDiffer)
 	}
 	return nil
 }
 
 // deepEventDiff runs the rundiff engine over the two recorded event streams
 // and prints the first-divergence pointer. Returns whether they diverged.
-func deepEventDiff(oldPath, newPath string) (bool, error) {
+func deepEventDiff(oldPath, newPath string, stdout io.Writer) (bool, error) {
 	fa, err := os.Open(oldPath)
 	if err != nil {
 		return false, err
@@ -296,16 +318,16 @@ func deepEventDiff(oldPath, newPath string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	fmt.Println()
-	fmt.Printf("event streams (%s vs %s):\n", oldPath, newPath)
-	rundiff.WriteEventDiff(os.Stdout, d)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "event streams (%s vs %s):\n", oldPath, newPath)
+	rundiff.WriteEventDiff(stdout, d)
 	return !d.Equal, nil
 }
 
 // runEqual asserts two records (or comma-separated sets, merged in memory)
 // carry byte-identical point statistics — the merge-fidelity check: per-seed
 // records merged must equal the combined run exactly, not just within noise.
-func runEqual(store *ledger.Store, args []string) error {
+func runEqual(store *ledger.Store, args []string, stdout io.Writer) error {
 	if len(args) != 2 {
 		return fmt.Errorf("equal wants exactly two references (each may be a comma-separated set)")
 	}
@@ -318,10 +340,9 @@ func runEqual(store *ledger.Store, args []string) error {
 		return err
 	}
 	if err := ledger.Equivalent(a, b); err != nil {
-		fmt.Fprintf(os.Stderr, "ledgerctl: records differ: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("records differ: %v: %w", err, errDiffer)
 	}
-	fmt.Printf("records carry identical statistics (%d points)\n", len(a.Points))
+	fmt.Fprintf(stdout, "records carry identical statistics (%d points)\n", len(a.Points))
 	return nil
 }
 
@@ -354,12 +375,4 @@ func loadSet(store *ledger.Store, refs []string) (*ledger.Record, error) {
 	default:
 		return ledger.Merge(recs, ids)
 	}
-}
-
-// fatal reports a usage or I/O failure. Exit code 2 keeps it distinct from
-// exit 1, which means "the comparison found a difference" — scripts gating on
-// diff/equal can tell a broken invocation from a real regression.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ledgerctl:", err)
-	os.Exit(2)
 }

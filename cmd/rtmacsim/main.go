@@ -11,18 +11,38 @@
 //	rtmacsim -protocol fcsma -profile video -links 20 -p 0.7 \
 //	         -arrivals video -rate 0.55 -ratio 0.9 -intervals 5000
 //
+//	# Record every artifact of a run into one directory, then audit it:
+//	rtmacsim -protocol dbdp -intervals 400 -seed 7 -record run
+//	rtmacsim -check run
+//
 //	# With the runtime health plane: GC/scheduler telemetry, slot-budget
 //	# watchdog, continuous profile ring, /api/health + /debug/pprof:
 //	rtmacsim -protocol dbdp -intervals 200000 -health \
 //	         -profilering /tmp/ring -serve :8080
+//
+// -record DIR writes events.jsonl (every event), journeys.jsonl (every
+// packet), flight.jsonl and flight.txt (the monitor's flight recorder),
+// trace.json (Perfetto), metrics.prom, metrics.json and manifest.json, and
+// with -health also health.json. -check PATH validates a record directory or
+// one of its artifacts by base name: the event audit for events.jsonl and
+// flight.jsonl, the Perfetto format for trace.json, the Prometheus
+// exposition for metrics.prom, and the health document for health.json.
+//
+// Exit codes: 0 success, 1 the run failed or -check found a problem, 2 usage
+// or configuration error.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -30,497 +50,406 @@ import (
 	"rtmac/internal/health"
 	"rtmac/internal/ledger"
 	"rtmac/internal/stats"
+	"rtmac/internal/telemetry"
 	"rtmac/scenario"
 	"rtmac/topology"
 )
 
 func main() {
-	var (
-		configPath = flag.String("config", "", "JSON scenario file (overrides the other flags; see package rtmac/scenario)")
-		protoName  = flag.String("protocol", "dbdp", "dbdp | ldf | eldf | fcsma | framecsma | dcf")
-		profile    = flag.String("profile", "control", "video | control")
-		links      = flag.Int("links", 10, "number of links")
-		p          = flag.Float64("p", 0.7, "per-link delivery probability")
-		arrivals   = flag.String("arrivals", "bernoulli", "bernoulli | video | fixed")
-		rate       = flag.Float64("rate", 0.78, "arrival parameter: Bernoulli p, video alpha, or fixed count")
-		ratio      = flag.Float64("ratio", 0.99, "required delivery ratio")
-		intervals  = flag.Int("intervals", 20000, "simulated intervals")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		pairs      = flag.Int("pairs", 1, "DB-DP swap pairs per interval (Remark 6 extension)")
-		timeline   = flag.Bool("timeline", false, "render the final interval as an ASCII packet timeline")
-		delay      = flag.Bool("delay", false, "report delivery-delay statistics (mean, p50/p95/p99, max)")
-		telemetry  = flag.String("telemetry", "", "write Prometheus-format metrics to this file (plus .json snapshot and .manifest.json alongside)")
-		events     = flag.String("events", "", "stream structured JSONL events (tx, interval, swap, debt) to this file")
-		sampleTx   = flag.Int("sample-tx", 1, "keep one in every N per-transmission events in the event stream (1 keeps all)")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile taken after the run to this file")
-		checkev    = flag.String("checkevents", "", "audit a JSONL event file written by -events: validate the format and run the invariant checkers over it, then exit")
-		monitorOn  = flag.Bool("monitor", false, "run the invariant monitor over the live event stream and report violations")
-		strict     = flag.Bool("strict", false, "with the monitor, abort the run at the first invariant violation (implies -monitor)")
-		perfetto   = flag.String("perfetto", "", "export a Perfetto/Chrome trace_event JSON file of the run (open at ui.perfetto.dev)")
-		flight     = flag.String("flightrecorder", "", "dump the flight recorder (last 64 intervals of events) to this JSONL file, plus a .txt timeline alongside (implies -monitor)")
-		checkperf  = flag.String("checkperfetto", "", "validate a trace_event JSON file written by -perfetto, print its event count, and exit")
-		serve      = flag.String("serve", "", "serve the live observability plane (dashboard, /metrics, /api/progress, /api/links, /events SSE) on this address (e.g. :8080); after the run the server stays up with the final state until interrupted")
-		checkmet   = flag.String("checkmetrics", "", "validate a Prometheus text-format metrics file (e.g. fetched from /metrics or written by -telemetry), print its sample count, and exit")
-		journeys   = flag.String("journeys", "", "stream sampled per-packet journeys (contention rounds, attempts, deadline-miss attribution) as JSONL to this file; query with cmd/tracequery")
-		jSample    = flag.Int("journey-sample", 1, "record one in every N packet journeys (1 records all)")
-		tracePath  = flag.String("trace", "", "write the packet transmission log (most recent -trace-cap records) to this file after the run")
-		traceCap   = flag.Int("trace-cap", 65536, "transmission records retained by -trace")
-		ledgerFlag = flag.String("ledger", "", "append the run's final metrics (with mergeable partials) to the run ledger in DIR; inspect with ledgerctl")
-		healthOn   = flag.Bool("health", false, "enable the runtime health plane: GC/scheduler telemetry, slot-budget watchdog, /api/health on -serve, health summary in manifests")
-		ringDir    = flag.String("profilering", "", "capture continuous CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
-		slotBudget = flag.Duration("slot-budget", 0, "wall-clock budget per simulated interval for the -health watchdog (default: one simulated interval; negative disables the watchdog)")
-		checkhlth  = flag.String("checkhealth", "", "validate an /api/health JSON document saved to this file, then exit")
-		recordDiff = flag.String("record-for-diff", "", "record everything rundiff aligns on: events to PREFIX.events.jsonl and full-sample journeys to PREFIX.journeys.jsonl (overrides -events/-journeys/-journey-sample)")
-		watchOn    = flag.Bool("watch", false, "run the SLO conformance engine over the live event stream: burn-rate, delivery CUSUM, debt-drift and expiry-spike detectors against the requirement vector (or the scenario's slo section); alerts flow into the event stream and /api/alerts")
-		sloBudget  = flag.Float64("slo-budget", 0, "deadline-miss budget for the -watch burn-rate detector, as a fraction of each link's target (0 = scenario's slo budget, or the default 0.1)")
-		perturbK   = flag.Int64("perturb-interval", -1, "inject one extra packet arrival at this interval (0-based; -1 = off); with -record-for-diff this is the rundiff divergence drill")
-		perturbLnk = flag.Int("perturb-link", 0, "link receiving the -perturb-interval injection")
-		perturbN   = flag.Int("perturb-extra", 1, "packets injected by -perturb-interval")
-	)
-	flag.Parse()
-	if *sampleTx < 1 {
-		fatal(fmt.Errorf("-sample-tx %d must be at least 1 (1 keeps every tx event)", *sampleTx))
-	}
-	if *jSample < 1 {
-		fatal(fmt.Errorf("-journey-sample %d must be at least 1 (1 records every packet)", *jSample))
-	}
-	if *checkev != "" {
-		if err := checkEvents(*checkev); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *checkperf != "" {
-		if err := checkPerfetto(*checkperf); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *checkmet != "" {
-		if err := checkMetrics(*checkmet); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *checkhlth != "" {
-		if err := checkHealthDoc(*checkhlth); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	showTimeline = *timeline
-	showDelay = *delay
-	telemetryPath = *telemetry
-	eventsPath = *events
-	eventSampleTx = *sampleTx
-	cpuprofilePath = *cpuprofile
-	memprofilePath = *memprofile
-	monitorEnabled = *monitorOn || *strict || *flight != ""
-	monitorStrict = *strict
-	perfettoPath = *perfetto
-	flightPath = *flight
-	serveAddr = *serve
-	journeysPath = *journeys
-	journeySample = *jSample
-	traceLogPath = *tracePath
-	traceLogCap = *traceCap
-	ledgerDir = *ledgerFlag
-	healthEnabled = *healthOn || *ringDir != ""
-	profileRingDir = *ringDir
-	healthSlotBudget = *slotBudget
-	watchEnabled = *watchOn || *sloBudget != 0
-	watchSLOBudget = *sloBudget
-	if *recordDiff != "" {
-		eventsPath = *recordDiff + ".events.jsonl"
-		journeysPath = *recordDiff + ".journeys.jsonl"
-		journeySample = 1
-	}
-	if *perturbK >= 0 {
-		perturbSpec = &rtmac.Perturbation{K: *perturbK, Link: *perturbLnk, Extra: *perturbN}
-	}
-
-	if *configPath != "" {
-		cfg, net, configIntervals, err := scenario.LoadAnyFile(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		topo = net
-		runAndReport(cfg, configIntervals)
-		return
-	}
-
-	prof, err := profileByName(*profile)
-	if err != nil {
-		fatal(err)
-	}
-	arr, err := arrivalsByName(*arrivals, *rate)
-	if err != nil {
-		fatal(err)
-	}
-	prot, err := protocolByName(*protoName, *pairs)
-	if err != nil {
-		fatal(err)
-	}
-	linkCfgs := make([]rtmac.Link, *links)
-	for i := range linkCfgs {
-		linkCfgs[i] = rtmac.Link{SuccessProb: *p, Arrivals: arr, DeliveryRatio: *ratio}
-	}
-	runAndReport(rtmac.Config{
-		Seed:     *seed,
-		Profile:  prof,
-		Links:    linkCfgs,
-		Protocol: prot,
-	}, *intervals)
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// The flag globals are set before runAndReport runs; topo carries the named
-// topology when -config pointed at one.
-var (
-	showTimeline     bool
-	showDelay        bool
-	telemetryPath    string
-	eventsPath       string
-	eventSampleTx    int
-	cpuprofilePath   string
-	memprofilePath   string
-	monitorEnabled   bool
-	monitorStrict    bool
-	perfettoPath     string
-	flightPath       string
-	serveAddr        string
-	journeysPath     string
-	journeySample    int
-	traceLogPath     string
-	traceLogCap      int
-	ledgerDir        string
-	healthEnabled    bool
-	profileRingDir   string
-	healthSlotBudget time.Duration
-	watchEnabled     bool
-	watchSLOBudget   float64
-	perturbSpec      *rtmac.Perturbation
-	topo             *topology.Network
-)
+// options holds the parsed command line.
+type options struct {
+	config, protocol, profile, arrivals string
+	links, intervals, pairs             int
+	p, rate, ratio                      float64
+	seed                                uint64
+	timeline, delay, monitor, strict    bool
+	cpuprofile, memprofile              string
+	serve, ledger, record, check        string
+	health                              bool
+	profileRing                         string
+	slotBudget                          time.Duration
+	watch                               bool
+	sloBudget                           float64
+	perturbK                            int64
+	perturbLink, perturbExtra           int
+}
 
-func runAndReport(cfg rtmac.Config, intervals int) {
-	cfg.Perturb = perturbSpec
+// run is the testable entry point: it parses args, runs the simulation or
+// the -check validators, and returns the process exit code. With -serve it
+// keeps serving after the run until ctx is cancelled or the process is
+// interrupted.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rtmacsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.config, "config", "", "JSON scenario file (overrides the other flags; see package rtmac/scenario)")
+	fs.StringVar(&o.protocol, "protocol", "dbdp", "dbdp | ldf | eldf | fcsma | framecsma | tdma | dcf")
+	fs.StringVar(&o.profile, "profile", "control", "video | control")
+	fs.IntVar(&o.links, "links", 10, "number of links")
+	fs.Float64Var(&o.p, "p", 0.7, "per-link delivery probability")
+	fs.StringVar(&o.arrivals, "arrivals", "bernoulli", "bernoulli | video | fixed")
+	fs.Float64Var(&o.rate, "rate", 0.78, "arrival parameter: Bernoulli p, video alpha, or fixed whole count")
+	fs.Float64Var(&o.ratio, "ratio", 0.99, "required delivery ratio")
+	fs.IntVar(&o.intervals, "intervals", 20000, "simulated intervals")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.pairs, "pairs", 1, "DB-DP swap pairs per interval (Remark 6 extension; dbdp only)")
+	fs.BoolVar(&o.timeline, "timeline", false, "render the final interval as an ASCII packet timeline")
+	fs.BoolVar(&o.delay, "delay", false, "report delivery-delay statistics (mean, p50/p95/p99, max)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile taken after the run to this file")
+	fs.BoolVar(&o.monitor, "monitor", false, "run the invariant monitor over the live event stream and report violations")
+	fs.BoolVar(&o.strict, "strict", false, "with the monitor, abort the run at the first invariant violation (implies -monitor)")
+	fs.StringVar(&o.serve, "serve", "", "serve the live observability plane (dashboard, /metrics, /api/progress, /api/links, /events SSE) on this address (e.g. :8080); after the run the server stays up with the final state until interrupted")
+	fs.StringVar(&o.ledger, "ledger", "", "append the run's final metrics (with mergeable partials) to the run ledger in DIR; inspect with ledgerctl")
+	fs.BoolVar(&o.health, "health", false, "enable the runtime health plane: GC/scheduler telemetry, slot-budget watchdog, /api/health on -serve, health summary in manifests")
+	fs.StringVar(&o.profileRing, "profilering", "", "capture continuous CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
+	fs.DurationVar(&o.slotBudget, "slot-budget", 0, "wall-clock budget per simulated interval for the -health watchdog (default: one simulated interval; negative disables the watchdog)")
+	fs.BoolVar(&o.watch, "watch", false, "run the SLO conformance engine over the live event stream: burn-rate, delivery CUSUM, debt-drift and expiry-spike detectors against the requirement vector (or the scenario's slo section); alerts flow into the event stream and /api/alerts")
+	fs.Float64Var(&o.sloBudget, "slo-budget", 0, "deadline-miss budget for the -watch burn-rate detector, as a fraction of each link's target (0 = scenario's slo budget, or the default 0.1)")
+	fs.Int64Var(&o.perturbK, "perturb-interval", -1, "inject one extra packet arrival at this interval (0-based; -1 = off); with -record this is the rundiff divergence drill")
+	fs.IntVar(&o.perturbLink, "perturb-link", 0, "link receiving the -perturb-interval injection")
+	fs.IntVar(&o.perturbExtra, "perturb-extra", 1, "packets injected by -perturb-interval")
+	fs.StringVar(&o.record, "record", "", "record the run into DIR: events.jsonl, journeys.jsonl, flight.jsonl/.txt (implies -monitor), trace.json (Perfetto), metrics.prom/.json, manifest.json, and health.json with -health")
+	fs.StringVar(&o.check, "check", "", "validate a -record directory, or one of its events.jsonl, flight.jsonl, trace.json, metrics.prom or health.json, then exit")
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package already printed the error
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "rtmacsim: unexpected arguments %q\n", fs.Args())
+		return 2
+	}
+	if o.check != "" {
+		return check(o.check, stdout, stderr)
+	}
+	cfg, intervals, topo, err := o.scenario()
+	if err != nil {
+		fmt.Fprintln(stderr, "rtmacsim:", err)
+		return 2
+	}
+	if err := simulate(ctx, o, cfg, intervals, topo, stdout); err != nil {
+		fmt.Fprintln(stderr, "rtmacsim:", err)
+		return 1
+	}
+	return 0
+}
+
+// scenario assembles the run's configuration: the -config file, or the
+// uniform network the flags describe as a scenario document, so both paths
+// share the scenario package's names and validation.
+func (o options) scenario() (rtmac.Config, int, *topology.Network, error) {
+	var (
+		cfg       rtmac.Config
+		topo      *topology.Network
+		intervals int
+		err       error
+	)
+	if o.config != "" {
+		cfg, topo, intervals, err = scenario.LoadAnyFile(o.config)
+	} else {
+		if o.pairs < 1 {
+			return rtmac.Config{}, 0, nil, fmt.Errorf("-pairs %d must be at least 1", o.pairs)
+		}
+		cfg, intervals, err = scenario.Build(scenario.Document{
+			Seed:      o.seed,
+			Intervals: o.intervals,
+			Profile:   scenario.ProfileSpec{Preset: o.profile},
+			Protocol:  scenario.ProtocolSpec{Name: o.protocol, Pairs: o.pairs},
+			Links: []scenario.LinkGroup{{
+				Count:         o.links,
+				SuccessProb:   o.p,
+				Arrivals:      scenario.ArrivalsSpec{Type: o.arrivals, Param: o.rate},
+				DeliveryRatio: o.ratio,
+			}},
+		})
+	}
+	if err != nil {
+		return rtmac.Config{}, 0, nil, err
+	}
+	if o.perturbK >= 0 {
+		cfg.Perturb = &rtmac.Perturbation{K: o.perturbK, Link: o.perturbLink, Extra: o.perturbExtra}
+	}
+	return cfg, intervals, topo, nil
+}
+
+// simulate runs one simulation with the planes o asks for and prints the
+// report. Every stream -record opened is flushed and closed on every return
+// path, a failed run included.
+func simulate(ctx context.Context, o options, cfg rtmac.Config, intervals int, topo *topology.Network, stdout io.Writer) (err error) {
 	sim, err := rtmac.NewSimulation(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if cfg.Conflicts != nil {
-		fmt.Printf("%s\n", cfg.Conflicts)
+		fmt.Fprintf(stdout, "%s\n", cfg.Conflicts)
 	}
-	var tr *rtmac.Trace
-	if showTimeline || traceLogPath != "" {
-		capacity := traceLogCap
-		if traceLogPath == "" || (showTimeline && capacity < 4096) {
-			capacity = 4096
+	// closers flushes and closes the streams -record opened.
+	var closers []func() error
+	defer func() { err = errors.Join(err, closeAll(closers...)) }()
+	var (
+		jt     *rtmac.Journeys
+		stream *rtmac.EventStream
+		trace  *rtmac.PerfettoTrace
+	)
+	if o.record != "" {
+		if err := os.MkdirAll(o.record, 0o755); err != nil {
+			return err
 		}
-		if tr, err = sim.EnableTrace(capacity); err != nil {
-			fatal(err)
+		var f [3]*os.File
+		for i, name := range [...]string{"journeys.jsonl", "events.jsonl", "trace.json"} {
+			if f[i], err = os.Create(filepath.Join(o.record, name)); err != nil {
+				return err
+			}
+			closers = append(closers, f[i].Close)
 		}
-	}
-	var jt *rtmac.Journeys
-	var journeysFile *os.File
-	if journeysPath != "" {
-		journeysFile, err = os.Create(journeysPath)
-		if err != nil {
-			fatal(err)
+		if jt, err = sim.EnableJourneys(f[0], 1); err != nil {
+			return err
 		}
-		if jt, err = sim.EnableJourneys(journeysFile, journeySample); err != nil {
-			fatal(err)
-		}
+		stream = sim.StreamEvents(f[1])
+		trace = sim.ExportPerfetto(f[2])
+		// Each stream's buffered tail goes out before its file closes.
+		closers = append([]func() error{jt.Flush, stream.Flush, trace.Flush}, closers...)
 	}
 	var dl *rtmac.Delay
-	if showDelay {
+	if o.delay {
 		if dl, err = sim.EnableDelayStats(200); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	var dq *rtmac.DelayQuantiles
-	if ledgerDir != "" {
+	if o.ledger != "" {
 		if dq, err = sim.EnableDelaySketch(); err != nil {
-			fatal(err)
+			return err
 		}
-	}
-	var stream *rtmac.EventStream
-	var eventsFile *os.File
-	if eventsPath != "" {
-		eventsFile, err = os.Create(eventsPath)
-		if err != nil {
-			fatal(err)
-		}
-		var opts []rtmac.EventOption
-		if eventSampleTx > 1 {
-			opts = append(opts, rtmac.SampleEvents("tx", eventSampleTx))
-		}
-		stream = sim.StreamEvents(eventsFile, opts...)
-	}
-	var trace *rtmac.PerfettoTrace
-	var perfettoFile *os.File
-	if perfettoPath != "" {
-		perfettoFile, err = os.Create(perfettoPath)
-		if err != nil {
-			fatal(err)
-		}
-		trace = sim.ExportPerfetto(perfettoFile)
 	}
 	var mon *rtmac.Monitor
-	if monitorEnabled {
-		mon, err = sim.EnableMonitor(rtmac.MonitorConfig{Strict: monitorStrict})
-		if err != nil {
-			fatal(err)
+	if o.monitor || o.strict || o.record != "" || o.timeline {
+		if mon, err = sim.EnableMonitor(rtmac.MonitorConfig{Strict: o.strict}); err != nil {
+			return err
 		}
 	}
 	var hp *rtmac.Health
-	if healthEnabled {
-		hp, err = sim.EnableHealth(rtmac.HealthConfig{
-			SlotBudget: healthSlotBudget,
-			ProfileDir: profileRingDir,
-		})
+	if o.health || o.profileRing != "" {
+		hp, err = sim.EnableHealth(rtmac.HealthConfig{SlotBudget: o.slotBudget, ProfileDir: o.profileRing})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if profileRingDir != "" {
-			fmt.Printf("health: runtime collector + slot-budget watchdog on; profile ring -> %s\n", profileRingDir)
+		defer hp.Stop() // idempotent; stops the sampling goroutines on error paths too
+		if o.profileRing != "" {
+			fmt.Fprintf(stdout, "health: runtime collector + slot-budget watchdog on; profile ring -> %s\n", o.profileRing)
 		} else {
-			fmt.Println("health: runtime collector + slot-budget watchdog on")
+			fmt.Fprintln(stdout, "health: runtime collector + slot-budget watchdog on")
 		}
+	}
+	// stopHealth takes the health plane's final collector round and saves
+	// its document into the record directory.
+	stopHealth := func() error {
+		hp.Stop()
+		if o.record == "" {
+			return nil
+		}
+		return writeFile(filepath.Join(o.record, "health.json"), hp.WriteJSON)
 	}
 	var wtch *rtmac.Watch
-	if watchEnabled {
-		wtch, err = sim.EnableWatch(rtmac.WatchConfig{Budget: watchSLOBudget})
-		if err != nil {
-			fatal(err)
+	if o.watch || o.sloBudget != 0 {
+		if wtch, err = sim.EnableWatch(rtmac.WatchConfig{Budget: o.sloBudget}); err != nil {
+			return err
 		}
-		fmt.Println("watch: SLO conformance engine on (burn rate, delivery CUSUM, debt drift, expiry spike)")
+		fmt.Fprintln(stdout, "watch: SLO conformance engine on (burn rate, delivery CUSUM, debt drift, expiry spike)")
 	}
 	var obsrv *rtmac.Observability
-	if serveAddr != "" {
-		obsrv, err = sim.ServeObservability(serveAddr, intervals)
-		if err != nil {
-			fatal(err)
+	if o.serve != "" {
+		if obsrv, err = sim.ServeObservability(o.serve, intervals); err != nil {
+			return err
 		}
-		fmt.Printf("observability: serving on http://%s (dashboard, /metrics, /api/progress, /events)\n",
+		fmt.Fprintf(stdout, "observability: serving on http://%s (dashboard, /metrics, /api/progress, /events)\n",
 			obsrv.Addr())
-		if ledgerDir != "" {
-			if err := obsrv.ServeRunLedger(ledgerDir); err != nil {
-				fatal(err)
+		if o.ledger != "" {
+			if err := obsrv.ServeRunLedger(o.ledger); err != nil {
+				return err
 			}
-			fmt.Printf("observability: run history from %s on /history and /api/runs\n", ledgerDir)
+			fmt.Fprintf(stdout, "observability: run history from %s on /history and /api/runs\n", o.ledger)
 		}
 	}
-	if cpuprofilePath != "" {
-		stopProfile, err := health.StartCPUProfile(cpuprofilePath)
-		if err != nil {
-			fatal(err)
+	if o.cpuprofile != "" {
+		stopProfile, perr := health.StartCPUProfile(o.cpuprofile)
+		if perr != nil {
+			return perr
 		}
-		defer func() {
-			if err := stopProfile(); err != nil {
-				fmt.Fprintln(os.Stderr, "rtmacsim:", err)
-			}
-		}()
+		defer func() { err = errors.Join(err, stopProfile()) }()
 	}
 	start := time.Now()
-	runErr := sim.Run(intervals)
-	if runErr != nil && mon != nil {
+	if err := sim.Run(intervals); err != nil {
 		// A strict-mode abort still gets its post-mortem artifacts: the
 		// violating window is exactly what the flight recorder retains.
-		dumpFlightRecorder(mon)
-		reportViolations(mon)
+		if mon != nil {
+			dumpFlightRecorder(mon, o.record, stdout)
+			reportViolations(mon, stdout)
+		}
+		if wtch != nil {
+			reportAlerts(wtch, stdout)
+		}
+		return err
 	}
-	if runErr != nil && wtch != nil {
-		reportAlerts(wtch)
-	}
-	if runErr != nil {
-		if trace != nil {
-			trace.Flush()
+	if o.record != "" {
+		if err := closeAll(closers...); err != nil {
+			return err
 		}
-		fatal(runErr)
-	}
-	if stream != nil {
-		if err := stream.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := eventsFile.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if trace != nil {
-		if err := trace.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := perfettoFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("perfetto trace: %d events -> %s\n", trace.Count(), perfettoPath)
-	}
-	if jt != nil {
-		if err := jt.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := journeysFile.Close(); err != nil {
-			fatal(err)
-		}
+		closers = nil
 		agg := jt.Attribution()
-		fmt.Printf("journeys: %d of %d packets recorded -> %s\n", jt.Count(), jt.Seen(), journeysPath)
-		fmt.Printf("  delivered %d | expired-in-queue %d | lost-to-channel %d | lost-to-collision %d | never-won-contention %d\n",
+		fmt.Fprintf(stdout, "record: %d events, %d of %d packet journeys, %d trace events -> %s\n",
+			stream.Count(), jt.Count(), jt.Seen(), trace.Count(), o.record)
+		fmt.Fprintf(stdout, "  delivered %d | expired-in-queue %d | lost-to-channel %d | lost-to-collision %d | never-won-contention %d\n",
 			agg.Delivered, agg.ExpiredInQueue, agg.LostToChannel, agg.LostToCollision, agg.NeverWon)
 	}
-	if traceLogPath != "" {
-		f, err := os.Create(traceLogPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.WriteLog(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace: %d transmissions observed; log -> %s\n", tr.Total(), traceLogPath)
-	}
 	if mon != nil {
-		dumpFlightRecorder(mon)
-		reportViolations(mon)
+		dumpFlightRecorder(mon, o.record, stdout)
+		reportViolations(mon, stdout)
 	}
 	if wtch != nil {
-		reportAlerts(wtch)
+		reportAlerts(wtch, stdout)
 	}
-	if hp != nil && serveAddr == "" {
+	if hp != nil && o.serve == "" {
 		// Final collector round before manifests are stamped; with -serve the
-		// plane stays live (the ring keeps capturing) until the signal below.
-		hp.Stop()
-	}
-	if memprofilePath != "" {
-		if err := health.WriteHeapProfile(memprofilePath); err != nil {
-			fatal(err)
+		// plane stays live (the ring keeps capturing) until shutdown.
+		if err := stopHealth(); err != nil {
+			return err
 		}
 	}
-	if telemetryPath != "" {
-		if err := dumpTelemetry(sim, cfg, intervals); err != nil {
-			fatal(err)
+	if o.memprofile != "" {
+		if err := health.WriteHeapProfile(o.memprofile); err != nil {
+			return err
+		}
+	}
+	if o.record != "" {
+		if err := writeMetrics(sim, cfg, intervals, o.record); err != nil {
+			return err
 		}
 	}
 	rep := sim.Report()
-	fmt.Print(rep)
+	fmt.Fprint(stdout, rep)
 	if topo != nil {
-		fmt.Println("link names:")
+		fmt.Fprintln(stdout, "link names:")
 		for i := range rep.Links {
 			name, err := topo.LinkName(i)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			kind, err := topo.KindOf(name)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("  %4d = %s (%s)\n", i, name, kind)
+			fmt.Fprintf(stdout, "  %4d = %s (%s)\n", i, name, kind)
 		}
 	}
-	fmt.Printf("simulated %d intervals (%v of channel time) in %v\n",
+	fmt.Fprintf(stdout, "simulated %d intervals (%v of channel time) in %v\n",
 		intervals, sim.Now().Std(), time.Since(start).Round(time.Millisecond))
 	if hp != nil {
-		sum := hp.Summary()
-		fmt.Printf("health: %d samples · peak heap %.1f MiB · %d GC pauses (~%v total, max %v)",
-			sum.Samples, float64(sum.HeapLivePeakBytes)/(1<<20), sum.GCPauses,
-			time.Duration(sum.GCPauseTotalNS).Round(time.Microsecond),
-			time.Duration(sum.GCPauseMaxNS).Round(time.Microsecond))
-		if sum.WatchdogIntervals > 0 {
-			fmt.Printf(" · slot budget %v: %d/%d overruns",
-				time.Duration(sum.WatchdogBudgetNS), sum.Overruns, sum.WatchdogIntervals)
-			if sum.Overruns > 0 {
-				fmt.Printf(" (worst +%v; gc %d / sched %d / user %d)",
-					time.Duration(sum.MaxOverrunNS).Round(time.Microsecond),
-					sum.StallsGC, sum.StallsSched, sum.StallsUser)
-			}
-		}
-		fmt.Println()
+		printHealth(hp.Summary(), stdout)
 	}
 	if dl != nil && dl.Count() > 0 {
-		p50, err := dl.Quantile(0.5)
-		if err != nil {
-			fatal(err)
+		var q [3]rtmac.Time
+		for i, phi := range []float64{0.5, 0.95, 0.99} {
+			if q[i], err = dl.Quantile(phi); err != nil {
+				return err
+			}
 		}
-		p95, err := dl.Quantile(0.95)
-		if err != nil {
-			fatal(err)
-		}
-		p99, err := dl.Quantile(0.99)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("delivery delay over %d packets: mean %v, p50 %v, p95 %v, p99 %v, max %v\n",
-			dl.Count(), dl.Mean(), p50, p95, p99, dl.Max())
+		fmt.Fprintf(stdout, "delivery delay over %d packets: mean %v, p50 %v, p95 %v, p99 %v, max %v\n",
+			dl.Count(), dl.Mean(), q[0], q[1], q[2], dl.Max())
 	}
-	if ledgerDir != "" {
-		if err := appendLedger(sim, cfg, intervals, rep, dq); err != nil {
-			fatal(err)
+	if o.ledger != "" {
+		if err := appendLedger(sim, cfg, intervals, rep, dq, o.ledger, stdout); err != nil {
+			return err
 		}
 	}
-	if showTimeline && tr != nil && intervals > 0 {
-		fmt.Println()
-		if err := tr.RenderInterval(os.Stdout, int64(intervals-1), 100); err != nil {
-			fatal(err)
+	if o.timeline && intervals > 0 {
+		fmt.Fprintln(stdout)
+		if err := mon.RenderInterval(stdout, int64(intervals-1), 100); err != nil {
+			return err
 		}
 	}
 	if obsrv != nil {
 		// Keep the final metrics, progress and dashboard inspectable after
-		// the run; CI's serve-smoke curls the endpoints here and then sends
-		// SIGTERM for a clean exit.
-		fmt.Printf("observability: run complete; serving final state on http://%s until interrupted\n",
+		// the run, until the caller cancels ctx or the process is told to
+		// stop.
+		ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		fmt.Fprintf(stdout, "observability: run complete; serving final state on http://%s until interrupted\n",
 			obsrv.Addr())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
+		<-ctx.Done()
 		if hp != nil {
-			hp.Stop()
+			if err := stopHealth(); err != nil {
+				return err
+			}
 		}
-		if err := obsrv.Close(); err != nil {
-			fatal(err)
-		}
+		return obsrv.Close()
 	}
+	return nil
 }
 
-// dumpTelemetry writes the metric registry in Prometheus text format to
-// telemetryPath, a JSON snapshot to telemetryPath+".json", and the run
-// manifest to telemetryPath+".manifest.json".
-func dumpTelemetry(sim *rtmac.Simulation, cfg rtmac.Config, intervals int) error {
-	write := func(path string, render func(*os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+// closeAll runs every step, in order, even when an earlier one fails, and
+// returns all failures joined. A failed run must still flush and close every
+// stream -record opened, or a file can lose its buffered tail mid-line.
+func closeAll(steps ...func() error) error {
+	errs := make([]error, len(steps))
+	for i, step := range steps {
+		errs[i] = step()
 	}
+	return errors.Join(errs...)
+}
+
+// writeFile creates path, renders into it and closes it.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(render(f), f.Close())
+}
+
+// writeMetrics writes the metric registry in Prometheus text format
+// (metrics.prom), a JSON snapshot (metrics.json) and the run manifest
+// (manifest.json) into dir.
+func writeMetrics(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, dir string) error {
 	tele := sim.Telemetry()
-	if err := write(telemetryPath, func(f *os.File) error { return tele.WritePrometheus(f) }); err != nil {
-		return err
-	}
-	if err := write(telemetryPath+".json", func(f *os.File) error { return tele.WriteJSON(f) }); err != nil {
-		return err
-	}
 	manifest := sim.Manifest("rtmacsim", map[string]string{
 		"intervals": fmt.Sprint(intervals),
 		"links":     fmt.Sprint(len(cfg.Links)),
 	})
-	return write(telemetryPath+".manifest.json", func(f *os.File) error { return manifest.WriteJSON(f) })
+	return errors.Join(
+		writeFile(filepath.Join(dir, "metrics.prom"), tele.WritePrometheus),
+		writeFile(filepath.Join(dir, "metrics.json"), tele.WriteJSON),
+		writeFile(filepath.Join(dir, "manifest.json"), manifest.WriteJSON),
+	)
+}
+
+// printHealth prints the health plane's one-line run summary.
+func printHealth(sum telemetry.HealthSummary, stdout io.Writer) {
+	fmt.Fprintf(stdout, "health: %d samples · peak heap %.1f MiB · %d GC pauses (~%v total, max %v)",
+		sum.Samples, float64(sum.HeapLivePeakBytes)/(1<<20), sum.GCPauses,
+		time.Duration(sum.GCPauseTotalNS).Round(time.Microsecond),
+		time.Duration(sum.GCPauseMaxNS).Round(time.Microsecond))
+	if sum.WatchdogIntervals > 0 {
+		fmt.Fprintf(stdout, " · slot budget %v: %d/%d overruns",
+			time.Duration(sum.WatchdogBudgetNS), sum.Overruns, sum.WatchdogIntervals)
+		if sum.Overruns > 0 {
+			fmt.Fprintf(stdout, " (worst +%v; gc %d / sched %d / user %d)",
+				time.Duration(sum.MaxOverrunNS).Round(time.Microsecond),
+				sum.StallsGC, sum.StallsSched, sum.StallsUser)
+		}
+	}
+	fmt.Fprintln(stdout)
 }
 
 // appendLedger reduces the finished run to one ledger record — total
 // deficiency (with delay quantiles and the P² sketch partial) plus per-link
 // delivery ratio and throughput, every point carrying its seed-tagged
-// replication — and appends it to the content-addressed store at ledgerDir.
+// replication — and appends it to the content-addressed store at dir.
 // A later `ledgerctl merge` of same-config different-seed records reproduces
 // the multi-seed aggregate exactly.
-func appendLedger(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, rep rtmac.Report, dq *rtmac.DelayQuantiles) error {
+func appendLedger(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, rep rtmac.Report, dq *rtmac.DelayQuantiles, dir string, stdout io.Writer) error {
 	rec := ledger.NewRecorder()
 	defRep := stats.Replication{Seed: cfg.Seed, Value: rep.TotalDeficiency}
 	var sketch *stats.SketchState
@@ -548,7 +477,7 @@ func appendLedger(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, rep rt
 	if err != nil {
 		return err
 	}
-	store, err := ledger.Open(ledgerDir)
+	store, err := ledger.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -556,214 +485,176 @@ func appendLedger(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, rep rt
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ledger: appended %s (%d points, seed %d) to %s\n",
-		id[:12], len(record.Points), cfg.Seed, ledgerDir)
+	fmt.Fprintf(stdout, "ledger: appended %s (%d points, seed %d) to %s\n",
+		id[:12], len(record.Points), cfg.Seed, dir)
 	return nil
 }
 
-// dumpFlightRecorder writes the retained event window to flightPath (JSONL,
-// auditable with -checkevents) and a human-readable timeline alongside.
-// Best-effort: called on the strict-abort path too, where the run error is
-// the news and a dump failure must not mask it.
-func dumpFlightRecorder(mon *rtmac.Monitor) {
-	if flightPath == "" {
+// dumpFlightRecorder writes the retained event window to flight.jsonl in the
+// record directory (auditable with -check) and a human-readable timeline to
+// flight.txt. Best-effort: called on the strict-abort path too, where the
+// run error is the news and a dump failure must not mask it.
+func dumpFlightRecorder(mon *rtmac.Monitor, dir string, stdout io.Writer) {
+	if dir == "" {
 		return
 	}
-	write := func(path string, render func(w io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(flightPath, mon.WriteFlightRecorder); err != nil {
-		fmt.Fprintln(os.Stderr, "rtmacsim: flight recorder:", err)
+	err := errors.Join(
+		writeFile(filepath.Join(dir, "flight.jsonl"), mon.WriteFlightRecorder),
+		writeFile(filepath.Join(dir, "flight.txt"), mon.WriteFlightRecorderTimeline),
+	)
+	if err != nil {
+		fmt.Fprintln(stdout, "flight recorder:", err)
 		return
 	}
-	if err := write(flightPath+".txt", mon.WriteFlightRecorderTimeline); err != nil {
-		fmt.Fprintln(os.Stderr, "rtmacsim: flight recorder:", err)
-		return
-	}
-	fmt.Printf("flight recorder: %d events -> %s (timeline %s.txt)\n",
-		mon.FlightRecorderEvents(), flightPath, flightPath)
+	fmt.Fprintf(stdout, "flight recorder: %d events -> %s (timeline flight.txt)\n",
+		mon.FlightRecorderEvents(), filepath.Join(dir, "flight.jsonl"))
 }
 
 // reportViolations prints the monitor's verdict and details the retained
 // violations when there are any.
-func reportViolations(mon *rtmac.Monitor) {
+func reportViolations(mon *rtmac.Monitor, stdout io.Writer) {
 	if mon.Count() == 0 {
-		fmt.Println("monitor: no invariant violations")
+		fmt.Fprintln(stdout, "monitor: no invariant violations")
 		return
 	}
-	fmt.Printf("monitor: %d invariant violations\n", mon.Count())
+	fmt.Fprintf(stdout, "monitor: %d invariant violations\n", mon.Count())
 	for _, v := range mon.Violations() {
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(stdout, "  %s\n", v)
 	}
 }
 
 // reportAlerts prints the watch engine's verdict: a clean-bill line when no
 // detector fired, otherwise the counts plus the retained transitions.
-func reportAlerts(w *rtmac.Watch) {
+func reportAlerts(w *rtmac.Watch, stdout io.Writer) {
 	if w.Count() == 0 {
-		fmt.Println("watch: no SLO alerts")
+		fmt.Fprintln(stdout, "watch: no SLO alerts")
 		return
 	}
-	fmt.Printf("watch: %d SLO alerts (%d still firing)\n", w.Count(), w.Firing())
+	fmt.Fprintf(stdout, "watch: %d SLO alerts (%d still firing)\n", w.Count(), w.Firing())
 	for _, a := range w.Alerts() {
-		fmt.Printf("  %s\n", a)
+		fmt.Fprintf(stdout, "  %s\n", a)
 	}
 }
 
-// checkEvents audits a JSONL event file end to end: every line must parse,
+// checkers maps each record artifact that has a validator to it; -check
+// picks one by base name.
+var checkers = map[string]func(r io.Reader) (string, error){
+	"events.jsonl": checkEvents,
+	"flight.jsonl": checkEvents,
+	"trace.json":   checkPerfetto,
+	"metrics.prom": checkMetrics,
+	"health.json":  checkHealthDoc,
+}
+
+// check validates a record directory — every artifact with a validator,
+// health.json only when present — or a single artifact. It returns 0 when
+// everything validates, 1 when anything is missing or invalid, and 2 when
+// path is neither a directory nor an artifact -check knows.
+func check(path string, stdout, stderr io.Writer) int {
+	var names []string
+	for name := range checkers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	paths := []string{path}
+	if info, err := os.Stat(path); err == nil && info.IsDir() {
+		paths = paths[:0]
+		for _, name := range names {
+			p := filepath.Join(path, name)
+			if _, err := os.Stat(p); name == "health.json" && errors.Is(err, os.ErrNotExist) {
+				continue
+			}
+			paths = append(paths, p)
+		}
+	} else if checkers[filepath.Base(path)] == nil {
+		fmt.Fprintf(stderr, "rtmacsim: -check %s: want a record directory or one of %s\n",
+			path, strings.Join(names, ", "))
+		return 2
+	}
+	code := 0
+	for _, p := range paths {
+		err := func() error {
+			f, err := os.Open(p)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			verdict, err := checkers[filepath.Base(p)](f)
+			if err != nil {
+				return fmt.Errorf("%s: %w", p, err)
+			}
+			fmt.Fprintf(stdout, "%s: %s\n", p, verdict)
+			return nil
+		}()
+		if err != nil {
+			fmt.Fprintln(stderr, "rtmacsim:", err)
+			code = 1
+		}
+	}
+	return code
+}
+
+// checkEvents audits a JSONL event stream end to end: every line must parse,
 // at least one event must be present, and the recorded run must pass the
 // invariant checkers (offline, with the monitoring configuration inferred
-// from the stream). Used by `make telemetry-smoke`, `make monitor-smoke`
-// and CI to guard both the stream format and the run it records.
-func checkEvents(path string) error {
-	f, err := os.Open(path)
+// from the stream).
+func checkEvents(r io.Reader) (string, error) {
+	events, err := rtmac.DecodeEvents(r)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	events, err := rtmac.DecodeEvents(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return "", err
 	}
 	if len(events) == 0 {
-		return fmt.Errorf("%s: no events", path)
+		return "", fmt.Errorf("no events")
+	}
+	violations, err := rtmac.AuditEvents(events)
+	if err != nil {
+		return "", err
+	}
+	if len(violations) > 0 {
+		lines := make([]string, len(violations))
+		for i, v := range violations {
+			lines[i] = "  " + v.String()
+		}
+		return "", fmt.Errorf("%d invariant violations:\n%s", len(violations), strings.Join(lines, "\n"))
 	}
 	kinds := map[string]int{}
 	for _, ev := range events {
 		kinds[ev.Kind]++
 	}
-	fmt.Printf("%s: %d events ok (", path, len(events))
-	for i, kind := range []string{"tx", "interval", "swap", "debt", "backoff", "prio", "violation", "alert"} {
-		if i > 0 {
-			fmt.Print(", ")
-		}
-		fmt.Printf("%d %s", kinds[kind], kind)
+	counts := make([]string, 0, 8)
+	for _, kind := range []string{"tx", "interval", "swap", "debt", "backoff", "prio", "violation", "alert"} {
+		counts = append(counts, fmt.Sprintf("%d %s", kinds[kind], kind))
 	}
-	fmt.Println(")")
-	violations, err := rtmac.AuditEvents(events)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "  %s\n", v)
-		}
-		return fmt.Errorf("%s: %d invariant violations", path, len(violations))
-	}
-	fmt.Printf("%s: invariant audit clean\n", path)
-	return nil
+	return fmt.Sprintf("%d events ok (%s); invariant audit clean", len(events), strings.Join(counts, ", ")), nil
 }
 
-// checkMetrics validates a Prometheus text-format metrics file — one written
-// by -telemetry or scraped from a -serve plane's /metrics endpoint — and
-// prints its sample count. Used by `make serve-smoke` and CI to guard the
-// scrape format.
-func checkMetrics(path string) error {
-	f, err := os.Open(path)
+// checkMetrics validates a Prometheus text exposition, the format of
+// metrics.prom and of a -serve plane's /metrics endpoint.
+func checkMetrics(r io.Reader) (string, error) {
+	n, err := rtmac.ValidatePrometheusText(r)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	n, err := rtmac.ValidatePrometheusText(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return "", err
 	}
 	if n == 0 {
-		return fmt.Errorf("%s: no samples", path)
+		return "", fmt.Errorf("no samples")
 	}
-	fmt.Printf("%s: %d samples ok\n", path, n)
-	return nil
+	return fmt.Sprintf("%d samples ok", n), nil
 }
 
-// checkHealthDoc validates an /api/health JSON document saved to a file.
-// Used by `make health-smoke` and CI to guard the endpoint's shape.
-func checkHealthDoc(path string) error {
-	f, err := os.Open(path)
+// checkHealthDoc validates an /api/health document.
+func checkHealthDoc(r io.Reader) (string, error) {
+	if err := rtmac.ValidateHealthDoc(r); err != nil {
+		return "", err
+	}
+	return "health document ok", nil
+}
+
+// checkPerfetto validates a trace_event JSON document, guarding that an
+// exported trace loads in a viewer.
+func checkPerfetto(r io.Reader) (string, error) {
+	n, err := rtmac.ValidatePerfettoTrace(r)
 	if err != nil {
-		return err
+		return "", err
 	}
-	defer f.Close()
-	if err := rtmac.ValidateHealthDoc(f); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: health document ok\n", path)
-	return nil
-}
-
-// checkPerfetto validates a trace_event JSON file written by -perfetto and
-// prints its event count. Used by `make monitor-smoke` and CI to guard that
-// exported traces load in a viewer.
-func checkPerfetto(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	n, err := rtmac.ValidatePerfettoTrace(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: %d trace events ok\n", path, n)
-	return nil
-}
-
-func profileByName(name string) (rtmac.Profile, error) {
-	switch name {
-	case "video":
-		return rtmac.VideoProfile(), nil
-	case "control":
-		return rtmac.ControlProfile(), nil
-	default:
-		return rtmac.Profile{}, fmt.Errorf("unknown profile %q (want video or control)", name)
-	}
-}
-
-func arrivalsByName(name string, rate float64) (rtmac.Arrivals, error) {
-	switch name {
-	case "bernoulli":
-		return rtmac.BernoulliArrivals(rate)
-	case "video":
-		return rtmac.VideoArrivals(rate)
-	case "fixed":
-		return rtmac.FixedArrivals(int(rate)), nil
-	default:
-		return rtmac.Arrivals{}, fmt.Errorf("unknown arrival process %q", name)
-	}
-}
-
-func protocolByName(name string, pairs int) (rtmac.Protocol, error) {
-	switch name {
-	case "dbdp":
-		if pairs != 1 {
-			return rtmac.DBDP(rtmac.WithSwapPairs(pairs)), nil
-		}
-		return rtmac.DBDP(), nil
-	case "ldf":
-		return rtmac.LDF(), nil
-	case "eldf":
-		return rtmac.ELDF(rtmac.PaperInfluence()), nil
-	case "fcsma":
-		return rtmac.FCSMA(), nil
-	case "framecsma":
-		return rtmac.FrameCSMA(), nil
-	case "tdma":
-		return rtmac.TDMA(), nil
-	case "dcf":
-		return rtmac.DCF(), nil
-	default:
-		return rtmac.Protocol{}, fmt.Errorf("unknown protocol %q", name)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtmacsim:", err)
-	os.Exit(1)
+	return fmt.Sprintf("%d trace events ok", n), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,8 @@ import (
 	"testing"
 
 	"rtmac"
+	"rtmac/internal/watch"
+	"rtmac/scenario"
 )
 
 // recordRun simulates a short feasible DB-DP run (5 links, the paper's
@@ -135,6 +138,92 @@ func TestAlertsArtifact(t *testing.T) {
 	}
 	if !bytes.Contains(data, []byte(`"burn_rate"`)) {
 		t.Errorf("alerts artifact missing burn_rate transitions: %s", data)
+	}
+}
+
+// recordScenario records the full event stream of a scenario file's run,
+// optionally perturbed, and returns its path.
+func recordScenario(t *testing.T, path string, perturb *rtmac.Perturbation) string {
+	t.Helper()
+	cfg, _, intervals, err := scenario.LoadAnyFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Perturb = perturb
+	s, err := rtmac.NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "events.jsonl")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stream := s.StreamEvents(f)
+	if err := s.Run(intervals); err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFactoryScenario audits the feasible factory scenario: its recorded
+// stream conforms to the requirement vector of a feasibility document (the
+// per_link section `feascheck -json` emits), and a replay with 40 extra
+// packets injected at interval 600 raises the expiry spike, exit 1 exactly,
+// with the alert persisted to the -alerts artifact.
+func TestFactoryScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 20000-interval runs")
+	}
+	const factory = "../../scenarios/factory.json"
+	cfg, _, _, err := scenario.LoadAnyFile(factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rtmac.CheckFeasibility(cfg, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible {
+		t.Fatal("factory scenario assessed infeasible")
+	}
+	doc, err := json.Marshal(map[string]any{"feasible": res.Feasible, "per_link": res.PerLink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slo := filepath.Join(t.TempDir(), "slo.json")
+	if err := os.WriteFile(slo, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out, errs := runWatch(context.Background(), "-check", "-slo", slo, recordScenario(t, factory, nil)); code != 0 {
+		t.Fatalf("clean factory stream: exit %d, want 0:\n%s%s", code, out, errs)
+	}
+
+	spiked := recordScenario(t, factory, &rtmac.Perturbation{K: 600, Link: 0, Extra: 40})
+	alertsPath := filepath.Join(t.TempDir(), "alerts.jsonl")
+	if code, out, errs := runWatch(context.Background(), "-check", "-alerts", alertsPath, "-scenario", factory, spiked); code != 1 {
+		t.Fatalf("perturbed factory stream: exit %d, want 1:\n%s%s", code, out, errs)
+	}
+	data, err := os.ReadFile(alertsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spikes := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var a watch.Alert
+		if err := json.Unmarshal(line, &a); err != nil {
+			t.Fatalf("alert line %q: %v", line, err)
+		}
+		if a.Detector == watch.DetectorExpirySpike {
+			spikes++
+		}
+	}
+	if spikes == 0 {
+		t.Errorf("alerts artifact has no expiry spike:\n%s", data)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command tracequery filters, aggregates and pretty-prints packet-journey
-// streams recorded by `rtmacsim -journeys` (or Simulation.EnableJourneys):
+// streams recorded by `rtmacsim -record` (or Simulation.EnableJourneys):
 // per-cause deadline-miss attribution tables, per-link breakdowns, delivery
 // delay percentiles, and human-readable journey listings.
 //
@@ -10,7 +10,7 @@
 //	tracequery -cause lost-to-collision -print 5 journeys.jsonl
 //	tracequery -link 3 journeys.jsonl      # one link only
 //	tracequery -check journeys.jsonl       # validate every span; exit 1 on malformed
-//	rtmacsim -journeys /dev/stdout ... | tracequery -check -
+//	tracequery -check - < run/journeys.jsonl
 //
 // Decoding parallelizes across -workers goroutines sharded by line; results
 // are merged in input order, so the output is byte-identical for any worker

@@ -16,7 +16,7 @@ type Delay struct {
 
 // EnableDelayStats starts collecting delivery-delay statistics with the
 // given histogram resolution (buckets per deadline; 100 is a fine default).
-// Call before Run. It can coexist with EnableTrace.
+// Call before Run.
 func (s *Simulation) EnableDelayStats(resolution int) (*Delay, error) {
 	d, err := metrics.NewDelayStats(s.profileInterval, resolution)
 	if err != nil {
@@ -62,8 +62,7 @@ type DelayQuantiles struct {
 }
 
 // EnableDelaySketch starts streaming delivery delays through the quantile
-// sketch. Call before Run; it can coexist with EnableDelayStats and
-// EnableTrace.
+// sketch. Call before Run; it can coexist with EnableDelayStats.
 func (s *Simulation) EnableDelaySketch() (*DelayQuantiles, error) {
 	d, err := metrics.NewDelaySketch(s.profileInterval)
 	if err != nil {

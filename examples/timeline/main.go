@@ -33,7 +33,9 @@ func show(name string, protocol rtmac.Protocol) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := sim.EnableTrace(512)
+	// The monitor's flight recorder keeps the last 64 intervals of events,
+	// so the final interval's transmissions are there to draw.
+	mon, err := sim.EnableMonitor(rtmac.MonitorConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func show(name string, protocol rtmac.Protocol) {
 	rep := sim.Report()
 	fmt.Printf("=== %s (interval %d of %d; %d collisions total) ===\n",
 		name, intervals-1, intervals, rep.Channel.Collisions)
-	if err := tr.RenderInterval(os.Stdout, intervals-1, 100); err != nil {
+	if err := mon.RenderInterval(os.Stdout, intervals-1, 100); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()

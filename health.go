@@ -1,6 +1,7 @@
 package rtmac
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -127,6 +128,14 @@ func (h *Health) doc() health.Doc {
 	return health.BuildDoc(h.col, h.dog, h.ring)
 }
 
+// WriteJSON writes the /api/health document of this plane as indented
+// JSON; ValidateHealthDoc reads it back.
+func (h *Health) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(h.doc())
+}
+
 // healthDoc is the /api/health provider: a disabled-but-identified document
 // when no health plane is attached, the live one otherwise. Reading s.health
 // from HTTP handlers is safe — EnableHealth is a pre-Run setup call, like
@@ -139,8 +148,8 @@ func (s *Simulation) healthDoc() any {
 }
 
 // ValidateHealthDoc parses an /api/health JSON document and checks its
-// structural invariants. `rtmacsim -checkhealth` and the CI health smoke
-// test use it to guard the endpoint.
+// structural invariants. `rtmacsim -check` uses it to guard the endpoint
+// and the health.json a record directory holds.
 func ValidateHealthDoc(r io.Reader) error {
 	_, err := health.ValidateDoc(r)
 	return err

@@ -11,8 +11,7 @@ import (
 // arrivals on one link. The wrapper draws nothing from the RNG itself, so the
 // wrapped process consumes exactly the same random stream as it would bare —
 // two runs differing only by a Perturb are byte-identical up to interval K
-// and diverge there, which is what the rundiff divergence tests (and
-// `make rundiff-smoke`) rely on.
+// and diverge there, which is what the rundiff divergence tests rely on.
 type Perturb struct {
 	inner VectorProcess
 	k     int64

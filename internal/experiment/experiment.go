@@ -78,7 +78,7 @@ type RunOptions struct {
 	// one-seed run's seed cannot be reproduced inside a two-seed run. An
 	// explicit list restores that control, letting separately recorded runs
 	// merge into exactly what one combined run would have produced (see the
-	// run ledger and `make ledger-smoke`).
+	// run ledger and cmd/ledgerctl's TestLedgerFlow).
 	SeedList []uint64
 	// Monitor runs the strict invariant monitor inside every simulation: a
 	// violation of the paper's structural guarantees fails the figure instead

@@ -74,7 +74,8 @@ func BuildDoc(c *Collector, w *Watchdog, r *ProfileRing) Doc {
 // ValidateDoc parses a health document (e.g. fetched from /api/health) and
 // checks its structural invariants: the runtime block must identify a Go
 // toolchain, and an enabled document must carry collector state. Used by
-// `rtmacsim -checkhealth` and `make health-smoke` to guard the endpoint.
+// `rtmacsim -check` to guard the endpoint and a record directory's
+// health.json.
 func ValidateDoc(r io.Reader) (Doc, error) {
 	var d Doc
 	dec := json.NewDecoder(r)

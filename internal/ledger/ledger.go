@@ -248,13 +248,11 @@ type Store struct {
 	dir string
 }
 
-// Open ensures the ledger directory exists and returns the store.
+// Open returns the store in dir without touching the file system: a
+// missing directory reads as an empty ledger, and Append creates it.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("ledger: empty directory")
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "records"), 0o755); err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	return &Store{dir: dir}, nil
 }
@@ -269,12 +267,16 @@ func (s *Store) recordPath(id string) string {
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.jsonl") }
 
 // Append stores the record and appends an index line, returning the content
-// ID. Appending a record that is already present is a no-op returning the
-// same ID — the store is idempotent, never mutating.
+// ID, creating the ledger directory if needed. Appending a record that is
+// already present is a no-op returning the same ID — the store is
+// idempotent, never mutating.
 func (s *Store) Append(r *Record) (string, error) {
 	data, err := r.Encode()
 	if err != nil {
 		return "", err
+	}
+	if err := os.MkdirAll(filepath.Join(s.dir, "records"), 0o755); err != nil {
+		return "", fmt.Errorf("ledger: %w", err)
 	}
 	sum := sha256.Sum256(data)
 	id := hex.EncodeToString(sum[:])

@@ -9,7 +9,7 @@
 // sticky error that fails the run at the end of the offending interval.
 //
 // The same checkers run online (Monitor implements telemetry.Sink) and
-// offline (Audit replays a recorded event stream), so `-checkevents` audits
+// offline (Audit replays a recorded event stream), so `rtmacsim -check` audits
 // yesterday's JSONL dump with exactly the code that guarded the live run.
 package monitor
 
@@ -212,7 +212,7 @@ func (m *Monitor) Err() error { return m.err }
 
 // Audit replays a recorded event stream through a fresh monitor built from
 // cfg and returns every violation found — the offline twin of the online
-// monitor, used by `rtmacsim -checkevents`.
+// monitor, used by `rtmacsim -check`.
 func Audit(events []telemetry.Event, cfg Config) ([]Violation, error) {
 	cfg.Strict = false
 	cfg.Output = nil

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 
+	"rtmac/internal/medium"
+	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
 
@@ -168,7 +170,7 @@ func (r *FlightRecorder) Events() []telemetry.Event {
 
 // WriteJSONL dumps the retained window as JSON Lines — the same format and
 // encoder the live event stream uses, so each dumped line equals the stream's
-// line for that event and `rtmacsim -checkevents` audits a dump directly.
+// line for that event and `rtmacsim -check` audits a dump directly.
 func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
 	var line []byte
 	for _, ev := range r.Events() {
@@ -210,6 +212,69 @@ func (r *FlightRecorder) WriteTimeline(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// RenderTimeline draws the tx events that overlap [from, to) as one ASCII
+// lane per link, with one lane for every link up to the highest that
+// transmitted anywhere in events: each column is (to-from)/width of
+// simulated time, 'D' marks a delivered data exchange, 'x' a channel loss,
+// 'C' a collision, 'e' an empty frame, and '.' idle time. Events of other
+// kinds are ignored.
+func RenderTimeline(w io.Writer, events []telemetry.Event, from, to sim.Time, width int) error {
+	if to <= from {
+		return fmt.Errorf("monitor: empty window [%v, %v)", from, to)
+	}
+	if width < 10 {
+		width = 80
+	}
+	maxLink := -1
+	for _, ev := range events {
+		if ev.Kind == telemetry.EventTx && ev.Link > maxLink {
+			maxLink = ev.Link
+		}
+	}
+	if maxLink < 0 {
+		return fmt.Errorf("monitor: no transmissions to render")
+	}
+	lanes := make([][]byte, maxLink+1)
+	for i := range lanes {
+		lanes[i] = []byte(strings.Repeat(".", width))
+	}
+	span := float64(to - from)
+	for _, ev := range events {
+		start, end := ev.At-sim.Time(ev.Fields["dur"]), ev.At
+		if ev.Kind != telemetry.EventTx || end <= from || start >= to {
+			continue
+		}
+		glyph := byte('D')
+		switch outcome := medium.Outcome(ev.Fields["outcome"]); {
+		case outcome == medium.Collided:
+			glyph = 'C'
+		case ev.Fields["empty"] != 0:
+			glyph = 'e'
+		case outcome == medium.Lost:
+			glyph = 'x'
+		}
+		lo := int(float64(start-from) / span * float64(width))
+		hi := int(float64(end-from) / span * float64(width))
+		if lo < 0 {
+			lo = 0
+		}
+		if hi >= width {
+			hi = width - 1
+		}
+		for c := lo; c <= hi; c++ {
+			lanes[ev.Link][c] = glyph
+		}
+	}
+	fmt.Fprintf(w, "timeline %v .. %v (one column = %.1fus)\n", from, to, span/float64(width))
+	for link, lane := range lanes {
+		if _, err := fmt.Fprintf(w, "link %2d |%s|\n", link, lane); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintln(w, "legend: D delivered, x lost, C collided, e empty frame, . idle")
+	return err
 }
 
 // formatEvent renders one event as a timeline line, with kind-aware phrasing

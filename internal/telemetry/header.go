@@ -7,7 +7,7 @@ import (
 
 // Stream schema identities. Every versioned JSONL stream written by the
 // simulator opens with one StreamHeader line naming its schema, so readers
-// (rundiff, tracequery, -checkevents) can refuse or adapt to a mismatched
+// (rundiff, tracequery, rtmacsim -check) can refuse or adapt to a mismatched
 // layout instead of mis-parsing it. Headerless streams are legacy: readers
 // accept them and assume version 1 of whatever schema they expect.
 const (

@@ -22,8 +22,8 @@ type histState struct {
 // exporter promises: valid metric and label syntax, a TYPE declaration before
 // every sample family, parseable values (including +Inf/-Inf/NaN), and
 // internally consistent histograms (strictly increasing bucket bounds,
-// non-decreasing cumulative counts, _count equal to the +Inf bucket). The
-// serve-smoke CI job and the concurrent-scrape tests both run scrapes
+// non-decreasing cumulative counts, _count equal to the +Inf bucket).
+// rtmacsim's serve test and the concurrent-scrape tests both run scrapes
 // through it.
 func ValidatePrometheus(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)

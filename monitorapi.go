@@ -60,8 +60,9 @@ func violationsOut(in []monitor.Violation) []Violation {
 // single-adjacent-swap, collision-freedom, Eq. 1 debt bookkeeping, airtime
 // conservation) and carries the flight recorder.
 type Monitor struct {
-	m   *monitor.Monitor
-	rec *monitor.FlightRecorder
+	m        *monitor.Monitor
+	rec      *monitor.FlightRecorder
+	interval Time
 }
 
 // simFanout forwards an event to every sink attached to the simulation at
@@ -107,7 +108,7 @@ func (s *Simulation) EnableMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
-	wrapped := &Monitor{m: m}
+	wrapped := &Monitor{m: m, interval: s.profileInterval}
 	if cfg.FlightRecorderIntervals >= 0 {
 		window := cfg.FlightRecorderIntervals
 		if window == 0 {
@@ -138,8 +139,8 @@ func (m *Monitor) Violations() []Violation { return violationsOut(m.m.Violations
 func (m *Monitor) Err() error { return m.m.Err() }
 
 // WriteFlightRecorder dumps the retained event window as JSON Lines — the
-// same format StreamEvents writes, so `rtmacsim -checkevents` can audit a
-// dump directly. Returns an error when the recorder was disabled.
+// same format StreamEvents writes, so `rtmacsim -check` can audit a dump
+// directly. Returns an error when the recorder was disabled.
 func (m *Monitor) WriteFlightRecorder(w io.Writer) error {
 	if m.rec == nil {
 		return fmt.Errorf("rtmac: flight recorder disabled")
@@ -154,6 +155,19 @@ func (m *Monitor) WriteFlightRecorderTimeline(w io.Writer) error {
 		return fmt.Errorf("rtmac: flight recorder disabled")
 	}
 	return m.rec.WriteTimeline(w)
+}
+
+// RenderInterval draws the k-th interval from the flight recorder's tx
+// events as an ASCII timeline, one lane per link: 'D' delivered data, 'x'
+// channel loss, 'C' collision, 'e' empty priority-claiming frame, '.' idle.
+// Only intervals still in the recorder's window can be drawn. Returns an
+// error when the recorder was disabled.
+func (m *Monitor) RenderInterval(w io.Writer, k int64, width int) error {
+	if m.rec == nil {
+		return fmt.Errorf("rtmac: flight recorder disabled")
+	}
+	from := Time(k) * m.interval
+	return monitor.RenderTimeline(w, m.rec.Events(), from, from+m.interval, width)
 }
 
 // FlightRecorderEvents returns how many events the recorder has seen (zero

@@ -495,7 +495,27 @@ func TestLabels(t *testing.T) {
 	}
 }
 
-func TestTraceCapturesAndRenders(t *testing.T) {
+// timelineLanes renders interval k from the monitor's flight recorder and
+// returns its lanes, failing unless the legend is present.
+func timelineLanes(t *testing.T, mon *rtmac.Monitor, k int64) []string {
+	t.Helper()
+	var out strings.Builder
+	if err := mon.RenderInterval(&out, k, 80); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "legend: D delivered") {
+		t.Fatalf("timeline has no legend:\n%s", out.String())
+	}
+	var lanes []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "link") {
+			lanes = append(lanes, line[strings.Index(line, "|")+1:strings.LastIndex(line, "|")])
+		}
+	}
+	return lanes
+}
+
+func TestMonitorRenderIntervalDBDPHasNoCollisions(t *testing.T) {
 	sim, err := rtmac.NewSimulation(rtmac.Config{
 		Seed:     5,
 		Profile:  rtmac.ControlProfile(),
@@ -505,39 +525,30 @@ func TestTraceCapturesAndRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sim.EnableTrace(256)
+	mon, err := sim.EnableMonitor(rtmac.MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(20); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Total() == 0 {
-		t.Fatal("trace observed no transmissions")
-	}
-	var log strings.Builder
-	if err := tr.WriteLog(&log); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(log.String(), "delivered") {
-		t.Fatalf("trace log has no deliveries:\n%s", log.String())
-	}
-	var timeline strings.Builder
-	if err := tr.RenderInterval(&timeline, 19, 80); err != nil {
-		t.Fatal(err)
-	}
-	out := timeline.String()
-	if !strings.Contains(out, "legend") || !strings.Contains(out, "link") {
-		t.Fatalf("timeline malformed:\n%s", out)
-	}
-	// DB-DP never collides: no 'C' may appear in any lane.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "link") && strings.Contains(line, "C") {
-			t.Fatalf("collision glyph in DB-DP timeline: %s", line)
+	for k := int64(0); k < 20; k++ {
+		lanes := timelineLanes(t, mon, k)
+		if len(lanes) != 4 {
+			t.Fatalf("interval %d: %d lanes, want one per link", k, len(lanes))
+		}
+		for link, lane := range lanes {
+			if len(lane) != 80 {
+				t.Fatalf("interval %d link %d: lane is %d columns, want 80", k, link, len(lane))
+			}
+			// DB-DP never collides: no 'C' may appear in any lane.
+			if strings.Contains(lane, "C") {
+				t.Fatalf("interval %d: collision glyph in DB-DP lane %d: %s", k, link, lane)
+			}
 		}
 	}
-	if _, err := sim.EnableTrace(0); err == nil {
-		t.Fatal("zero-capacity trace accepted")
+	if !strings.Contains(strings.Join(timelineLanes(t, mon, 19), ""), "D") {
+		t.Fatal("final interval draws no delivery")
 	}
 }
 

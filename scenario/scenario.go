@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"rtmac"
@@ -181,9 +182,10 @@ type ProfileSpec struct {
 
 // ProtocolSpec selects the policy.
 type ProtocolSpec struct {
-	// Name is dbdp | ldf | eldf | fcsma | framecsma | dcf.
+	// Name is dbdp | ldf | eldf | fcsma | framecsma | tdma | dcf.
 	Name string `json:"name"`
-	// Pairs enables DB-DP's multi-pair extension when > 1.
+	// Pairs enables DB-DP's multi-pair extension when > 1; other
+	// protocols reject it.
 	Pairs int `json:"pairs,omitempty"`
 	// Frozen disables DB-DP's reordering.
 	Frozen bool `json:"frozen,omitempty"`
@@ -330,6 +332,9 @@ func buildProtocol(spec ProtocolSpec) (rtmac.Protocol, error) {
 			return rtmac.InfluenceFunc{}, fmt.Errorf("scenario: unknown influence %q", spec.Influence)
 		}
 	}
+	if spec.Pairs < 0 || (spec.Pairs > 1 && spec.Name != "dbdp") {
+		return rtmac.Protocol{}, fmt.Errorf("scenario: %d swap pairs: only dbdp takes more than one", spec.Pairs)
+	}
 	switch spec.Name {
 	case "dbdp":
 		var opts []rtmac.DBDPOption
@@ -379,6 +384,11 @@ func buildArrivals(spec ArrivalsSpec) (rtmac.Arrivals, error) {
 	case "video":
 		return rtmac.VideoArrivals(spec.Param)
 	case "fixed":
+		// A fractional count would truncate silently (0.78 → no traffic at
+		// all), and a negative one is no arrival process.
+		if spec.Param < 0 || spec.Param > math.MaxInt32 || spec.Param != math.Trunc(spec.Param) {
+			return rtmac.Arrivals{}, fmt.Errorf("fixed arrivals need a whole, non-negative packet count, got %v", spec.Param)
+		}
 		return rtmac.FixedArrivals(int(spec.Param)), nil
 	case "bursty":
 		return rtmac.BurstyArrivals(spec.Param, spec.Lo, spec.Hi)

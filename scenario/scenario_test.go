@@ -175,6 +175,10 @@ func TestRejections(t *testing.T) {
 		{"bad arrivals", func(d *Document) { d.Links[0].Arrivals.Type = "poisson" }},
 		{"bad influence", func(d *Document) { d.Protocol = ProtocolSpec{Name: "eldf", Influence: "exp"} }},
 		{"zero count", func(d *Document) { d.Links[0].Count = 0 }},
+		{"fractional fixed count", func(d *Document) { d.Links[0].Arrivals.Param = 0.78 }},
+		{"negative fixed count", func(d *Document) { d.Links[0].Arrivals.Param = -2 }},
+		{"negative pairs", func(d *Document) { d.Protocol = ProtocolSpec{Name: "dbdp", Pairs: -1} }},
+		{"pairs on a non-dbdp protocol", func(d *Document) { d.Protocol.Pairs = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -45,8 +45,8 @@ func (t Telemetry) Counter(name string) (int64, error) {
 // exposition (the format served at /metrics and written by WritePrometheus):
 // every sample parses, histograms have monotone cumulative buckets ending in
 // +Inf, and _count agrees with the +Inf bucket. It returns the number of
-// samples read. Used by `rtmacsim -checkmetrics` and the CI smoke test to
-// guard the scrape endpoint.
+// samples read. Used by `rtmacsim -check` to guard the metrics a record
+// directory holds, which share the scrape endpoint's format.
 func ValidatePrometheusText(r io.Reader) (int, error) {
 	return telemetry.ValidatePrometheus(r)
 }

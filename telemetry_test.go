@@ -193,34 +193,53 @@ func TestManifest(t *testing.T) {
 	}
 }
 
-// TestTraceSharesTelemetryHook verifies the packet recorder can ride the
-// telemetry event stream instead of a private medium hook and reconstruct
-// the same records.
-func TestTraceSharesTelemetryHook(t *testing.T) {
-	s := controlSim(t, 5)
-	tr, err := s.EnableTrace(4096)
+// TestMonitorRenderIntervalDrawsCollisions renders DCF intervals from the
+// flight recorder: every collision the channel counted in a retained
+// interval must show up as a 'C' in some lane, and a disabled recorder has
+// nothing to draw.
+func TestMonitorRenderIntervalDrawsCollisions(t *testing.T) {
+	links := make([]rtmac.Link, 8)
+	for i := range links {
+		links[i] = rtmac.Link{SuccessProb: 0.7, Arrivals: rtmac.MustBernoulliArrivals(0.9), DeliveryRatio: 0.95}
+	}
+	s, err := rtmac.NewSimulation(rtmac.Config{
+		Seed: 11, Profile: rtmac.ControlProfile(), Links: links, Protocol: rtmac.DCF(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	stream := s.StreamEvents(&buf)
-	if err := s.Run(20); err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := telemetry.DecodeJSONL(&buf)
+	mon, err := s.EnableMonitor(rtmac.MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := 0
-	for _, ev := range events {
-		if ev.Kind == telemetry.EventTx {
-			tx++
+	const intervals = 40
+	if err := s.Run(intervals); err != nil {
+		t.Fatal(err)
+	}
+	if s.Report().Channel.Collisions == 0 {
+		t.Fatal("DCF run had no collisions to draw")
+	}
+	drawn := 0
+	for k := int64(0); k < intervals; k++ {
+		lanes := timelineLanes(t, mon, k)
+		if len(lanes) != len(links) {
+			t.Fatalf("interval %d: %d lanes, want %d", k, len(lanes), len(links))
 		}
+		drawn += strings.Count(strings.Join(lanes, ""), "C")
 	}
-	if int64(tx) != tr.Total() {
-		t.Errorf("tx events = %d, trace recorder saw %d", tx, tr.Total())
+	if drawn == 0 {
+		t.Fatal("no collision glyph in any DCF interval")
+	}
+
+	off := controlSim(t, 5)
+	mon, err = off.EnableMonitor(rtmac.MonitorConfig{FlightRecorderIntervals: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := off.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.RenderInterval(&strings.Builder{}, 1, 80); err == nil {
+		t.Fatal("disabled flight recorder rendered a timeline")
 	}
 }
