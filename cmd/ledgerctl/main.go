@@ -24,17 +24,19 @@
 // point statistics — the merge-fidelity assertion.
 //
 // diff is the regression sentinel: it compares every matching point with
-// Welch's t-test at the chosen confidence (falling back to a relative-delta
-// threshold when either side has fewer than two replications), checks delay
+// Welch's t-test at the chosen confidence (-confidence 0.90, 0.95 or 0.99;
+// any other level is a usage error), falling back to a relative-delta
+// threshold when either side has fewer than two replications, checks delay
 // quantiles for growth, and exits non-zero when any point regressed
-// significantly in its "worse" direction. With -events-old and -events-new
-// pointing at the two runs' recorded JSONL event streams (events.jsonl in
-// an `rtmacsim -record` directory), diff drills from the statistical verdict
-// down to the first divergent event — interval, link, kind, field delta —
-// via the rundiff engine.
+// significantly in its "worse" direction. ledgerctl compares statistics
+// only; to find the first divergent event of two recorded runs, follow it
+// with rundiff on their events.jsonl files:
+//
+//	ledgerctl diff OLD NEW; rundiff -check-equal A/events.jsonl B/events.jsonl
 //
 // Exit codes: 0 success (no difference found), 1 comparison found a
-// difference (diff regression, equal inequality), 2 usage or I/O error.
+// difference (diff regression, equal inequality), 2 usage or I/O error
+// (including a record whose bytes do not match its content address).
 package main
 
 import (
@@ -49,7 +51,6 @@ import (
 	"time"
 
 	"rtmac/internal/ledger"
-	"rtmac/internal/rundiff"
 )
 
 func main() {
@@ -69,8 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		confidence = fs.Float64("confidence", 0.95, "diff: Welch test confidence level (0.90, 0.95 or 0.99)")
 		rel        = fs.Float64("rel", 0.10, "diff: relative-delta threshold used when a side has <2 replications")
 		quantRel   = fs.Float64("quantile-rel", 0.25, "diff: relative growth of delay p50/p95/p99 flagged as regression")
-		eventsOld  = fs.String("events-old", "", "diff: OLD run's recorded JSONL event stream; with -events-new, drill to the first divergent event")
-		eventsNew  = fs.String("events-new", "", "diff: NEW run's recorded JSONL event stream (see -events-old)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: ledgerctl [-dir DIR] <list|show|merge|diff|equal> [args]\n")
@@ -104,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Confidence:        *confidence,
 				RelThreshold:      *rel,
 				QuantileThreshold: *quantRel,
-			}, *eventsOld, *eventsNew, stdout)
+			}, stdout)
 		case "equal":
 			err = runEqual(store, args, stdout)
 		default:
@@ -156,11 +155,14 @@ func runShow(store *ledger.Store, args []string, stdout io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("show takes exactly one reference")
 	}
-	rec, err := store.Get(args[0])
+	// Print the address the record is stored under, not the hash of its
+	// re-encoding: the two differ for a record carrying a key this version
+	// no longer writes (the retired "sketch").
+	id, err := store.Resolve(args[0])
 	if err != nil {
 		return err
 	}
-	id, err := rec.ID()
+	rec, err := store.Get(id)
 	if err != nil {
 		return err
 	}
@@ -263,12 +265,9 @@ func runMerge(store *ledger.Store, args []string, stdout io.Writer) error {
 	return nil
 }
 
-func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, eventsOld, eventsNew string, stdout io.Writer) error {
+func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, stdout io.Writer) error {
 	if len(args) != 2 {
 		return fmt.Errorf("diff takes exactly two references (each may be a comma-separated set)")
-	}
-	if (eventsOld == "") != (eventsNew == "") {
-		return fmt.Errorf("-events-old and -events-new must be given together")
 	}
 	oldRec, err := loadSet(store, strings.Split(args[0], ","))
 	if err != nil {
@@ -283,45 +282,10 @@ func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, events
 		return err
 	}
 	report.WriteText(stdout)
-	diverged := false
-	if eventsOld != "" {
-		// Deep mode: drill from the statistical verdict to the pathwise
-		// cause — the first event where the two recorded runs part ways.
-		diverged, err = deepEventDiff(eventsOld, eventsNew, stdout)
-		if err != nil {
-			return err
-		}
-	}
 	if report.HasRegression() {
 		return fmt.Errorf("%d significant regressions: %w", report.Regressions, errDiffer)
 	}
-	if diverged {
-		return fmt.Errorf("event streams diverge (no metric regression): %w", errDiffer)
-	}
 	return nil
-}
-
-// deepEventDiff runs the rundiff engine over the two recorded event streams
-// and prints the first-divergence pointer. Returns whether they diverged.
-func deepEventDiff(oldPath, newPath string, stdout io.Writer) (bool, error) {
-	fa, err := os.Open(oldPath)
-	if err != nil {
-		return false, err
-	}
-	defer fa.Close()
-	fb, err := os.Open(newPath)
-	if err != nil {
-		return false, err
-	}
-	defer fb.Close()
-	d, err := rundiff.DiffEvents(fa, fb, rundiff.Options{})
-	if err != nil {
-		return false, err
-	}
-	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "event streams (%s vs %s):\n", oldPath, newPath)
-	rundiff.WriteEventDiff(stdout, d)
-	return !d.Equal, nil
 }
 
 // runEqual asserts two records (or comma-separated sets, merged in memory)

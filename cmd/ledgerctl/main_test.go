@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,32 +44,27 @@ func appendFig3(t *testing.T, store *ledger.Store, seeds ...uint64) {
 	}
 }
 
-// appendRun records one DB-DP run's total deficiency at delivery
-// probability p, and returns its event stream.
-func appendRun(t *testing.T, store *ledger.Store, p float64, perturb *rtmac.Perturbation) []byte {
+// appendRun records one 1000-interval DB-DP run's total deficiency at
+// delivery probability p.
+func appendRun(t *testing.T, store *ledger.Store, p float64) {
 	t.Helper()
 	links := make([]rtmac.Link, 10)
 	for i := range links {
 		links[i] = rtmac.Link{SuccessProb: p, Arrivals: rtmac.MustBernoulliArrivals(0.78), DeliveryRatio: 0.99}
 	}
 	sim, err := rtmac.NewSimulation(rtmac.Config{
-		Seed: 7, Profile: rtmac.ControlProfile(), Links: links, Protocol: rtmac.DBDP(), Perturb: perturb,
+		Seed: 7, Profile: rtmac.ControlProfile(), Links: links, Protocol: rtmac.DBDP(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events bytes.Buffer
-	stream := sim.StreamEvents(&events)
 	if err := sim.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	rep := sim.Report()
 	rec := ledger.NewRecorder()
 	rec.RecordReplication("run", rep.Protocol, 0, "deficiency", ledger.BetterLower,
-		stats.Replication{Seed: 7, Value: rep.TotalDeficiency}, nil)
+		stats.Replication{Seed: 7, Value: rep.TotalDeficiency})
 	r, err := rec.Finalize("run", "dbdp 10 links", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -76,13 +72,12 @@ func appendRun(t *testing.T, store *ledger.Store, p float64, perturb *rtmac.Pert
 	if _, err := store.Append(r); err != nil {
 		t.Fatal(err)
 	}
-	return events.Bytes()
 }
 
 // TestLedgerFlow is the ledger's end-to-end contract: per-seed records
 // merge into exactly the statistics of the combined run, the sentinel
-// passes identical statistics and trips on a degraded run, and the deep
-// diff trips on diverging event streams even when the statistics agree.
+// passes identical statistics and trips on a degraded run, and a confidence
+// level the sentinel cannot test at is a usage error.
 func TestLedgerFlow(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	store, err := ledger.Open(dir)
@@ -115,35 +110,81 @@ func TestLedgerFlow(t *testing.T) {
 		{[]string{"diff", "latest~1", "latest"}, 0},    // no regression between them
 		{[]string{"equal", "latest~3", "latest~2"}, 1}, // seed 101 vs seed 202
 		{[]string{"show", "latest"}, 0},
+		{[]string{"-confidence", "0.99", "diff", "latest~1", "latest"}, 0},
+		{[]string{"-confidence", "0.5", "diff", "latest~1", "latest"}, 2}, // not tabulated
+		{[]string{"-confidence", "1.5", "diff", "latest~1", "latest"}, 2}, // not a level
 	} {
 		if code, out, errs := runCtl(t, append([]string{"-dir", dir}, tc.args...)...); code != tc.code {
 			t.Errorf("%v: exit %d, want %d:\n%s%s", tc.args, code, tc.code, out, errs)
 		}
 	}
 
-	clean := appendRun(t, store, 0.7, nil)
-	appendRun(t, store, 0.45, nil)
+	appendRun(t, store, 0.7)
+	appendRun(t, store, 0.45)
 	if code, out, errs := runCtl(t, "-dir", dir, "diff", "latest~1", "latest"); code != 1 || !strings.Contains(errs, "1 significant regressions") {
 		t.Errorf("degraded run (-p 0.45 against 0.7): diff exit %d, want 1 with one regression:\n%s%s", code, out, errs)
 	}
+}
 
-	perturbed := appendRun(t, store, 0.7, &rtmac.Perturbation{K: 123, Link: 2, Extra: 1})
-	a, b := filepath.Join(t.TempDir(), "a.jsonl"), filepath.Join(t.TempDir(), "b.jsonl")
-	if err := os.WriteFile(a, clean, 0o644); err != nil {
+// TestPreChangeLedger runs every subcommand on a ledger written before
+// records lost their P² sketch: two `rtmacsim -seed {1,2} -intervals 2000
+// -ledger` records that still carry a "sketch" key, then one `figures -fig
+// fig3 -scale 0.02 -ledger` record. The expected outputs (stdout, then
+// stderr) and the merged record's ID are what ledgerctl printed for this
+// ledger when it was written; they must never be regenerated.
+func TestPreChangeLedger(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	copyDir(t, filepath.Join("..", "..", "internal", "ledger", "testdata", "prechange"), dir)
+	for _, tc := range []struct {
+		golden string
+		args   []string
+		code   int
+	}{
+		{"list", []string{"list"}, 0},
+		{"show_run1", []string{"show", "latest~2"}, 0},
+		{"show_run2", []string{"show", "latest~1"}, 0},
+		{"show_fig3", []string{"show", "latest"}, 0},
+		{"diff_runs", []string{"diff", "latest~2", "latest~1"}, 1},
+		{"diff_fig3", []string{"diff", "latest", "latest"}, 0},
+		{"equal_runs", []string{"equal", "latest~2", "latest~1"}, 1},
+		{"equal_fig3", []string{"equal", "latest", "latest"}, 0},
+		// merge appends, so it runs last and the merged record is "latest".
+		{"merge", []string{"merge", "latest~2", "latest~1"}, 0},
+		{"show_merged", []string{"show", "latest"}, 0},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", "prechange", tc.golden+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, errs := runCtl(t, append([]string{"-dir", dir}, tc.args...)...)
+		if code != tc.code || out+errs != string(want) {
+			t.Errorf("%v: exit %d (want %d), output:\n%s%s\nwant:\n%s", tc.args, code, tc.code, out, errs, want)
+		}
+	}
+}
+
+// copyDir copies the regular files under src to dst, keeping the layout.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if err := os.WriteFile(b, perturbed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	deep := func(events string) int {
-		code, _, _ := runCtl(t, "-dir", dir, "-events-old", a, "-events-new", events, "diff", "latest", "latest")
-		return code
-	}
-	if code := deep(a); code != 0 {
-		t.Errorf("self-diff with identical streams: exit %d, want 0", code)
-	}
-	if code := deep(b); code != 1 {
-		t.Errorf("clean sentinel but diverging streams: exit %d, want 1", code)
 	}
 }
 

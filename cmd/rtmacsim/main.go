@@ -444,29 +444,26 @@ func printHealth(sum telemetry.HealthSummary, stdout io.Writer) {
 }
 
 // appendLedger reduces the finished run to one ledger record — total
-// deficiency (with delay quantiles and the P² sketch partial) plus per-link
-// delivery ratio and throughput, every point carrying its seed-tagged
-// replication — and appends it to the content-addressed store at dir.
+// deficiency (with its P² delay quantiles) plus per-link delivery ratio and
+// throughput, every point carrying its seed-tagged replication — and appends
+// it to the content-addressed store at dir.
 // A later `ledgerctl merge` of same-config different-seed records reproduces
 // the multi-seed aggregate exactly.
 func appendLedger(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, rep rtmac.Report, dq *rtmac.DelayQuantiles, dir string, stdout io.Writer) error {
 	rec := ledger.NewRecorder()
 	defRep := stats.Replication{Seed: cfg.Seed, Value: rep.TotalDeficiency}
-	var sketch *stats.SketchState
 	if dq != nil {
 		defRep.DelayP50 = dq.P50()
 		defRep.DelayP95 = dq.P95()
 		defRep.DelayP99 = dq.P99()
 		defRep.DelayCount = dq.Count()
-		st := dq.State()
-		sketch = &st
 	}
-	rec.RecordReplication("run", rep.Protocol, 0, "deficiency", ledger.BetterLower, defRep, sketch)
+	rec.RecordReplication("run", rep.Protocol, 0, "deficiency", ledger.BetterLower, defRep)
 	for i, l := range rep.Links {
 		rec.RecordReplication("run", rep.Protocol, float64(i), "delivery_ratio", ledger.BetterHigher,
-			stats.Replication{Seed: cfg.Seed, Value: l.DeliveryRatio}, nil)
+			stats.Replication{Seed: cfg.Seed, Value: l.DeliveryRatio})
 		rec.RecordReplication("run", rep.Protocol, float64(i), "throughput", ledger.BetterHigher,
-			stats.Replication{Seed: cfg.Seed, Value: l.Throughput}, nil)
+			stats.Replication{Seed: cfg.Seed, Value: l.Throughput})
 	}
 	manifest := sim.Manifest("rtmacsim", map[string]string{
 		"intervals": fmt.Sprint(intervals),

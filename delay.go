@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rtmac/internal/metrics"
-	"rtmac/internal/stats"
 )
 
 // Delay exposes per-packet delivery-delay statistics for a simulation: how
@@ -55,8 +54,8 @@ func (d *Delay) Histogram() []int64 { return d.d.Histogram() }
 
 // DelayQuantiles streams delivery delays through fixed-memory P² estimators,
 // yielding p50/p95/p99 without storing samples. Unlike EnableDelayStats it
-// carries a serializable partial (State), which is what run-ledger records
-// persist.
+// keeps no histogram, so it is cheap enough for every ledger run: the three
+// quantiles and the delivery count go into the run's deficiency replication.
 type DelayQuantiles struct {
 	d *metrics.DelaySketch
 }
@@ -83,6 +82,3 @@ func (d *DelayQuantiles) P95() float64 { return d.d.P95() }
 
 // P99 returns the estimated 99th-percentile delay in microseconds.
 func (d *DelayQuantiles) P99() float64 { return d.d.P99() }
-
-// State exports the sketch's serializable partial for ledger records.
-func (d *DelayQuantiles) State() stats.SketchState { return d.d.State() }

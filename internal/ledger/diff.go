@@ -20,7 +20,8 @@ import (
 
 // DiffOptions tunes the sentinel.
 type DiffOptions struct {
-	// Confidence is the two-sided test level (default 0.95).
+	// Confidence is the two-sided test level: 0.90, 0.95 or 0.99, the
+	// levels the critical-value table holds (0 means 0.95).
 	Confidence float64
 	// RelThreshold is the fallback for points where a t-test is impossible
 	// (fewer than two replications on either side, or zero variance): the
@@ -32,9 +33,12 @@ type DiffOptions struct {
 	QuantileThreshold float64
 }
 
-func (o DiffOptions) fill() DiffOptions {
-	if o.Confidence <= 0 || o.Confidence >= 1 {
+func (o DiffOptions) fill() (DiffOptions, error) {
+	if o.Confidence == 0 {
 		o.Confidence = 0.95
+	}
+	if _, ok := tTable[o.Confidence]; !ok {
+		return o, fmt.Errorf("ledger: confidence %v not supported (want 0.90, 0.95 or 0.99)", o.Confidence)
 	}
 	if o.RelThreshold <= 0 {
 		o.RelThreshold = 0.10
@@ -42,7 +46,7 @@ func (o DiffOptions) fill() DiffOptions {
 	if o.QuantileThreshold <= 0 {
 		o.QuantileThreshold = 0.25
 	}
-	return o
+	return o, nil
 }
 
 // PointVerdict is the sentinel's finding for one matched point.
@@ -97,7 +101,10 @@ func (r *DiffReport) HasRegression() bool { return r.Regressions > 0 }
 
 // Diff runs the sentinel comparing old against new.
 func Diff(oldRec, newRec *Record, opts DiffOptions) (*DiffReport, error) {
-	opts = opts.fill()
+	opts, err := opts.fill()
+	if err != nil {
+		return nil, err
+	}
 	if err := oldRec.Validate(); err != nil {
 		return nil, fmt.Errorf("ledger: diff old: %w", err)
 	}
@@ -302,17 +309,9 @@ var tTable = map[float64][]struct{ df, t float64 }{
 }
 
 // tCritical returns the two-sided critical value at the given (possibly
-// fractional) degrees of freedom. Unsupported confidence levels snap to the
-// nearest tabulated one.
+// fractional) degrees of freedom; confidence must be a tabulated level.
 func tCritical(df, confidence float64) float64 {
-	level := 0.95
-	best := math.Inf(1)
-	for have := range tTable {
-		if d := math.Abs(have - confidence); d < best {
-			best, level = d, have
-		}
-	}
-	rows := tTable[level]
+	rows := tTable[confidence]
 	if df <= rows[0].df {
 		return rows[0].t
 	}

@@ -1,13 +1,13 @@
 // Package ledger is a durable, append-only, content-addressed store of run
 // records. Each record captures one run's provenance (the telemetry manifest:
 // seed, git commit, go version, host), its final per-point summaries, and —
-// the part that makes records more than screenshots — the serialized
-// internal/stats partials behind each point. Because the partial of a curve
-// point is its seed-tagged replication multiset, any two records can be
-// merged after the fact exactly as if their seeds had run in one process;
-// the ledger is therefore the durable shard substrate the distributed sweep
-// farm (ROADMAP item 2) resumes and aggregates from, and the memory that
-// lets `ledgerctl diff` make statistically honest cross-commit statements.
+// the part that makes records more than screenshots — the seed-tagged
+// replication multiset behind each point (stats.PointState). Because that
+// multiset is the point's whole statistical state, any two records can be
+// merged after the fact exactly as if their seeds had run in one process:
+// separately recorded seed sets (`figures -seedlist`, one `rtmacsim -ledger`
+// run per seed) combine into one aggregate, and `ledgerctl diff` can make
+// statistically honest cross-commit statements.
 //
 // On-disk layout under one ledger directory:
 //
@@ -15,7 +15,8 @@
 //	index.jsonl            — one append-only line per Append, newest last
 //
 // Records are immutable: appending the same record twice is a no-op that
-// returns the same ID, and nothing in the package rewrites an existing file.
+// returns the same ID, nothing in the package rewrites an existing file, and
+// Get refuses a record whose bytes no longer hash to its name.
 package ledger
 
 import (
@@ -27,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -66,8 +68,7 @@ type Record struct {
 }
 
 // Point is one curve point: a (figure, series, x, metric) key, the
-// replication-multiset partial, an optional delivery-delay sketch partial,
-// and a display summary derived from the partial.
+// replication-multiset partial, and a display summary derived from it.
 type Point struct {
 	// Figure groups points ("fig3", "run").
 	Figure string `json:"figure"`
@@ -82,10 +83,6 @@ type Point struct {
 	Better string `json:"better"`
 	// Agg is the mergeable partial: the seed-tagged replication multiset.
 	Agg stats.PointState `json:"agg"`
-	// Sketch, when present, is the run's P² delivery-delay sketch state
-	// (single-run records only; merges drop it, since P² states do not merge
-	// exactly — the per-replication delay quantiles in Agg survive merging).
-	Sketch *stats.SketchState `json:"sketch,omitempty"`
 	// Summary is the display reduction of Agg at 95% confidence.
 	Summary Summary `json:"summary"`
 }
@@ -158,11 +155,6 @@ func (r *Record) Validate() error {
 		}
 		if _, err := stats.PointFromState(p.Agg); err != nil {
 			return fmt.Errorf("ledger: point %s: %w", p.Key(), err)
-		}
-		if p.Sketch != nil {
-			if _, err := stats.SketchFromState(*p.Sketch); err != nil {
-				return fmt.Errorf("ledger: point %s sketch: %w", p.Key(), err)
-			}
 		}
 	}
 	return nil
@@ -357,12 +349,13 @@ func (s *Store) List() ([]IndexEntry, error) {
 
 // Resolve turns a reference into a full record ID. Accepted forms: a full
 // ID, a unique ID prefix (at least 4 hex chars), or "latest" (optionally
-// "latest~N" for the N-th newest).
+// "latest~N" for the N-th newest, N written in decimal digits only).
 func (s *Store) Resolve(ref string) (string, error) {
 	if ref == "latest" || strings.HasPrefix(ref, "latest~") {
 		back := 0
-		if strings.HasPrefix(ref, "latest~") {
-			if _, err := fmt.Sscanf(ref, "latest~%d", &back); err != nil || back < 0 {
+		if n, ok := strings.CutPrefix(ref, "latest~"); ok {
+			var err error
+			if back, err = strconv.Atoi(n); err != nil || strings.Trim(n, "0123456789") != "" {
 				return "", fmt.Errorf("ledger: bad reference %q", ref)
 			}
 		}
@@ -399,7 +392,8 @@ func (s *Store) Resolve(ref string) (string, error) {
 	}
 }
 
-// Get loads one record by reference (see Resolve).
+// Get loads one record by reference (see Resolve), refusing a file whose
+// bytes no longer hash to its content address.
 func (s *Store) Get(ref string) (*Record, error) {
 	id, err := s.Resolve(ref)
 	if err != nil {
@@ -408,6 +402,9 @@ func (s *Store) Get(ref string) (*Record, error) {
 	data, err := os.ReadFile(s.recordPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != id {
+		return nil, fmt.Errorf("ledger: record %s: content does not match its address", id)
 	}
 	rec, err := DecodeRecord(data)
 	if err != nil {

@@ -2,7 +2,12 @@ package ledger
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"rtmac/internal/stats"
@@ -109,6 +114,50 @@ func TestStoreResolve(t *testing.T) {
 	if _, err := store.Resolve("ffffffff"); err == nil {
 		t.Fatal("unknown reference resolved")
 	}
+	// latest~N takes decimal digits and nothing else.
+	for _, ref := range []string{"latest~", "latest~1abc", "latest~+1", "latest~ 2", "latest~-1", "latest~0x1", "latest~1 "} {
+		if got, err := store.Resolve(ref); err == nil {
+			t.Errorf("%q resolved to %s", ref, got)
+		}
+	}
+}
+
+// TestStoreGetChecksContentAddress pins that a record edited on disk no
+// longer loads: its bytes must hash to the name it is stored under.
+func TestStoreGetChecksContentAddress(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := store.Append(testRecord(t, []uint64{1}, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Get(id); err != nil {
+		t.Fatal(err)
+	}
+	path := store.recordPath(id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Change one digit of the first replication value; the record stays
+	// valid JSON and a valid record, so only the address check can refuse it.
+	i := bytes.Index(data, []byte(`"value":`)) + len(`"value":`)
+	if data[i] == '9' {
+		data[i] = '8'
+	} else {
+		data[i] = '9'
+	}
+	if _, err := DecodeRecord(data); err != nil {
+		t.Fatalf("edited record no longer decodes, so the test proves nothing: %v", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Get(id); err == nil || !strings.Contains(err.Error(), id) {
+		t.Fatalf("edited record: got %v, want an error naming %s", err, id)
+	}
 }
 
 // TestMergeMatchesSingleProcess is the ledger-level exactness pin: per-seed
@@ -178,15 +227,7 @@ func TestMergeMatchesSingleProcess(t *testing.T) {
 		if p.Summary != q.Summary {
 			t.Fatalf("point %s: merged summary %+v != combined %+v", p.Key(), p.Summary, q.Summary)
 		}
-		a, err := stats.EncodeRecord(p.Agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := stats.EncodeRecord(q.Agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
+		if !slices.Equal(p.Agg.Reps, q.Agg.Reps) {
 			t.Fatalf("point %s: merged partial differs from combined partial", p.Key())
 		}
 	}
@@ -258,13 +299,36 @@ func TestDiffFlagsInjectedRegression(t *testing.T) {
 	}
 }
 
+// TestDiffConfidenceLevels pins that the sentinel tests at exactly the level
+// it names: the three tabulated levels (and 0, the 0.95 default) run and say
+// so in their verdicts, and any other level is an error rather than a silent
+// snap to the nearest table.
+func TestDiffConfidenceLevels(t *testing.T) {
+	base := testRecord(t, []uint64{1, 2, 3, 4}, 0.2)
+	worse := testRecord(t, []uint64{1, 2, 3, 4}, 0.8)
+	for level, want := range map[float64]string{0: "95%", 0.90: "90%", 0.95: "95%", 0.99: "99%"} {
+		rep, err := Diff(base, worse, DiffOptions{Confidence: level})
+		if err != nil {
+			t.Fatalf("confidence %v: %v", level, err)
+		}
+		if !rep.HasRegression() || !strings.Contains(rep.Points[0].Why, "beyond the "+want+" critical value") {
+			t.Errorf("confidence %v: verdict %q, want a Welch regression at %s", level, rep.Points[0].Why, want)
+		}
+	}
+	for _, level := range []float64{0.5, 1.5, -1, 0.96, 1, math.NaN()} {
+		if _, err := Diff(base, worse, DiffOptions{Confidence: level}); err == nil {
+			t.Errorf("confidence %v accepted", level)
+		}
+	}
+}
+
 // TestDiffSingleReplicationFallback exercises the relative-threshold path a
 // t-test cannot cover (n=1 on both sides, e.g. one-seed runs).
 func TestDiffSingleReplicationFallback(t *testing.T) {
 	mk := func(v float64) *Record {
 		rec := NewRecorder()
 		rec.RecordReplication("bench", "DB-DP", 0, "ns_per_interval", BetterLower,
-			stats.Replication{Value: v}, nil)
+			stats.Replication{Value: v})
 		out, err := rec.Finalize("bench", "bench", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +355,7 @@ func TestDiffDelayQuantileRegression(t *testing.T) {
 	mk := func(p99 float64) *Record {
 		rec := NewRecorder()
 		rec.RecordReplication("run", "DB-DP", 0, "deficiency", BetterLower,
-			stats.Replication{Seed: 1, Value: 0.2, DelayP50: 100, DelayP95: 400, DelayP99: p99, DelayCount: 500}, nil)
+			stats.Replication{Seed: 1, Value: 0.2, DelayP50: 100, DelayP95: 400, DelayP99: p99, DelayCount: 500})
 		out, err := rec.Finalize("run", "run", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -412,4 +476,84 @@ func TestBuildCompare(t *testing.T) {
 	if c.Error == "" || c.Report != nil {
 		t.Fatalf("unresolvable reference not surfaced: %+v", c)
 	}
+}
+
+// TestPreChangeRecordsReencode pins what dropping the sketch key does to
+// records already on disk (testdata/prechange): a record without one
+// re-encodes to its stored bytes, so its content address is unchanged, and
+// a record with one re-encodes to the same bytes minus its "sketch" value.
+func TestPreChangeRecordsReencode(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "prechange", "records", "*.json"))
+	if err != nil || len(paths) != 3 {
+		t.Fatalf("want 3 records, got %d (%v)", len(paths), err)
+	}
+	sketches := 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := DecodeRecord(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := data
+		if i := bytes.Index(data, []byte(`,"sketch":`)); i >= 0 {
+			sketches++
+			// The sketch object sits between the agg and the summary.
+			j := bytes.Index(data[i:], []byte(`,"summary":`))
+			want = append(append([]byte{}, data[:i]...), data[i+j:]...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s re-encodes to\n  %s\nwant\n  %s", filepath.Base(path), got, want)
+		}
+	}
+	if sketches != 2 {
+		t.Fatalf("%d records carry a sketch, want the two rtmacsim records", sketches)
+	}
+}
+
+// FuzzLedgerRecord throws arbitrary bytes at the record decoder, seeded with
+// the records of testdata/prechange (two rtmacsim records that still carry
+// the retired sketch key, and one figures record). DecodeRecord must never
+// panic, and for every input it accepts, Encode must be idempotent:
+// encode, decode, encode gives the same bytes, so a record's content
+// address survives a load.
+func FuzzLedgerRecord(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "prechange", "records", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed records: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeRecord(data)
+		if err != nil {
+			return
+		}
+		first, err := rec.Encode()
+		if err != nil {
+			t.Fatalf("accepted record does not encode: %v", err)
+		}
+		again, err := DecodeRecord(first)
+		if err != nil {
+			t.Fatalf("encoded record does not decode: %v\n%s", err, first)
+		}
+		second, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encoding is not idempotent:\n  %s\n  %s", first, second)
+		}
+	})
 }

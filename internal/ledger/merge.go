@@ -1,8 +1,8 @@
 package ledger
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rtmac/internal/stats"
@@ -17,8 +17,7 @@ import (
 // provided, records the sources' content addresses for provenance.
 //
 // Points present in only some inputs are kept: a merge is a union, not an
-// intersection. Per-run delay sketch states are dropped (P² states do not
-// merge exactly); the per-replication delay quantiles inside the partials
+// intersection. The per-replication delay quantiles inside the partials
 // survive and keep feeding merged summaries.
 func Merge(recs []*Record, ids []string) (*Record, error) {
 	if len(recs) == 0 {
@@ -44,7 +43,6 @@ func Merge(recs []*Record, ids []string) (*Record, error) {
 			have, ok := byKey[key]
 			if !ok {
 				cp := p
-				cp.Sketch = nil
 				cp.Agg = stats.PointState{Reps: append([]stats.Replication{}, p.Agg.Reps...)}
 				byKey[key] = &cp
 				order = append(order, key)
@@ -113,11 +111,11 @@ func dedupeReps(reps []stats.Replication) []stats.Replication {
 }
 
 // Equivalent reports whether two records carry statistically identical
-// points: the same point keys, directions, and byte-identical replication
-// partials (which implies identical summaries). It is the exactness check
-// behind `ledgerctl equal` — a merge of per-seed records is Equivalent to
-// the record one combined run of the same seeds produces. Manifests, kinds
-// and merge provenance are deliberately ignored; only the statistics count.
+// points: the same point keys, directions, and equal replication multisets
+// (which implies identical summaries). It is the exactness check behind
+// `ledgerctl equal` — a merge of per-seed records is Equivalent to the record
+// one combined run of the same seeds produces. Manifests, kinds and merge
+// provenance are deliberately ignored; only the statistics count.
 func Equivalent(a, b *Record) error {
 	byKey := make(map[string]Point, len(a.Points))
 	for _, p := range a.Points {
@@ -134,15 +132,7 @@ func Equivalent(a, b *Record) error {
 		if p.Better != q.Better {
 			return fmt.Errorf("point %s: direction %q vs %q", q.Key(), p.Better, q.Better)
 		}
-		pa, err := stats.EncodeRecord(p.Agg)
-		if err != nil {
-			return fmt.Errorf("point %s: %w", q.Key(), err)
-		}
-		qa, err := stats.EncodeRecord(q.Agg)
-		if err != nil {
-			return fmt.Errorf("point %s: %w", q.Key(), err)
-		}
-		if !bytes.Equal(pa, qa) {
+		if !slices.Equal(p.Agg.Reps, q.Agg.Reps) {
 			return fmt.Errorf("point %s: replication partials differ (%+v vs %+v)",
 				q.Key(), p.Summary, q.Summary)
 		}

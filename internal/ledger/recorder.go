@@ -31,23 +31,21 @@ func (r *Recorder) RecordAggregate(figure, series string, x float64, metric, bet
 	if r == nil {
 		return
 	}
-	r.recordState(figure, series, x, metric, better, agg.State(), nil)
+	r.recordState(figure, series, x, metric, better, agg.State())
 }
 
 // RecordReplication records a single-replication point — the shape a
 // one-seed run (rtmacsim) contributes. Merging many of these reproduces the
 // multi-seed aggregate exactly.
 func (r *Recorder) RecordReplication(figure, series string, x float64, metric, better string,
-	rep stats.Replication, sketch *stats.SketchState) {
+	rep stats.Replication) {
 	if r == nil {
 		return
 	}
-	r.recordState(figure, series, x, metric, better,
-		stats.PointState{Reps: []stats.Replication{rep}}, sketch)
+	r.recordState(figure, series, x, metric, better, stats.PointState{Reps: []stats.Replication{rep}})
 }
 
-func (r *Recorder) recordState(figure, series string, x float64, metric, better string,
-	st stats.PointState, sketch *stats.SketchState) {
+func (r *Recorder) recordState(figure, series string, x float64, metric, better string, st stats.PointState) {
 	summary, err := Summarize(st)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -59,7 +57,7 @@ func (r *Recorder) recordState(figure, series string, x float64, metric, better 
 	}
 	r.points = append(r.points, Point{
 		Figure: figure, Series: series, X: x, Metric: metric, Better: better,
-		Agg: st, Sketch: sketch, Summary: summary,
+		Agg: st, Summary: summary,
 	})
 }
 

@@ -57,7 +57,3 @@ func (d *DelaySketch) P95() float64 { return d.sketch.Quantile(0.95) }
 
 // P99 returns the estimated 99th-percentile delay in microseconds.
 func (d *DelaySketch) P99() float64 { return d.sketch.Quantile(0.99) }
-
-// State exports the underlying quantile sketch's serializable partial, for
-// run-ledger records.
-func (d *DelaySketch) State() stats.SketchState { return d.sketch.State() }

@@ -1,234 +1,19 @@
 package stats
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 )
 
-// This file defines the serialized forms of the package's streaming partials
-// — Welford accumulators, P² quantile estimators, quantile sketches, and
-// per-point replication aggregates — so they can outlive the process that
-// computed them. Two runs that each serialize their partials can be merged
-// after the fact exactly as if their seeds had run in one process: the
-// point-level partial is the replication multiset, whose merge is a union and
-// whose summary folds replications in seed order, so merge order never leaks
-// into the result.
-//
-// Every state has two encodings with the same version discipline:
-//
-//   - JSON, via the exported state structs (stable field order, floats in
-//     Go's shortest-round-trip form, so decode∘encode is byte-stable);
-//   - a binary "record" (EncodeRecord/DecodeRecord): a RTSP magic, a codec
-//     version, a kind tag and a fixed little-endian payload, byte-stable by
-//     construction.
-//
-// CodecVersion is bumped when a payload layout changes; decoders reject
-// versions they do not understand rather than guessing.
-
-// CodecVersion is the current version of both the binary record layout and
-// the JSON state schema.
-const CodecVersion = 1
-
-// recordMagic prefixes every binary record.
-var recordMagic = [4]byte{'R', 'T', 'S', 'P'}
-
-// Binary record kind tags.
-const (
-	kindAccumulator = 1
-	kindP2          = 2
-	kindSketch      = 3
-	kindPoint       = 4
-)
-
-// AccumulatorState is the serialized form of an Accumulator: the exact
-// Welford triple. Restoring it and continuing to Add is equivalent to never
-// having paused.
-type AccumulatorState struct {
-	N    int64   `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-}
-
-// State captures the accumulator's Welford triple.
-func (a *Accumulator) State() AccumulatorState {
-	return AccumulatorState{N: a.n, Mean: a.mean, M2: a.m2}
-}
-
-// AccumulatorFromState restores an accumulator, validating the invariants a
-// genuine Welford stream maintains.
-func AccumulatorFromState(st AccumulatorState) (*Accumulator, error) {
-	if st.N < 0 {
-		return nil, fmt.Errorf("stats: accumulator state with negative count %d", st.N)
-	}
-	if !isFinite(st.Mean) || !isFinite(st.M2) {
-		return nil, fmt.Errorf("stats: accumulator state with non-finite moments")
-	}
-	if st.M2 < 0 {
-		return nil, fmt.Errorf("stats: accumulator state with negative M2 %v", st.M2)
-	}
-	if st.N == 0 && (st.Mean != 0 || st.M2 != 0) {
-		return nil, fmt.Errorf("stats: empty accumulator state with non-zero moments")
-	}
-	return &Accumulator{n: st.N, mean: st.Mean, m2: st.M2}, nil
-}
-
-// P2State is the serialized form of a P² estimator: the five marker heights
-// and positions plus the warm-up buffer. Restoring it resumes the stream
-// exactly where it paused.
-type P2State struct {
-	P     float64   `json:"p"`
-	Count int64     `json:"count"`
-	Q     []float64 `json:"q,omitempty"`
-	N     []float64 `json:"n,omitempty"`
-	NP    []float64 `json:"np,omitempty"`
-	// Buf holds the first observations (sorted) while fewer than five have
-	// arrived; once the markers initialize it is absent.
-	Buf []float64 `json:"buf,omitempty"`
-}
-
-// State captures the estimator.
-func (s *P2) State() P2State {
-	st := P2State{P: s.p, Count: s.count}
-	if s.buf != nil {
-		st.Buf = append([]float64{}, s.buf...)
-		return st
-	}
-	st.Q = append([]float64{}, s.q[:]...)
-	st.N = append([]float64{}, s.n[:]...)
-	st.NP = append([]float64{}, s.np[:]...)
-	return st
-}
-
-// P2FromState restores a P² estimator, validating the structural invariants
-// of the marker arrays (or the warm-up buffer).
-func P2FromState(st P2State) (*P2, error) {
-	est, err := NewP2(st.P)
-	if err != nil {
-		return nil, err
-	}
-	if st.Count < 0 {
-		return nil, fmt.Errorf("stats: p2 state with negative count %d", st.Count)
-	}
-	if st.Buf != nil || st.Count < 5 {
-		if st.Count >= 5 {
-			return nil, fmt.Errorf("stats: p2 state buffering with count %d >= 5", st.Count)
-		}
-		if int64(len(st.Buf)) != st.Count {
-			return nil, fmt.Errorf("stats: p2 buffer length %d != count %d", len(st.Buf), st.Count)
-		}
-		if len(st.Q) != 0 || len(st.N) != 0 || len(st.NP) != 0 {
-			return nil, fmt.Errorf("stats: p2 state carries both buffer and markers")
-		}
-		for i, x := range st.Buf {
-			if !isFinite(x) {
-				return nil, fmt.Errorf("stats: p2 buffer value %d not finite", i)
-			}
-			if i > 0 && x < st.Buf[i-1] {
-				return nil, fmt.Errorf("stats: p2 buffer not sorted at %d", i)
-			}
-		}
-		est.count = st.Count
-		est.buf = append(est.buf, st.Buf...)
-		return est, nil
-	}
-	if len(st.Q) != 5 || len(st.N) != 5 || len(st.NP) != 5 {
-		return nil, fmt.Errorf("stats: p2 state wants 5 markers, got q=%d n=%d np=%d",
-			len(st.Q), len(st.N), len(st.NP))
-	}
-	for i := 0; i < 5; i++ {
-		if !isFinite(st.Q[i]) || !isFinite(st.N[i]) || !isFinite(st.NP[i]) {
-			return nil, fmt.Errorf("stats: p2 marker %d not finite", i)
-		}
-		if i > 0 {
-			if st.Q[i] < st.Q[i-1] {
-				return nil, fmt.Errorf("stats: p2 marker heights not sorted at %d", i)
-			}
-			if st.N[i] <= st.N[i-1] {
-				return nil, fmt.Errorf("stats: p2 marker positions not increasing at %d", i)
-			}
-		}
-	}
-	if st.N[0] != 1 {
-		return nil, fmt.Errorf("stats: p2 first marker position %v != 1", st.N[0])
-	}
-	if st.N[4] != float64(st.Count) {
-		return nil, fmt.Errorf("stats: p2 last marker position %v != count %d", st.N[4], st.Count)
-	}
-	est.count = st.Count
-	copy(est.q[:], st.Q)
-	copy(est.n[:], st.N)
-	copy(est.np[:], st.NP)
-	est.buf = nil
-	return est, nil
-}
-
-// SketchState is the serialized form of a QuantileSketch. Min and Max are
-// stored as 0 while the sketch is empty (JSON cannot carry the ±Inf
-// sentinels) and restored to the empty-sketch sentinels on decode.
-type SketchState struct {
-	Quantiles  []float64        `json:"quantiles"`
-	Estimators []P2State        `json:"estimators"`
-	Acc        AccumulatorState `json:"acc"`
-	Min        float64          `json:"min"`
-	Max        float64          `json:"max"`
-}
-
-// State captures the sketch.
-func (s *QuantileSketch) State() SketchState {
-	st := SketchState{
-		Quantiles:  append([]float64{}, s.qs...),
-		Estimators: make([]P2State, len(s.est)),
-		Acc:        s.acc.State(),
-	}
-	for i, e := range s.est {
-		st.Estimators[i] = e.State()
-	}
-	if s.acc.Count() > 0 {
-		st.Min, st.Max = s.min, s.max
-	}
-	return st
-}
-
-// SketchFromState restores a QuantileSketch.
-func SketchFromState(st SketchState) (*QuantileSketch, error) {
-	sk, err := NewQuantileSketch(st.Quantiles...)
-	if err != nil {
-		return nil, err
-	}
-	if len(st.Estimators) != len(st.Quantiles) {
-		return nil, fmt.Errorf("stats: sketch state has %d estimators for %d quantiles",
-			len(st.Estimators), len(st.Quantiles))
-	}
-	acc, err := AccumulatorFromState(st.Acc)
-	if err != nil {
-		return nil, err
-	}
-	for i, es := range st.Estimators {
-		if es.P != st.Quantiles[i] {
-			return nil, fmt.Errorf("stats: sketch estimator %d targets %v, want %v", i, es.P, st.Quantiles[i])
-		}
-		est, err := P2FromState(es)
-		if err != nil {
-			return nil, err
-		}
-		if est.Count() != acc.Count() {
-			return nil, fmt.Errorf("stats: sketch estimator %d count %d != accumulator count %d",
-				i, est.Count(), acc.Count())
-		}
-		sk.est[i] = est
-	}
-	sk.acc = *acc
-	if acc.Count() > 0 {
-		if !isFinite(st.Min) || !isFinite(st.Max) || st.Min > st.Max {
-			return nil, fmt.Errorf("stats: sketch state min/max invalid (%v, %v)", st.Min, st.Max)
-		}
-		sk.min, sk.max = st.Min, st.Max
-	}
-	return sk, nil
-}
+// This file defines the one serialized form of the package's statistics: the
+// replication multiset of a curve point (PointState), which the run ledger
+// stores as JSON. It outlives the process that computed it, and two runs that
+// each serialize their points can be merged after the fact exactly as if
+// their seeds had run in one process: the merge is a multiset union and the
+// summary folds replications in seed order, so merge order never leaks into
+// the result. Go's JSON encoding gives floats in shortest-round-trip form
+// and fields in struct order, so decode∘encode is byte-stable.
 
 // PointState is the serialized form of a PointAggregate: the replication
 // multiset itself, in canonical (seed, value) order. Because the summary
@@ -264,366 +49,3 @@ func PointFromState(st PointState) (*PointAggregate, error) {
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// EncodeRecord renders one state (AccumulatorState, P2State, SketchState or
-// PointState) as a self-describing binary record. The layout is fixed and
-// little-endian, so equal states always produce equal bytes.
-func EncodeRecord(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(recordMagic[:])
-	buf.WriteByte(CodecVersion)
-	switch st := v.(type) {
-	case AccumulatorState:
-		buf.WriteByte(kindAccumulator)
-		putAccumulator(&buf, st)
-	case P2State:
-		buf.WriteByte(kindP2)
-		if err := putP2(&buf, st); err != nil {
-			return nil, err
-		}
-	case SketchState:
-		buf.WriteByte(kindSketch)
-		if len(st.Quantiles) > math.MaxUint16 || len(st.Estimators) > math.MaxUint16 {
-			return nil, fmt.Errorf("stats: sketch state too large to encode")
-		}
-		putU16(&buf, uint16(len(st.Quantiles)))
-		for _, q := range st.Quantiles {
-			putF64(&buf, q)
-		}
-		putU16(&buf, uint16(len(st.Estimators)))
-		for _, es := range st.Estimators {
-			if err := putP2(&buf, es); err != nil {
-				return nil, err
-			}
-		}
-		putAccumulator(&buf, st.Acc)
-		putF64(&buf, st.Min)
-		putF64(&buf, st.Max)
-	case PointState:
-		buf.WriteByte(kindPoint)
-		if len(st.Reps) > math.MaxUint32 {
-			return nil, fmt.Errorf("stats: point state too large to encode")
-		}
-		putU32(&buf, uint32(len(st.Reps)))
-		for _, r := range st.Reps {
-			putU64(&buf, r.Seed)
-			putF64(&buf, r.Value)
-			putF64(&buf, r.DelayP50)
-			putF64(&buf, r.DelayP95)
-			putF64(&buf, r.DelayP99)
-			putI64(&buf, r.DelayCount)
-		}
-	default:
-		return nil, fmt.Errorf("stats: cannot encode %T as a record", v)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRecord parses a binary record produced by EncodeRecord, returning one
-// of the state types. The whole input must be consumed; trailing bytes are an
-// error. Decoded states are validated through the same FromState paths the
-// JSON schema uses, so a record that decodes is always restorable.
-func DecodeRecord(data []byte) (any, error) {
-	rd := &reader{data: data}
-	var magic [4]byte
-	if err := rd.bytes(magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != recordMagic {
-		return nil, fmt.Errorf("stats: bad record magic %q", magic[:])
-	}
-	version, err := rd.byte()
-	if err != nil {
-		return nil, err
-	}
-	if version != CodecVersion {
-		return nil, fmt.Errorf("stats: unsupported codec version %d (have %d)", version, CodecVersion)
-	}
-	kind, err := rd.byte()
-	if err != nil {
-		return nil, err
-	}
-	var out any
-	switch kind {
-	case kindAccumulator:
-		st, err := rd.accumulator()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := AccumulatorFromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	case kindP2:
-		st, err := rd.p2()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := P2FromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	case kindSketch:
-		nq, err := rd.u16()
-		if err != nil {
-			return nil, err
-		}
-		st := SketchState{Quantiles: make([]float64, 0, int(nq))}
-		for i := 0; i < int(nq); i++ {
-			q, err := rd.f64()
-			if err != nil {
-				return nil, err
-			}
-			st.Quantiles = append(st.Quantiles, q)
-		}
-		ne, err := rd.u16()
-		if err != nil {
-			return nil, err
-		}
-		st.Estimators = make([]P2State, 0, int(ne))
-		for i := 0; i < int(ne); i++ {
-			es, err := rd.p2()
-			if err != nil {
-				return nil, err
-			}
-			st.Estimators = append(st.Estimators, es)
-		}
-		if st.Acc, err = rd.accumulator(); err != nil {
-			return nil, err
-		}
-		if st.Min, err = rd.f64(); err != nil {
-			return nil, err
-		}
-		if st.Max, err = rd.f64(); err != nil {
-			return nil, err
-		}
-		if _, err := SketchFromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	case kindPoint:
-		n, err := rd.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > rd.remaining()/48 { // each replication is 48 bytes
-			return nil, fmt.Errorf("stats: point record claims %d replications in %d bytes", n, rd.remaining())
-		}
-		st := PointState{Reps: make([]Replication, 0, int(n))}
-		for i := 0; i < int(n); i++ {
-			var r Replication
-			if r.Seed, err = rd.u64(); err != nil {
-				return nil, err
-			}
-			if r.Value, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayP50, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayP95, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayP99, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayCount, err = rd.i64(); err != nil {
-				return nil, err
-			}
-			st.Reps = append(st.Reps, r)
-		}
-		if _, err := PointFromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	default:
-		return nil, fmt.Errorf("stats: unknown record kind %d", kind)
-	}
-	if rd.remaining() != 0 {
-		return nil, fmt.Errorf("stats: %d trailing bytes after record", rd.remaining())
-	}
-	return out, nil
-}
-
-func putAccumulator(buf *bytes.Buffer, st AccumulatorState) {
-	putI64(buf, st.N)
-	putF64(buf, st.Mean)
-	putF64(buf, st.M2)
-}
-
-func putP2(buf *bytes.Buffer, st P2State) error {
-	putF64(buf, st.P)
-	putI64(buf, st.Count)
-	if st.Buf != nil || st.Count < 5 {
-		if len(st.Buf) > 4 {
-			return fmt.Errorf("stats: p2 warm-up buffer of %d values", len(st.Buf))
-		}
-		buf.WriteByte(0) // buffering
-		buf.WriteByte(byte(len(st.Buf)))
-		for _, x := range st.Buf {
-			putF64(buf, x)
-		}
-		return nil
-	}
-	if len(st.Q) != 5 || len(st.N) != 5 || len(st.NP) != 5 {
-		return fmt.Errorf("stats: p2 state wants 5 markers, got q=%d n=%d np=%d",
-			len(st.Q), len(st.N), len(st.NP))
-	}
-	buf.WriteByte(1) // markers initialized
-	for _, x := range st.Q {
-		putF64(buf, x)
-	}
-	for _, x := range st.N {
-		putF64(buf, x)
-	}
-	for _, x := range st.NP {
-		putF64(buf, x)
-	}
-	return nil
-}
-
-func (rd *reader) accumulator() (AccumulatorState, error) {
-	var st AccumulatorState
-	var err error
-	if st.N, err = rd.i64(); err != nil {
-		return st, err
-	}
-	if st.Mean, err = rd.f64(); err != nil {
-		return st, err
-	}
-	st.M2, err = rd.f64()
-	return st, err
-}
-
-func (rd *reader) p2() (P2State, error) {
-	var st P2State
-	var err error
-	if st.P, err = rd.f64(); err != nil {
-		return st, err
-	}
-	if st.Count, err = rd.i64(); err != nil {
-		return st, err
-	}
-	mode, err := rd.byte()
-	if err != nil {
-		return st, err
-	}
-	switch mode {
-	case 0:
-		n, err := rd.byte()
-		if err != nil {
-			return st, err
-		}
-		if n > 4 {
-			return st, fmt.Errorf("stats: p2 warm-up buffer of %d values", n)
-		}
-		st.Buf = make([]float64, 0, int(n))
-		for i := 0; i < int(n); i++ {
-			x, err := rd.f64()
-			if err != nil {
-				return st, err
-			}
-			st.Buf = append(st.Buf, x)
-		}
-		if st.Buf == nil {
-			st.Buf = []float64{}
-		}
-	case 1:
-		for _, dst := range []*[]float64{&st.Q, &st.N, &st.NP} {
-			*dst = make([]float64, 5)
-			for i := range *dst {
-				if (*dst)[i], err = rd.f64(); err != nil {
-					return st, err
-				}
-			}
-		}
-	default:
-		return st, fmt.Errorf("stats: unknown p2 mode byte %d", mode)
-	}
-	return st, nil
-}
-
-// reader is a bounds-checked little-endian cursor over a record.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (rd *reader) remaining() int { return len(rd.data) - rd.off }
-
-func (rd *reader) bytes(dst []byte) error {
-	if rd.remaining() < len(dst) {
-		return fmt.Errorf("stats: truncated record")
-	}
-	copy(dst, rd.data[rd.off:])
-	rd.off += len(dst)
-	return nil
-}
-
-func (rd *reader) byte() (byte, error) {
-	if rd.remaining() < 1 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	b := rd.data[rd.off]
-	rd.off++
-	return b, nil
-}
-
-func (rd *reader) u16() (uint16, error) {
-	if rd.remaining() < 2 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	v := binary.LittleEndian.Uint16(rd.data[rd.off:])
-	rd.off += 2
-	return v, nil
-}
-
-func (rd *reader) u32() (uint32, error) {
-	if rd.remaining() < 4 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	v := binary.LittleEndian.Uint32(rd.data[rd.off:])
-	rd.off += 4
-	return v, nil
-}
-
-func (rd *reader) u64() (uint64, error) {
-	if rd.remaining() < 8 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	v := binary.LittleEndian.Uint64(rd.data[rd.off:])
-	rd.off += 8
-	return v, nil
-}
-
-func (rd *reader) i64() (int64, error) {
-	v, err := rd.u64()
-	return int64(v), err
-}
-
-func (rd *reader) f64() (float64, error) {
-	v, err := rd.u64()
-	return math.Float64frombits(v), err
-}
-
-func putU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func putU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func putU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func putI64(buf *bytes.Buffer, v int64) { putU64(buf, uint64(v)) }
-
-func putF64(buf *bytes.Buffer, v float64) { putU64(buf, math.Float64bits(v)) }
