@@ -53,10 +53,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=30s ./internal/telemetry
+	$(GO) test -fuzz=FuzzJSONLFieldOrder -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzAppendJourneyJSON -fuzztime=30s ./internal/journey
 	$(GO) test -fuzz=FuzzLedgerRecord -fuzztime=30s ./internal/ledger
 	$(GO) test -fuzz=FuzzContentionGraph -fuzztime=30s -fuzzminimizetime=2s ./internal/mac
 	$(GO) test -fuzz=FuzzMediumLinkTransitions -fuzztime=30s -fuzzminimizetime=2s ./internal/medium
+	$(GO) test -fuzz=FuzzConfig -fuzztime=30s .
 
 cover:
 	$(GO) test -cover ./...

@@ -47,8 +47,16 @@ func TestCollectorSamplesRealRuntime(t *testing.T) {
 	if sum.Samples != st.Samples {
 		t.Errorf("summary samples %d != status samples %d", sum.Samples, st.Samples)
 	}
-	if sum.HeapLivePeakBytes < st.HeapLiveBytes {
-		t.Errorf("peak %d below last sample %d", sum.HeapLivePeakBytes, st.HeapLiveBytes)
+	// The peak tracks the heap-objects metric that HeapUsedBytes and
+	// HeapSeries sample; HeapLiveBytes is the GC's live-heap estimate, a
+	// different metric that may sit above it.
+	if sum.HeapLivePeakBytes < st.HeapUsedBytes {
+		t.Errorf("peak %d below last sample %d", sum.HeapLivePeakBytes, st.HeapUsedBytes)
+	}
+	for i, v := range st.HeapSeries {
+		if float64(sum.HeapLivePeakBytes) < v {
+			t.Errorf("peak %d below heap series sample %d (%.0f)", sum.HeapLivePeakBytes, i, v)
+		}
 	}
 	if sum.GCPauses == 0 {
 		t.Errorf("expected GC pauses recorded after forced GCs")

@@ -453,8 +453,14 @@ func (c *DebtSane) observeGrowth(sum float64) {
 type AirtimeConserved struct {
 	interval sim.Time
 	graph    *medium.Graph // nil = fully interfering
-	spans    map[int64][]txSpan
-	free     [][]txSpan // emptied span slices of settled intervals, for reuse
+	// open holds the spans of interval openK, the one the latest tx event
+	// belonged to; spans holds every other unsettled interval's. Events
+	// arrive in interval order, so the map is touched only when K changes.
+	open    []txSpan
+	openK   int64
+	hasOpen bool
+	spans   map[int64][]txSpan
+	free    [][]txSpan // emptied span slices of settled intervals, for reuse
 }
 
 type txSpan struct {
@@ -491,13 +497,11 @@ func (c *AirtimeConserved) Name() string { return "airtime_conserved" }
 func (c *AirtimeConserved) Observe(ev telemetry.Event, report Reporter) {
 	switch ev.Kind {
 	case telemetry.EventTx:
-		dur := sim.Time(ev.Fields["dur"])
-		spans, ok := c.spans[ev.K]
-		if !ok && len(c.free) > 0 {
-			spans = c.free[len(c.free)-1]
-			c.free = c.free[:len(c.free)-1]
+		if !c.hasOpen || ev.K != c.openK {
+			c.reopen(ev.K)
 		}
-		c.spans[ev.K] = append(spans, txSpan{
+		dur := sim.Time(ev.Fields["dur"])
+		c.open = append(c.open, txSpan{
 			start:    ev.At - dur,
 			end:      ev.At,
 			link:     ev.Link,
@@ -508,6 +512,10 @@ func (c *AirtimeConserved) Observe(ev telemetry.Event, report Reporter) {
 		// Bound memory even when interval events are missing for some K
 		// (sampled or truncated streams): everything at or before the
 		// finished interval is settled.
+		if c.hasOpen && c.openK <= ev.K {
+			c.free = append(c.free, c.open[:0])
+			c.open, c.hasOpen = nil, false
+		}
 		for k, spans := range c.spans {
 			if k <= ev.K {
 				c.free = append(c.free, spans[:0])
@@ -517,10 +525,29 @@ func (c *AirtimeConserved) Observe(ev telemetry.Event, report Reporter) {
 	}
 }
 
+// reopen parks the open interval's spans in the map and makes interval k
+// the open one, resuming its parked spans or taking a free slice.
+func (c *AirtimeConserved) reopen(k int64) {
+	if c.hasOpen {
+		c.spans[c.openK] = c.open
+	}
+	spans, ok := c.spans[k]
+	if ok {
+		delete(c.spans, k)
+	} else if len(c.free) > 0 {
+		spans = c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+	}
+	c.open, c.openK, c.hasOpen = spans, k, true
+}
+
 // finish checks one completed interval's spans; it reports at most one
 // boundary violation and one overlap violation per interval.
 func (c *AirtimeConserved) finish(ev telemetry.Event, report Reporter) {
-	spans := c.spans[ev.K]
+	spans := c.open
+	if !c.hasOpen || c.openK != ev.K {
+		spans = c.spans[ev.K]
+	}
 	if len(spans) == 0 {
 		return
 	}

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,6 +288,34 @@ func TestAirtimeContainedOverlap(t *testing.T) {
 	}
 	m := runMonitor(t, cfg, events)
 	expectOne(t, m, "airtime_conserved", "overlap")
+}
+
+// TestAirtimeInterleavedIntervals feeds tx events of two intervals
+// alternately: each interval's overlapping pair is split by an event of the
+// other, and interval 1's pair by interval 0's settlement. Both overlaps
+// must be reported, once each.
+func TestAirtimeInterleavedIntervals(t *testing.T) {
+	cfg := testConfig()
+	cfg.CollisionFree = false
+	events := []telemetry.Event{
+		txEvent(0, 0, 300, 200, 0),  // [100, 300]
+		txEvent(1, 2, 1300, 200, 0), // [1100, 1300]
+		txEvent(0, 1, 400, 200, 0),  // [200, 400] overlaps link 0's span
+		intervalEvent(0, 2),
+		txEvent(1, 3, 1400, 200, 0), // [1200, 1400] overlaps link 2's span
+		intervalEvent(1, 2),
+	}
+	m := runMonitor(t, cfg, events)
+	var ks []int64
+	for _, v := range m.Violations() {
+		if v.Check != "airtime_conserved" || !strings.Contains(v.Msg, "overlap") {
+			t.Errorf("unexpected violation: %+v", v)
+		}
+		ks = append(ks, v.K)
+	}
+	if !slices.Equal(ks, []int64{0, 1}) {
+		t.Errorf("overlaps reported for intervals %v, want [0 1]", ks)
+	}
 }
 
 func TestCollidedOverlapIsClean(t *testing.T) {

@@ -38,6 +38,9 @@ type FlightRecorder struct {
 	// [k, k+64] without them would audit a spatial-reuse run against the
 	// complete graph, so they are retained forever and written first.
 	pinned bucket
+	// order remembers each kind's field keys, so that add copies pairs by
+	// lookup instead of iterating each map.
+	order telemetry.FieldOrder
 }
 
 // bucket is one interval's recorded events, in emission order.
@@ -59,17 +62,40 @@ type field struct {
 	value float64
 }
 
-func (b *bucket) add(ev telemetry.Event) {
+func (b *bucket) add(ev telemetry.Event, order *telemetry.FieldOrder) {
 	rec := recorded{lo: len(b.fields), n: -1}
 	if ev.Fields != nil {
 		rec.n = len(ev.Fields)
-		for k, v := range ev.Fields {
-			b.fields = append(b.fields, field{k, v})
-		}
+		b.fields = appendPairs(b.fields, ev, order)
 		ev.Fields = nil
 	}
 	rec.ev = ev
 	b.events = append(b.events, rec)
+}
+
+// appendPairs appends ev's key/value pairs to dst in the key order that
+// order remembers for ev.Kind. When that order does not match the map's key
+// set, it copies the pairs in map order and remembers the new key set.
+func appendPairs(dst []field, ev telemetry.Event, order *telemetry.FieldOrder) []field {
+	mark := len(dst)
+	if keys := order.Cached(ev.Kind, len(ev.Fields)); keys != nil {
+		for _, k := range keys {
+			v, ok := ev.Fields[k]
+			if !ok {
+				break
+			}
+			dst = append(dst, field{k, v})
+		}
+		if len(dst)-mark == len(keys) {
+			return dst
+		}
+		dst = dst[:mark]
+	}
+	for k, v := range ev.Fields {
+		dst = append(dst, field{k, v})
+	}
+	order.Remember(ev.Kind, ev.Fields)
+	return dst
 }
 
 // reset empties the bucket for interval k, keeping its storage.
@@ -114,10 +140,10 @@ func NewFlightRecorder(intervals int) (*FlightRecorder, error) {
 func (r *FlightRecorder) Emit(ev telemetry.Event) {
 	r.total++
 	if ev.Kind == telemetry.EventConflict {
-		r.pinned.add(ev)
+		r.pinned.add(ev, &r.order)
 		return
 	}
-	r.bucketFor(ev.K).add(ev)
+	r.bucketFor(ev.K).add(ev, &r.order)
 }
 
 // bucketFor returns interval k's bucket. An interval not retained gets a new

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -184,6 +185,45 @@ func TestFlightRecorderMatchesReference(t *testing.T) {
 					trial, i, r.Dropped(), r.Total(), r.Intervals(), ref.dropped, ref.total, len(ref.order))
 			}
 		}
+	}
+}
+
+// TestFlightRecorderFieldOrderChanges streams events whose key sets change
+// under the recorder's remembered per-kind order: the same size with other
+// keys, another size, more keys than an order holds, and more kinds than it
+// remembers. Events must return every event with equal Fields.
+func TestFlightRecorderFieldOrderChanges(t *testing.T) {
+	keySets := [][]string{
+		{"dur", "empty", "outcome"},
+		{"dur", "empty", "outcome"},
+		{"dur", "empty", "slots"},
+		{"dur", "empty"},
+		{},
+		{"dur", "empty", "outcome"},
+	}
+	var wide []string
+	for i := 0; i < 20; i++ {
+		wide = append(wide, "l"+strconv.Itoa(i))
+	}
+	keySets = append(keySets, wide, wide[:16], wide[:16], wide[1:17])
+	r, err := NewFlightRecorder(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []telemetry.Event
+	for i, keys := range keySets {
+		for kind := 0; kind < 12; kind++ {
+			ev := telemetry.Event{K: 0, At: sim.Time(i), Link: kind, Kind: "kind" + strconv.Itoa(kind),
+				Fields: map[string]float64{}}
+			for j, key := range keys {
+				ev.Fields[key] = float64(i*100 + j)
+			}
+			r.Emit(ev)
+			want = append(want, ev)
+		}
+	}
+	if got := r.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Events differ from the emitted sequence\n got: %+v\nwant: %+v", got, want)
 	}
 }
 

@@ -16,8 +16,11 @@ import (
 // error and leave dst as it was. The field map takes its keys from keys split
 // at ',' and the values a, b, c in turn; nilFields picks a nil map over an
 // empty one. The seeds cover the float formatting edges (-0, 1e-7, 1e21, the
-// smallest subnormal, NaN and ±Inf) and the string escapes (HTML characters,
-// U+2028/2029, control bytes and invalid UTF-8).
+// smallest subnormal, NaN and ±Inf), the integer path's edges (±(2^53-1),
+// and the integer-valued 2^53, 2^53+2, 1e20, 1e17+16 and 2^62 that take the
+// general path, the last two printing other digits than their integers)
+// and the string escapes (HTML characters, U+2028/2029, control bytes and
+// invalid UTF-8).
 func FuzzAppendJSON(f *testing.F) {
 	ls, ps := string(rune(0x2028)), string(rune(0x2029))
 	f.Add(int64(3), int64(6120), 2, "tx", "", "", "dur,empty,outcome", 120.0, 0.0, 1.0, false)
@@ -30,6 +33,10 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Add(int64(-5), int64(-7), 3, "<kind>&", "check"+ls, "msg"+ps+` "q" \ `+"\x00\x1f\b\f\n\r\t\x7f", "<k>,&", 1.5, -2.25, 3e-9, false)
 	f.Add(int64(9), int64(9), 9, "bad\xff\xfe", "\xc3", "\xe2\x80", "\xffkey,ok", 1.0, 2.0, 3.0, false)
 	f.Add(int64(4), int64(10000), -1, "violation", "permutation_valid", "priority 2 assigned to two links", "priority", 2.0, 0.0, 0.0, false)
+	f.Add(int64(0), int64(0), 0, "x", "", "", "a,b,c", float64(1<<53-1), float64(1<<53), float64(1<<53+2), false)
+	f.Add(int64(0), int64(0), 0, "x", "", "", "a,b,c", -float64(1<<53-1), 1e15, 1e20, false)
+	f.Add(int64(0), int64(0), 0, "x", "", "", "a,b", -1.0, 0.5, 0.0, false)
+	f.Add(int64(0), int64(0), 0, "x", "", "", "a,b,c", 1e17+16, float64(1<<62), -(1e17 + 16), false)
 	f.Add(int64(0), int64(0), 0, "prio", "", "", "", 0.0, 0.0, 0.0, true)
 	f.Add(int64(0), int64(0), 0, "prio", "", "", "", 0.0, 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, k, at int64, link int, kind, check, msg, keys string, a, b, c float64, nilFields bool) {
@@ -62,6 +69,98 @@ func FuzzAppendJSON(f *testing.F) {
 			t.Fatalf("AppendJSON differs from json.Marshal:\n got: %q\nwant: %q", got, want)
 		}
 	})
+}
+
+// FuzzJSONLFieldOrder holds the JSONL sink's remembered per-kind field
+// order to encoding/json. It streams events of one kind whose key sets
+// change, each key set twice so the second event takes the remembered
+// order: keySets holds the sets, separated by ';', with keys split at ','.
+// The seeds change the keys at the same size, then the size, and cross the
+// sixteen keys a remembered order holds. Every line must equal
+// json.Marshal(ev) plus a newline; an event json.Marshal rejects must make
+// Flush fail.
+func FuzzJSONLFieldOrder(f *testing.F) {
+	f.Add("tx", "dur,empty,outcome;dur,empty,slots;dur,empty;dur,empty,outcome", 120.0, 0.0, 0.5)
+	f.Add("x", "a,b;c,d;a,b,c,d,e;;a", 1.0, 2.0, 3.0)
+	f.Add("prio", "l0,l1,l2,l3,l4,l5,l6,l7,l8,l9,l10,l11,l12,l13,l14,l15,l16;l0,l1,l2,l3,l4,l5,l6,l7,l8,l9,l10,l11,l12,l13,l14,l15;l0,l1", 1.0, 2.0, 3.0)
+	f.Add("debt", "max,mean,positive;max,mean,nan", 1.5, 2.0, math.NaN())
+	f.Fuzz(func(t *testing.T, kind, keySets string, a, b, c float64) {
+		values := [...]float64{a, b, c}
+		var (
+			buf  strings.Builder
+			want strings.Builder
+		)
+		sink := NewJSONL(&buf)
+		failed := false
+		for i, set := range strings.Split(keySets, ";") {
+			for rep := 0; rep < 2; rep++ {
+				ev := Event{K: int64(i), At: sim.Time(rep), Link: -1, Kind: kind, Fields: map[string]float64{}}
+				if set != "" {
+					for j, key := range strings.Split(set, ",") {
+						ev.Fields[key] = values[(i+j+rep)%len(values)]
+					}
+				}
+				sink.Emit(ev)
+				line, err := json.Marshal(ev)
+				if err != nil {
+					failed = true
+					break
+				}
+				want.Write(line)
+				want.WriteByte('\n')
+			}
+			if failed {
+				break
+			}
+		}
+		err := sink.Flush()
+		if failed {
+			if err == nil {
+				t.Fatal("Flush reported no error after an unencodable event")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, _ := strings.Cut(buf.String(), "\n")
+		if body != want.String() {
+			t.Fatalf("JSONL differs from json.Marshal:\n got: %q\nwant: %q", body, want.String())
+		}
+	})
+}
+
+// TestJSONLFieldOrderManyKinds streams more kinds than a FieldOrder
+// remembers, interleaved and with a key set changing halfway, and demands
+// json.Marshal's bytes for every line: kinds past the capacity sort per
+// event.
+func TestJSONLFieldOrderManyKinds(t *testing.T) {
+	var buf, want strings.Builder
+	sink := NewJSONL(&buf)
+	for round := 0; round < 4; round++ {
+		for kind := 0; kind < orderKinds+3; kind++ {
+			ev := Event{K: int64(round), Link: kind, Kind: "kind" + strconv.Itoa(kind), Fields: map[string]float64{
+				"b": float64(round), "a": float64(kind) / 4,
+			}}
+			if round >= 2 {
+				delete(ev.Fields, "a")
+				ev.Fields["c"] = -1
+			}
+			sink.Emit(ev)
+			line, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Write(line)
+			want.WriteByte('\n')
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, body, _ := strings.Cut(buf.String(), "\n"); body != want.String() {
+		t.Fatalf("JSONL differs from json.Marshal:\n got: %q\nwant: %q", body, want.String())
+	}
 }
 
 // TestAppendJSONNoAllocs pins the encoder's zero-allocation contract for the

@@ -42,7 +42,8 @@ const (
 	// (medium.Outcome code).
 	EventTx = "tx"
 	// EventInterval summarizes one completed interval (Link = -1): fields
-	// arrivals, served, pending counts plus engine progress.
+	// arrivals, served, expired (packets still queued at the deadline),
+	// each summed over all links.
 	EventInterval = "interval"
 	// EventSwap is one DP priority-swap decision: fields pos (priority
 	// position), down, up (link ids), accepted (0/1).
@@ -139,7 +140,9 @@ func Only(kinds ...string) JSONLOption {
 type JSONL struct {
 	w *bufio.Writer
 	// line is the encoder's scratch, reused for every event.
-	line   []byte
+	line []byte
+	// order remembers each kind's sorted field keys for the encoder.
+	order  FieldOrder
 	sample map[string]int
 	seen   map[string]int
 	only   map[string]bool
@@ -187,7 +190,7 @@ func (j *JSONL) Emit(ev Event) {
 		}
 	}
 	var err error
-	if j.line, err = AppendJSON(j.line[:0], ev); err == nil {
+	if j.line, err = appendEvent(j.line[:0], ev, &j.order); err == nil {
 		_, err = j.w.Write(j.line)
 	}
 	if err != nil {
