@@ -140,11 +140,13 @@ func BenchmarkIntervalConflictGraph(b *testing.B) {
 // BenchmarkIntervalCliques prices graph-mode contention as the network
 // grows: DB-DP on the control workload over N links split into disjoint
 // 10-link cliques (N = 10 would be one clique, the complete graph, which
-// takes the single-grid path). With per-link costs flat in N, ns/interval
-// grows linearly: each transmission reaches the contention clock as one
-// batched busy and one batched idle call for its whole neighborhood, which
-// freezes or resumes the clique with word operations and repairs the due
-// tree once, in about 2k + log N minima for a k-link clique.
+// takes the single-grid path). Each transmission reaches the contention
+// clock as one batched busy and one batched idle call for its whole
+// neighborhood, which freezes or resumes the clique with word operations and
+// repairs the due tree once, in about 2k + log N minima for a k-link clique.
+// The per-link cost still grows with N (0.42 µs at N = 20, 1.03 µs at
+// N = 200 on a 2-vCPU host; docs/PERFORMANCE.md), so ns/interval grows
+// faster than linearly.
 func BenchmarkIntervalCliques(b *testing.B) {
 	for _, n := range []int{20, 50, 200} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

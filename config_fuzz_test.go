@@ -10,8 +10,9 @@ import (
 // FuzzConfig builds rtmac.Config values directly, bypassing the scenario
 // loader: link count, per-link SuccessProb and DeliveryRatio, the Bernoulli
 // arrival rate, the protocol, Perturb, SnapshotEvery and a conflict graph
-// drawn from edge bytes. NewSimulation, a short Run and CheckFeasibility may
-// reject a configuration with an error but must never panic.
+// drawn from edge bytes. NewSimulation, EnableMonitor, a short Run and
+// CheckFeasibility may reject a configuration with an error but must never
+// panic. Every simulation that builds runs under the strict monitor.
 //
 // links is taken modulo 33, protocol modulo 7 (the six policies and the zero
 // Protocol), and graph modulo 4: no graph, NewConflictGraph over graphLinks
@@ -29,6 +30,7 @@ func FuzzConfig(f *testing.F) {
 	f.Add(uint64(6), uint8(2), -0.5, 0.5, 1.5, uint8(5), false, int64(0), 0, 0, 0, uint8(3), uint8(0), []byte(nil))
 	f.Add(uint64(7), uint8(0), 0.7, 0.9, 0.5, uint8(6), true, int64(math.MaxInt64), math.MaxInt, math.MaxInt, math.MinInt, uint8(0), uint8(0), []byte(nil))
 	f.Add(uint64(8), uint8(32), 0.0, 0.0, 0.0, uint8(0), false, int64(0), 0, 0, 1, uint8(1), uint8(33), []byte{0, 31, 5, 6, 200, 7})
+	f.Add(uint64(9), uint8(4), 0.9, 0.9, 0.5, uint8(0), false, int64(0), 0, 0, 0, uint8(3), uint8(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, seed uint64, links uint8, successProb, deliveryRatio, rate float64,
 		protocol uint8, perturb bool, perturbK int64, perturbLink, perturbExtra, snapshotEvery int,
 		graph, graphLinks uint8, edgeBytes []byte) {
@@ -81,6 +83,9 @@ func FuzzConfig(f *testing.F) {
 			cfg.Conflicts = &rtmac.ConflictGraph{}
 		}
 		if s, err := rtmac.NewSimulation(cfg); err == nil {
+			if _, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true}); err != nil {
+				t.Fatalf("EnableMonitor on a built simulation: %v", err)
+			}
 			_ = s.Run(3)
 		}
 		_, _ = rtmac.CheckFeasibility(cfg, 5)

@@ -283,3 +283,34 @@ func TestConflictsOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroConflictGraphRejected pins the zero ConflictGraph as invalid:
+// NewSimulation and CheckFeasibility reject it instead of reading it as the
+// fully-interfering channel, and its methods answer without panicking.
+func TestZeroConflictGraphRejected(t *testing.T) {
+	links := make([]rtmac.Link, 4)
+	for i := range links {
+		links[i] = rtmac.Link{SuccessProb: 0.9, Arrivals: rtmac.MustBernoulliArrivals(0.5), DeliveryRatio: 0.9}
+	}
+	cfg := rtmac.Config{
+		Seed:      1,
+		Profile:   rtmac.ControlProfile(),
+		Links:     links,
+		Protocol:  rtmac.DBDP(),
+		Conflicts: &rtmac.ConflictGraph{},
+	}
+	if _, err := rtmac.NewSimulation(cfg); err == nil {
+		t.Error("NewSimulation accepted the zero ConflictGraph")
+	}
+	if _, err := rtmac.CheckFeasibility(cfg, 10); err == nil {
+		t.Error("CheckFeasibility accepted the zero ConflictGraph")
+	}
+	g := &rtmac.ConflictGraph{}
+	if g.Links() != 0 || g.Edges() != 0 || g.Complete() || g.Conflicts(0, 0) {
+		t.Errorf("zero graph: Links %d, Edges %d, Complete %v, Conflicts(0, 0) %v",
+			g.Links(), g.Edges(), g.Complete(), g.Conflicts(0, 0))
+	}
+	if g.String() == "" {
+		t.Error("zero graph has an empty String")
+	}
+}

@@ -51,26 +51,46 @@ func CliqueConflicts(links int, cliques [][]int) (*ConflictGraph, error) {
 	return &ConflictGraph{g: g}, nil
 }
 
-// Links returns the number of links the graph covers.
-func (c *ConflictGraph) Links() int { return c.g.Links() }
+// Links returns the number of links the graph covers (zero for the invalid
+// zero value).
+func (c *ConflictGraph) Links() int {
+	if g := c.graph(); g != nil {
+		return g.Links()
+	}
+	return 0
+}
 
 // Edges returns the number of undirected conflict edges.
-func (c *ConflictGraph) Edges() int { return c.g.Edges() }
+func (c *ConflictGraph) Edges() int {
+	if g := c.graph(); g != nil {
+		return g.Edges()
+	}
+	return 0
+}
 
-// Complete reports whether every pair of links conflicts.
-func (c *ConflictGraph) Complete() bool { return c.g.Complete() }
+// Complete reports whether every pair of links conflicts; the invalid zero
+// value is not complete.
+func (c *ConflictGraph) Complete() bool {
+	g := c.graph()
+	return g != nil && g.Complete()
+}
 
 // Conflicts reports whether links a and b interfere (true when a == b). A
 // link outside [0, Links()) conflicts with nothing.
 func (c *ConflictGraph) Conflicts(a, b int) bool {
-	n := c.g.Links()
+	n := c.Links()
 	if a < 0 || a >= n || b < 0 || b >= n {
 		return false
 	}
 	return c.g.Conflicts(a, b)
 }
 
-func (c *ConflictGraph) String() string { return c.g.String() }
+func (c *ConflictGraph) String() string {
+	if g := c.graph(); g != nil {
+		return g.String()
+	}
+	return "conflicts(invalid)"
+}
 
 // graph unwraps the internal representation; nil-safe.
 func (c *ConflictGraph) graph() *medium.Graph {
@@ -78,4 +98,13 @@ func (c *ConflictGraph) graph() *medium.Graph {
 		return nil
 	}
 	return c.g
+}
+
+// validate rejects the zero value, which would otherwise read as the
+// fully-interfering channel a nil graph stands for. A nil graph is valid.
+func (c *ConflictGraph) validate() error {
+	if c != nil && c.g == nil {
+		return fmt.Errorf("rtmac: zero-value ConflictGraph; build one with NewConflictGraph, CompleteConflicts or CliqueConflicts")
+	}
+	return nil
 }

@@ -149,6 +149,9 @@ func toProblem(cfg Config) (feasibility.Problem, error) {
 	if cfg.Profile.p.Name == "" {
 		return feasibility.Problem{}, fmt.Errorf("rtmac: no profile configured")
 	}
+	if err := cfg.Conflicts.validate(); err != nil {
+		return feasibility.Problem{}, err
+	}
 	n := len(cfg.Links)
 	probs := make([]float64, n)
 	req := make([]float64, n)

@@ -333,9 +333,8 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 		}
 		out.hist.Attach(nw.Medium())
 	}
-	// The event-sink chain grows as options stack: monitor and watch engine
-	// ride alongside whatever external stream the caller already attached.
-	sinks := make(telemetry.MultiSink, 0, 3)
+	// The monitor reads typed records as a probe; the watch engine reads the
+	// event stream alongside whatever external stream the caller attached.
 	if opts.Monitor {
 		mon, err := monitor.New(monitor.Config{
 			Links:         links,
@@ -348,7 +347,7 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 		if err != nil {
 			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.label, err)
 		}
-		sinks = append(sinks, mon)
+		nw.AddProbe(mon)
 		nw.SetIntervalCheck(mon.Err)
 	}
 	var eng *watch.Engine
@@ -363,16 +362,10 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 		if err != nil {
 			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.label, err)
 		}
-		sinks = append(sinks, eng)
-	}
-	if len(sinks) > 0 {
-		if opts.Events != nil { // keep the external stream alongside
-			sinks = append(sinks, opts.Events)
-		}
-		if len(sinks) == 1 {
-			nw.SetEventSink(sinks[0])
+		if opts.Events != nil {
+			nw.SetEventSink(telemetry.MultiSink{eng, opts.Events})
 		} else {
-			nw.SetEventSink(sinks)
+			nw.SetEventSink(eng)
 		}
 	}
 	if err := nw.Run(sc.intervals); err != nil {

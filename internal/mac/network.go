@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rtmac/internal/arrival"
@@ -210,15 +211,13 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		if jt := nw.journeys; jt != nil {
 			jt.ObserveRound(link, counter)
 		}
-		sink := nw.inst.sink
-		if sink == nil {
+		if len(nw.inst.probes) == 0 {
 			return
 		}
-		nw.inst.backoffFields["slots"] = float64(counter)
-		sink.Emit(telemetry.Event{
-			K: nw.ctx.K, At: nw.eng.Now(), Link: link, Kind: telemetry.EventBackoff,
-			Fields: nw.inst.backoffFields,
-		})
+		k, at := nw.ctx.K, nw.eng.Now()
+		for _, p := range nw.inst.probes {
+			p.Backoff(k, at, link, counter)
+		}
 	})
 	nw.arrivalRNG = eng.RNG("arrivals")
 	// The interval callbacks handed to Engine.RunIntervals are built once so
@@ -251,35 +250,49 @@ func (nw *Network) SetWallClockHooks(begin func(), end func(k int64, at sim.Time
 // Telemetry returns the registry the network's metrics live in.
 func (nw *Network) Telemetry() *telemetry.Registry { return nw.reg }
 
-// SetEventSink attaches (or replaces) the structured event stream. Call it
-// before Run; events from intervals already simulated are not replayed. A
-// nil sink detaches the stream.
+// SetEventSink attaches (or replaces) the structured event stream: an event
+// adapter probe that renders every typed record as a telemetry.Event on s.
+// The adapter always runs before the probes AddProbe attached, so a probe
+// that reports into the same stream writes after the event that triggered
+// it. Call it before Run; events from intervals already simulated are not
+// replayed. A nil sink detaches the stream.
 func (nw *Network) SetEventSink(s telemetry.Sink) {
-	nw.inst.sink = s
-	if s != nil && !nw.txTraced {
-		// Per-transmission events ride the medium's existing trace hook, the
-		// same hook packet recorders use, so the medium needs no second
-		// instrumentation path. Registered once; the closure reads the
-		// current sink so replacing it needs no re-registration.
-		nw.txTraced = true
-		nw.med.AddTrace(func(tx medium.Transmission, outcome medium.Outcome) {
-			sink := nw.inst.sink
-			if sink == nil {
-				return
-			}
-			empty := 0.0
-			if tx.Empty {
-				empty = 1
-			}
-			nw.inst.txFields["dur"] = float64(tx.End - tx.Start)
-			nw.inst.txFields["empty"] = empty
-			nw.inst.txFields["outcome"] = float64(outcome)
-			sink.Emit(telemetry.Event{
-				K: nw.ctx.K, At: tx.End, Link: tx.Link, Kind: telemetry.EventTx,
-				Fields: nw.inst.txFields,
-			})
-		})
+	in := nw.inst
+	if in.events != nil {
+		in.probes = in.probes[1:]
+		in.events = nil
 	}
+	if s == nil {
+		return
+	}
+	in.events = newEventProbe(s, nw.med.Graph())
+	in.probes = slices.Insert(in.probes, 0, Probe(in.events))
+	nw.traceTx()
+}
+
+// AddProbe appends p to the probe list; it sees every record from the next
+// one on, after the event adapter and the probes attached before it. Call
+// it before Run; intervals already simulated are not replayed.
+func (nw *Network) AddProbe(p Probe) {
+	nw.inst.probes = append(nw.inst.probes, p)
+	nw.traceTx()
+}
+
+// traceTx registers, once, the medium trace hook that hands every completed
+// transmission to the probes. Per-transmission records ride the same hook
+// packet recorders use, so the medium needs no second instrumentation path;
+// the closure reads the current list, so later probes need no
+// re-registration.
+func (nw *Network) traceTx() {
+	if nw.txTraced {
+		return
+	}
+	nw.txTraced = true
+	nw.med.AddTrace(func(tx medium.Transmission, outcome medium.Outcome) {
+		for _, p := range nw.inst.probes {
+			p.Tx(nw.ctx.K, tx, outcome)
+		}
+	})
 }
 
 // SetJourneyTracer attaches (or, with nil, detaches) the packet-journey
@@ -378,8 +391,8 @@ func (nw *Network) beginInterval() error {
 	}
 	nw.cfg.Arrivals.Sample(nw.arrivalRNG, nw.arrivals)
 	nw.ctx.beginInterval(k, start, end, nw.arrivals)
-	if k == 0 {
-		nw.emitConflicts()
+	for _, p := range nw.inst.probes {
+		p.BeginInterval(k, start)
 	}
 	if jt := nw.journeys; jt != nil {
 		jt.BeginInterval(k, start, end, nw.arrivals)
@@ -398,25 +411,6 @@ func (nw *Network) beginInterval() error {
 	}
 	nw.cfg.Protocol.BeginInterval(nw.ctx)
 	return nil
-}
-
-// emitConflicts records the conflict topology at the head of the event
-// stream, one event per undirected edge, so offline auditors can rebuild the
-// graph. Fully-interfering runs (nil or complete graph) emit nothing: their
-// streams stay byte-identical to the seed medium's, and readers default to
-// the complete graph.
-func (nw *Network) emitConflicts() {
-	sink := nw.inst.sink
-	g := nw.med.Graph()
-	if sink == nil || g == nil || g.Complete() {
-		return
-	}
-	g.EachEdge(func(i, j int) {
-		sink.Emit(telemetry.Event{
-			K: 0, At: 0, Link: i, Kind: telemetry.EventConflict,
-			Fields: map[string]float64{"peer": float64(j)},
-		})
-	})
 }
 
 // endInterval closes the current interval after the engine drained its

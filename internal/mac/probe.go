@@ -1,0 +1,161 @@
+package mac
+
+import (
+	"fmt"
+
+	"rtmac/internal/medium"
+	"rtmac/internal/perm"
+	"rtmac/internal/sim"
+	"rtmac/internal/telemetry"
+)
+
+// Probe observes the interval loop through typed records. The network calls
+// its probes in one fixed order at six sites: the event adapter SetEventSink
+// installs always comes first, then the probes AddProbe attached, in attach
+// order. Slices a probe receives are reused between calls; a probe copies
+// what it keeps.
+type Probe interface {
+	// BeginInterval runs once interval k's arrivals are in the buffers,
+	// before the protocol schedules anything.
+	BeginInterval(k int64, start sim.Time)
+	// Backoff reports the initial counter link was handed as it joined the
+	// contention coordinator at simulated time at.
+	Backoff(k int64, at sim.Time, link, slots int)
+	// Tx reports one completed transmission and its resolved outcome.
+	Tx(k int64, tx medium.Transmission, outcome medium.Outcome)
+	// Swap reports one DP priority-swap decision: pos is the priority
+	// position C(k), down and up the candidate links.
+	Swap(k int64, at sim.Time, pos, down, up int, accepted bool)
+	// Debt summarizes the debt vector after the interval's Eq. 1 update:
+	// the largest debt, the mean debt and how many links owe a positive
+	// debt.
+	Debt(k int64, at sim.Time, max, mean float64, positive int)
+	// EndInterval closes interval k at its deadline end with the arrivals,
+	// deliveries and packets still queued (expired), each summed over all
+	// links, and the priority snapshot σ(k) after the interval's swaps
+	// (prio[link] is link's priority index, 1 highest), or nil when the
+	// protocol carries no priorities.
+	EndInterval(k int64, end sim.Time, arrivals, served, expired int, prio perm.Permutation)
+}
+
+// eventProbe is the probe SetEventSink installs: it renders every typed
+// record as a telemetry.Event on its sink. Each emission site owns one
+// scratch Fields map reused across events. A site writes a fixed key set,
+// so steady-state emission only overwrites values: no map growth and no
+// per-event allocation. This is safe because the Sink contract forbids
+// retaining the Fields map beyond the Emit call.
+type eventProbe struct {
+	sink telemetry.Sink
+	// graph is the medium's conflict graph, recorded at the head of the
+	// stream when it is not complete.
+	graph *medium.Graph
+
+	txFields       map[string]float64
+	backoffFields  map[string]float64
+	debtFields     map[string]float64
+	swapFields     map[string]float64
+	intervalFields map[string]float64
+	prioFields     map[string]float64
+	// prioKeys caches the "l<n>" field names of the priority snapshot
+	// (built with the first snapshot).
+	prioKeys []string
+}
+
+func newEventProbe(sink telemetry.Sink, graph *medium.Graph) *eventProbe {
+	return &eventProbe{
+		sink:           sink,
+		graph:          graph,
+		txFields:       make(map[string]float64, 3),
+		backoffFields:  make(map[string]float64, 1),
+		debtFields:     make(map[string]float64, 3),
+		swapFields:     make(map[string]float64, 4),
+		intervalFields: make(map[string]float64, 3),
+	}
+}
+
+// BeginInterval records the conflict topology at the head of the stream, one
+// event per undirected edge, so offline auditors can rebuild the graph.
+// Fully-interfering runs (nil or complete graph) emit nothing: their streams
+// stay byte-identical to the seed medium's, and readers default to the
+// complete graph.
+func (e *eventProbe) BeginInterval(k int64, _ sim.Time) {
+	g := e.graph
+	if k != 0 || g == nil || g.Complete() {
+		return
+	}
+	fields := make(map[string]float64, 1)
+	g.EachEdge(func(i, j int) {
+		fields["peer"] = float64(j)
+		e.sink.Emit(telemetry.Event{K: 0, At: 0, Link: i, Kind: telemetry.EventConflict, Fields: fields})
+	})
+}
+
+func (e *eventProbe) Backoff(k int64, at sim.Time, link, slots int) {
+	e.backoffFields["slots"] = float64(slots)
+	e.sink.Emit(telemetry.Event{
+		K: k, At: at, Link: link, Kind: telemetry.EventBackoff, Fields: e.backoffFields,
+	})
+}
+
+func (e *eventProbe) Tx(k int64, tx medium.Transmission, outcome medium.Outcome) {
+	e.txFields["dur"] = float64(tx.End - tx.Start)
+	e.txFields["empty"] = b2f(tx.Empty)
+	e.txFields["outcome"] = float64(outcome)
+	e.sink.Emit(telemetry.Event{
+		K: k, At: tx.End, Link: tx.Link, Kind: telemetry.EventTx, Fields: e.txFields,
+	})
+}
+
+func (e *eventProbe) Swap(k int64, at sim.Time, pos, down, up int, accepted bool) {
+	e.swapFields["pos"] = float64(pos)
+	e.swapFields["down"] = float64(down)
+	e.swapFields["up"] = float64(up)
+	e.swapFields["accepted"] = b2f(accepted)
+	e.sink.Emit(telemetry.Event{
+		K: k, At: at, Link: -1, Kind: telemetry.EventSwap, Fields: e.swapFields,
+	})
+}
+
+func (e *eventProbe) Debt(k int64, at sim.Time, max, mean float64, positive int) {
+	e.debtFields["max"] = max
+	e.debtFields["mean"] = mean
+	e.debtFields["positive"] = float64(positive)
+	e.sink.Emit(telemetry.Event{
+		K: k, At: at, Link: -1, Kind: telemetry.EventDebt, Fields: e.debtFields,
+	})
+}
+
+// EndInterval emits the interval event, then the σ(k) snapshot (field l<n>
+// holds link n's priority index), so a stream reader sees the interval's
+// swaps strictly before the permutation they produced.
+func (e *eventProbe) EndInterval(k int64, end sim.Time, arrivals, served, expired int, prio perm.Permutation) {
+	e.intervalFields["arrivals"] = float64(arrivals)
+	e.intervalFields["served"] = float64(served)
+	e.intervalFields["expired"] = float64(expired)
+	e.sink.Emit(telemetry.Event{
+		K: k, At: end, Link: -1, Kind: telemetry.EventInterval, Fields: e.intervalFields,
+	})
+	if prio == nil {
+		return
+	}
+	if e.prioKeys == nil {
+		e.prioKeys = make([]string, len(prio))
+		for i := range e.prioKeys {
+			e.prioKeys[i] = fmt.Sprintf("l%d", i)
+		}
+		e.prioFields = make(map[string]float64, len(prio))
+	}
+	for link, pr := range prio {
+		e.prioFields[e.prioKeys[link]] = float64(pr)
+	}
+	e.sink.Emit(telemetry.Event{
+		K: k, At: end, Link: -1, Kind: telemetry.EventPriority, Fields: e.prioFields,
+	})
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}

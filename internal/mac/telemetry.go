@@ -1,8 +1,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"rtmac/internal/perm"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
@@ -42,12 +40,16 @@ var debtHistogramBounds = []float64{0, 0.25, 0.5, 1, 2, 4, 8, 16, 32, 64}
 // windows of the CSMA baselines (up to 1024 slots).
 var backoffHistogramBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// instrumentation bundles the network-level metrics and the event stream.
+// instrumentation bundles the network-level metrics and the probe list.
 // The registry-backed parts are always on (counter updates are cheap and
-// give Report and tests one source of truth); event emission only happens
-// when a sink is attached.
+// give Report and tests one source of truth); records are only built when a
+// probe is attached.
 type instrumentation struct {
-	sink telemetry.Sink
+	// probes is the ordered list every emission site calls: events, the
+	// adapter SetEventSink installs, first when attached, then the probes
+	// AddProbe attached, in attach order.
+	probes []Probe
+	events *eventProbe
 
 	intervals    *telemetry.Counter
 	swapAccepted *telemetry.Counter
@@ -64,21 +66,6 @@ type instrumentation struct {
 	debtHist    *telemetry.Histogram
 	backoffHist *telemetry.Histogram
 
-	// prioKeys caches the "l<n>" field names of the priority-snapshot event
-	// (built once; one snapshot is emitted per interval when a sink is
-	// attached and the protocol carries priorities).
-	prioKeys []string
-
-	// Scratch Fields maps, one per emission site, reused across events. Each
-	// site writes a fixed key set, so steady-state emission only overwrites
-	// values — no map growth, no per-event allocation. Safe because the Sink
-	// contract forbids retaining the Fields map beyond the Emit call.
-	txFields       map[string]float64
-	backoffFields  map[string]float64
-	debtFields     map[string]float64
-	swapFields     map[string]float64
-	intervalFields map[string]float64
-	prioFields     map[string]float64
 	// prioScratch is the reusable σ snapshot filled by priorityCopier
 	// protocols.
 	prioScratch perm.Permutation
@@ -98,17 +85,11 @@ func newInstrumentation(reg *telemetry.Registry) *instrumentation {
 		intervalsPerS: reg.Gauge("rtmac_wallclock_intervals_per_second", "simulated intervals per wall-clock second over the last Run call"),
 		debtHist:      reg.Histogram("rtmac_debt_positive", "positive delivery debt per link per interval, packets", debtHistogramBounds),
 		backoffHist:   reg.Histogram("rtmac_backoff_slots", "initial backoff counters handed to the contention coordinator", backoffHistogramBounds),
-
-		txFields:       make(map[string]float64, 3),
-		backoffFields:  make(map[string]float64, 1),
-		debtFields:     make(map[string]float64, 3),
-		swapFields:     make(map[string]float64, 4),
-		intervalFields: make(map[string]float64, 3),
 	}
 }
 
 // observeDebts feeds the ledger's update hook: histogram always, one
-// network-wide debt event per interval when a sink is attached.
+// network-wide debt record per interval to the probes.
 func (in *instrumentation) observeDebts(k int64, at sim.Time, debts []float64) {
 	maxDebt, sum := 0.0, 0.0
 	positive := 0
@@ -125,39 +106,29 @@ func (in *instrumentation) observeDebts(k int64, at sim.Time, debts []float64) {
 			maxDebt = d
 		}
 	}
-	if in.sink != nil {
-		in.debtFields["max"] = maxDebt
-		in.debtFields["mean"] = sum / float64(len(debts))
-		in.debtFields["positive"] = float64(positive)
-		in.sink.Emit(telemetry.Event{
-			K: k, At: at, Link: -1, Kind: telemetry.EventDebt,
-			Fields: in.debtFields,
-		})
+	if len(in.probes) == 0 {
+		return
+	}
+	mean := sum / float64(len(debts))
+	for _, p := range in.probes {
+		p.Debt(k, at, maxDebt, mean, positive)
 	}
 }
 
 // observeSwap feeds the protocol's swap hook.
 func (in *instrumentation) observeSwap(k int64, at sim.Time, pos, down, up int, accepted bool) {
-	acc := 0.0
 	if accepted {
 		in.swapAccepted.Inc()
-		acc = 1
 	} else {
 		in.swapRejected.Inc()
 	}
-	if in.sink != nil {
-		in.swapFields["pos"] = float64(pos)
-		in.swapFields["down"] = float64(down)
-		in.swapFields["up"] = float64(up)
-		in.swapFields["accepted"] = acc
-		in.sink.Emit(telemetry.Event{
-			K: k, At: at, Link: -1, Kind: telemetry.EventSwap,
-			Fields: in.swapFields,
-		})
+	for _, p := range in.probes {
+		p.Swap(k, at, pos, down, up, accepted)
 	}
 }
 
-// endInterval updates the per-interval gauges and emits the interval event.
+// endInterval updates the per-interval gauges and closes the interval on
+// every probe.
 func (in *instrumentation) endInterval(nw *Network, k int64, end sim.Time) {
 	in.intervals.Inc()
 	eng := nw.eng
@@ -171,49 +142,25 @@ func (in *instrumentation) endInterval(nw *Network, k int64, end sim.Time) {
 		in.emptyFraction.Set(float64(at.Empty) / span)
 		in.collFraction.Set(float64(at.Collided) / span)
 	}
-	if in.sink != nil {
-		arrivals, served, pending := 0, 0, 0
-		for n := 0; n < nw.ctx.Links(); n++ {
-			arrivals += nw.ctx.Arrivals(n)
-			served += nw.ctx.Served(n)
-			pending += nw.ctx.Pending(n)
-		}
-		in.intervalFields["arrivals"] = float64(arrivals)
-		in.intervalFields["served"] = float64(served)
-		in.intervalFields["expired"] = float64(pending)
-		in.sink.Emit(telemetry.Event{
-			K: k, At: end, Link: -1, Kind: telemetry.EventInterval,
-			Fields: in.intervalFields,
-		})
-		if nw.prio != nil {
-			prio := in.prioScratch
-			if pc, ok := nw.prio.(priorityCopier); ok {
-				prio = pc.CopyPriorities(prio)
-				in.prioScratch = prio
-			} else {
-				prio = nw.prio.Priorities()
-			}
-			in.emitPriorities(prio, k, end)
+	if len(in.probes) == 0 {
+		return
+	}
+	arrivals, served, pending := 0, 0, 0
+	for n := 0; n < nw.ctx.Links(); n++ {
+		arrivals += nw.ctx.Arrivals(n)
+		served += nw.ctx.Served(n)
+		pending += nw.ctx.Pending(n)
+	}
+	var prio perm.Permutation
+	if nw.prio != nil {
+		if pc, ok := nw.prio.(priorityCopier); ok {
+			prio = pc.CopyPriorities(in.prioScratch)
+			in.prioScratch = prio
+		} else {
+			prio = nw.prio.Priorities()
 		}
 	}
-}
-
-// emitPriorities streams the post-swap σ(k) snapshot: field l<n> holds link
-// n's priority index. Emitted after the interval event, so a stream reader
-// sees the interval's swaps strictly before the permutation they produced.
-func (in *instrumentation) emitPriorities(prio perm.Permutation, k int64, at sim.Time) {
-	n := prio.Len()
-	if in.prioKeys == nil {
-		in.prioKeys = make([]string, n)
-		for i := range in.prioKeys {
-			in.prioKeys[i] = fmt.Sprintf("l%d", i)
-		}
-		in.prioFields = make(map[string]float64, n)
+	for _, p := range in.probes {
+		p.EndInterval(k, end, arrivals, served, pending, prio)
 	}
-	for link, pr := range prio {
-		in.prioFields[in.prioKeys[link]] = float64(pr)
-	}
-	in.sink.Emit(telemetry.Event{
-		K: k, At: at, Link: -1, Kind: telemetry.EventPriority, Fields: in.prioFields,
-	})
 }

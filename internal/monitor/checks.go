@@ -18,17 +18,16 @@ import (
 // Glauber chain of Props. 2–3 is not even defined on the permutation group).
 // ---------------------------------------------------------------------------
 
-// PermutationValid checks every "prio" snapshot for bijectivity and checks
-// that consecutive snapshots differ exactly by the interval's accepted swaps.
-type PermutationValid struct {
+// permutationValid checks every σ snapshot for bijectivity and checks that
+// consecutive snapshots differ exactly by the interval's accepted swaps.
+type permutationValid struct {
 	links    int
-	prev     []int // σ by link from the last prio event, nil before the first
-	prevK    int64
-	pending  []swapRec // accepted swaps since the last prio event
-	scratch  []int
-	expected []int // σ(k-1) with the pending swaps applied
+	prev     []int     // σ by link from the last snapshot, nil before the first
+	pending  []swapRec // accepted swaps since the last snapshot
+	expected []int     // σ(k-1) with the pending swaps applied
 	seen     []bool
-	keys     []string // the "l<n>" field names of a prio snapshot
+	decoded  []int    // decode's scratch snapshot
+	keys     []string // the "l<n>" field names of a prio event
 }
 
 type swapRec struct {
@@ -37,13 +36,12 @@ type swapRec struct {
 	down, up int
 }
 
-// NewPermutationValid builds the checker for an N-link network.
-func NewPermutationValid(links int) *PermutationValid {
-	c := &PermutationValid{
+func newPermutationValid(links int) *permutationValid {
+	c := &permutationValid{
 		links:    links,
-		scratch:  make([]int, links),
 		expected: make([]int, links),
 		seen:     make([]bool, links+2),
+		decoded:  make([]int, links),
 		keys:     make([]string, links),
 	}
 	for link := range c.keys {
@@ -52,99 +50,120 @@ func NewPermutationValid(links int) *PermutationValid {
 	return c
 }
 
-// Name implements Checker.
-func (c *PermutationValid) Name() string { return "permutation_valid" }
-
-// Observe implements Checker.
-func (c *PermutationValid) Observe(ev telemetry.Event, report Reporter) {
-	switch ev.Kind {
-	case telemetry.EventSwap:
-		if ev.Fields["accepted"] == 1 {
-			c.pending = append(c.pending, swapRec{
-				k:    ev.K,
-				pos:  int(ev.Fields["pos"]),
-				down: int(ev.Fields["down"]),
-				up:   int(ev.Fields["up"]),
-			})
-		}
-	case telemetry.EventPriority:
-		c.observePrio(ev, report)
+func (c *permutationValid) swap(k int64, pos, down, up int, accepted bool) {
+	if accepted {
+		c.pending = append(c.pending, swapRec{k: k, pos: pos, down: down, up: up})
 	}
 }
 
-func (c *PermutationValid) observePrio(ev telemetry.Event, report Reporter) {
-	cur, ok := c.decode(ev, report)
-	if !ok {
-		c.pending = c.pending[:0]
-		c.prev = nil
+// prio checks the snapshot σ(k), prio[link] being link's priority index.
+func (c *permutationValid) prio(k int64, at sim.Time, prio []int, report Reporter) {
+	if !c.valid(k, at, prio, report) {
+		c.reset()
 		return
 	}
 	if c.prev != nil {
-		c.checkEvolution(ev, cur, report)
-	}
-	if c.prev == nil {
+		c.checkEvolution(k, at, prio, report)
+	} else {
 		c.prev = make([]int, c.links)
 	}
-	copy(c.prev, cur)
-	c.prevK = ev.K
+	copy(c.prev, prio)
 	c.pending = c.pending[:0]
 }
 
-// decode reads the l<n> fields into a priority vector and validates the
-// bijection; it reports at most one violation per snapshot.
-func (c *PermutationValid) decode(ev telemetry.Event, report Reporter) ([]int, bool) {
-	if len(ev.Fields) != c.links {
-		report(Violation{
-			Check: c.Name(), K: ev.K, At: ev.At, Link: -1,
-			Msg:    fmt.Sprintf("priority snapshot names %d links, want %d", len(ev.Fields), c.links),
-			Fields: map[string]float64{"got": float64(len(ev.Fields)), "want": float64(c.links)},
-		})
-		return nil, false
+// reset forgets σ after an unusable snapshot: the next one starts afresh.
+func (c *permutationValid) reset() {
+	c.pending = c.pending[:0]
+	c.prev = nil
+}
+
+// valid checks that the snapshot is a bijection on {1..N}; it reports at
+// most one violation per snapshot.
+func (c *permutationValid) valid(k int64, at sim.Time, prio []int, report Reporter) bool {
+	if len(prio) != c.links {
+		c.wrongSize(k, at, len(prio), report)
+		return false
 	}
-	for i := range c.seen {
-		c.seen[i] = false
-	}
-	for link := 0; link < c.links; link++ {
-		v, ok := ev.Fields[c.keys[link]]
-		if !ok {
-			report(Violation{
-				Check: c.Name(), K: ev.K, At: ev.At, Link: link,
-				Msg: fmt.Sprintf("priority snapshot is missing link %d", link),
-			})
-			return nil, false
-		}
-		pr := int(v)
-		if float64(pr) != v || pr < 1 || pr > c.links {
-			report(Violation{
-				Check: c.Name(), K: ev.K, At: ev.At, Link: link,
-				Msg:    fmt.Sprintf("link %d holds priority %v outside {1..%d}", link, v, c.links),
-				Fields: map[string]float64{"priority": v},
-			})
-			return nil, false
+	return c.bijective(k, at, prio, report)
+}
+
+// bijective checks that the priorities of links 0..len(prio)-1 lie in
+// {1..N} and are pairwise distinct.
+func (c *permutationValid) bijective(k int64, at sim.Time, prio []int, report Reporter) bool {
+	clear(c.seen)
+	for link, pr := range prio {
+		if pr < 1 || pr > c.links {
+			c.outOfRange(k, at, link, float64(pr), report)
+			return false
 		}
 		if c.seen[pr] {
 			report(Violation{
-				Check: c.Name(), K: ev.K, At: ev.At, Link: link,
+				Check: checkPermutation, K: k, At: at, Link: link,
 				Msg:    fmt.Sprintf("priority %d assigned to two links — σ is not a bijection", pr),
 				Fields: map[string]float64{"priority": float64(pr)},
 			})
-			return nil, false
+			return false
 		}
 		c.seen[pr] = true
-		c.scratch[link] = pr
 	}
-	return c.scratch, true
+	return true
+}
+
+// decode reads a prio event's l<n> fields into a snapshot. A snapshot that
+// names the wrong number of links, misses one or holds a non-integral
+// priority is reported here, flaws in lower links first, and yields false.
+func (c *permutationValid) decode(ev telemetry.Event, report Reporter) ([]int, bool) {
+	if len(ev.Fields) != c.links {
+		c.wrongSize(ev.K, ev.At, len(ev.Fields), report)
+		return nil, false
+	}
+	for link, key := range c.keys {
+		v, ok := ev.Fields[key]
+		if ok && float64(int(v)) == v {
+			c.decoded[link] = int(v)
+			continue
+		}
+		if !c.bijective(ev.K, ev.At, c.decoded[:link], report) {
+			return nil, false
+		}
+		if ok {
+			c.outOfRange(ev.K, ev.At, link, v, report)
+		} else {
+			report(Violation{
+				Check: checkPermutation, K: ev.K, At: ev.At, Link: link,
+				Msg: fmt.Sprintf("priority snapshot is missing link %d", link),
+			})
+		}
+		return nil, false
+	}
+	return c.decoded, true
+}
+
+func (c *permutationValid) wrongSize(k int64, at sim.Time, n int, report Reporter) {
+	report(Violation{
+		Check: checkPermutation, K: k, At: at, Link: -1,
+		Msg:    fmt.Sprintf("priority snapshot names %d links, want %d", n, c.links),
+		Fields: map[string]float64{"got": float64(n), "want": float64(c.links)},
+	})
+}
+
+func (c *permutationValid) outOfRange(k int64, at sim.Time, link int, v float64, report Reporter) {
+	report(Violation{
+		Check: checkPermutation, K: k, At: at, Link: link,
+		Msg:    fmt.Sprintf("link %d holds priority %v outside {1..%d}", link, v, c.links),
+		Fields: map[string]float64{"priority": v},
+	})
 }
 
 // checkEvolution verifies σ(k) = σ(k-1) with the interval's accepted swaps
 // applied; any other difference means priorities changed outside Algorithm 2.
-func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report Reporter) {
+func (c *permutationValid) checkEvolution(k int64, at sim.Time, cur []int, report Reporter) {
 	expected := c.expected
 	copy(expected, c.prev)
 	for _, s := range c.pending {
 		if s.down < 0 || s.down >= c.links || s.up < 0 || s.up >= c.links {
 			report(Violation{
-				Check: c.Name(), K: s.k, At: ev.At, Link: -1,
+				Check: checkPermutation, K: s.k, At: at, Link: -1,
 				Msg: fmt.Sprintf("swap at position %d names links (%d, %d) outside [0, %d)",
 					s.pos, s.down, s.up, c.links),
 			})
@@ -152,7 +171,7 @@ func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report 
 		}
 		if expected[s.down] != s.pos || expected[s.up] != s.pos+1 {
 			report(Violation{
-				Check: c.Name(), K: s.k, At: ev.At, Link: s.down,
+				Check: checkPermutation, K: s.k, At: at, Link: s.down,
 				Msg: fmt.Sprintf("swap at position %d claims links (%d, %d) but σ held (%d, %d)",
 					s.pos, s.down, s.up, expected[s.down], expected[s.up]),
 				Fields: map[string]float64{"pos": float64(s.pos)},
@@ -164,7 +183,7 @@ func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report 
 	for link := 0; link < c.links; link++ {
 		if cur[link] != expected[link] {
 			report(Violation{
-				Check: c.Name(), K: ev.K, At: ev.At, Link: link,
+				Check: checkPermutation, K: k, At: at, Link: link,
 				Msg: fmt.Sprintf("link %d moved from priority %d to %d without a committed swap",
 					link, expected[link], cur[link]),
 				Fields: map[string]float64{"expected": float64(expected[link]), "got": float64(cur[link])},
@@ -181,9 +200,9 @@ func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report 
 // gauge rather than a hard violation (uniformity is statistical).
 // ---------------------------------------------------------------------------
 
-// SingleAdjacentSwap checks the per-interval swap draws: count, range,
+// singleAdjacentSwap checks the per-interval swap draws: count, range,
 // distinctness and non-adjacency, plus a uniformity drift gauge.
-type SingleAdjacentSwap struct {
+type singleAdjacentSwap struct {
 	links, pairs int
 	curK         int64
 	draws        []int
@@ -196,11 +215,11 @@ type SingleAdjacentSwap struct {
 	chisq  *telemetry.Gauge
 }
 
-// NewSingleAdjacentSwap builds the checker; pairs is the Remark-6 allowance
+// newSingleAdjacentSwap builds the checker; pairs is the Remark-6 allowance
 // (1 for plain Algorithm 2). The registry, when non-nil, receives the
 // rtmac_monitor_swap_pos_chisq gauge.
-func NewSingleAdjacentSwap(links, pairs int, reg *telemetry.Registry) *SingleAdjacentSwap {
-	c := &SingleAdjacentSwap{links: links, pairs: pairs, counts: make([]int64, links)}
+func newSingleAdjacentSwap(links, pairs int, reg *telemetry.Registry) *singleAdjacentSwap {
+	c := &singleAdjacentSwap{links: links, pairs: pairs, counts: make([]int64, links)}
 	if reg != nil {
 		c.chisq = reg.Gauge("rtmac_monitor_swap_pos_chisq",
 			"chi-square statistic of the swap-position draws against uniform over {1..N-1}; hovers near N-2 under Algorithm 2")
@@ -208,47 +227,41 @@ func NewSingleAdjacentSwap(links, pairs int, reg *telemetry.Registry) *SingleAdj
 	return c
 }
 
-// Name implements Checker.
-func (c *SingleAdjacentSwap) Name() string { return "single_adjacent_swap" }
+func (c *singleAdjacentSwap) swap(k int64, at sim.Time, pos int, report Reporter) {
+	if c.haveK && k != c.curK {
+		c.flush(at, report)
+	}
+	c.haveK, c.curK = true, k
+	if pos < 1 || pos > c.links-1 {
+		report(Violation{
+			Check: checkSwap, K: k, At: at, Link: -1,
+			Msg:    fmt.Sprintf("swap position %d outside {1..%d}", pos, c.links-1),
+			Fields: map[string]float64{"pos": float64(pos)},
+		})
+		return
+	}
+	c.draws = append(c.draws, pos)
+	c.observeDraw(pos)
+}
 
-// Observe implements Checker.
-func (c *SingleAdjacentSwap) Observe(ev telemetry.Event, report Reporter) {
-	switch ev.Kind {
-	case telemetry.EventSwap:
-		if c.haveK && ev.K != c.curK {
-			c.flush(ev, report)
-		}
-		c.haveK, c.curK = true, ev.K
-		pos := int(ev.Fields["pos"])
-		if pos < 1 || pos > c.links-1 {
-			report(Violation{
-				Check: c.Name(), K: ev.K, At: ev.At, Link: -1,
-				Msg:    fmt.Sprintf("swap position %d outside {1..%d}", pos, c.links-1),
-				Fields: map[string]float64{"pos": float64(pos)},
-			})
-			return
-		}
-		c.draws = append(c.draws, pos)
-		c.observeDraw(pos)
-	case telemetry.EventInterval:
-		// The interval event follows the interval's swap events, so the
-		// interval's draw set is complete here.
-		if c.haveK && ev.K >= c.curK {
-			c.flush(ev, report)
-		}
+// endInterval closes interval k: its swap records precede the interval close,
+// so the interval's draw set is complete here.
+func (c *singleAdjacentSwap) endInterval(k int64, at sim.Time, report Reporter) {
+	if c.haveK && k >= c.curK {
+		c.flush(at, report)
 	}
 }
 
 // flush finalizes one interval's draw set; it reports at most one violation
 // per flaw kind per interval.
-func (c *SingleAdjacentSwap) flush(ev telemetry.Event, report Reporter) {
+func (c *singleAdjacentSwap) flush(at sim.Time, report Reporter) {
 	defer func() { c.draws = c.draws[:0]; c.haveK = false }()
 	if len(c.draws) == 0 {
 		return
 	}
 	if len(c.draws) > c.pairs {
 		report(Violation{
-			Check: c.Name(), K: c.curK, At: ev.At, Link: -1,
+			Check: checkSwap, K: c.curK, At: at, Link: -1,
 			Msg: fmt.Sprintf("%d swap draws in one interval, Algorithm 2 permits %d",
 				len(c.draws), c.pairs),
 			Fields: map[string]float64{"draws": float64(len(c.draws)), "allowed": float64(c.pairs)},
@@ -261,7 +274,7 @@ func (c *SingleAdjacentSwap) flush(ev telemetry.Event, report Reporter) {
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i]-sorted[i-1] < 2 {
 			report(Violation{
-				Check: c.Name(), K: c.curK, At: ev.At, Link: -1,
+				Check: checkSwap, K: c.curK, At: at, Link: -1,
 				Msg: fmt.Sprintf("swap positions %d and %d overlap in links — pairs must be non-adjacent",
 					sorted[i-1], sorted[i]),
 				Fields: map[string]float64{"a": float64(sorted[i-1]), "b": float64(sorted[i])},
@@ -273,7 +286,7 @@ func (c *SingleAdjacentSwap) flush(ev telemetry.Event, report Reporter) {
 
 // observeDraw feeds the chi-square drift gauge with an O(1) incremental
 // update: chisq = (N-1)·Σc²/T − T for draw counts c and total T.
-func (c *SingleAdjacentSwap) observeDraw(pos int) {
+func (c *singleAdjacentSwap) observeDraw(pos int) {
 	old := c.counts[pos-1]
 	c.counts[pos-1] = old + 1
 	c.sumSq += float64(2*old + 1)
@@ -290,38 +303,30 @@ func (c *SingleAdjacentSwap) observeDraw(pos int) {
 // outcome under these protocols is a protocol-correctness bug.
 // ---------------------------------------------------------------------------
 
-// CollisionFree reports every transmission that resolved as Collided. A
-// single physical collision involves at least two transmissions and hence
-// reports once per destroyed transmission.
-type CollisionFree struct{}
-
-// NewCollisionFree builds the checker.
-func NewCollisionFree() *CollisionFree { return &CollisionFree{} }
-
-// Name implements Checker.
-func (c *CollisionFree) Name() string { return "collision_free" }
-
-// Observe implements Checker.
-func (c *CollisionFree) Observe(ev telemetry.Event, report Reporter) {
-	if ev.Kind != telemetry.EventTx {
-		return
-	}
-	if ev.Fields["outcome"] == outcomeCollided {
-		report(Violation{
-			Check: c.Name(), K: ev.K, At: ev.At, Link: ev.Link,
-			Msg: fmt.Sprintf("link %d collided under a collision-free protocol", ev.Link),
-			Fields: map[string]float64{
-				"dur":   ev.Fields["dur"],
-				"empty": ev.Fields["empty"],
-			},
-		})
-	}
+// collided reports a transmission that resolved as Collided under a
+// collision-free protocol. A single physical collision involves at least two
+// transmissions and hence reports once per destroyed transmission.
+func collided(k int64, link int, start, end sim.Time, empty bool, report Reporter) {
+	report(Violation{
+		Check: checkCollision, K: k, At: end, Link: link,
+		Msg: fmt.Sprintf("link %d collided under a collision-free protocol", link),
+		Fields: map[string]float64{
+			"dur":   float64(end - start),
+			"empty": b2f(empty),
+		},
+	})
 }
 
-// outcomeCollided mirrors medium.Collided without importing the package (the
-// event schema, not the Go type, is the contract here — offline audits see
-// only the stream).
+// outcomeCollided is medium.Collided's code in the outcome field of a tx
+// event, the form recorded streams carry.
 const outcomeCollided = 2
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // ---------------------------------------------------------------------------
 // debt_sane — the ledger's Eq. 1 bookkeeping: ΣΔd(k) = Σq − Σserved(k) with
@@ -331,8 +336,9 @@ const outcomeCollided = 2
 // pathology: debts growing without bound while the protocol thrashes).
 // ---------------------------------------------------------------------------
 
-// DebtSane cross-checks "debt" events against "interval" events.
-type DebtSane struct {
+// debtSane cross-checks each interval's debt record against its service
+// count.
+type debtSane struct {
 	links  int
 	window int
 
@@ -354,12 +360,12 @@ type DebtSane struct {
 // debtWindow is the saturation-gauge horizon in intervals.
 const debtWindow = 64
 
-// NewDebtSane builds the checker. The registry, when non-nil, receives the
+// newDebtSane builds the checker. The registry, when non-nil, receives the
 // rtmac_monitor_debt_window_growth gauge (packets of net debt growth per
 // interval over the last 64 intervals; persistently positive means the
 // network is saturating).
-func NewDebtSane(links int, reg *telemetry.Registry) *DebtSane {
-	c := &DebtSane{links: links, window: debtWindow}
+func newDebtSane(links int, reg *telemetry.Registry) *debtSane {
+	c := &debtSane{links: links, window: debtWindow}
 	if reg != nil {
 		c.growth = reg.Gauge("rtmac_monitor_debt_window_growth",
 			"net total-debt growth per interval over the last 64 intervals; persistently positive indicates saturation")
@@ -367,31 +373,24 @@ func NewDebtSane(links int, reg *telemetry.Registry) *DebtSane {
 	return c
 }
 
-// Name implements Checker.
-func (c *DebtSane) Name() string { return "debt_sane" }
-
-// Observe implements Checker.
-func (c *DebtSane) Observe(ev telemetry.Event, report Reporter) {
-	switch ev.Kind {
-	case telemetry.EventDebt:
-		// The debt event precedes its interval event in the stream order.
-		c.pendSum = ev.Fields["mean"] * float64(c.links)
-		c.pendK = ev.K
-		c.havePend = true
-	case telemetry.EventInterval:
-		if !c.havePend || c.pendK != ev.K {
-			return
-		}
-		c.havePend = false
-		c.settle(ev, report)
-	}
+// debt records interval k's mean debt; the debt record precedes its
+// interval close.
+func (c *debtSane) debt(k int64, mean float64) {
+	c.pendSum = mean * float64(c.links)
+	c.pendK = k
+	c.havePend = true
 }
 
-func (c *DebtSane) settle(ev telemetry.Event, report Reporter) {
-	served := ev.Fields["served"]
+// endInterval settles interval k's pending debt record against its served
+// count.
+func (c *debtSane) endInterval(k int64, at sim.Time, served float64, report Reporter) {
+	if !c.havePend || c.pendK != k {
+		return
+	}
+	c.havePend = false
 	sum := c.pendSum
 	defer func() {
-		c.lastSum, c.lastK, c.haveLast = sum, ev.K, true
+		c.lastSum, c.lastK, c.haveLast = sum, k, true
 		c.observeGrowth(sum)
 	}()
 	if !c.haveQ {
@@ -399,23 +398,23 @@ func (c *DebtSane) settle(ev telemetry.Event, report Reporter) {
 		// d(0) starts at zero, and consecutive intervals give
 		// Σq = Σd(k) − Σd(k−1) + Σserved(k).
 		switch {
-		case ev.K == 0:
+		case k == 0:
 			c.inferredQ = sum + served
 			c.haveQ = true
-		case c.haveLast && c.lastK == ev.K-1:
+		case c.haveLast && c.lastK == k-1:
 			c.inferredQ = sum - c.lastSum + served
 			c.haveQ = true
 		}
 		return
 	}
-	if !c.haveLast || c.lastK != ev.K-1 {
+	if !c.haveLast || c.lastK != k-1 {
 		return // gap in the stream (sampling/truncation); re-anchor silently
 	}
 	expected := c.lastSum + c.inferredQ - served
 	eps := 1e-6 * (1 + math.Abs(expected) + served)
 	if math.Abs(sum-expected) > eps {
 		report(Violation{
-			Check: c.Name(), K: ev.K, At: ev.At, Link: -1,
+			Check: checkDebt, K: k, At: at, Link: -1,
 			Msg: fmt.Sprintf("total debt moved to %.6f but Eq. 1 predicts %.6f from %.0f deliveries",
 				sum, expected, served),
 			Fields: map[string]float64{"got": sum, "expected": expected, "served": served},
@@ -423,7 +422,7 @@ func (c *DebtSane) settle(ev telemetry.Event, report Reporter) {
 	}
 }
 
-func (c *DebtSane) observeGrowth(sum float64) {
+func (c *debtSane) observeGrowth(sum float64) {
 	if c.growth == nil {
 		return
 	}
@@ -449,8 +448,8 @@ func (c *DebtSane) observeGrowth(sum float64) {
 // reduces to the classic no-concurrent-transmissions check.
 // ---------------------------------------------------------------------------
 
-// AirtimeConserved replays each interval's transmission spans.
-type AirtimeConserved struct {
+// airtimeConserved replays each interval's transmission spans.
+type airtimeConserved struct {
 	interval sim.Time
 	graph    *medium.Graph // nil = fully interfering
 	// open holds the spans of interval openK, the one the latest tx event
@@ -477,57 +476,48 @@ func compareSpans(a, b txSpan) int {
 	return cmp.Compare(a.link, b.link)
 }
 
-// NewAirtimeConserved builds the checker for interval length T. graph is the
+// newAirtimeConserved builds the checker for interval length T. graph is the
 // channel's conflict graph; nil (or a complete graph) means every pair of
 // links interferes.
-func NewAirtimeConserved(interval sim.Time, graph *medium.Graph) *AirtimeConserved {
-	return &AirtimeConserved{interval: interval, graph: graph, spans: make(map[int64][]txSpan)}
+func newAirtimeConserved(interval sim.Time, graph *medium.Graph) *airtimeConserved {
+	return &airtimeConserved{interval: interval, graph: graph, spans: make(map[int64][]txSpan)}
 }
 
 // conflicts reports whether concurrent spans on links a and b violate the
 // interference model.
-func (c *AirtimeConserved) conflicts(a, b int) bool {
+func (c *airtimeConserved) conflicts(a, b int) bool {
 	return c.graph == nil || c.graph.Conflicts(a, b)
 }
 
-// Name implements Checker.
-func (c *AirtimeConserved) Name() string { return "airtime_conserved" }
+func (c *airtimeConserved) tx(k int64, link int, start, end sim.Time, collided bool) {
+	if !c.hasOpen || k != c.openK {
+		c.reopen(k)
+	}
+	c.open = append(c.open, txSpan{start: start, end: end, link: link, collided: collided})
+}
 
-// Observe implements Checker.
-func (c *AirtimeConserved) Observe(ev telemetry.Event, report Reporter) {
-	switch ev.Kind {
-	case telemetry.EventTx:
-		if !c.hasOpen || ev.K != c.openK {
-			c.reopen(ev.K)
-		}
-		dur := sim.Time(ev.Fields["dur"])
-		c.open = append(c.open, txSpan{
-			start:    ev.At - dur,
-			end:      ev.At,
-			link:     ev.Link,
-			collided: ev.Fields["outcome"] == outcomeCollided,
-		})
-	case telemetry.EventInterval:
-		c.finish(ev, report)
-		// Bound memory even when interval events are missing for some K
-		// (sampled or truncated streams): everything at or before the
-		// finished interval is settled.
-		if c.hasOpen && c.openK <= ev.K {
-			c.free = append(c.free, c.open[:0])
-			c.open, c.hasOpen = nil, false
-		}
-		for k, spans := range c.spans {
-			if k <= ev.K {
-				c.free = append(c.free, spans[:0])
-				delete(c.spans, k)
-			}
+// endInterval checks interval k's spans and releases every span at or before
+// it.
+func (c *airtimeConserved) endInterval(k int64, report Reporter) {
+	c.finish(k, report)
+	// Bound memory even when interval records are missing for some K
+	// (sampled or truncated streams): everything at or before the finished
+	// interval is settled.
+	if c.hasOpen && c.openK <= k {
+		c.free = append(c.free, c.open[:0])
+		c.open, c.hasOpen = nil, false
+	}
+	for kk, spans := range c.spans {
+		if kk <= k {
+			c.free = append(c.free, spans[:0])
+			delete(c.spans, kk)
 		}
 	}
 }
 
 // reopen parks the open interval's spans in the map and makes interval k
 // the open one, resuming its parked spans or taking a free slice.
-func (c *AirtimeConserved) reopen(k int64) {
+func (c *airtimeConserved) reopen(k int64) {
 	if c.hasOpen {
 		c.spans[c.openK] = c.open
 	}
@@ -543,22 +533,22 @@ func (c *AirtimeConserved) reopen(k int64) {
 
 // finish checks one completed interval's spans; it reports at most one
 // boundary violation and one overlap violation per interval.
-func (c *AirtimeConserved) finish(ev telemetry.Event, report Reporter) {
+func (c *airtimeConserved) finish(k int64, report Reporter) {
 	spans := c.open
-	if !c.hasOpen || c.openK != ev.K {
-		spans = c.spans[ev.K]
+	if !c.hasOpen || c.openK != k {
+		spans = c.spans[k]
 	}
 	if len(spans) == 0 {
 		return
 	}
-	lo := sim.Time(ev.K) * c.interval
+	lo := sim.Time(k) * c.interval
 	hi := lo + c.interval
 	for _, s := range spans {
 		if s.start < lo || s.end > hi || s.end <= s.start {
 			report(Violation{
-				Check: c.Name(), K: ev.K, At: s.end, Link: s.link,
+				Check: checkAirtime, K: k, At: s.end, Link: s.link,
 				Msg: fmt.Sprintf("transmission [%v, %v] leaves interval %d's span [%v, %v]",
-					s.start, s.end, ev.K, lo, hi),
+					s.start, s.end, k, lo, hi),
 				Fields: map[string]float64{"start": float64(s.start), "end": float64(s.end)},
 			})
 			break
@@ -583,7 +573,7 @@ func (c *AirtimeConserved) finish(ev telemetry.Event, report Reporter) {
 				continue
 			}
 			report(Violation{
-				Check: c.Name(), K: ev.K, At: b.start, Link: b.link,
+				Check: checkAirtime, K: k, At: b.start, Link: b.link,
 				Msg: fmt.Sprintf("conflicting links %d and %d overlap on the channel without a collision outcome — airtime double-counted",
 					a.link, b.link),
 				Fields: map[string]float64{"a": float64(a.link), "b": float64(b.link)},

@@ -1,6 +1,5 @@
-// Package monitor closes the observability loop over the telemetry event
-// stream: it watches a running (or recorded) simulation for violations of the
-// paper's structural guarantees — σ(k) stays a bijection on {1..N}
+// Package monitor watches a running (or recorded) simulation for violations
+// of the paper's structural guarantees — σ(k) stays a bijection on {1..N}
 // (Proposition 1's premise), at most one uniformly-drawn adjacent swap per
 // interval (Algorithm 2, Remark 6 generalization), collision-freedom of the
 // DP family, Eq. 1 debt bookkeeping, and airtime conservation on the shared
@@ -8,8 +7,10 @@
 // sink, as rtmac_monitor_* registry counters, and — in Strict mode — as a
 // sticky error that fails the run at the end of the offending interval.
 //
-// The same checkers run online (Monitor implements telemetry.Sink) and
-// offline (Audit replays a recorded event stream), so `rtmacsim -check` audits
+// A live run feeds the monitor typed records in-process: Monitor implements
+// the interval loop's probe interface (mac.Probe), so no event is built for
+// it. Recorded streams go through Emit, the one decoder from
+// telemetry.Event into the same handlers, so `rtmacsim -check` audits
 // yesterday's JSONL dump with exactly the code that guarded the live run.
 package monitor
 
@@ -17,6 +18,7 @@ import (
 	"fmt"
 
 	"rtmac/internal/medium"
+	"rtmac/internal/perm"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
@@ -53,16 +55,15 @@ func (v Violation) String() string {
 // Reporter receives violations from a checker.
 type Reporter func(Violation)
 
-// Checker is one pluggable invariant evaluated over the event stream. A
-// checker sees every event in stream order and reports breaches through the
-// reporter; it must ignore kinds it does not understand (new kinds appear).
-type Checker interface {
-	// Name identifies the checker in violations and metric names; it must
-	// match [a-z_]+ so it can be embedded in a Prometheus metric name.
-	Name() string
-	// Observe consumes one event.
-	Observe(ev telemetry.Event, report Reporter)
-}
+// The checker names, as they appear in violations and metric names; each
+// matches [a-z_]+ so it can be embedded in a Prometheus metric name.
+const (
+	checkPermutation = "permutation_valid"
+	checkSwap        = "single_adjacent_swap"
+	checkDebt        = "debt_sane"
+	checkAirtime     = "airtime_conserved"
+	checkCollision   = "collision_free"
+)
 
 // Config assembles a Monitor.
 type Config struct {
@@ -92,21 +93,25 @@ type Config struct {
 	// Output, when non-nil, receives one "violation" event per breach (in
 	// addition to the retained Violations slice).
 	Output telemetry.Sink
-	// Checkers replaces the default catalog entirely when non-nil; most
-	// callers leave it nil and get the five built-in checkers.
-	Checkers []Checker
 }
 
 // maxRetained bounds the violations kept in memory; the counters keep exact
 // totals beyond it.
 const maxRetained = 256
 
-// Monitor fans the event stream into its checkers. It implements
-// telemetry.Sink, so it attaches anywhere a JSONL stream does.
+// Monitor runs the five checkers over the interval loop's records. It is a
+// probe of the loop (the typed methods BeginInterval through EndInterval)
+// and a telemetry.Sink (Emit) for recorded streams.
 type Monitor struct {
-	checkers []Checker
-	// reporter is m.report bound once: a method value built per Observe
-	// call would allocate per event and checker.
+	perm    *permutationValid
+	swaps   *singleAdjacentSwap
+	debt    *debtSane
+	airtime *airtimeConserved
+	// collisionFree arms the collision_free check.
+	collisionFree bool
+
+	// reporter is m.report bound once: a method value built per record
+	// would allocate.
 	reporter   Reporter
 	strict     bool
 	output     telemetry.Sink
@@ -118,8 +123,8 @@ type Monitor struct {
 	perCheck map[string]*telemetry.Counter
 }
 
-// New validates the configuration and builds a monitor with the default
-// checker catalog (or cfg.Checkers when given).
+// New validates the configuration and builds a monitor running every
+// checker the configuration arms.
 func New(cfg Config) (*Monitor, error) {
 	if cfg.Links <= 0 {
 		return nil, fmt.Errorf("monitor: need a positive link count, got %d", cfg.Links)
@@ -135,45 +140,97 @@ func New(cfg Config) (*Monitor, error) {
 		return nil, fmt.Errorf("monitor: negative swap pair count %d", pairs)
 	}
 	m := &Monitor{
-		strict:   cfg.Strict,
-		output:   cfg.Output,
-		perCheck: make(map[string]*telemetry.Counter),
+		perm:          newPermutationValid(cfg.Links),
+		swaps:         newSingleAdjacentSwap(cfg.Links, pairs, cfg.Registry),
+		debt:          newDebtSane(cfg.Links, cfg.Registry),
+		airtime:       newAirtimeConserved(cfg.Interval, cfg.Conflicts),
+		collisionFree: cfg.CollisionFree,
+		strict:        cfg.Strict,
+		output:        cfg.Output,
+		perCheck:      make(map[string]*telemetry.Counter),
 	}
 	m.reporter = m.report
-	if cfg.Checkers != nil {
-		m.checkers = cfg.Checkers
-	} else {
-		m.checkers = []Checker{
-			NewPermutationValid(cfg.Links),
-			NewSingleAdjacentSwap(cfg.Links, pairs, cfg.Registry),
-			NewDebtSane(cfg.Links, cfg.Registry),
-			NewAirtimeConserved(cfg.Interval, cfg.Conflicts),
-		}
-		if cfg.CollisionFree {
-			m.checkers = append(m.checkers, NewCollisionFree())
-		}
-	}
 	if cfg.Registry != nil {
 		m.total = cfg.Registry.Counter("rtmac_monitor_violations_total",
 			"invariant violations detected by the runtime monitor, all checks")
-		for _, c := range m.checkers {
-			m.perCheck[c.Name()] = cfg.Registry.Counter(
-				"rtmac_monitor_violations_total_"+c.Name(),
-				fmt.Sprintf("invariant violations detected by the %s check", c.Name()))
+		checks := []string{checkPermutation, checkSwap, checkDebt, checkAirtime}
+		if cfg.CollisionFree {
+			checks = append(checks, checkCollision)
+		}
+		for _, name := range checks {
+			m.perCheck[name] = cfg.Registry.Counter(
+				"rtmac_monitor_violations_total_"+name,
+				fmt.Sprintf("invariant violations detected by the %s check", name))
 		}
 	}
 	return m, nil
 }
 
-// Emit implements telemetry.Sink: every event runs through every checker.
-// Violation events emitted by this monitor itself pass through unchecked, so
-// the monitor can share a fan-out with its own output sink.
-func (m *Monitor) Emit(ev telemetry.Event) {
-	if ev.Kind == telemetry.EventViolation {
-		return
+// BeginInterval implements mac.Probe; no check needs it.
+func (m *Monitor) BeginInterval(int64, sim.Time) {}
+
+// Backoff implements mac.Probe; no check needs it.
+func (m *Monitor) Backoff(int64, sim.Time, int, int) {}
+
+// Tx implements mac.Probe.
+func (m *Monitor) Tx(k int64, tx medium.Transmission, outcome medium.Outcome) {
+	m.tx(k, tx.Link, tx.Start, tx.End, tx.Empty, outcome == medium.Collided)
+}
+
+func (m *Monitor) tx(k int64, link int, start, end sim.Time, empty, isCollided bool) {
+	m.airtime.tx(k, link, start, end, isCollided)
+	if m.collisionFree && isCollided {
+		collided(k, link, start, end, empty, m.reporter)
 	}
-	for _, c := range m.checkers {
-		c.Observe(ev, m.reporter)
+}
+
+// Swap implements mac.Probe.
+func (m *Monitor) Swap(k int64, at sim.Time, pos, down, up int, accepted bool) {
+	m.perm.swap(k, pos, down, up, accepted)
+	m.swaps.swap(k, at, pos, m.reporter)
+}
+
+// Debt implements mac.Probe.
+func (m *Monitor) Debt(k int64, _ sim.Time, _, mean float64, _ int) {
+	m.debt.debt(k, mean)
+}
+
+// EndInterval implements mac.Probe.
+func (m *Monitor) EndInterval(k int64, end sim.Time, _, served, _ int, prio perm.Permutation) {
+	m.interval(k, end, float64(served))
+	if prio != nil {
+		m.perm.prio(k, end, prio, m.reporter)
+	}
+}
+
+func (m *Monitor) interval(k int64, end sim.Time, served float64) {
+	m.swaps.endInterval(k, end, m.reporter)
+	m.debt.endInterval(k, end, served, m.reporter)
+	m.airtime.endInterval(k, m.reporter)
+}
+
+// Emit implements telemetry.Sink: it decodes a recorded event into the
+// handlers the typed records reach and ignores kinds no check reads.
+// Violation events emitted by this monitor itself pass through unchecked,
+// so the monitor can share a fan-out with its own output sink.
+func (m *Monitor) Emit(ev telemetry.Event) {
+	f := ev.Fields
+	switch ev.Kind {
+	case telemetry.EventTx:
+		dur := sim.Time(f["dur"])
+		m.tx(ev.K, ev.Link, ev.At-dur, ev.At, f["empty"] != 0, f["outcome"] == outcomeCollided)
+	case telemetry.EventSwap:
+		m.Swap(ev.K, ev.At, int(f["pos"]), int(f["down"]), int(f["up"]), f["accepted"] == 1)
+	case telemetry.EventDebt:
+		m.debt.debt(ev.K, f["mean"])
+	case telemetry.EventInterval:
+		m.interval(ev.K, ev.At, f["served"])
+	case telemetry.EventPriority:
+		if prio, ok := m.perm.decode(ev, m.reporter); ok {
+			m.perm.prio(ev.K, ev.At, prio, m.reporter)
+		} else {
+			m.perm.reset()
+		}
 	}
 }
 

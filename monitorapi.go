@@ -55,10 +55,10 @@ func violationsOut(in []monitor.Violation) []Violation {
 	return out
 }
 
-// Monitor is a running simulation's invariant monitor: it watches the event
-// stream for breaches of the paper's structural guarantees (σ bijectivity,
-// single-adjacent-swap, collision-freedom, Eq. 1 debt bookkeeping, airtime
-// conservation) and carries the flight recorder.
+// Monitor is a running simulation's invariant monitor: it watches the
+// interval loop for breaches of the paper's structural guarantees (σ
+// bijectivity, single-adjacent-swap, collision-freedom, Eq. 1 debt
+// bookkeeping, airtime conservation) and carries the flight recorder.
 type Monitor struct {
 	m        *monitor.Monitor
 	rec      *monitor.FlightRecorder
@@ -68,8 +68,8 @@ type Monitor struct {
 // simFanout forwards an event to every sink attached to the simulation at
 // emission time. The monitor uses it as its violation output, so violation
 // events appear on the JSONL stream, the flight recorder, and the Perfetto
-// trace alongside the events that triggered them. The monitor itself is in
-// the fan-out but ignores violation events, so no recursion occurs.
+// trace. The monitor is a probe that runs after the event stream at every
+// site, so each violation follows the event that triggered it.
 type simFanout struct{ s *Simulation }
 
 func (f simFanout) Emit(ev telemetry.Event) {
@@ -121,7 +121,7 @@ func (s *Simulation) EnableMonitor(cfg MonitorConfig) (*Monitor, error) {
 		wrapped.rec = rec
 		s.addSink(rec)
 	}
-	s.addSink(m)
+	s.nw.AddProbe(m)
 	if cfg.Strict {
 		s.nw.SetIntervalCheck(m.Err)
 	}

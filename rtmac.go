@@ -157,8 +157,8 @@ type Simulation struct {
 	health          *Health
 	slo             *SLOConfig
 	watch           *Watch
-	// sinks holds every attached event consumer (JSONL streams, the runtime
-	// monitor, flight recorder, Perfetto exporter) in attach order; the
+	// sinks holds every attached event consumer (JSONL streams, flight
+	// recorder, Perfetto exporter, watch engine) in attach order; the
 	// network sees them as one fan-out.
 	sinks []telemetry.Sink
 }
@@ -179,6 +179,9 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	}
 	if cfg.Profile.p.Name == "" {
 		return nil, fmt.Errorf("rtmac: no profile configured (use VideoProfile, ControlProfile or CustomProfile)")
+	}
+	if err := cfg.Conflicts.validate(); err != nil {
+		return nil, err
 	}
 	n := len(cfg.Links)
 	probs := make([]float64, n)
