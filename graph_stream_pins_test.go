@@ -99,9 +99,10 @@ func ringConflicts(tb testing.TB, n int) *rtmac.ConflictGraph {
 }
 
 // pinConfig is the property-graph workload (p = 0.8, Bernoulli 0.6
-// arrivals, delivery ratio 0.9, seed 7) on the given conflict graph.
-func pinConfig(graph *rtmac.ConflictGraph, protocol rtmac.Protocol) rtmac.Config {
-	links := make([]rtmac.Link, graph.Links())
+// arrivals, delivery ratio 0.9, seed 7) on n links and the given conflict
+// graph; nil is the fully-interfering channel.
+func pinConfig(n int, graph *rtmac.ConflictGraph, protocol rtmac.Protocol) rtmac.Config {
+	links := make([]rtmac.Link, n)
 	for i := range links {
 		links[i] = rtmac.Link{
 			SuccessProb:   0.8,
@@ -125,8 +126,11 @@ func pinConfig(graph *rtmac.ConflictGraph, protocol rtmac.Protocol) rtmac.Config
 // recorded before carrier sensing moved to batched bitset transitions;
 // they are the only pins whose neighbourhoods span several words. Complete graphs take the single grid, so
 // TestCompleteGraphEquivalence never reaches this code; these pins are its
-// byte-identity guard. Regenerate with -update-graph-pins only for an
-// intended behaviour change.
+// byte-identity guard. The complete/<protocol> pins run the same workload
+// on the fully-interfering channel (nil conflicts), pinning the single-grid
+// streams against a recorded digest rather than a second run of the same
+// code. Regenerate with -update-graph-pins only for an intended behaviour
+// change.
 func TestGraphModeStreamsPinned(t *testing.T) {
 	const intervals = 1000
 	got := map[string]graphStreamPin{}
@@ -136,8 +140,11 @@ func TestGraphModeStreamsPinned(t *testing.T) {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		for _, tc := range propertyProtocols() {
-			got[g.name+"/"+tc.name] = graphStreamDigests(t, pinConfig(graph, tc.p), intervals)
+			got[g.name+"/"+tc.name] = graphStreamDigests(t, pinConfig(g.links, graph, tc.p), intervals)
 		}
+	}
+	for _, tc := range propertyProtocols() {
+		got["complete/"+tc.name] = graphStreamDigests(t, pinConfig(8, nil, tc.p), intervals)
 	}
 	got["five-cliques-50/dbdp"] = graphStreamDigests(t, cliqueConfig(t, 50, rtmac.DBDP(), 7), intervals)
 	// Wider than one 64-bit word: clique 60-69 and the ring's 63-64 and
@@ -145,7 +152,7 @@ func TestGraphModeStreamsPinned(t *testing.T) {
 	got["cliques-130/dbdp"] = graphStreamDigests(t, cliqueConfig(t, 130, rtmac.DBDP(), 7), intervals)
 	ring := ringConflicts(t, 130)
 	for _, tc := range propertyProtocols() {
-		got["ring-130/"+tc.name] = graphStreamDigests(t, pinConfig(ring, tc.p), intervals)
+		got["ring-130/"+tc.name] = graphStreamDigests(t, pinConfig(130, ring, tc.p), intervals)
 	}
 
 	if *updateGraphPins {

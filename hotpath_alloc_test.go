@@ -141,7 +141,7 @@ func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 	wide := map[string]func(rtmac.Protocol) rtmac.Config{
 		"five-cliques-50": func(p rtmac.Protocol) rtmac.Config { return cliqueConfig(t, 50, p, 1) },
 		"cliques-130":     func(p rtmac.Protocol) rtmac.Config { return cliqueConfig(t, 130, p, 1) },
-		"ring-130":        func(p rtmac.Protocol) rtmac.Config { return pinConfig(ring, p) },
+		"ring-130":        func(p rtmac.Protocol) rtmac.Config { return pinConfig(130, ring, p) },
 	}
 	for gName, config := range wide {
 		for pName, protocol := range hotPathProtocols() {
