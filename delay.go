@@ -21,7 +21,7 @@ func (s *Simulation) EnableDelayStats(resolution int) (*Delay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
-	d.Attach(s.nw.Medium())
+	s.nw.AddProbe(d)
 	return &Delay{d: d}, nil
 }
 
@@ -67,7 +67,7 @@ func (s *Simulation) EnableDelaySketch() (*DelayQuantiles, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
-	d.Attach(s.nw.Medium())
+	s.nw.AddProbe(d)
 	return &DelayQuantiles{d: d}, nil
 }
 

@@ -71,7 +71,7 @@ func (s *Simulation) EnableHealth(cfg HealthConfig) (*Health, error) {
 			Sink:     simFanout{s: s},
 			Registry: s.nw.Telemetry(),
 		})
-		s.nw.SetWallClockHooks(h.dog.BeginInterval, h.dog.EndInterval)
+		s.nw.AddProbe(h.dog)
 	}
 	if cfg.ProfileDir != "" {
 		ring, err := health.NewProfileRing(health.RingConfig{

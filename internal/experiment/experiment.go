@@ -326,12 +326,12 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 	if out.delay, err = metrics.NewDelaySketch(sc.profile.Interval); err != nil {
 		return runOut{}, err
 	}
-	out.delay.Attach(nw.Medium())
+	nw.AddProbe(out.delay)
 	if sc.delayBuckets > 0 {
 		if out.hist, err = metrics.NewDelayStats(sc.profile.Interval, sc.delayBuckets); err != nil {
 			return runOut{}, err
 		}
-		out.hist.Attach(nw.Medium())
+		nw.AddProbe(out.hist)
 	}
 	// The monitor reads typed records as a probe; the watch engine reads the
 	// event stream alongside whatever external stream the caller attached.

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rtmac/internal/mac"
+	"rtmac/internal/perm"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
@@ -30,9 +32,14 @@ type WatchdogConfig struct {
 }
 
 // Watchdog measures wall-clock time per simulated interval against a budget.
-// BeginInterval/EndInterval bracket each interval on the simulation
-// goroutine; the in-budget path is two monotonic clock reads plus a handful
-// of atomic stores and allocates nothing. Only an overrun takes the slow
+// It is a mac.Probe: its BeginInterval and EndInterval records bracket each
+// interval on the simulation goroutine. The bracket spans the interval's
+// records from the watchdog's begin to its end: the protocol's scheduling
+// and channel activity, the ledger update and the probes listed before the
+// watchdog at the close, but not arrival sampling, which precedes the
+// begin record, nor the network's interval check, which follows the close.
+// The in-budget path is two monotonic clock reads plus a handful of atomic
+// stores and allocates nothing. Only an overrun takes the slow
 // path: a runtime/metrics read to decide whether a GC pause or scheduler
 // delay overlapped the window, a cause tally, and a "stall" event.
 //
@@ -41,6 +48,7 @@ type WatchdogConfig struct {
 // the last stall — a deliberate approximation at histogram resolution, not
 // an exact overlap proof.
 type Watchdog struct {
+	mac.NopProbe
 	budget int64 // ns; <=0 disables overrun detection
 	sink   telemetry.Sink
 
@@ -136,7 +144,7 @@ func (w *Watchdog) readBaseline() {
 
 // BeginInterval marks the wall-clock start of a simulated interval. Must be
 // called from the simulation goroutine.
-func (w *Watchdog) BeginInterval() {
+func (w *Watchdog) BeginInterval(int64, sim.Time, sim.Time, []int, perm.Permutation) {
 	w.startNS = time.Now()
 	w.begun.Store(true)
 }
@@ -144,7 +152,7 @@ func (w *Watchdog) BeginInterval() {
 // EndInterval closes the interval opened by BeginInterval and, when the
 // elapsed wall-clock time exceeds the budget, attributes and reports the
 // overrun. k and at stamp any emitted stall event with simulated time.
-func (w *Watchdog) EndInterval(k int64, at sim.Time) {
+func (w *Watchdog) EndInterval(k int64, at sim.Time, _, _, _ int, _ perm.Permutation) {
 	if !w.begun.Load() {
 		return
 	}

@@ -4,8 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
+
+// begin and end drive the watchdog's probe records the way the network
+// brackets one interval.
+func begin(w *Watchdog) { w.BeginInterval(0, 0, 0, nil, nil) }
+
+func end(w *Watchdog, k int64, at sim.Time) { w.EndInterval(k, at, 0, 0, 0, nil) }
 
 // captureSink records emitted events, copying Fields (the watchdog reuses
 // its scratch map, per the Sink contract).
@@ -26,9 +33,9 @@ func TestWatchdogFiresUnderTinyBudget(t *testing.T) {
 	sink := &captureSink{}
 	w := NewWatchdog(WatchdogConfig{Budget: time.Nanosecond, Sink: sink})
 
-	w.BeginInterval()
+	begin(w)
 	time.Sleep(2 * time.Millisecond) // guarantee the 1 ns budget is blown
-	w.EndInterval(7, 12345)
+	end(w, 7, 12345)
 
 	st := w.Status()
 	if st.Intervals != 1 {
@@ -71,8 +78,8 @@ func TestWatchdogQuietUnderHugeBudget(t *testing.T) {
 	sink := &captureSink{}
 	w := NewWatchdog(WatchdogConfig{Budget: time.Hour, Sink: sink})
 	for k := int64(0); k < 100; k++ {
-		w.BeginInterval()
-		w.EndInterval(k, 0)
+		begin(w)
+		end(w, k, 0)
 	}
 	st := w.Status()
 	if st.Intervals != 100 {
@@ -88,7 +95,7 @@ func TestWatchdogQuietUnderHugeBudget(t *testing.T) {
 
 func TestWatchdogEndWithoutBeginIsNoop(t *testing.T) {
 	w := NewWatchdog(WatchdogConfig{Budget: time.Nanosecond})
-	w.EndInterval(0, 0)
+	end(w, 0, 0)
 	if st := w.Status(); st.Intervals != 0 || st.Overruns != 0 {
 		t.Fatalf("orphan EndInterval counted: %+v", st)
 	}
@@ -97,9 +104,9 @@ func TestWatchdogEndWithoutBeginIsNoop(t *testing.T) {
 func TestWatchdogDisabledBudgetNeverOverruns(t *testing.T) {
 	sink := &captureSink{}
 	w := NewWatchdog(WatchdogConfig{Budget: 0, Sink: sink})
-	w.BeginInterval()
+	begin(w)
 	time.Sleep(time.Millisecond)
-	w.EndInterval(0, 0)
+	end(w, 0, 0)
 	if st := w.Status(); st.Overruns != 0 || len(sink.events) != 0 {
 		t.Fatalf("zero budget must disable detection: %+v", st)
 	}
@@ -107,9 +114,9 @@ func TestWatchdogDisabledBudgetNeverOverruns(t *testing.T) {
 
 func TestWatchdogMergeInto(t *testing.T) {
 	w := NewWatchdog(WatchdogConfig{Budget: time.Nanosecond})
-	w.BeginInterval()
+	begin(w)
 	time.Sleep(time.Millisecond)
-	w.EndInterval(0, 0)
+	end(w, 0, 0)
 
 	var s telemetry.HealthSummary
 	w.MergeInto(&s)
@@ -128,8 +135,8 @@ func BenchmarkWatchdogInterval(b *testing.B) {
 	w := NewWatchdog(WatchdogConfig{Budget: time.Hour})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.BeginInterval()
-		w.EndInterval(int64(i), 0)
+		begin(w)
+		end(w, int64(i), 0)
 	}
 	if st := w.Status(); st.Overruns != 0 {
 		b.Fatalf("unexpected overruns during benchmark: %d", st.Overruns)
@@ -140,8 +147,8 @@ func TestWatchdogIntervalZeroAlloc(t *testing.T) {
 	w := NewWatchdog(WatchdogConfig{Budget: time.Hour})
 	k := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		w.BeginInterval()
-		w.EndInterval(k, 0)
+		begin(w)
+		end(w, k, 0)
 		k++
 	})
 	if allocs != 0 {

@@ -20,6 +20,7 @@ import (
 	"io"
 
 	"rtmac/internal/sim"
+	"rtmac/internal/telemetry"
 )
 
 // Terminal causes. Every recorded packet ends in exactly one.
@@ -270,7 +271,11 @@ func (a *Attribution) Merge(b Attribution) {
 }
 
 // Decode parses a journeys JSONL stream (one Journey per line, as written by
-// the Tracer), stopping at the first malformed line.
+// the Tracer), stopping at the first malformed line. A leading schema header
+// is validated and skipped; headerless legacy streams decode as before.
 func Decode(r io.Reader) ([]Journey, error) {
-	return decodeAll(r)
+	var out []Journey
+	_, err := telemetry.ReadJSONL(r, telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion,
+		"journey: decode journey", func(j Journey) { out = append(out, j) })
+	return out, err
 }

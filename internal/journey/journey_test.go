@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rtmac/internal/medium"
+	"rtmac/internal/perm"
 	"rtmac/internal/sim"
 )
 
@@ -147,14 +148,20 @@ func TestNewTracerRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// driveInterval runs one scripted interval against the tracer.
+// txEvent is one scripted transmission handed to the tracer.
 type txEvent struct {
 	link    int
-	head    int
 	start   sim.Time
 	end     sim.Time
 	empty   bool
 	outcome medium.Outcome
+}
+
+// closeInterval hands the tracer interval k's Debt record with the given
+// post-update debts, then its EndInterval record.
+func closeInterval(tr *Tracer, k int64, debts ...float64) {
+	tr.Debt(k, 0, debts, 0, 0, 0)
+	tr.EndInterval(k, 0, 0, 0, 0, nil)
 }
 
 func TestTracerEndToEnd(t *testing.T) {
@@ -167,26 +174,26 @@ func TestTracerEndToEnd(t *testing.T) {
 	// Interval 0: link 0 gets 2 packets (first delivered after a loss, second
 	// expires with a collided tail), link 1 gets 1 packet that only ever
 	// contends, link 2 gets 1 packet with no activity at all.
-	tr.BeginInterval(0, 0, 1000, []int{2, 1, 1})
-	tr.SetPriorities([]int{2, 1, 3})
-	tr.ObserveRound(0, 4)
+	tr.BeginInterval(0, 0, 1000, []int{2, 1, 1}, perm.Permutation{2, 1, 3})
+	tr.Backoff(0, 0, 0, 4)
 	tr.ObserveSense(0, false)
 	tr.ObserveFire(0, true)
-	tr.ObserveRound(1, 9)
-	tr.ObserveSense(1, true)
+	tr.Round(0, 0, 1, 9)
+	tr.Sense(0, 0, 1, true)
+	// The head-of-line packet follows link 0's own delivery count: the loss
+	// and the delivery carry packet 0, the collision packet 1.
 	for _, e := range []txEvent{
-		{link: 0, head: 0, start: 50, end: 150, outcome: medium.Lost},
-		{link: 0, head: 0, start: 200, end: 300, outcome: medium.Delivered},
-		{link: 0, head: 1, start: 400, end: 500, outcome: medium.Collided},
-		{link: 2, head: 0, start: 600, end: 700, empty: true, outcome: medium.Delivered},
+		{link: 0, start: 50, end: 150, outcome: medium.Lost},
+		{link: 0, start: 200, end: 300, outcome: medium.Delivered},
+		{link: 0, start: 400, end: 500, outcome: medium.Collided},
+		{link: 2, start: 600, end: 700, empty: true, outcome: medium.Delivered},
 	} {
-		tr.ObserveTx(e.link, e.head, e.start, e.end, e.empty, e.outcome)
+		tr.Tx(0, medium.Transmission{Link: e.link, Start: e.start, End: e.end, Empty: e.empty}, e.outcome)
 	}
-	tr.ObserveRound(0, 1) // round after link 0's delivery — must not attach to packet 0
-	tr.ObserveSwap(1, 0, true)
-	tr.ObserveSwap(2, 0, false) // rejected: no annotation
-	debt := func(link int) float64 { return float64(link) - 0.5 }
-	tr.EndInterval([]int{1, 0, 0}, debt)
+	tr.Backoff(0, 0, 0, 1) // round after link 0's delivery — must not attach to packet 0
+	tr.Swap(0, 0, 1, 1, 0, true)
+	tr.Swap(0, 0, 2, 2, 0, false) // rejected: no annotation
+	closeInterval(tr, 0, -0.5, 0.5, 1.5)
 
 	if got := tr.Seen(); got != 4 {
 		t.Fatalf("Seen = %d, want 4", got)
@@ -276,8 +283,8 @@ func TestTracerSampling(t *testing.T) {
 	// 3 intervals × 2 links × 2 arrivals = 12 packets; stride 3 keeps 4.
 	for k := int64(0); k < 3; k++ {
 		start := sim.Time(k * 1000)
-		tr.BeginInterval(k, start, start+1000, []int{2, 2})
-		tr.EndInterval([]int{0, 0}, func(int) float64 { return 0 })
+		tr.BeginInterval(k, start, start+1000, []int{2, 2}, nil)
+		closeInterval(tr, k, 0, 0)
 	}
 	if tr.Seen() != 12 {
 		t.Fatalf("Seen = %d, want 12", tr.Seen())
@@ -308,9 +315,9 @@ func TestTracerNilWriterKeepsAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.BeginInterval(0, 0, 100, []int{1})
-	tr.ObserveTx(0, 0, 10, 20, false, medium.Delivered)
-	tr.EndInterval([]int{1}, func(int) float64 { return -1 })
+	tr.BeginInterval(0, 0, 100, []int{1}, nil)
+	tr.Tx(0, medium.Transmission{Link: 0, Start: 10, End: 20}, medium.Delivered)
+	closeInterval(tr, 0, -1)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +336,8 @@ func TestTimelineRingWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < 10; k++ {
-		tr.BeginInterval(k, sim.Time(k*100), sim.Time(k*100+100), []int{0})
-		tr.EndInterval([]int{0}, func(int) float64 { return float64(k) })
+		tr.BeginInterval(k, sim.Time(k*100), sim.Time(k*100+100), []int{0}, nil)
+		closeInterval(tr, k, float64(k))
 	}
 	pts, err := tr.Timeline(0)
 	if err != nil {
@@ -372,10 +379,10 @@ func TestTracerJourneyPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < 5; k++ {
-		tr.BeginInterval(k, sim.Time(k*100), sim.Time(k*100+100), []int{2})
-		tr.ObserveRound(0, 3)
-		tr.ObserveTx(0, 0, sim.Time(k*100+10), sim.Time(k*100+20), false, medium.Delivered)
-		tr.EndInterval([]int{1}, func(int) float64 { return 0 })
+		tr.BeginInterval(k, sim.Time(k*100), sim.Time(k*100+100), []int{2}, nil)
+		tr.Backoff(k, 0, 0, 3)
+		tr.Tx(k, medium.Transmission{Link: 0, Start: sim.Time(k*100 + 10), End: sim.Time(k*100 + 20)}, medium.Delivered)
+		closeInterval(tr, k, 0)
 	}
 	agg := tr.Attribution()
 	if agg.Total != 10 || agg.Delivered != 5 || agg.NeverWon != 5 {

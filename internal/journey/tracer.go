@@ -2,21 +2,21 @@ package journey
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 
 	"rtmac/internal/medium"
+	"rtmac/internal/perm"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
 
 // Tracer records sampled packet journeys and per-link debt timelines from
-// one simulation. The network drives it through the Observe* hooks; every
-// hook is called from the simulation goroutine, while the published state
-// (attribution tallies, timelines) is read through mutex-guarded accessors
-// so a live HTTP plane can serve it mid-run.
+// one simulation. It is a mac.Probe: the network drives it through the
+// probe records, all called from the simulation goroutine, while the
+// published state (attribution tallies, timelines) is read through
+// mutex-guarded accessors so a live HTTP plane can serve it mid-run.
 //
 // Sampling is by global arrival sequence: packet seq is recorded iff
 // seq % sample == 0, which keeps the decision independent of scheduling and
@@ -39,7 +39,7 @@ type Tracer struct {
 	packets  [][]*Journey // per link, per arrival index; nil entry = unsampled
 	rounds   [][]Round    // contention rounds per link this interval
 	live     []bool       // link has >= 1 unresolved sampled packet
-	wins     []int        // per-link data outcomes this interval
+	wins     []int        // per-link data outcomes this interval; wins is S_n(k) so far
 	losses   []int
 	colls    []int
 	swapUp   []bool
@@ -125,9 +125,10 @@ func (t *Tracer) Links() int { return t.links }
 func (t *Tracer) SampleEvery() int { return int(t.sample) }
 
 // BeginInterval opens interval k: sample the interval's arrivals into fresh
-// journeys and reset the per-interval scratch. Called by the network before
-// the protocol sees the interval.
-func (t *Tracer) BeginInterval(k int64, start, deadline sim.Time, arrivals []int) {
+// journeys, reset the per-interval scratch and record the priority each
+// link holds during the interval (1-based; prio nil records 0). Called by
+// the network before the protocol sees the interval.
+func (t *Tracer) BeginInterval(k int64, start, deadline sim.Time, arrivals []int, prio perm.Permutation) {
 	t.open = true
 	t.k, t.start, t.deadline = k, start, deadline
 	seq := t.seqValue()
@@ -138,6 +139,9 @@ func (t *Tracer) BeginInterval(k int64, start, deadline sim.Time, arrivals []int
 		t.wins[link], t.losses[link], t.colls[link] = 0, 0, 0
 		t.swapUp[link], t.swapDown[link] = false, false
 		t.prio[link] = 0
+		if prio != nil {
+			t.prio[link] = prio[link]
+		}
 		for idx := 0; idx < arrivals[link]; idx++ {
 			var j *Journey
 			if seq%t.sample == 0 {
@@ -153,25 +157,25 @@ func (t *Tracer) BeginInterval(k int64, start, deadline sim.Time, arrivals []int
 	t.setSeq(seq)
 }
 
-// SetPriorities records the interval's priority assignment (1-based index
-// per link) so journeys carry the priority their link held. Called after
-// BeginInterval by networks running a priority-carrying protocol.
-func (t *Tracer) SetPriorities(prio []int) {
-	if !t.open {
-		return
-	}
-	copy(t.prio, prio)
-}
+// Backoff records one contention-round entry for link: the initial backoff
+// counter it drew from the contention coordinator.
+func (t *Tracer) Backoff(_ int64, _ sim.Time, link, backoff int) { t.round(link, backoff) }
 
-// ObserveRound records one contention-round entry for link: the initial
-// backoff counter it drew. Fed by the contention coordinator's backoff
-// observer and by protocols running private contention (FCSMA).
-func (t *Tracer) ObserveRound(link, backoff int) {
+// Round records one contention round a protocol ran privately (FCSMA).
+func (t *Tracer) Round(_ int64, _ sim.Time, link, backoff int) { t.round(link, backoff) }
+
+func (t *Tracer) round(link, backoff int) {
 	if !t.open || !t.live[link] {
 		return
 	}
 	t.rounds[link] = append(t.rounds[link], Round{Backoff: backoff, Sense: -1})
 }
+
+// Sense is the probe form of ObserveSense.
+func (t *Tracer) Sense(_ int64, _ sim.Time, link int, busy bool) { t.ObserveSense(link, busy) }
+
+// Fire is the probe form of ObserveFire.
+func (t *Tracer) Fire(_ int64, _ sim.Time, link int, started bool) { t.ObserveFire(link, started) }
 
 // ObserveSense records the carrier-sense observation at link's counter-one
 // instant, annotating its latest round.
@@ -200,14 +204,16 @@ func (t *Tracer) ObserveFire(link int, started bool) {
 	}
 }
 
-// ObserveTx records one completed transmission on link. head is the index of
-// the link's current head-of-line packet (the interval's served count at the
-// instant the transmission resolved); empty priority-claiming frames carry
-// no packet and only matter to contention, not to journeys.
-func (t *Tracer) ObserveTx(link, head int, start, end sim.Time, empty bool, outcome medium.Outcome) {
-	if !t.open || empty {
+// Tx records one completed transmission. The link's head-of-line packet is
+// the one indexed by its deliveries so far this interval (the Tx record
+// precedes the network's own bookkeeping, so the count excludes this
+// transmission); empty priority-claiming frames carry no packet and only
+// matter to contention, not to journeys.
+func (t *Tracer) Tx(_ int64, tx medium.Transmission, outcome medium.Outcome) {
+	if !t.open || tx.Empty {
 		return
 	}
+	link, head := tx.Link, t.wins[tx.Link]
 	switch outcome {
 	case medium.Delivered:
 		t.wins[link]++
@@ -223,18 +229,18 @@ func (t *Tracer) ObserveTx(link, head int, start, end sim.Time, empty bool, outc
 	if j == nil {
 		return // head packet not sampled
 	}
-	j.Attempts = append(j.Attempts, Attempt{Start: start, End: end, Outcome: outcome.String()})
+	j.Attempts = append(j.Attempts, Attempt{Start: tx.Start, End: tx.End, Outcome: outcome.String()})
 	if outcome == medium.Delivered {
 		j.Cause = CauseDelivered
-		j.DoneAt = end
-		j.Delay = end - j.Arrived
+		j.DoneAt = tx.End
+		j.Delay = tx.End - j.Arrived
 		j.roundsAtDone = len(t.rounds[link])
 	}
 }
 
-// ObserveSwap records one committed or rejected priority-swap decision: down
-// is the link demoted by an accepted swap, up the link promoted.
-func (t *Tracer) ObserveSwap(down, up int, accepted bool) {
+// Swap records one committed or rejected priority-swap decision: down is
+// the link demoted by an accepted swap, up the link promoted.
+func (t *Tracer) Swap(_ int64, _ sim.Time, _, down, up int, accepted bool) {
 	if !t.open || !accepted {
 		return
 	}
@@ -246,12 +252,13 @@ func (t *Tracer) ObserveSwap(down, up int, accepted bool) {
 	}
 }
 
-// EndInterval closes the interval: classify every sampled packet that was
-// not delivered, stream the finished journeys in (link, idx) order, fold the
-// causes into the attribution tallies, and append one debt point per link.
-// served is the interval's service vector; debt returns the signed post-update
-// d_n(k) (the ledger's Debt method).
-func (t *Tracer) EndInterval(served []int, debt func(link int) float64) {
+// Debt closes the interval on the Eq. 1 update: classify every sampled
+// packet that was not delivered, stream the finished journeys in (link, idx)
+// order, fold the causes into the attribution tallies, and append one debt
+// point per link carrying the signed post-update d_n(k) from debts. The
+// network emits this record before the interval event, so a live reader of
+// the tallies is never behind the event stream.
+func (t *Tracer) Debt(_ int64, _ sim.Time, debts []float64, _, _ float64, _ int) {
 	if !t.open {
 		return
 	}
@@ -264,9 +271,9 @@ func (t *Tracer) EndInterval(served []int, debt func(link int) float64) {
 			if j == nil {
 				continue
 			}
-			if idx < served[link] {
+			if idx < t.wins[link] {
 				// Delivered mid-interval: terminal state was stamped by
-				// ObserveTx; attach the rounds that preceded the delivery.
+				// Tx; attach the rounds that preceded the delivery.
 				j.Rounds = rounds[:j.roundsAtDone]
 			} else {
 				j.Cause = classify(j.Attempts, rounds)
@@ -287,7 +294,7 @@ func (t *Tracer) EndInterval(served []int, debt func(link int) float64) {
 		}
 		t.timelines[link].add(DebtPoint{
 			K:         t.k,
-			Debt:      debt(link),
+			Debt:      debts[link],
 			Delivered: t.wins[link],
 			Lost:      t.losses[link],
 			Collided:  t.colls[link],
@@ -296,6 +303,9 @@ func (t *Tracer) EndInterval(served []int, debt func(link int) float64) {
 		})
 	}
 }
+
+// EndInterval implements mac.Probe; the interval already closed on Debt.
+func (t *Tracer) EndInterval(int64, sim.Time, int, int, int, perm.Permutation) {}
 
 // encode streams one finished journey; errors are sticky, like the telemetry
 // JSONL sink, so a failed disk write cannot silently truncate mid-record.
@@ -402,35 +412,4 @@ func (t *Tracer) putJourney(j *Journey) {
 	attempts := j.Attempts[:0]
 	*j = Journey{Attempts: attempts}
 	t.free = append(t.free, j)
-}
-
-// decodeAll parses a journeys JSONL stream, stopping at the first malformed
-// line. A leading schema header (written by the tracer) is validated and
-// skipped; headerless legacy streams decode as before.
-func decodeAll(r io.Reader) ([]Journey, error) {
-	dec := json.NewDecoder(r)
-	var out []Journey
-	first := true
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("journey: decode journey %d: %w", len(out), err)
-		}
-		if first {
-			first = false
-			if h, ok := telemetry.ParseHeader(raw); ok {
-				if err := h.Check(telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion); err != nil {
-					return nil, fmt.Errorf("journey: %w", err)
-				}
-				continue
-			}
-		}
-		var j Journey
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return out, fmt.Errorf("journey: decode journey %d: %w", len(out), err)
-		}
-		out = append(out, j)
-	}
 }

@@ -64,11 +64,12 @@ type Contention struct {
 	// policy pays per interval.
 	backoffHist *telemetry.Histogram
 	// backoffObs, when set, additionally observes (link, counter) pairs; the
-	// network uses it to stream per-link backoff events.
+	// network hands them to its probes as Backoff records.
 	backoffObs func(link, counter int)
 	// fireObs, when set, observes every counter-zero firing and whether the
 	// link actually started a transmission; senseObs mirrors each delivered
-	// carrier-sense callback. Both feed the packet-journey tracer.
+	// carrier-sense callback. The network hands both to its probes as Fire
+	// and Sense records.
 	fireObs  func(link int, started bool)
 	senseObs func(link int, busy bool)
 	// scratch reused by processBoundary.

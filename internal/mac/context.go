@@ -7,7 +7,6 @@ package mac
 
 import (
 	"rtmac/internal/debt"
-	"rtmac/internal/journey"
 	"rtmac/internal/medium"
 	"rtmac/internal/phy"
 	"rtmac/internal/sim"
@@ -45,9 +44,9 @@ type Context struct {
 	dataDone  []func(delivered bool)
 	emptyDone []func()
 
-	// jt, when set, receives contention rounds protocols run outside the
-	// shared coordinator (FCSMA's private per-round draws) via NoteRound.
-	jt *journey.Tracer
+	// noteRound, when set, hands NoteRound's contention rounds to the
+	// network's probes; it is installed with the first probe.
+	noteRound func(link, slots int)
 }
 
 func newContext(eng *sim.Engine, med Medium, profile phy.Profile, ledger *debt.Ledger) *Context {
@@ -112,11 +111,12 @@ func (c *Context) Links() int { return len(c.pending) }
 func (c *Context) Contention() *Contention { return c.cont }
 
 // NoteRound reports one contention round a protocol ran outside the shared
-// coordinator — FCSMA's private per-round backoff draws — so the journey
-// tracer still sees the link competing. No-op unless journeys are enabled.
+// coordinator — FCSMA's private per-round backoff draws — as a Round record,
+// so the journey tracer still sees the link competing. No-op until a probe
+// is attached.
 func (c *Context) NoteRound(n, backoff int) {
-	if c.jt != nil {
-		c.jt.ObserveRound(n, backoff)
+	if c.noteRound != nil {
+		c.noteRound(n, backoff)
 	}
 }
 

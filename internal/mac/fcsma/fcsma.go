@@ -162,7 +162,8 @@ func (p *Protocol) startRound() {
 		cw := p.cfg.Window(ctx.Ledger.PositiveDebt(link))
 		draw := rng.IntN(cw)
 		// FCSMA contends outside the shared coordinator, so its rounds reach
-		// the journey tracer through the context (no-op when disabled).
+		// the probes (the journey tracer) as Round records through the
+		// context; a no-op while no probe is attached.
 		ctx.NoteRound(link, draw)
 		switch {
 		case minDraw == -1 || draw < minDraw:

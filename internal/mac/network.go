@@ -9,7 +9,6 @@ import (
 	"rtmac/internal/debt"
 	"rtmac/internal/journey"
 	"rtmac/internal/medium"
-	"rtmac/internal/perm"
 	"rtmac/internal/phy"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
@@ -89,24 +88,12 @@ type Network struct {
 	intervals  int64
 	reg        *telemetry.Registry
 	inst       *instrumentation
-	txTraced   bool
+	tapped     bool
 	prio       priorityCarrier
 	check      func() error
 	arrivalRNG *sim.RNG
-	// journeys, when set, is the packet-journey tracer; jTraced guards its
-	// one-time medium trace registration, jPrio is its reusable σ snapshot
-	// and debtFn the cached ledger method value (so the per-interval hand-off
-	// allocates nothing).
-	journeys *journey.Tracer
-	jTraced  bool
-	jPrio    perm.Permutation
-	debtFn   func(link int) float64
 	// beginFn/endFn are the cached RunIntervals callbacks.
 	beginFn, endFn func(int) error
-	// wallBegin/wallEnd bracket each interval in wall-clock time for the
-	// slot-budget watchdog (internal/health); nil unless attached.
-	wallBegin func()
-	wallEnd   func(k int64, at sim.Time)
 }
 
 // NewNetwork validates the configuration and assembles the simulation.
@@ -197,28 +184,11 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		nw.inst.observeDebts(k, nw.ctx.End, debts)
 	})
 	if carrier, ok := cfg.Protocol.(swapHookCarrier); ok {
-		carrier.SetSwapHook(func(k int64, at sim.Time, pos, down, up int, accepted bool) {
-			nw.inst.observeSwap(k, at, pos, down, up, accepted)
-			if jt := nw.journeys; jt != nil {
-				jt.ObserveSwap(down, up, accepted)
-			}
-		})
+		carrier.SetSwapHook(nw.inst.observeSwap)
 	}
 	if carrier, ok := cfg.Protocol.(priorityCarrier); ok {
 		nw.prio = carrier
 	}
-	cont.SetBackoffObserver(func(link, counter int) {
-		if jt := nw.journeys; jt != nil {
-			jt.ObserveRound(link, counter)
-		}
-		if len(nw.inst.probes) == 0 {
-			return
-		}
-		k, at := nw.ctx.K, nw.eng.Now()
-		for _, p := range nw.inst.probes {
-			p.Backoff(k, at, link, counter)
-		}
-	})
 	nw.arrivalRNG = eng.RNG("arrivals")
 	// The interval callbacks handed to Engine.RunIntervals are built once so
 	// Run stays allocation-free per call.
@@ -235,17 +205,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 // mode uses it to fail the run at the end of the first violating interval
 // instead of letting a broken simulation grind on.
 func (nw *Network) SetIntervalCheck(fn func() error) { nw.check = fn }
-
-// SetWallClockHooks installs wall-clock brackets around every simulated
-// interval: begin runs first thing in beginInterval, end runs last thing in
-// endInterval with the interval's index and simulated end time. The
-// slot-budget watchdog uses them to compare wall-clock cost per interval
-// against a budget. Either hook may be nil; with both nil the hot path
-// retains its two nil checks and nothing else.
-func (nw *Network) SetWallClockHooks(begin func(), end func(k int64, at sim.Time)) {
-	nw.wallBegin = begin
-	nw.wallEnd = end
-}
 
 // Telemetry returns the registry the network's metrics live in.
 func (nw *Network) Telemetry() *telemetry.Registry { return nw.reg }
@@ -267,7 +226,7 @@ func (nw *Network) SetEventSink(s telemetry.Sink) {
 	}
 	in.events = newEventProbe(s, nw.med.Graph())
 	in.probes = slices.Insert(in.probes, 0, Probe(in.events))
-	nw.traceTx()
+	nw.tap()
 }
 
 // AddProbe appends p to the probe list; it sees every record from the next
@@ -275,71 +234,69 @@ func (nw *Network) SetEventSink(s telemetry.Sink) {
 // it before Run; intervals already simulated are not replayed.
 func (nw *Network) AddProbe(p Probe) {
 	nw.inst.probes = append(nw.inst.probes, p)
-	nw.traceTx()
+	nw.tap()
 }
 
-// traceTx registers, once, the medium trace hook that hands every completed
-// transmission to the probes. Per-transmission records ride the same hook
-// packet recorders use, so the medium needs no second instrumentation path;
-// the closure reads the current list, so later probes need no
-// re-registration.
-func (nw *Network) traceTx() {
-	if nw.txTraced {
+// tap installs, once, the fan-outs that hand the medium's and the
+// contention coordinator's records to the probes: the medium's trace hook,
+// the coordinator's backoff, fire and sense observers, and the context's
+// round reporter. Nothing is installed before the first probe arrives, so
+// an unobserved network pays no calls for them. The closures read the
+// current list, so later probes need no re-installation.
+//
+// The medium's trace hook runs before the context's delivery bookkeeping,
+// so a Tx record always precedes the served count it changes.
+func (nw *Network) tap() {
+	if nw.tapped {
 		return
 	}
-	nw.txTraced = true
-	nw.med.AddTrace(func(tx medium.Transmission, outcome medium.Outcome) {
-		for _, p := range nw.inst.probes {
-			p.Tx(nw.ctx.K, tx, outcome)
+	nw.tapped = true
+	in, ctx, eng := nw.inst, nw.ctx, nw.eng
+	nw.med.SetTrace(func(tx medium.Transmission, outcome medium.Outcome) {
+		for _, p := range in.probes {
+			p.Tx(ctx.K, tx, outcome)
 		}
 	})
-}
-
-// SetJourneyTracer attaches (or, with nil, detaches) the packet-journey
-// tracer. Call it before Run; intervals already simulated are not replayed.
-// With no tracer attached every hook stays a nil check, preserving the
-// allocation-free interval hot path.
-func (nw *Network) SetJourneyTracer(t *journey.Tracer) error {
-	if t != nil && t.Links() != nw.med.Links() {
-		return fmt.Errorf("mac: journey tracer covers %d links, network has %d",
-			t.Links(), nw.med.Links())
-	}
-	nw.journeys = t
-	nw.ctx.jt = t
-	if t == nil {
-		return nil
-	}
-	if nw.debtFn == nil {
-		nw.debtFn = nw.ledger.Debt
-	}
+	nw.cont.SetBackoffObserver(func(link, slots int) {
+		k, at := ctx.K, eng.Now()
+		for _, p := range in.probes {
+			p.Backoff(k, at, link, slots)
+		}
+	})
 	nw.cont.SetFireObserver(func(link int, started bool) {
-		if jt := nw.journeys; jt != nil {
-			jt.ObserveFire(link, started)
+		k, at := ctx.K, eng.Now()
+		for _, p := range in.probes {
+			p.Fire(k, at, link, started)
 		}
 	})
 	nw.cont.SetSenseObserver(func(link int, busy bool) {
-		if jt := nw.journeys; jt != nil {
-			jt.ObserveSense(link, busy)
+		k, at := ctx.K, eng.Now()
+		for _, p := range in.probes {
+			p.Sense(k, at, link, busy)
 		}
 	})
-	if !nw.jTraced {
-		// Journeys ride the medium's trace hook, which runs before the
-		// context's delivery bookkeeping — so the link's served count at
-		// trace time is exactly the head-of-line packet index the
-		// transmission carried. Registered once; the closure reads the
-		// current tracer so replacing it needs no re-registration.
-		nw.jTraced = true
-		nw.med.AddTrace(func(tx medium.Transmission, outcome medium.Outcome) {
-			if jt := nw.journeys; jt != nil {
-				jt.ObserveTx(tx.Link, nw.ctx.served[tx.Link], tx.Start, tx.End, tx.Empty, outcome)
-			}
-		})
+	ctx.noteRound = func(link, slots int) {
+		k, at := ctx.K, eng.Now()
+		for _, p := range in.probes {
+			p.Round(k, at, link, slots)
+		}
 	}
-	return nil
 }
 
-// JourneyTracer returns the attached packet-journey tracer, or nil.
-func (nw *Network) JourneyTracer() *journey.Tracer { return nw.journeys }
+// SetJourneyTracer validates the packet-journey tracer against the network
+// and attaches it as a probe. Call it before Run; intervals already
+// simulated are not replayed. Each call attaches one more tracer.
+func (nw *Network) SetJourneyTracer(t *journey.Tracer) error {
+	if t == nil {
+		return fmt.Errorf("mac: nil journey tracer")
+	}
+	if t.Links() != nw.med.Links() {
+		return fmt.Errorf("mac: journey tracer covers %d links, network has %d",
+			t.Links(), nw.med.Links())
+	}
+	nw.AddProbe(t)
+	return nil
+}
 
 // Links returns N.
 func (nw *Network) Links() int { return nw.med.Links() }
@@ -379,9 +336,6 @@ func (nw *Network) Run(intervals int) error {
 // beginInterval opens interval k = nw.intervals: sample arrivals, reset the
 // context, hand control to the protocol.
 func (nw *Network) beginInterval() error {
-	if nw.wallBegin != nil {
-		nw.wallBegin()
-	}
 	k := nw.intervals
 	start := sim.Time(k) * nw.cfg.Profile.Interval
 	end := start + nw.cfg.Profile.Interval
@@ -391,22 +345,12 @@ func (nw *Network) beginInterval() error {
 	}
 	nw.cfg.Arrivals.Sample(nw.arrivalRNG, nw.arrivals)
 	nw.ctx.beginInterval(k, start, end, nw.arrivals)
-	for _, p := range nw.inst.probes {
-		p.BeginInterval(k, start)
-	}
-	if jt := nw.journeys; jt != nil {
-		jt.BeginInterval(k, start, end, nw.arrivals)
-		if nw.prio != nil {
-			// σ at interval begin is the priority vector held *during* the
-			// interval (swaps commit at its end).
-			prio := nw.jPrio
-			if pc, ok := nw.prio.(priorityCopier); ok {
-				prio = pc.CopyPriorities(prio)
-				nw.jPrio = prio
-			} else {
-				prio = nw.prio.Priorities()
-			}
-			jt.SetPriorities(prio)
+	if probes := nw.inst.probes; len(probes) > 0 {
+		// σ at interval begin is the priority vector held *during* the
+		// interval (swaps commit at its end).
+		prio := nw.inst.priorities(nw.prio)
+		for _, p := range probes {
+			p.BeginInterval(k, start, end, nw.arrivals, prio)
 		}
 	}
 	nw.cfg.Protocol.BeginInterval(nw.ctx)
@@ -423,14 +367,11 @@ func (nw *Network) endInterval() error {
 		return fmt.Errorf("mac: protocol %s leaked %d events past interval %d",
 			nw.cfg.Protocol.Name(), pending, k)
 	}
+	// The ledger's Eq. 1 update hands the Debt record to the probes; the
+	// journey tracer closes its interval there, before the interval event,
+	// so live /api/links readers see a board as fresh as the event stream.
 	if err := nw.ledger.EndInterval(nw.ctx.served); err != nil {
 		return err
-	}
-	if jt := nw.journeys; jt != nil {
-		// After the ledger's Eq. 1 update, so timeline points carry d_n(k);
-		// before the interval event fires, so live /api/links readers see a
-		// board as fresh as the event stream.
-		jt.EndInterval(nw.ctx.served, nw.debtFn)
 	}
 	for _, obs := range nw.cfg.Observers {
 		obs.ObserveInterval(k, nw.arrivals, nw.ctx.served)
@@ -441,9 +382,6 @@ func (nw *Network) endInterval() error {
 		if err := nw.check(); err != nil {
 			return fmt.Errorf("mac: interval %d: %w", k, err)
 		}
-	}
-	if nw.wallEnd != nil {
-		nw.wallEnd(k, nw.ctx.End)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"rtmac/internal/arrival"
 	"rtmac/internal/medium"
-	"rtmac/internal/monitor"
 	"rtmac/internal/phy"
 	"rtmac/internal/sim"
 )
@@ -395,7 +394,8 @@ func TestSetIntervalCheckAbortsRun(t *testing.T) {
 }
 
 // clashing transmits on every link at once — a deliberately broken
-// "collision-free" protocol for exercising the strict monitor path.
+// "collision-free" protocol for exercising the strict monitor path (see
+// TestStrictMonitorAbortsViolatingProtocol in probe_test.go).
 type clashing struct{}
 
 func (clashing) Name() string { return "clashing" }
@@ -405,34 +405,3 @@ func (clashing) BeginInterval(ctx *Context) {
 	}
 }
 func (clashing) EndInterval(*Context) {}
-
-func TestStrictMonitorAbortsViolatingProtocol(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Protocol = clashing{}
-	nw := newTestNetwork(t, cfg)
-	mon, err := monitor.New(monitor.Config{
-		Links:         2,
-		Interval:      cfg.Profile.Interval,
-		CollisionFree: true,
-		Strict:        true,
-		Registry:      nw.Telemetry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.SetEventSink(mon)
-	nw.SetIntervalCheck(mon.Err)
-	err = nw.Run(10)
-	if err == nil {
-		t.Fatal("strict monitor let a colliding protocol run to completion")
-	}
-	if !strings.Contains(err.Error(), "collision_free") {
-		t.Errorf("error %q does not name the violated check", err)
-	}
-	if nw.Intervals() != 1 {
-		t.Errorf("run aborted after %d intervals, want 1", nw.Intervals())
-	}
-	if mon.Count() == 0 {
-		t.Error("monitor recorded no violations")
-	}
-}

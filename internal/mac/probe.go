@@ -9,27 +9,44 @@ import (
 	"rtmac/internal/telemetry"
 )
 
-// Probe observes the interval loop through typed records. The network calls
-// its probes in one fixed order at six sites: the event adapter SetEventSink
-// installs always comes first, then the probes AddProbe attached, in attach
-// order. Slices a probe receives are reused between calls; a probe copies
-// what it keeps.
+// Probe observes the interval loop through typed records. It is the only
+// way an observation plane sees the loop: the event adapter, the runtime
+// monitor, the journey tracer, the delay statistics and the slot-budget
+// watchdog are all probes. The network calls its probes in one fixed order
+// at every site: the event adapter SetEventSink installs always comes first,
+// then the probes AddProbe attached, in attach order. Slices a probe
+// receives are reused between calls; a probe copies what it keeps. Embed
+// NopProbe to implement only the records a probe reads.
 type Probe interface {
 	// BeginInterval runs once interval k's arrivals are in the buffers,
-	// before the protocol schedules anything.
-	BeginInterval(k int64, start sim.Time)
+	// before the protocol schedules anything. The interval spans
+	// [start, end), end being every packet's deadline; arrivals[link] is
+	// A_link(k) and prio is σ held during the interval (swaps commit at its
+	// end), or nil when the protocol carries no priorities.
+	BeginInterval(k int64, start, end sim.Time, arrivals []int, prio perm.Permutation)
 	// Backoff reports the initial counter link was handed as it joined the
 	// contention coordinator at simulated time at.
 	Backoff(k int64, at sim.Time, link, slots int)
-	// Tx reports one completed transmission and its resolved outcome.
+	// Round reports one contention round a protocol ran outside the
+	// coordinator (FCSMA's private per-round draws): link drew slots. It
+	// never reaches an event stream.
+	Round(k int64, at sim.Time, link, slots int)
+	// Fire reports link's coordinator counter reaching zero; started tells
+	// whether the link put a frame on the air.
+	Fire(k int64, at sim.Time, link int, started bool)
+	// Sense reports the carrier-sense observation delivered at link's
+	// counter-one instant.
+	Sense(k int64, at sim.Time, link int, busy bool)
+	// Tx reports one completed transmission and its resolved outcome, before
+	// the transmitter's delivery bookkeeping runs.
 	Tx(k int64, tx medium.Transmission, outcome medium.Outcome)
 	// Swap reports one DP priority-swap decision: pos is the priority
 	// position C(k), down and up the candidate links.
 	Swap(k int64, at sim.Time, pos, down, up int, accepted bool)
-	// Debt summarizes the debt vector after the interval's Eq. 1 update:
-	// the largest debt, the mean debt and how many links owe a positive
-	// debt.
-	Debt(k int64, at sim.Time, max, mean float64, positive int)
+	// Debt reports the debt vector after the interval's Eq. 1 update
+	// (debts[link] is d_link(k)) with its largest value, its mean and how
+	// many links owe a positive debt.
+	Debt(k int64, at sim.Time, debts []float64, max, mean float64, positive int)
 	// EndInterval closes interval k at its deadline end with the arrivals,
 	// deliveries and packets still queued (expired), each summed over all
 	// links, and the priority snapshot σ(k) after the interval's swaps
@@ -38,13 +55,29 @@ type Probe interface {
 	EndInterval(k int64, end sim.Time, arrivals, served, expired int, prio perm.Permutation)
 }
 
+// NopProbe implements every Probe record as a no-op. A probe embeds it and
+// overrides only the records it reads.
+type NopProbe struct{}
+
+func (NopProbe) BeginInterval(int64, sim.Time, sim.Time, []int, perm.Permutation) {}
+func (NopProbe) Backoff(int64, sim.Time, int, int)                                {}
+func (NopProbe) Round(int64, sim.Time, int, int)                                  {}
+func (NopProbe) Fire(int64, sim.Time, int, bool)                                  {}
+func (NopProbe) Sense(int64, sim.Time, int, bool)                                 {}
+func (NopProbe) Tx(int64, medium.Transmission, medium.Outcome)                    {}
+func (NopProbe) Swap(int64, sim.Time, int, int, int, bool)                        {}
+func (NopProbe) Debt(int64, sim.Time, []float64, float64, float64, int)           {}
+func (NopProbe) EndInterval(int64, sim.Time, int, int, int, perm.Permutation)     {}
+
 // eventProbe is the probe SetEventSink installs: it renders every typed
 // record as a telemetry.Event on its sink. Each emission site owns one
 // scratch Fields map reused across events. A site writes a fixed key set,
 // so steady-state emission only overwrites values: no map growth and no
 // per-event allocation. This is safe because the Sink contract forbids
-// retaining the Fields map beyond the Emit call.
+// retaining the Fields map beyond the Emit call. Round, Fire and Sense have
+// no event kind and stay no-ops.
 type eventProbe struct {
+	NopProbe
 	sink telemetry.Sink
 	// graph is the medium's conflict graph, recorded at the head of the
 	// stream when it is not complete.
@@ -78,7 +111,7 @@ func newEventProbe(sink telemetry.Sink, graph *medium.Graph) *eventProbe {
 // Fully-interfering runs (nil or complete graph) emit nothing: their streams
 // stay byte-identical to the seed medium's, and readers default to the
 // complete graph.
-func (e *eventProbe) BeginInterval(k int64, _ sim.Time) {
+func (e *eventProbe) BeginInterval(k int64, _, _ sim.Time, _ []int, _ perm.Permutation) {
 	g := e.graph
 	if k != 0 || g == nil || g.Complete() {
 		return
@@ -116,7 +149,7 @@ func (e *eventProbe) Swap(k int64, at sim.Time, pos, down, up int, accepted bool
 	})
 }
 
-func (e *eventProbe) Debt(k int64, at sim.Time, max, mean float64, positive int) {
+func (e *eventProbe) Debt(k int64, at sim.Time, _ []float64, max, mean float64, positive int) {
 	e.debtFields["max"] = max
 	e.debtFields["mean"] = mean
 	e.debtFields["positive"] = float64(positive)

@@ -190,13 +190,11 @@ func (s logSink) Emit(ev telemetry.Event) {
 	}
 }
 
-type logProbe struct{ log *orderLog }
+type logProbe struct {
+	mac.NopProbe
+	log *orderLog
+}
 
-func (p logProbe) BeginInterval(int64, sim.Time)                 {}
-func (p logProbe) Backoff(int64, sim.Time, int, int)             {}
-func (p logProbe) Tx(int64, medium.Transmission, medium.Outcome) {}
-func (p logProbe) Swap(int64, sim.Time, int, int, int, bool)     {}
-func (p logProbe) Debt(int64, sim.Time, float64, float64, int)   {}
 func (p logProbe) EndInterval(int64, sim.Time, int, int, int, perm.Permutation) {
 	*p.log = append(*p.log, "probe")
 }
@@ -223,5 +221,99 @@ func TestProbeListOrder(t *testing.T) {
 	}
 	if want := (orderLog{"b", "probe", "probe"}); !reflect.DeepEqual(log, want) {
 		t.Errorf("interval closes seen by %v, want %v", log, want)
+	}
+}
+
+// TestStrictMonitorAbortsViolatingProtocol feeds a strict monitor the event
+// stream of a protocol that collides every interval: the interval check
+// must abort the run at the end of the first interval, naming the check.
+func TestStrictMonitorAbortsViolatingProtocol(t *testing.T) {
+	nw := oracleNetwork(t, mac.Clashing{}, nil)
+	mon, err := monitor.New(monitor.Config{
+		Links:         oracleLinks,
+		Interval:      phy.Control().Interval,
+		CollisionFree: true,
+		Strict:        true,
+		Registry:      nw.Telemetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetEventSink(mon)
+	nw.SetIntervalCheck(mon.Err)
+	err = nw.Run(10)
+	if err == nil {
+		t.Fatal("strict monitor let a colliding protocol run to completion")
+	}
+	if !strings.Contains(err.Error(), "collision_free") {
+		t.Errorf("error %q does not name the violated check", err)
+	}
+	if nw.Intervals() != 1 {
+		t.Errorf("run aborted after %d intervals, want 1", nw.Intervals())
+	}
+	if mon.Count() == 0 {
+		t.Error("monitor recorded no violations")
+	}
+}
+
+// countProbe counts the records the coordinator and the context hand out.
+type countProbe struct {
+	mac.NopProbe
+	backoffs, rounds, fires, senses int
+}
+
+func (c *countProbe) Backoff(int64, sim.Time, int, int) { c.backoffs++ }
+func (c *countProbe) Round(int64, sim.Time, int, int)   { c.rounds++ }
+func (c *countProbe) Fire(int64, sim.Time, int, bool)   { c.fires++ }
+func (c *countProbe) Sense(int64, sim.Time, int, bool)  { c.senses++ }
+
+// TestContentionRecordsReachProbesOnce pins the one fan-out the network
+// installs on the coordinator: every probe sees each fire and sense exactly
+// once, as many as observers installed directly on an unprobed twin run
+// count, and FCSMA's private draws arrive as Round records only.
+func TestContentionRecordsReachProbesOnce(t *testing.T) {
+	const intervals = 200
+	build := func() mac.Protocol {
+		prot, err := core.NewDBDP(oracleLinks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prot
+	}
+	plain := oracleNetwork(t, build(), nil)
+	var fires, senses int
+	plain.Contention().SetFireObserver(func(int, bool) { fires++ })
+	plain.Contention().SetSenseObserver(func(int, bool) { senses++ })
+	if err := plain.Run(intervals); err != nil {
+		t.Fatal(err)
+	}
+	probed := oracleNetwork(t, build(), nil)
+	a, b := &countProbe{}, &countProbe{}
+	probed.AddProbe(a)
+	probed.AddProbe(b)
+	if err := probed.Run(intervals); err != nil {
+		t.Fatal(err)
+	}
+	if fires == 0 || senses == 0 {
+		t.Fatalf("control run fired %d and sensed %d times", fires, senses)
+	}
+	for _, c := range []*countProbe{a, b} {
+		if c.fires != fires || c.senses != senses || c.rounds != 0 || c.backoffs == 0 {
+			t.Errorf("probe saw %+v, want %d fires, %d senses, no rounds", *c, fires, senses)
+		}
+	}
+
+	prot, err := fcsma.New(fcsma.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := oracleNetwork(t, prot, nil)
+	c := &countProbe{}
+	nw.AddProbe(c)
+	if err := nw.Run(intervals); err != nil {
+		t.Fatal(err)
+	}
+	if c.rounds == 0 || c.backoffs != 0 {
+		t.Errorf("FCSMA probe saw %+v, want private rounds and no coordinator backoffs", *c)
 	}
 }

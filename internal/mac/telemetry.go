@@ -19,16 +19,11 @@ type swapHookCarrier interface {
 }
 
 // priorityCarrier is implemented by protocols maintaining an explicit
-// priority permutation σ (the DP family); the network streams per-interval
-// σ snapshots from it so the runtime monitor can audit bijectivity and swap
-// evolution from the event stream alone.
+// priority permutation σ (the DP family); the network hands σ snapshots to
+// the probes so the runtime monitor can audit bijectivity and swap
+// evolution, and journeys carry the priority their link held. The snapshot
+// is copied into a reusable scratch slice, so it allocates nothing.
 type priorityCarrier interface {
-	Priorities() perm.Permutation
-}
-
-// priorityCopier lets the network snapshot σ into a reusable scratch slice
-// instead of paying Priorities' per-interval clone on the event hot path.
-type priorityCopier interface {
 	CopyPriorities(dst perm.Permutation) perm.Permutation
 }
 
@@ -66,7 +61,7 @@ type instrumentation struct {
 	debtHist    *telemetry.Histogram
 	backoffHist *telemetry.Histogram
 
-	// prioScratch is the reusable σ snapshot filled by priorityCopier
+	// prioScratch is the reusable σ snapshot filled by priorityCarrier
 	// protocols.
 	prioScratch perm.Permutation
 }
@@ -111,7 +106,7 @@ func (in *instrumentation) observeDebts(k int64, at sim.Time, debts []float64) {
 	}
 	mean := sum / float64(len(debts))
 	for _, p := range in.probes {
-		p.Debt(k, at, maxDebt, mean, positive)
+		p.Debt(k, at, debts, maxDebt, mean, positive)
 	}
 }
 
@@ -151,16 +146,18 @@ func (in *instrumentation) endInterval(nw *Network, k int64, end sim.Time) {
 		served += nw.ctx.Served(n)
 		pending += nw.ctx.Pending(n)
 	}
-	var prio perm.Permutation
-	if nw.prio != nil {
-		if pc, ok := nw.prio.(priorityCopier); ok {
-			prio = pc.CopyPriorities(in.prioScratch)
-			in.prioScratch = prio
-		} else {
-			prio = nw.prio.Priorities()
-		}
-	}
+	prio := in.priorities(nw.prio)
 	for _, p := range in.probes {
 		p.EndInterval(k, end, arrivals, served, pending, prio)
 	}
+}
+
+// priorities snapshots σ into the reusable scratch, or returns nil when the
+// protocol carries no priorities.
+func (in *instrumentation) priorities(pc priorityCarrier) perm.Permutation {
+	if pc == nil {
+		return nil
+	}
+	in.prioScratch = pc.CopyPriorities(in.prioScratch)
+	return in.prioScratch
 }

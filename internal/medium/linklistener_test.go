@@ -270,8 +270,8 @@ func FuzzMediumLinkTransitions(f *testing.F) {
 			}
 		}
 		// The model drops a finishing transmission where the medium does:
-		// before the trace hooks and onDone run.
-		m.AddTrace(func(tx Transmission, _ Outcome) {
+		// before the trace hook and onDone run.
+		m.SetTrace(func(tx Transmission, _ Outcome) {
 			model.down(tx.Link)
 			checkers[0].busyForAgrees("finish before onDone")
 		})

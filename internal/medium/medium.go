@@ -177,7 +177,7 @@ type Medium struct {
 	inFinish  bool
 	reg       *telemetry.Registry
 	met       channelMetrics
-	traces    []func(tx Transmission, outcome Outcome)
+	trace     func(tx Transmission, outcome Outcome)
 	// graph, when non-nil, is the conflict graph: only conflicting overlaps
 	// collide, and per-link neighborhood busy state is tracked for spatial
 	// reuse. nil preserves the seed behavior (complete conflict graph) on the
@@ -368,15 +368,12 @@ func (m *Medium) SubscribeLinks(l LinkListener) {
 	m.linkListeners = append(m.linkListeners, l)
 }
 
-// AddTrace installs a hook invoked once per completed transmission, with a
-// copy of the transmission record and its resolved outcome. Hooks run in
-// registration order, before the transmitter's onDone callback; multiple
-// observers (packet recorders, delay statistics) can coexist.
-func (m *Medium) AddTrace(fn func(tx Transmission, outcome Outcome)) {
-	if fn != nil {
-		m.traces = append(m.traces, fn)
-	}
-}
+// SetTrace installs (or, with nil, removes) the hook invoked once per
+// completed transmission, with a copy of the transmission record and its
+// resolved outcome. It runs before the transmitter's onDone callback. The
+// medium keeps one hook: in a network it is the probe fan-out, which every
+// per-transmission observer reads from.
+func (m *Medium) SetTrace(fn func(tx Transmission, outcome Outcome)) { m.trace = fn }
 
 // Start begins a transmission of the given duration on link. onDone is
 // invoked exactly once, at the instant the transmission ends, with the
@@ -525,8 +522,8 @@ func (m *Medium) finish(tx *Transmission) {
 		m.noteFinishDown(tx.Link)
 	}
 	outcome := m.resolve(tx)
-	for _, hook := range m.traces {
-		hook(*tx, outcome)
+	if m.trace != nil {
+		m.trace(*tx, outcome)
 	}
 	if tx.onDone != nil {
 		// The callback may immediately start a follow-up transmission,
@@ -546,7 +543,7 @@ func (m *Medium) finish(tx *Transmission) {
 		m.noteFinishIdle(tx.Link, m.eng.Now())
 	}
 	// Recycle: nothing references tx past this point (Start's return value is
-	// dead once the transmission ends, and trace hooks got a value copy).
+	// dead once the transmission ends, and the trace hook got a value copy).
 	tx.onDone = nil
 	m.txFree = append(m.txFree, tx)
 }

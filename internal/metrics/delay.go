@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"rtmac/internal/mac"
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
 )
@@ -15,9 +16,11 @@ import (
 // the deadline at all — but a control engineer also cares how early within
 // the deadline deliveries land; this collector answers that.
 //
-// Attach to a medium before running; only delivered data packets are
-// counted (empty frames and losses carry no delivery delay).
+// It is a mac.Probe reading Tx records: attach it with Network.AddProbe
+// before running. Only delivered data packets are counted (empty frames and
+// losses carry no delivery delay).
 type DelayStats struct {
+	mac.NopProbe
 	interval sim.Time
 	// histogram over delay as a fraction of the deadline, in buckets of
 	// width interval/resolution.
@@ -43,14 +46,12 @@ func NewDelayStats(interval sim.Time, resolution int) (*DelayStats, error) {
 	}, nil
 }
 
-// Attach registers the collector as one of the medium's trace hooks.
-func (d *DelayStats) Attach(med *medium.Medium) {
-	med.AddTrace(func(tx medium.Transmission, outcome medium.Outcome) {
-		if tx.Empty || outcome != medium.Delivered {
-			return
-		}
-		d.observe(tx.End)
-	})
+// Tx records a delivered data packet's delay.
+func (d *DelayStats) Tx(_ int64, tx medium.Transmission, outcome medium.Outcome) {
+	if tx.Empty || outcome != medium.Delivered {
+		return
+	}
+	d.observe(tx.End)
 }
 
 // observe records a delivery ending at instant end.

@@ -97,7 +97,8 @@ func TestDelayAttachToMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Attach(med)
+	// The medium's trace hook is where a network's Tx records come from.
+	med.SetTrace(func(tx medium.Transmission, o medium.Outcome) { d.Tx(0, tx, o) })
 	// A delivered data packet counts; an empty frame does not; a lost one
 	// does not.
 	med.Start(0, 100, false, nil) // delivered (p=1), delay 100

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 
+	"rtmac/internal/mac"
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
 	"rtmac/internal/stats"
@@ -15,8 +16,10 @@ import (
 // deficiency means.
 //
 // Delays are measured like DelayStats: from the packet's interval start to
-// the end of its successful transmission, in microseconds.
+// the end of its successful transmission, in microseconds. It is a mac.Probe
+// reading Tx records: attach it with Network.AddProbe before running.
 type DelaySketch struct {
+	mac.NopProbe
 	interval sim.Time
 	sketch   *stats.QuantileSketch
 }
@@ -34,16 +37,13 @@ func NewDelaySketch(interval sim.Time) (*DelaySketch, error) {
 	return &DelaySketch{interval: interval, sketch: sk}, nil
 }
 
-// Attach registers the sketch as one of the medium's trace hooks; only
-// delivered data packets are observed.
-func (d *DelaySketch) Attach(med *medium.Medium) {
-	med.AddTrace(func(tx medium.Transmission, outcome medium.Outcome) {
-		if tx.Empty || outcome != medium.Delivered {
-			return
-		}
-		intervalStart := (tx.End - 1) / d.interval * d.interval
-		d.sketch.Add(float64(tx.End - intervalStart))
-	})
+// Tx records a delivered data packet's delay.
+func (d *DelaySketch) Tx(_ int64, tx medium.Transmission, outcome medium.Outcome) {
+	if tx.Empty || outcome != medium.Delivered {
+		return
+	}
+	intervalStart := (tx.End - 1) / d.interval * d.interval
+	d.sketch.Add(float64(tx.End - intervalStart))
 }
 
 // Count returns the number of recorded deliveries.

@@ -17,6 +17,7 @@ package monitor
 import (
 	"fmt"
 
+	"rtmac/internal/mac"
 	"rtmac/internal/medium"
 	"rtmac/internal/perm"
 	"rtmac/internal/sim"
@@ -100,9 +101,11 @@ type Config struct {
 const maxRetained = 256
 
 // Monitor runs the five checkers over the interval loop's records. It is a
-// probe of the loop (the typed methods BeginInterval through EndInterval)
-// and a telemetry.Sink (Emit) for recorded streams.
+// probe of the loop (mac.Probe: Tx, Swap, Debt and EndInterval; the records
+// no check reads fall to the embedded NopProbe) and a telemetry.Sink (Emit)
+// for recorded streams.
 type Monitor struct {
+	mac.NopProbe
 	perm    *permutationValid
 	swaps   *singleAdjacentSwap
 	debt    *debtSane
@@ -166,12 +169,6 @@ func New(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// BeginInterval implements mac.Probe; no check needs it.
-func (m *Monitor) BeginInterval(int64, sim.Time) {}
-
-// Backoff implements mac.Probe; no check needs it.
-func (m *Monitor) Backoff(int64, sim.Time, int, int) {}
-
 // Tx implements mac.Probe.
 func (m *Monitor) Tx(k int64, tx medium.Transmission, outcome medium.Outcome) {
 	m.tx(k, tx.Link, tx.Start, tx.End, tx.Empty, outcome == medium.Collided)
@@ -191,7 +188,7 @@ func (m *Monitor) Swap(k int64, at sim.Time, pos, down, up int, accepted bool) {
 }
 
 // Debt implements mac.Probe.
-func (m *Monitor) Debt(k int64, _ sim.Time, _, mean float64, _ int) {
+func (m *Monitor) Debt(k int64, _ sim.Time, _ []float64, _, mean float64, _ int) {
 	m.debt.debt(k, mean)
 }
 

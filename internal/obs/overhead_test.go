@@ -121,7 +121,7 @@ func BenchmarkIntervalHealthEnabled(b *testing.B) {
 	col.Start()
 	defer col.Stop()
 	dog := health.NewWatchdog(health.WatchdogConfig{Budget: time.Hour, Registry: nw.Telemetry()})
-	nw.SetWallClockHooks(dog.BeginInterval, dog.EndInterval)
+	nw.AddProbe(dog)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := nw.Run(b.N); err != nil {
@@ -152,7 +152,7 @@ func TestEventStreamDeterministicWithHealth(t *testing.T) {
 				Sink:     stream,
 				Registry: nw.Telemetry(),
 			})
-			nw.SetWallClockHooks(dog.BeginInterval, dog.EndInterval)
+			nw.AddProbe(dog)
 		}
 		if err := nw.Run(2000); err != nil {
 			t.Fatal(err)

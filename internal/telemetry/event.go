@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -221,29 +220,8 @@ func (j *JSONL) Flush() error {
 // legacy streams decode as before. A header carrying a different schema or
 // an unsupported version is an error, not a zero-valued event.
 func DecodeJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
 	var out []Event
-	first := true
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("telemetry: decode event %d: %w", len(out), err)
-		}
-		if first {
-			first = false
-			if h, ok := ParseHeader(raw); ok {
-				if err := h.Check(EventStreamSchema, EventStreamVersion); err != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return out, fmt.Errorf("telemetry: decode event %d: %w", len(out), err)
-		}
-		out = append(out, ev)
-	}
+	_, err := ReadJSONL(r, EventStreamSchema, EventStreamVersion, "telemetry: decode event",
+		func(ev Event) { out = append(out, ev) })
+	return out, err
 }

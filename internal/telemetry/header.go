@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // Stream schema identities. Every versioned JSONL stream written by the
@@ -58,6 +59,40 @@ func (h StreamHeader) Check(schema string, maxVersion int) error {
 			schema, h.Version, maxVersion)
 	}
 	return nil
+}
+
+// ReadJSONL streams a JSONL stream of T records to fn, one line at a time
+// and in constant memory. A leading header line is checked against schema
+// and version and skipped; headerless legacy streams read as-is. A
+// malformed line stops the read with the error "<what> <i>: <cause>", i
+// counting the records before it; a header of another schema, or of an
+// unsupported version, stops it with Check's error. ReadJSONL returns how
+// many records fn received.
+func ReadJSONL[T any](r io.Reader, schema string, version int, what string, fn func(T)) (int64, error) {
+	dec := json.NewDecoder(r)
+	var n int64
+	for first := true; ; first = false {
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, fmt.Errorf("%s %d: %w", what, n, err)
+		}
+		if first {
+			if h, ok := ParseHeader(raw); ok {
+				if err := h.Check(schema, version); err != nil {
+					return n, err
+				}
+				continue
+			}
+		}
+		var rec T
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return n, fmt.Errorf("%s %d: %w", what, n, err)
+		}
+		fn(rec)
+		n++
+	}
 }
 
 // MarshalLine renders the header as one JSONL line (newline included).

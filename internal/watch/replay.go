@@ -30,30 +30,6 @@ func WriteAlertsJSONL(w io.Writer, alerts []Alert) error {
 // skipped; headerless legacy streams replay as-is. Returns the number of
 // events consumed.
 func ReplayJSONL(r io.Reader, e *Engine) (int64, error) {
-	dec := json.NewDecoder(r)
-	var n int64
-	first := true
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return n, nil
-		} else if err != nil {
-			return n, fmt.Errorf("watch: decode event %d: %w", n, err)
-		}
-		if first {
-			first = false
-			if h, ok := telemetry.ParseHeader(raw); ok {
-				if err := h.Check(telemetry.EventStreamSchema, telemetry.EventStreamVersion); err != nil {
-					return n, err
-				}
-				continue
-			}
-		}
-		var ev telemetry.Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return n, fmt.Errorf("watch: decode event %d: %w", n, err)
-		}
-		e.Emit(ev)
-		n++
-	}
+	return telemetry.ReadJSONL(r, telemetry.EventStreamSchema, telemetry.EventStreamVersion,
+		"watch: decode event", e.Emit)
 }

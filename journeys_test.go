@@ -222,3 +222,27 @@ func TestEnableJourneysRejectsBadSample(t *testing.T) {
 		t.Fatal("sample 0 accepted")
 	}
 }
+
+// TestEnableJourneysTwiceRejected pins that a second EnableJourneys fails
+// instead of attaching a second tracer: the first handle keeps counting and
+// stays the one /api/links serves.
+func TestEnableJourneysTwiceRejected(t *testing.T) {
+	s := journeySim(t, rtmac.DBDP(), 1)
+	first, err := s.EnableJourneys(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.EnableJourneys(nil, 1)
+	if err == nil || !strings.Contains(err.Error(), "already enabled") {
+		t.Fatalf("second EnableJourneys = %v, %v; want an already-enabled error", second, err)
+	}
+	if err := s.Run(50); err != nil {
+		t.Fatal(err)
+	}
+	if first.Seen() == 0 {
+		t.Fatal("first tracer stopped counting after a rejected second EnableJourneys")
+	}
+	if got, want := first.Attribution().Delivered, int64(s.Report().Channel.Deliveries); got != want {
+		t.Fatalf("first tracer counted %d deliveries, channel delivered %d", got, want)
+	}
+}

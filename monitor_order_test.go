@@ -79,3 +79,55 @@ func TestViolationsFollowTheirEvents(t *testing.T) {
 		})
 	}
 }
+
+// boardCheck is a sink that, at every interval event, reads the live
+// /api/links board and records whether the interval's debt point is there.
+type boardCheck struct {
+	s      *Simulation
+	seen   int
+	behind []int64
+}
+
+func (b *boardCheck) Emit(ev telemetry.Event) {
+	if ev.Kind != telemetry.EventInterval {
+		return
+	}
+	b.seen++
+	pts := b.s.linkBoard().Links[0].Debt
+	if len(pts) == 0 || pts[len(pts)-1].K != ev.K {
+		b.behind = append(b.behind, ev.K)
+	}
+}
+
+// TestLinkBoardNotBehindIntervalEvent pins that the journey tracer closes
+// an interval before the interval event reaches any sink, whichever of the
+// two was attached first, so /api/links never lags the SSE stream.
+func TestLinkBoardNotBehindIntervalEvent(t *testing.T) {
+	for _, journeysFirst := range []bool{true, false} {
+		links := make([]Link, 4)
+		for i := range links {
+			links[i] = Link{SuccessProb: 0.8, Arrivals: MustBernoulliArrivals(0.7), DeliveryRatio: 0.9}
+		}
+		s, err := NewSimulation(Config{Seed: 4, Profile: ControlProfile(), Links: links, Protocol: DBDP()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := &boardCheck{s: s}
+		if journeysFirst {
+			_, err = s.EnableJourneys(nil, 1)
+			s.addSink(check)
+		} else {
+			s.addSink(check)
+			_, err = s.EnableJourneys(nil, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(50); err != nil {
+			t.Fatal(err)
+		}
+		if check.seen != 50 || len(check.behind) != 0 {
+			t.Errorf("journeys first %v: %d interval events, board behind at %v", journeysFirst, check.seen, check.behind)
+		}
+	}
+}
