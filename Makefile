@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-test bench-gate figures figures-quick fuzz cover clean
+.PHONY: all build vet test test-short bench bench-test bench-gate figures figures-quick fuzz cover size clean
 
 all: build vet test
 
@@ -62,6 +62,16 @@ fuzz:
 
 cover:
 	$(GO) test -cover ./...
+
+# Codebase size: Go lines outside bench/ (a separate module), split into
+# non-test and test code, and the number of command-line flags the commands
+# under cmd/ define. CI prints it on every push.
+GO_SOURCES = find . \( -path ./bench -o -name '.?*' \) -prune -o -name '*.go'
+FLAG_DEFS = \b(fs|flag)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Func|BoolFunc|TextVar|Var|BoolVar|IntVar|Int64Var|UintVar|Uint64Var|Float64Var|StringVar|DurationVar)\(
+size:
+	@echo "non-test Go lines: $$($(GO_SOURCES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(GO_SOURCES) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "CLI flags:         $$(find cmd -name '*.go' ! -name '*_test.go' | xargs grep -hoE '$(FLAG_DEFS)' | wc -l)"
 
 clean:
 	rm -rf results

@@ -102,6 +102,7 @@ func BenchmarkIntervalDBDP(b *testing.B)  { benchProtocolIntervals(b, rtmac.DBDP
 func BenchmarkIntervalLDF(b *testing.B)   { benchProtocolIntervals(b, rtmac.LDF()) }
 func BenchmarkIntervalFCSMA(b *testing.B) { benchProtocolIntervals(b, rtmac.FCSMA()) }
 func BenchmarkIntervalDCF(b *testing.B)   { benchProtocolIntervals(b, rtmac.DCF()) }
+func BenchmarkIntervalTDMA(b *testing.B)  { benchProtocolIntervals(b, rtmac.TDMA()) }
 
 // BenchmarkIntervalConflictGraph prices the spatial-reuse medium: the same
 // control workload as BenchmarkIntervalDBDP, but on a two-clique conflict

@@ -11,7 +11,7 @@ import (
 )
 
 // equivalenceProtocols lists every policy that must be byte-identical between
-// the legacy fully-interfering medium (nil conflict graph) and the explicit
+// a configuration without a conflict graph and one with the explicit
 // complete conflict graph.
 func equivalenceProtocols() []struct {
 	name string
@@ -86,12 +86,14 @@ func equivRun(t *testing.T, protocol rtmac.Protocol, conflicts *rtmac.ConflictGr
 	return evBuf.Bytes(), jBuf.Bytes(), csvBuf.Bytes()
 }
 
-// TestCompleteGraphEquivalence is the correctness anchor for the
-// conflict-graph medium: configuring the explicit complete graph must
-// reproduce the seed (nil-graph) medium byte-for-byte — event streams,
-// journey attributions, and figure CSVs — for every protocol. A mismatch is
-// routed through rundiff so the failure carries a first-divergence pointer
-// instead of a bare "streams differ".
+// TestCompleteGraphEquivalence checks that Config.Conflicts == nil keeps its
+// meaning: configuring the explicit complete graph must reproduce a run
+// without one byte-for-byte — event streams, journey attributions, and
+// figure CSVs — for every protocol. Both runs take the same medium path (the
+// medium builds the complete graph when given none); the recorded
+// complete/<protocol> digests of TestGraphModeStreamsPinned pin the bytes
+// themselves. A mismatch is routed through rundiff so the failure carries a
+// first-divergence pointer instead of a bare "streams differ".
 func TestCompleteGraphEquivalence(t *testing.T) {
 	for _, tc := range equivalenceProtocols() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -200,11 +200,8 @@ func (p *Protocol) Swaps() int64 { return p.swaps }
 func (p *Protocol) BeginInterval(ctx *mac.Context) {
 	n := ctx.Links()
 	p.active = p.active[:0]
-	if g := ctx.Med.Graph(); g != nil && !g.Complete() {
-		p.graph, p.local = g, true
-	} else {
-		p.graph, p.local = nil, false
-	}
+	p.graph = ctx.Med.Graph()
+	p.local = !p.graph.Complete()
 
 	if !p.frozen && n >= 2 {
 		p.selectPairs(ctx)

@@ -79,9 +79,9 @@ type Contention struct {
 	// grid, anchored at anchors[link] (interval join or the instant its
 	// neighborhood went idle), and freezes independently while its
 	// neighborhood is busy. The engine clock is armed at the global minimum
-	// of the per-link interesting boundaries. A complete (or absent) graph
-	// uses the seed single-grid path above, byte-identically.
-	graph   *medium.Graph
+	// of the per-link interesting boundaries. The complete graph uses the
+	// single-grid path above, which is faster and byte-identical.
+	perLink bool
 	anchors []sim.Time
 	// waiting and held partition the active entries as bitsets in the
 	// medium's neighborhood layout (bit link%64 of word link/64): waiting
@@ -118,8 +118,8 @@ func NewContention(eng *sim.Engine, med *medium.Medium, slot sim.Time) (*Content
 		fired:   make([]int, 0, med.Links()),
 		sensed:  make([]int, 0, med.Links()),
 	}
-	if g := med.Graph(); g != nil && !g.Complete() {
-		c.graph = g
+	if g := med.Graph(); !g.Complete() {
+		c.perLink = true
 		c.anchors = make([]sim.Time, med.Links())
 		words := len(g.ClosedRow(0))
 		c.waiting = make([]uint64, words)
@@ -168,7 +168,7 @@ func (c *Contention) Add(link, counter int, contender Contender) {
 	if contender.Fire == nil {
 		panic(fmt.Sprintf("mac: link %d contender without Fire", link))
 	}
-	if c.graph != nil {
+	if c.perLink {
 		c.entries[link] = contentionEntry{counter: counter, active: true, contender: contender}
 		c.active++
 		c.anchors[link] = c.eng.Now()
@@ -234,7 +234,7 @@ func (c *Contention) SetSenseObserver(fn func(link int, busy bool)) { c.senseObs
 // that initial zero counters fire simultaneously (and collide) rather than
 // in registration order.
 func (c *Contention) Settle() {
-	if c.graph != nil {
+	if c.perLink {
 		c.settleGraph()
 		return
 	}
@@ -251,7 +251,7 @@ func (c *Contention) Remove(link int) {
 	}
 	c.entries[link] = contentionEntry{}
 	c.active--
-	if c.graph != nil {
+	if c.perLink {
 		c.release(link)
 		c.setDue(link, never)
 		c.rearmGraph()
@@ -269,7 +269,7 @@ func (c *Contention) Clear() {
 		c.entries[i] = contentionEntry{}
 	}
 	c.active = 0
-	if c.graph != nil {
+	if c.perLink {
 		clear(c.waiting)
 		clear(c.held)
 		c.resetDue()
@@ -291,7 +291,7 @@ func (c *Contention) Counter(link int) (int, bool) {
 	if link < 0 || link >= len(c.entries) || !c.entries[link].active {
 		return 0, false
 	}
-	if c.graph != nil {
+	if c.perLink {
 		c.materialize(link, c.eng.Now())
 		// Materializing onto a due instant whose boundary has not run yet
 		// moves the link's grid past it; the leaf follows.

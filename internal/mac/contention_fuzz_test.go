@@ -252,7 +252,7 @@ func FuzzContentionGraph(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.graph == nil {
+			if !c.perLink {
 				t.Fatal("contention not in graph mode")
 			}
 			return c

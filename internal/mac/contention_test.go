@@ -320,7 +320,7 @@ func newGraphContentionFixture(t *testing.T) (*sim.Engine, *medium.Medium, *Cont
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cont.graph == nil {
+	if !cont.perLink {
 		t.Fatal("fixture contention is not in graph mode")
 	}
 	return eng, med, cont

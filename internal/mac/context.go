@@ -16,10 +16,8 @@ import (
 // at the beginning of interval k share the deadline at the interval's end;
 // whatever is still pending at End is flushed (Step 7 of Algorithm 2).
 type Context struct {
-	Eng *sim.Engine
-	// Med is the channel as protocols see it: an interface, so policies stay
-	// independent of the concrete medium implementation.
-	Med     Medium
+	Eng     *sim.Engine
+	Med     *medium.Medium
 	Profile phy.Profile
 	Ledger  *debt.Ledger
 	cont    *Contention
@@ -49,7 +47,7 @@ type Context struct {
 	noteRound func(link, slots int)
 }
 
-func newContext(eng *sim.Engine, med Medium, profile phy.Profile, ledger *debt.Ledger) *Context {
+func newContext(eng *sim.Engine, med *medium.Medium, profile phy.Profile, ledger *debt.Ledger) *Context {
 	n := med.Links()
 	c := &Context{
 		Eng:       eng,

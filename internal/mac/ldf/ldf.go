@@ -23,12 +23,9 @@ type Scheduler struct {
 	order []int
 	// weights is the per-interval f(d⁺)p scratch, reused across intervals.
 	weights []float64
-	// ctx/serveFn cache the interval context (stable across intervals) and
+	// ctx/serveSetFn cache the interval context (stable across intervals) and
 	// the chained-transmission callback, so serving allocates nothing.
-	// serveSetFn is the graph-mode counterpart: on a non-complete conflict
-	// graph each completed exchange rescans for newly unblocked links.
 	ctx        *mac.Context
-	serveFn    func(bool)
 	serveSetFn func(bool)
 }
 
@@ -62,8 +59,7 @@ func (s *Scheduler) Order() []int {
 // BeginInterval implements mac.Protocol: sort by f(d⁺)p and start serving.
 func (s *Scheduler) BeginInterval(ctx *mac.Context) {
 	n := ctx.Links()
-	if s.serveFn == nil {
-		s.serveFn = func(bool) { s.serveNext(s.ctx) }
+	if s.serveSetFn == nil {
 		s.serveSetFn = func(bool) { s.serveSet(s.ctx) }
 	}
 	s.ctx = ctx
@@ -98,46 +94,31 @@ func (s *Scheduler) BeginInterval(ctx *mac.Context) {
 		}
 		order[j+1] = li
 	}
-	if g := ctx.Med.Graph(); g != nil && !g.Complete() {
-		s.serveSet(ctx)
-	} else {
-		s.serveNext(ctx)
-	}
+	s.serveSet(ctx)
 }
 
-// serveNext transmits on the highest-priority link that still has pending
-// packets, chaining transmissions back-to-back until nothing is pending or
-// nothing fits before the deadline.
-func (s *Scheduler) serveNext(ctx *mac.Context) {
-	for _, link := range s.order {
-		if ctx.Pending(link) > 0 {
-			if ctx.TransmitData(link, s.serveFn) {
-				return
-			}
-			// The exchange no longer fits before the deadline; since all
-			// packets have equal airtime, no other link fits either
-			// (Remark 4: stay idle until the interval ends).
-			return
-		}
-	}
-}
-
-// serveSet is serveNext generalized to a partial conflict graph: walking the
-// weight order, every link with pending packets whose closed neighborhood is
-// idle starts transmitting — a greedy maximum-weight independent set, the
-// natural centralized ELDF under spatial reuse. Starting a link marks its
-// whole neighborhood busy (the closed row includes the link itself), so later
-// links in the same pass are skipped exactly when they conflict with an
-// earlier pick. Each completed exchange rescans: the finished link may
-// re-serve its own queue or unblock a lower-weight neighbor.
+// serveSet walks the weight order and starts every link with pending packets
+// whose closed neighborhood is idle — a greedy maximum-weight independent
+// set, the natural centralized ELDF under spatial reuse. Starting a link
+// marks its whole neighborhood busy (the closed row includes the link
+// itself), so later links in the same pass are skipped exactly when they
+// conflict with an earlier pick, and the walk stops once no link can start.
+// On the complete graph that is right after the highest-weight pending link
+// starts: the paper's back-to-back LDF service. Each completed exchange
+// rescans: the finished link may re-serve its own queue or unblock a
+// lower-weight neighbor.
 func (s *Scheduler) serveSet(ctx *mac.Context) {
 	if !ctx.FitsData() {
-		// Equal airtimes: nothing fits for any link (Remark 4).
+		// Equal airtimes: nothing fits for any link (Remark 4: stay idle
+		// until the interval ends).
 		return
 	}
 	for _, link := range s.order {
 		if ctx.Pending(link) > 0 && !ctx.Med.BusyFor(link) {
 			ctx.TransmitData(link, s.serveSetFn)
+			if ctx.Med.AllBusy() {
+				return
+			}
 		}
 	}
 }

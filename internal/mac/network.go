@@ -44,20 +44,17 @@ type NetworkConfig struct {
 	// Profile sets slot, airtime and interval durations.
 	Profile phy.Profile
 	// SuccessProb is the per-link delivery probability vector p (the
-	// paper's static channel model). Leave nil when Channel is set.
+	// paper's static channel model). Leave nil when ChannelFactory is set.
 	SuccessProb []float64
-	// Channel, when non-nil, replaces the static model with a time-varying
-	// one (e.g. medium.GilbertElliott); mutually exclusive with
-	// SuccessProb. The network size is then taken from Required.
-	Channel medium.Model
-	// ChannelFactory builds a time-varying model bound to the network's
-	// own engine (models needing the engine's deterministic RNG streams
-	// cannot be constructed before the network exists). Mutually exclusive
-	// with SuccessProb and Channel.
+	// ChannelFactory, when non-nil, replaces the static model with a
+	// time-varying one (e.g. medium.GilbertElliott) bound to the network's
+	// own engine, whose deterministic RNG streams such models draw from.
+	// Mutually exclusive with SuccessProb; the network size is then taken
+	// from Required.
 	ChannelFactory func(eng *sim.Engine, links int) (medium.Model, error)
-	// Conflicts, when non-nil, is the interference graph governing which
-	// links collide; nil means the paper's fully-interfering channel
-	// (complete graph). Non-complete graphs enable spatial reuse.
+	// Conflicts is the interference graph governing which links collide;
+	// nil means the paper's fully-interfering channel, for which the medium
+	// builds the complete graph. Non-complete graphs enable spatial reuse.
 	Conflicts *medium.Graph
 	// Arrivals generates A(k).
 	Arrivals arrival.VectorProcess
@@ -107,14 +104,8 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if err := cfg.Profile.Validate(); err != nil {
 		return nil, fmt.Errorf("mac: %w", err)
 	}
-	modelSources := 0
-	for _, set := range []bool{cfg.SuccessProb != nil, cfg.Channel != nil, cfg.ChannelFactory != nil} {
-		if set {
-			modelSources++
-		}
-	}
-	if modelSources > 1 {
-		return nil, fmt.Errorf("mac: set exactly one of SuccessProb, Channel, ChannelFactory")
+	if cfg.SuccessProb != nil && cfg.ChannelFactory != nil {
+		return nil, fmt.Errorf("mac: set only one of SuccessProb, ChannelFactory")
 	}
 	var n int
 	if cfg.SuccessProb != nil {
@@ -150,8 +141,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			return nil, fmt.Errorf("mac: channel factory: %w", err)
 		}
 		med, err = medium.NewWithModel(eng, n, model, medium.WithRegistry(reg), medium.WithGraph(cfg.Conflicts))
-	case cfg.Channel != nil:
-		med, err = medium.NewWithModel(eng, n, cfg.Channel, medium.WithRegistry(reg), medium.WithGraph(cfg.Conflicts))
 	default:
 		med, err = medium.New(eng, cfg.SuccessProb, medium.WithRegistry(reg), medium.WithGraph(cfg.Conflicts))
 	}

@@ -281,16 +281,17 @@ func TestNetworkAccessorsAndChannelOptions(t *testing.T) {
 	if nw.Contention() == nil {
 		t.Fatal("nil contention")
 	}
-	// SuccessProb and Channel are mutually exclusive.
+	fakeFactory := func(*sim.Engine, int) (medium.Model, error) { return fakeModel{}, nil }
+	// SuccessProb and ChannelFactory are mutually exclusive.
 	both := baseConfig(t)
-	both.Channel = fakeModel{}
+	both.ChannelFactory = fakeFactory
 	if _, err := NewNetwork(both); err == nil {
-		t.Fatal("SuccessProb+Channel accepted")
+		t.Fatal("SuccessProb+ChannelFactory accepted")
 	}
-	// Channel-only path works.
+	// Factory-only path works and uses the model's mean.
 	chOnly := baseConfig(t)
 	chOnly.SuccessProb = nil
-	chOnly.Channel = fakeModel{}
+	chOnly.ChannelFactory = fakeFactory
 	nw2 := newTestNetwork(t, chOnly)
 	if err := nw2.Run(3); err != nil {
 		t.Fatal(err)
@@ -310,9 +311,7 @@ func TestNetworkAccessorsAndChannelOptions(t *testing.T) {
 	// ChannelFactory success path.
 	fac := baseConfig(t)
 	fac.SuccessProb = nil
-	fac.ChannelFactory = func(*sim.Engine, int) (medium.Model, error) {
-		return fakeModel{}, nil
-	}
+	fac.ChannelFactory = fakeFactory
 	nw3 := newTestNetwork(t, fac)
 	if err := nw3.Run(2); err != nil {
 		t.Fatal(err)

@@ -108,12 +108,11 @@ func newEventProbe(sink telemetry.Sink, graph *medium.Graph) *eventProbe {
 
 // BeginInterval records the conflict topology at the head of the stream, one
 // event per undirected edge, so offline auditors can rebuild the graph.
-// Fully-interfering runs (nil or complete graph) emit nothing: their streams
-// stay byte-identical to the seed medium's, and readers default to the
-// complete graph.
+// Fully-interfering runs (the complete graph) emit nothing: readers default
+// to the complete graph.
 func (e *eventProbe) BeginInterval(k int64, _, _ sim.Time, _ []int, _ perm.Permutation) {
 	g := e.graph
-	if k != 0 || g == nil || g.Complete() {
+	if k != 0 || g.Complete() {
 		return
 	}
 	fields := make(map[string]float64, 1)

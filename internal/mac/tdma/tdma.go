@@ -1,6 +1,8 @@
 // Package tdma implements a static time-division baseline: every interval's
-// transmission slots are split among links in fixed round-robin order,
-// irrespective of debts, arrivals, or outcomes. It is the zero-adaptivity
+// transmission slots are split in fixed round-robin order among the color
+// classes of a greedy coloring of the conflict graph, irrespective of debts,
+// arrivals, or outcomes. On the paper's complete graph every class is a
+// single link, so the frame is split among links. It is the zero-adaptivity
 // reference point: collision-free like the DP protocol, but with none of
 // its debt responsiveness — under asymmetric channels or bursty arrivals
 // the fixed allocation wastes exactly the capacity the debt-driven policies
@@ -9,6 +11,7 @@ package tdma
 
 import (
 	"fmt"
+	"slices"
 
 	"rtmac/internal/mac"
 	"rtmac/internal/sim"
@@ -17,33 +20,32 @@ import (
 // Protocol is the static TDMA policy. The zero value is invalid; use New.
 type Protocol struct {
 	// rotate shifts the round-robin start each interval so leftover slots
-	// (when slots % N != 0) spread fairly.
+	// (when slots % classes != 0) spread fairly.
 	rotate bool
-	// Per-interval scratch.
+	// Per-interval scratch: alloc[c] is class c's remaining slots, order
+	// the classes in this interval's service order.
 	alloc []int
 	order []int
 	timer *sim.Timer
 	k     int64
-	// ctx/serveFn/timerFn cache the interval context (stable across
+	// The frame is divided among the color classes of a greedy coloring:
+	// all links of the active class transmit simultaneously (they are
+	// pairwise non-conflicting by construction), the TDMA analogue of
+	// spatial reuse. Class c holds links members[start[c]:start[c+1]] in
+	// ascending order; the coloring is computed once per network.
+	start       []int
+	members     []int
+	outstanding int
+	// ctx/groupDoneFn/timerFn cache the interval context (stable across
 	// intervals) and the two continuation callbacks, keeping the serving
 	// chain allocation-free.
-	ctx     *mac.Context
-	serveFn func(bool)
-	timerFn func()
-	// Graph mode: on a non-complete conflict graph the frame is divided
-	// among color classes of a greedy coloring instead of individual links —
-	// all links of the active color transmit simultaneously (they are
-	// pairwise non-conflicting by construction), the TDMA analogue of
-	// spatial reuse. colors/numColors are computed once per network.
-	graphMode   bool
-	colors      []int
-	numColors   int
-	outstanding int
+	ctx         *mac.Context
 	groupDoneFn func(bool)
+	timerFn     func()
 }
 
-// New returns a TDMA instance. rotate spreads remainder slots across links
-// over successive intervals.
+// New returns a TDMA instance. rotate spreads remainder slots across
+// classes over successive intervals.
 func New(rotate bool) *Protocol {
 	return &Protocol{rotate: rotate}
 }
@@ -52,18 +54,13 @@ func New(rotate bool) *Protocol {
 func (p *Protocol) Name() string { return "tdma" }
 
 // BeginInterval implements mac.Protocol: divide the interval's slots evenly
-// and serve each link's share in order.
+// among the color classes (remainders rotate) and serve each class's share
+// in order.
 func (p *Protocol) BeginInterval(ctx *mac.Context) {
-	n := ctx.Links()
-	if p.serveFn == nil {
-		p.serveFn = func(bool) { p.serveNext(p.ctx) }
+	if p.groupDoneFn == nil {
 		p.timerFn = func() {
 			p.timer = nil
-			if p.graphMode {
-				p.serveNextGroup(p.ctx)
-			} else {
-				p.serveNext(p.ctx)
-			}
+			p.serveNextGroup(p.ctx)
 		}
 		p.groupDoneFn = func(bool) {
 			p.outstanding--
@@ -73,60 +70,23 @@ func (p *Protocol) BeginInterval(ctx *mac.Context) {
 		}
 	}
 	p.ctx = ctx
-	if cap(p.alloc) < n {
-		p.alloc = make([]int, n)
-		p.order = make([]int, n)
-	}
-	if g := ctx.Med.Graph(); g != nil && !g.Complete() {
-		p.beginGraph(ctx)
-		return
-	}
-	p.alloc = p.alloc[:n]
-	p.order = p.order[:n]
-	slots := ctx.Profile.SlotsPerInterval()
-	base := slots / n
-	extra := slots % n
-	start := 0
-	if p.rotate {
-		start = int(p.k % int64(n))
-	}
-	for i := 0; i < n; i++ {
-		link := (start + i) % n
-		p.order[i] = link
-		p.alloc[link] = base
-		if i < extra {
-			p.alloc[link]++
-		}
-	}
-	p.k++
-	p.serveNext(ctx)
-}
-
-// beginGraph divides the frame among the color classes of a greedy coloring
-// of the conflict graph: each class gets slots/numColors slots (remainders
-// rotate like the link-level remainders), and within a class every link with
-// pending traffic transmits concurrently.
-func (p *Protocol) beginGraph(ctx *mac.Context) {
-	p.graphMode = true
-	if p.colors == nil {
+	if p.start == nil {
 		p.colorize(ctx)
 	}
-	m := p.numColors
-	p.alloc = p.alloc[:m]
-	p.order = p.order[:m]
+	m := len(p.start) - 1
 	slots := ctx.Profile.SlotsPerInterval()
 	base := slots / m
 	extra := slots % m
-	start := 0
+	first := 0
 	if p.rotate {
-		start = int(p.k % int64(m))
+		first = int(p.k % int64(m))
 	}
 	for i := 0; i < m; i++ {
-		color := (start + i) % m
-		p.order[i] = color
-		p.alloc[color] = base
+		class := (first + i) % m
+		p.order[i] = class
+		p.alloc[class] = base
 		if i < extra {
-			p.alloc[color]++
+			p.alloc[class]++
 		}
 	}
 	p.k++
@@ -140,75 +100,63 @@ func (p *Protocol) beginGraph(ctx *mac.Context) {
 func (p *Protocol) colorize(ctx *mac.Context) {
 	n := ctx.Links()
 	g := ctx.Med.Graph()
-	p.colors = make([]int, n)
+	colors := make([]int, n)
 	used := make([]bool, n)
-	p.numColors = 0
+	m := 0
 	for link := 0; link < n; link++ {
 		for j := 0; j < link; j++ {
 			if g.Conflicts(link, j) {
-				used[p.colors[j]] = true
+				used[colors[j]] = true
 			}
 		}
 		c := 0
 		for used[c] {
 			c++
 		}
-		p.colors[link] = c
-		if c+1 > p.numColors {
-			p.numColors = c + 1
-		}
-		for j := range used[:p.numColors] {
-			used[j] = false
-		}
+		colors[link] = c
+		m = max(m, c+1)
+		clear(used[:m])
 	}
+	// Bucket the links by color; next[c] is where class c's next link goes.
+	p.start = make([]int, m+1)
+	for _, c := range colors {
+		p.start[c+1]++
+	}
+	for c := 1; c <= m; c++ {
+		p.start[c] += p.start[c-1]
+	}
+	next := slices.Clone(p.start[:m])
+	p.members = make([]int, n)
+	for link, c := range colors {
+		p.members[next[c]] = link
+		next[c]++
+	}
+	p.alloc = make([]int, m)
+	p.order = make([]int, m)
 }
 
-// serveNextGroup consumes one color-class slot: every link of the active
-// color with pending packets starts a data exchange; the group's completions
-// (all at the same instant — equal airtimes started together) advance to the
-// next slot. Idle classes burn a slot's airtime exactly like serveNext's
-// empty link slots.
+// serveNextGroup consumes one class slot: every link of the active class
+// with pending packets starts a data exchange, and the group's completions
+// (all at the same instant — equal airtimes started together) advance to
+// the next slot. A slot whose class has nothing to send idles away, exactly
+// as in a hardware TDMA frame.
 func (p *Protocol) serveNextGroup(ctx *mac.Context) {
-	for _, color := range p.order {
-		if p.alloc[color] == 0 {
+	for _, class := range p.order {
+		if p.alloc[class] == 0 {
 			continue
 		}
-		p.alloc[color]--
+		p.alloc[class]--
 		if !ctx.FitsData() {
 			return
 		}
 		started := 0
-		for link, c := range p.colors {
-			if c == color && ctx.Pending(link) > 0 {
-				if ctx.TransmitData(link, p.groupDoneFn) {
-					started++
-				}
+		for _, link := range p.members[p.start[class]:p.start[class+1]] {
+			if ctx.Pending(link) > 0 && ctx.TransmitData(link, p.groupDoneFn) {
+				started++
 			}
 		}
 		if started > 0 {
 			p.outstanding = started
-			return
-		}
-		p.timer = ctx.Eng.After(ctx.Profile.DataAirtime, p.timerFn)
-		return
-	}
-}
-
-// serveNext consumes the allocation in order; slots whose owner has nothing
-// to send idle away, exactly as in a hardware TDMA frame.
-func (p *Protocol) serveNext(ctx *mac.Context) {
-	for _, link := range p.order {
-		if p.alloc[link] == 0 {
-			continue
-		}
-		p.alloc[link]--
-		if ctx.Pending(link) > 0 {
-			if !ctx.TransmitData(link, p.serveFn) {
-				return
-			}
-			return
-		}
-		if ctx.Remaining() < ctx.Profile.DataAirtime {
 			return
 		}
 		p.timer = ctx.Eng.After(ctx.Profile.DataAirtime, p.timerFn)
@@ -226,9 +174,7 @@ func (p *Protocol) EndInterval(ctx *mac.Context) {
 	// with outstanding at zero and the allocation cleared, a late
 	// groupDoneFn decrements past zero and serveNextGroup finds nothing.
 	p.outstanding = 0
-	for i := range p.alloc {
-		p.alloc[i] = 0
-	}
+	clear(p.alloc)
 }
 
 // String aids debugging.

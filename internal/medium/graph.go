@@ -51,20 +51,28 @@ func NewGraph(n int, edges [][2]int) (*Graph, error) {
 }
 
 // CompleteGraph returns the fully-interfering conflict graph over n links —
-// the paper's single collision domain. A medium built with it behaves
-// identically to one built with no graph at all.
+// the paper's single collision domain, and the graph a medium built with no
+// graph at all uses.
 func CompleteGraph(n int) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("medium: complete conflict graph needs at least 1 link, got %d", n))
 	}
-	g := newEmptyGraph(n)
+	g := new(Graph)
+	g.initComplete(n, make([]uint64, 2*n*graphWords(n)))
+	return g
+}
+
+// initComplete makes g the complete graph over n links, carving its rows and
+// closed rows from buf, which holds 2·n·graphWords(n) zeroed words.
+func (g *Graph) initComplete(n int, buf []uint64) {
+	words := graphWords(n)
+	*g = Graph{n: n, words: words, rows: buf[: n*words : n*words], closed: buf[n*words:]}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			g.setEdge(i, j)
 		}
 	}
 	g.finalize()
-	return g
 }
 
 // CliqueGraph returns the union of complete subgraphs over the given link
@@ -93,8 +101,11 @@ func CliqueGraph(n int, cliques [][]int) (*Graph, error) {
 	return g, nil
 }
 
+// graphWords is the number of bitset words per row over n links.
+func graphWords(n int) int { return (n + 63) / 64 }
+
 func newEmptyGraph(n int) *Graph {
-	words := (n + 63) / 64
+	words := graphWords(n)
 	return &Graph{n: n, words: words, rows: make([]uint64, n*words)}
 }
 
@@ -103,10 +114,13 @@ func (g *Graph) setEdge(i, j int) {
 	g.rows[j*g.words+i/64] |= 1 << uint(i%64)
 }
 
-// finalize derives the closed rows, the edge count, and the completeness
-// flag from the open adjacency.
+// finalize derives the closed rows (into storage the caller may have
+// provided), the edge count, and the completeness flag from the open
+// adjacency.
 func (g *Graph) finalize() {
-	g.closed = make([]uint64, len(g.rows))
+	if g.closed == nil {
+		g.closed = make([]uint64, len(g.rows))
+	}
 	copy(g.closed, g.rows)
 	bitsSet := 0
 	for i := 0; i < g.n; i++ {
@@ -126,7 +140,7 @@ func (g *Graph) Links() int { return g.n }
 func (g *Graph) Edges() int { return g.edges }
 
 // Complete reports whether every pair of distinct links conflicts — the
-// fully-interfering channel of the seed medium.
+// fully-interfering channel of the paper.
 func (g *Graph) Complete() bool { return g.complete }
 
 // Conflicts reports whether links i and j interfere. A link always conflicts

@@ -77,33 +77,37 @@ func TestLinkTransitionsOnPath(t *testing.T) {
 	}
 }
 
-func TestSubscribeLinksWithoutGraphPanics(t *testing.T) {
-	_, m := newTestMedium(t, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SubscribeLinks on a graph-free medium did not panic")
-		}
-	}()
-	m.SubscribeLinks(&linkSetRecorder{})
-}
-
-// linkModel is the naive per-link carrier-sense model the medium's bitsets
-// are checked against: cnt[j] counts in-flight transmissions whose closed
-// neighborhood holds j (found by Conflicts, not by the graph's rows), and
+// linkModel is the naive per-link carrier-sense and collision model the
+// medium is checked against: cnt[j] counts in-flight transmissions whose
+// closed neighborhood holds j (found by Conflicts, not by the graph's rows),
 // pending[j] marks a neighborhood drained inside a finish whose idle
-// notification waits until onDone has returned.
+// notification waits until onDone has returned, and hit[j] marks link j's
+// in-flight transmission as overlapped by a conflicting one.
 type linkModel struct {
 	g       *Graph
 	cnt     []int
 	pending []bool
+	onAir   []bool
+	hit     []bool
 }
 
-// start raises link's neighborhood and returns the links that turned busy.
+func newLinkModel(g *Graph) *linkModel {
+	n := g.Links()
+	return &linkModel{g: g, cnt: make([]int, n), pending: make([]bool, n),
+		onAir: make([]bool, n), hit: make([]bool, n)}
+}
+
+// start raises link's neighborhood, marks the conflicting overlaps it
+// creates, and returns the links that turned busy.
 func (m *linkModel) start(link int) []int {
 	var busy []int
+	m.onAir[link], m.hit[link] = true, false
 	for j := range m.cnt {
 		if !m.g.Conflicts(link, j) {
 			continue
+		}
+		if j != link && m.onAir[j] {
+			m.hit[link], m.hit[j] = true, true
 		}
 		m.cnt[j]++
 		if m.cnt[j] == 1 {
@@ -117,8 +121,16 @@ func (m *linkModel) start(link int) []int {
 	return busy
 }
 
-// down lowers link's neighborhood when its transmission finishes.
-func (m *linkModel) down(link int) {
+// down lowers link's neighborhood when its transmission finishes and
+// returns the outcome the transmission must have: collided exactly when a
+// conflicting transmission overlapped it, delivered otherwise (every link
+// succeeds with probability 1).
+func (m *linkModel) down(link int) Outcome {
+	m.onAir[link] = false
+	want := Delivered
+	if m.hit[link] {
+		want = Collided
+	}
 	for j := range m.cnt {
 		if m.g.Conflicts(link, j) {
 			if m.cnt[j]--; m.cnt[j] == 0 {
@@ -126,6 +138,7 @@ func (m *linkModel) down(link int) {
 			}
 		}
 	}
+	return want
 }
 
 // idle settles link's drained neighborhood after onDone and returns the
@@ -221,7 +234,8 @@ func fuzzGraph(s []byte) (*Graph, []byte) {
 
 // FuzzMediumLinkTransitions drives a conflict-graph medium through scripted
 // starts, finishes and back-to-back chains from onDone, and checks every
-// LinksBusy/LinksIdle set and every BusyFor against linkModel. Each script
+// LinksBusy/LinksIdle set, every BusyFor and every outcome against
+// linkModel. Each script
 // step takes three bytes: a link, a duration and the delay to the next step.
 // A transmission's onDone may chain another transmission, on its own link or
 // any idle one, drawn from a generator seeded by the script.
@@ -249,7 +263,7 @@ func FuzzMediumLinkTransitions(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := &linkModel{g: g, cnt: make([]int, n), pending: make([]bool, n)}
+		model := newLinkModel(g)
 		// Two listeners: each must see every call, with the same set.
 		checkers := make([]*transitionChecker, 2)
 		for i := range checkers {
@@ -271,8 +285,10 @@ func FuzzMediumLinkTransitions(f *testing.F) {
 		}
 		// The model drops a finishing transmission where the medium does:
 		// before the trace hook and onDone run.
-		m.SetTrace(func(tx Transmission, _ Outcome) {
-			model.down(tx.Link)
+		m.SetTrace(func(tx Transmission, outcome Outcome) {
+			if want := model.down(tx.Link); outcome != want {
+				t.Fatalf("t=%d: link %d finished %v, model expects %v", eng.Now(), tx.Link, outcome, want)
+			}
 			checkers[0].busyForAgrees("finish before onDone")
 		})
 		rng := rand.New(rand.NewPCG(uint64(len(script)), 5))

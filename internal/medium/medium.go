@@ -1,13 +1,16 @@
-// Package medium simulates the shared wireless channel of a fully-interfering
-// ad hoc network (complete conflict graph), per Section II-A of the paper:
+// Package medium simulates the shared wireless channel of an ad hoc network
+// under a conflict graph. With the default complete graph it is the
+// fully-interfering channel of Section II-A of the paper:
 //
-//   - If two or more links transmit with any overlap in time, all overlapping
-//     transmissions collide and fail.
+//   - If two conflicting links transmit with any overlap in time, both
+//     transmissions collide and fail; on the complete graph every pair of
+//     links conflicts.
 //   - A non-interfered data transmission on link n succeeds with probability
 //     p_n (unreliable channel); the transmitter learns the outcome at the end
 //     of the exchange (the ACK is part of the modelled airtime).
 //   - Every device can carrier-sense: Busy reports whether any transmission
-//     is in flight, and subscribers are told about busy/idle transitions.
+//     is in flight, BusyFor whether one is in flight in a link's closed
+//     neighborhood, and subscribers are told about busy/idle transitions.
 package medium
 
 import (
@@ -55,9 +58,8 @@ type Listener interface {
 
 // LinkListener observes per-link carrier-sense transitions under a conflict
 // graph: a link is busy while any transmission in its closed neighborhood
-// (itself or a conflicting link) is in flight. Only meaningful on a medium
-// built with WithGraph; without a graph every link shares the global
-// Listener view.
+// (itself or a conflicting link) is in flight. On the complete graph every
+// link moves with the global Listener view.
 //
 // One transmission starting or finishing moves a whole neighborhood at once,
 // so the transitioned links arrive together as a bitset: bit j%64 of word
@@ -178,11 +180,12 @@ type Medium struct {
 	reg       *telemetry.Registry
 	met       channelMetrics
 	trace     func(tx Transmission, outcome Outcome)
-	// graph, when non-nil, is the conflict graph: only conflicting overlaps
-	// collide, and per-link neighborhood busy state is tracked for spatial
-	// reuse. nil preserves the seed behavior (complete conflict graph) on the
-	// exact legacy code path.
+	// graph is the conflict graph: only conflicting overlaps collide, and
+	// per-link neighborhood busy state is tracked for spatial reuse. Given
+	// no graph, it points at complete, the paper's channel, whose rows share
+	// one buffer with the masks below.
 	graph         *Graph
+	complete      Graph
 	linkListeners []LinkListener
 	// Neighborhood bitsets, one bit per link in Graph.ClosedRow's layout.
 	// busy has link n's bit set while a transmission in its closed
@@ -194,6 +197,8 @@ type Medium struct {
 	busy        []uint64
 	pendingIdle []uint64
 	notify      []uint64
+	// lastMask has the bits of busy's last word that belong to links.
+	lastMask uint64
 }
 
 // Option configures a Medium at construction.
@@ -211,9 +216,8 @@ func WithRegistry(reg *telemetry.Registry) Option {
 }
 
 // WithGraph sets the conflict graph governing which links interfere. A nil
-// graph (the default) means the fully-interfering channel of the paper and
-// keeps the medium on the seed code path; a complete graph is semantically
-// identical but exercises the generalized path. Non-complete graphs enable
+// graph (the default) means the fully-interfering channel of the paper: the
+// medium builds CompleteGraph(links) itself. Non-complete graphs enable
 // spatial reuse: non-conflicting links transmit concurrently without
 // colliding.
 func WithGraph(g *Graph) Option {
@@ -260,15 +264,27 @@ func NewWithModel(eng *sim.Engine, links int, model Model, opts ...Option) (*Med
 	for _, opt := range opts {
 		opt(m)
 	}
-	if m.graph != nil {
+	words := graphWords(links)
+	var masks []uint64
+	if m.graph == nil {
+		// One buffer holds the complete graph's rows and closed rows and
+		// the three masks.
+		rows := 2 * links * words
+		buf := make([]uint64, rows+3*words)
+		m.complete.initComplete(links, buf[:rows:rows])
+		m.graph = &m.complete
+		masks = buf[rows:]
+	} else {
 		if m.graph.Links() != links {
 			return nil, fmt.Errorf("medium: conflict graph covers %d links, medium has %d",
 				m.graph.Links(), links)
 		}
-		m.busy = make([]uint64, m.graph.words)
-		m.pendingIdle = make([]uint64, m.graph.words)
-		m.notify = make([]uint64, m.graph.words)
+		masks = make([]uint64, 3*words)
 	}
+	m.busy = masks[:words:words]
+	m.pendingIdle = masks[words : 2*words : 2*words]
+	m.notify = masks[2*words:]
+	m.lastMask = ^uint64(0) >> uint(64*words-links)
 	if m.reg == nil {
 		m.reg = telemetry.NewRegistry()
 	}
@@ -288,19 +304,28 @@ func (m *Medium) SuccessProb(n int) float64 { return m.model.Mean(n) }
 // sense primitive.
 func (m *Medium) Busy() bool { return len(m.active) > 0 }
 
-// Graph returns the conflict graph, or nil for the fully-interfering
-// default.
+// Graph returns the conflict graph; it is never nil (the complete graph
+// when none was given).
 func (m *Medium) Graph() *Graph { return m.graph }
 
 // BusyFor reports whether link n's closed neighborhood has a transmission in
-// flight — the per-link carrier-sense primitive under a conflict graph.
-// Without a graph every link hears the whole channel and BusyFor equals
-// Busy.
+// flight — the per-link carrier-sense primitive. On the complete graph it
+// equals Busy.
 func (m *Medium) BusyFor(n int) bool {
-	if m.graph == nil {
-		return len(m.active) > 0
-	}
 	return m.busy[n/64]&(1<<uint(n%64)) != 0
+}
+
+// AllBusy reports whether every link's closed neighborhood has a
+// transmission in flight, so no link can start without colliding. On the
+// complete graph it equals Busy.
+func (m *Medium) AllBusy() bool {
+	last := len(m.busy) - 1
+	for _, w := range m.busy[:last] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	return m.busy[last] == m.lastMask
 }
 
 // ActiveCount returns the number of overlapping in-flight transmissions.
@@ -358,13 +383,10 @@ func (m *Medium) Subscribe(l Listener) {
 	m.listeners = append(m.listeners, l)
 }
 
-// SubscribeLinks registers a per-link carrier-sense listener. It panics on a
-// medium built without a conflict graph: without one there is no per-link
-// busy state to observe, and the caller should Subscribe instead.
+// SubscribeLinks registers a per-link carrier-sense listener. It must not
+// be called from a transmission's onDone: the medium tracks pending idle
+// transitions only while a listener is subscribed.
 func (m *Medium) SubscribeLinks(l LinkListener) {
-	if m.graph == nil {
-		panic("medium: SubscribeLinks on a medium without a conflict graph")
-	}
 	m.linkListeners = append(m.linkListeners, l)
 }
 
@@ -410,21 +432,11 @@ func (m *Medium) Start(link int, duration sim.Time, empty bool, onDone func(Outc
 		fin := tx
 		tx.finishFn = func() { m.finish(fin) }
 	}
-	// Any conflicting overlap destroys every transmission involved; without
-	// a graph every pair of links conflicts (the paper's channel).
-	if m.graph == nil {
-		if len(m.active) > 0 {
+	// Any conflicting overlap destroys both transmissions involved.
+	for _, other := range m.active {
+		if m.graph.Conflicts(link, other.Link) {
 			tx.collided = true
-			for _, other := range m.active {
-				other.collided = true
-			}
-		}
-	} else {
-		for _, other := range m.active {
-			if m.graph.Conflicts(link, other.Link) {
-				tx.collided = true
-				other.collided = true
-			}
+			other.collided = true
 		}
 	}
 	// A transmission chained from inside a finishing transmission's onDone
@@ -441,9 +453,7 @@ func (m *Medium) Start(link int, duration sim.Time, empty bool, onDone func(Outc
 			l.ChannelBusy(now)
 		}
 	}
-	if m.graph != nil {
-		m.noteStart(link, now)
-	}
+	m.noteStart(link, now)
 	m.eng.ScheduleAt(tx.End, tx.finishFn)
 	return tx
 }
@@ -451,9 +461,16 @@ func (m *Medium) Start(link int, duration sim.Time, empty bool, onDone func(Outc
 // noteStart marks the closed neighborhood of a starting transmission busy
 // and notifies per-link listeners of the links that turned busy. A
 // neighborhood that was drained inside the enclosing finish (pendingIdle) is
-// simply kept busy: back-to-back occupancy produces no flap.
+// simply kept busy: back-to-back occupancy produces no flap. With no
+// listener only the busy set is kept, and pendingIdle stays empty.
 func (m *Medium) noteStart(link int, now sim.Time) {
 	row := m.graph.ClosedRow(link)
+	if len(m.linkListeners) == 0 {
+		for w, r := range row {
+			m.busy[w] |= r
+		}
+		return
+	}
 	var moved uint64
 	for w, r := range row {
 		newly := r &^ m.busy[w]
@@ -486,13 +503,18 @@ func (m *Medium) noteFinishDown(link int) {
 			busy |= m.graph.closed[tx.Link*m.graph.words+w]
 		}
 		m.busy[w] = busy
-		m.pendingIdle[w] |= r &^ busy
+		if len(m.linkListeners) != 0 {
+			m.pendingIdle[w] |= r &^ busy
+		}
 	}
 }
 
 // noteFinishIdle delivers LinksIdle for the neighborhoods of the finished
 // transmission that are still drained after onDone had its chance to chain.
 func (m *Medium) noteFinishIdle(link int, now sim.Time) {
+	if len(m.linkListeners) == 0 {
+		return
+	}
 	row := m.graph.ClosedRow(link)
 	var moved uint64
 	for w, r := range row {
@@ -515,12 +537,10 @@ func (m *Medium) finish(tx *Transmission) {
 			break
 		}
 	}
-	if m.graph != nil {
-		// Counts drop before onDone so BusyFor reflects the finished
-		// transmission during the callback (matching Busy without a graph);
-		// idle notifications wait until after it, like ChannelIdle.
-		m.noteFinishDown(tx.Link)
-	}
+	// The busy set drops before onDone so BusyFor reflects the finished
+	// transmission during the callback, like Busy; idle notifications wait
+	// until after it, like ChannelIdle.
+	m.noteFinishDown(tx.Link)
 	outcome := m.resolve(tx)
 	if m.trace != nil {
 		m.trace(*tx, outcome)
@@ -539,9 +559,7 @@ func (m *Medium) finish(tx *Transmission) {
 			l.ChannelIdle(now)
 		}
 	}
-	if m.graph != nil {
-		m.noteFinishIdle(tx.Link, m.eng.Now())
-	}
+	m.noteFinishIdle(tx.Link, m.eng.Now())
 	// Recycle: nothing references tx past this point (Start's return value is
 	// dead once the transmission ends, and the trace hook got a value copy).
 	tx.onDone = nil

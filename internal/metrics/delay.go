@@ -91,7 +91,7 @@ func (d *DelayStats) Max() sim.Time { return d.max }
 // Quantile returns the q-quantile (0 < q ≤ 1) of the delay distribution,
 // resolved to bucket granularity (each bucket's upper edge).
 func (d *DelayStats) Quantile(q float64) (sim.Time, error) {
-	if q <= 0 || q > 1 {
+	if !(q > 0 && q <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("metrics: quantile %v outside (0, 1]", q)
 	}
 	if d.total == 0 {

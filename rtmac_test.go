@@ -823,6 +823,38 @@ func TestDelayStatsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDelayQuantileRejectsOutOfRange requires every q outside (0, 1],
+// NaN included, to be an error rather than a quantile.
+func TestDelayQuantileRejectsOutOfRange(t *testing.T) {
+	sim, err := rtmac.NewSimulation(rtmac.Config{
+		Seed:     3,
+		Profile:  rtmac.ControlProfile(),
+		Links:    controlLinks(2, 0.7, 0.6, 0.95),
+		Protocol: rtmac.LDF(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delay, err := sim.EnableDelayStats(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if delay.Count() == 0 {
+		t.Fatal("no deliveries observed")
+	}
+	for _, q := range []float64{math.NaN(), 0, -0.5, 1.5, math.Inf(1), math.Inf(-1)} {
+		if v, err := delay.Quantile(q); err == nil {
+			t.Errorf("Quantile(%v) = %v, nil; want an error", q, v)
+		}
+	}
+	if _, err := delay.Quantile(1); err != nil {
+		t.Errorf("Quantile(1): %v", err)
+	}
+}
+
 func TestProtocolCapacity(t *testing.T) {
 	cfg := rtmac.Config{
 		Seed:    5,
