@@ -64,14 +64,17 @@ cover:
 	$(GO) test -cover ./...
 
 # Codebase size: Go lines outside bench/ (a separate module), split into
-# non-test and test code, and the number of command-line flags the commands
-# under cmd/ define. CI prints it on every push.
+# non-test and test code, the number of command-line flags the commands
+# under cmd/ define, and the public API size of the root package (the lines
+# `go doc -short .` prints, one per exported declaration). CI prints it on
+# every push.
 GO_SOURCES = find . \( -path ./bench -o -name '.?*' \) -prune -o -name '*.go'
 FLAG_DEFS = \b(fs|flag)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Func|BoolFunc|TextVar|Var|BoolVar|IntVar|Int64Var|UintVar|Uint64Var|Float64Var|StringVar|DurationVar)\(
 size:
 	@echo "non-test Go lines: $$($(GO_SOURCES) ! -name '*_test.go' -print | xargs cat | wc -l)"
 	@echo "test Go lines:     $$($(GO_SOURCES) -name '*_test.go' -print | xargs cat | wc -l)"
 	@echo "CLI flags:         $$(find cmd -name '*.go' ! -name '*_test.go' | xargs grep -hoE '$(FLAG_DEFS)' | wc -l)"
+	@echo "public API:        $$($(GO) doc -short . | wc -l)"
 
 clean:
 	rm -rf results

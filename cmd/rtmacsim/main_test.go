@@ -416,6 +416,17 @@ func TestWatchScenario(t *testing.T) {
 	}
 }
 
+// TestSLOBudgetOutOfRange checks that -slo-budget outside [0, 1], NaN
+// included, fails the run before it starts.
+func TestSLOBudgetOutOfRange(t *testing.T) {
+	for _, b := range []string{"NaN", "-0.1", "1.5"} {
+		code, _, errs := runSim(t, "-links", "2", "-intervals", "5", "-slo-budget", b)
+		if code != 1 || !strings.Contains(errs, "miss budget") {
+			t.Errorf("-slo-budget %s exited %d (%q), want 1 with a miss-budget error", b, code, errs)
+		}
+	}
+}
+
 // TestLedgerDetectsDegradedRun appends a run and a degraded rerun of the
 // same seed to a ledger; the ledger's diff must flag the regression.
 func TestLedgerDetectsDegradedRun(t *testing.T) {

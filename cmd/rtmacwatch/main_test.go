@@ -354,4 +354,16 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runWatch(context.Background(), "-q", "0.5", "missing-file.jsonl"); code != 2 {
 		t.Errorf("unreadable file exited %d, want 2", code)
 	}
+	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, errs := runWatch(context.Background(), "-q", "0.5", "-budget", "0.5", empty); code != 0 {
+		t.Fatalf("-budget 0.5 on an empty stream exited %d: %s", code, errs)
+	}
+	for _, b := range []string{"NaN", "-0.1", "1.5"} {
+		if code, _, errs := runWatch(context.Background(), "-q", "0.5", "-budget", b, empty); code != 2 || !strings.Contains(errs, "miss budget") {
+			t.Errorf("-budget %s exited %d (%q), want 2 with a miss-budget error", b, code, errs)
+		}
+	}
 }

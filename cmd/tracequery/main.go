@@ -11,10 +11,6 @@
 //	tracequery -link 3 journeys.jsonl      # one link only
 //	tracequery -check journeys.jsonl       # validate every span; exit 1 on malformed
 //	tracequery -check - < run/journeys.jsonl
-//
-// Decoding parallelizes across -workers goroutines sharded by line; results
-// are merged in input order, so the output is byte-identical for any worker
-// count.
 package main
 
 import (

@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"rtmac/internal/journey"
 	"rtmac/internal/telemetry"
@@ -21,18 +19,14 @@ func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("tracequery", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		check   = fs.Bool("check", false, "validate every journey and exit 1 on the first malformed span")
-		link    = fs.Int("link", -1, "restrict to one link (-1 = all)")
-		cause   = fs.String("cause", "", "restrict to one terminal cause (e.g. lost-to-collision)")
-		byLink  = fs.Bool("by-link", false, "print a per-link attribution table")
-		n       = fs.Int("print", 0, "pretty-print the first n matching journeys")
-		workers = fs.Int("workers", 1, "parallel decode workers (output is identical for any value)")
+		check  = fs.Bool("check", false, "validate every journey and exit 1 on the first malformed span")
+		link   = fs.Int("link", -1, "restrict to one link (-1 = all)")
+		cause  = fs.String("cause", "", "restrict to one terminal cause (e.g. lost-to-collision)")
+		byLink = fs.Bool("by-link", false, "print a per-link attribution table")
+		n      = fs.Int("print", 0, "pretty-print the first n matching journeys")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
-	}
-	if *workers < 1 {
-		return 2, fmt.Errorf("-workers %d must be at least 1", *workers)
 	}
 	if *cause != "" && !journey.ValidCause(*cause) {
 		return 2, fmt.Errorf("unknown cause %q (one of %s)", *cause, strings.Join(journey.Causes(), ", "))
@@ -43,9 +37,21 @@ func run(args []string, stdout io.Writer) (int, error) {
 	}
 	defer in.Close()
 
-	js, base, err := decodeParallel(in, *workers)
+	raw, err := io.ReadAll(in)
 	if err != nil {
 		return 1, fmt.Errorf("%s: %w", name, err)
+	}
+	// Journey i sits on line base+i+1: a valid leading schema header holds
+	// no journey, while a mismatched one is the line Decode stops on.
+	base := 0
+	first, _, _ := bytes.Cut(raw, []byte("\n"))
+	if h, ok := telemetry.ParseHeader(first); ok &&
+		h.Check(telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion) == nil {
+		base = 1
+	}
+	js, err := journey.Decode(bytes.NewReader(raw))
+	if err != nil {
+		return 1, fmt.Errorf("%s: line %d: %w", name, base+len(js)+1, err)
 	}
 	if *check {
 		for i := range js {
@@ -90,69 +96,6 @@ func openInput(args []string) (io.ReadCloser, string, error) {
 		return nil, "", err
 	}
 	return f, args[0], nil
-}
-
-// decodeParallel splits the stream into lines and decodes them across
-// workers sharded by line index; results land at their line's slot, so the
-// order (and everything derived from it) is independent of the worker count.
-// The returned base is the count of header lines dropped from the front, so
-// callers can report original 1-based line numbers.
-func decodeParallel(r io.Reader, workers int) ([]journey.Journey, int, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	lines := bytes.Split(raw, []byte("\n"))
-	// Drop trailing blank lines (the stream is newline-terminated).
-	for len(lines) > 0 && len(bytes.TrimSpace(lines[len(lines)-1])) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	// A leading schema header (written by the tracer) is validated and
-	// dropped; base keeps error messages pointing at original line numbers.
-	base := 0
-	if len(lines) > 0 {
-		if h, ok := telemetry.ParseHeader(lines[0]); ok {
-			if err := h.Check(telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion); err != nil {
-				return nil, 0, fmt.Errorf("line 1: %w", err)
-			}
-			lines = lines[1:]
-			base = 1
-		}
-	}
-	js := make([]journey.Journey, len(lines))
-	if workers > len(lines) && len(lines) > 0 {
-		workers = len(lines)
-	}
-	type decodeErr struct {
-		line int
-		err  error
-	}
-	errs := make([]decodeErr, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(lines); i += workers {
-				if err := json.Unmarshal(lines[i], &js[i]); err != nil && errs[w].err == nil {
-					errs[w] = decodeErr{line: base + i + 1, err: err}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Report the earliest failing line regardless of which worker hit it, so
-	// the diagnosis does not depend on the worker count either.
-	var first decodeErr
-	for _, e := range errs {
-		if e.err != nil && (first.err == nil || e.line < first.line) {
-			first = e
-		}
-	}
-	if first.err != nil {
-		return nil, 0, fmt.Errorf("line %d: %w", first.line, first.err)
-	}
-	return js, base, nil
 }
 
 func filter(js []journey.Journey, link int, cause string) []journey.Journey {

@@ -71,9 +71,23 @@ func runQuery(t *testing.T, input []byte, args ...string) (string, int) {
 	return out.String(), code
 }
 
+// checkErr runs tracequery -check over input and returns the exit code and
+// the error text.
+func checkErr(t *testing.T, input []byte) (int, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journeys.jsonl")
+	if err := os.WriteFile(path, input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, err := run([]string{"-check", path}, &bytes.Buffer{})
+	if err == nil {
+		return code, ""
+	}
+	return code, err.Error()
+}
+
 // TestGoldenOutput pins tracequery's exact output for a fixed seed, for the
-// summary, per-link and pretty-print views — and proves the parallel decode
-// is byte-deterministic across worker counts.
+// summary, per-link and pretty-print views.
 func TestGoldenOutput(t *testing.T) {
 	input := fixedJourneys(t)
 	views := map[string][]string{
@@ -83,7 +97,7 @@ func TestGoldenOutput(t *testing.T) {
 	}
 	for name, args := range views {
 		t.Run(name, func(t *testing.T) {
-			got, code := runQuery(t, input, append([]string{"-workers", "1"}, args...)...)
+			got, code := runQuery(t, input, args...)
 			if code != 0 {
 				t.Fatalf("exit %d", code)
 			}
@@ -105,15 +119,6 @@ func TestGoldenOutput(t *testing.T) {
 				t.Fatalf("golden mismatch for %s.\nGot:\n%s\nWant:\n%s\n"+
 					"(intentional behaviour change? regenerate with -update)", name, got, want)
 			}
-
-			// The same query with 8 workers must be byte-identical.
-			wide, code := runQuery(t, input, append([]string{"-workers", "8"}, args...)...)
-			if code != 0 {
-				t.Fatalf("workers=8 exit %d", code)
-			}
-			if wide != got {
-				t.Fatalf("output differs between workers=1 and workers=8 for %s", name)
-			}
 		})
 	}
 }
@@ -128,19 +133,24 @@ func TestCheckMode(t *testing.T) {
 		t.Fatalf("unexpected check output: %q", out)
 	}
 
-	// A malformed line fails with exit 1 regardless of worker count.
-	broken := append([]byte("this is not json\n"), input...)
-	if _, code := runQuery(t, broken, "-check"); code != 1 {
-		t.Fatalf("malformed line accepted (exit %d)", code)
+	// A malformed line fails with exit 1 and names its line, counting the
+	// schema header the stream opens with.
+	header, body, _ := bytes.Cut(input, []byte("\n"))
+	broken := bytes.Join([][]byte{header, []byte("this is not json"), body}, []byte("\n"))
+	if code, err := checkErr(t, broken); code != 1 || !strings.Contains(err, "line 2:") {
+		t.Fatalf("malformed line: exit %d, error %q, want exit 1 at line 2", code, err)
 	}
-	if _, code := runQuery(t, broken, "-check", "-workers", "8"); code != 1 {
-		t.Fatalf("malformed line accepted with workers=8 (exit %d)", code)
+	// A header of another schema is the line the read stops on.
+	foreign := append([]byte(`{"schema":"rtmac.events","schema_version":1}`+"\n"), body...)
+	if code, err := checkErr(t, foreign); code != 1 || !strings.Contains(err, "line 1:") {
+		t.Fatalf("foreign header: exit %d, error %q, want exit 1 at line 1", code, err)
 	}
 
 	// A structurally invalid span (valid JSON, broken invariants) also fails.
-	invalid := []byte(`{"seq":0,"k":0,"link":0,"idx":0,"arrived":0,"deadline":100,"cause":"delivered"}` + "\n")
-	if _, code := runQuery(t, invalid, "-check"); code != 1 {
-		t.Fatal("invalid span accepted by -check")
+	valid, _, _ := bytes.Cut(body, []byte("\n"))
+	invalid := []byte(string(valid) + "\n" + `{"seq":0,"k":0,"link":0,"idx":0,"arrived":0,"deadline":100,"cause":"delivered"}` + "\n")
+	if code, err := checkErr(t, invalid); code != 1 || !strings.Contains(err, "line 2:") {
+		t.Fatalf("invalid span: exit %d, error %q, want exit 1 at line 2", code, err)
 	}
 }
 
@@ -164,9 +174,6 @@ func TestUsageErrors(t *testing.T) {
 	input := []byte("{}\n")
 	if _, code := runQuery(t, input, "-cause", "gremlins"); code != 2 {
 		t.Fatal("unknown cause accepted")
-	}
-	if _, code := runQuery(t, input, "-workers", "0"); code != 2 {
-		t.Fatal("workers 0 accepted")
 	}
 	var out bytes.Buffer
 	if code, _ := run([]string{"a.jsonl", "b.jsonl"}, &out); code != 2 {

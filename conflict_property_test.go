@@ -133,7 +133,7 @@ func TestConcurrentTransmittersFormIndependentSet(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true, FlightRecorderIntervals: -1})
+				mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +222,7 @@ func TestSpatialReuseImprovesDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true, FlightRecorderIntervals: -1})
+		mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,11 +11,11 @@ import (
 	"rtmac/internal/telemetry"
 )
 
-// HealthConfig configures Simulation.EnableHealth.
+// HealthConfig configures Simulation.EnableHealth. The runtime collector
+// samples runtime/metrics every 250 ms; the profile ring, when enabled,
+// captures a 1 s CPU window and a heap snapshot every 15 s and keeps the
+// newest 8 profiles of each type.
 type HealthConfig struct {
-	// SamplePeriod is how often the runtime collector samples runtime/metrics
-	// (default 250 ms).
-	SamplePeriod time.Duration
 	// SlotBudget is the slot-budget watchdog's wall-clock allowance per
 	// simulated interval. Zero selects the default — one simulated interval's
 	// duration in real time (the live-wire criterion: can this process keep
@@ -24,12 +24,6 @@ type HealthConfig struct {
 	// ProfileDir, when non-empty, enables the continuous profile ring in that
 	// directory.
 	ProfileDir string
-	// ProfilePeriod is the time between ring capture rounds (default 15 s);
-	// CPUProfileDuration is each round's CPU window (default 1 s);
-	// MaxProfiles bounds on-disk profiles per type (default 8).
-	ProfilePeriod      time.Duration
-	CPUProfileDuration time.Duration
-	MaxProfiles        int
 }
 
 // Health is the runtime health plane attached to a simulation: a
@@ -57,10 +51,7 @@ func (s *Simulation) EnableHealth(cfg HealthConfig) (*Health, error) {
 		return nil, fmt.Errorf("rtmac: health plane already enabled")
 	}
 	h := &Health{}
-	h.col = health.NewCollector(health.CollectorConfig{
-		Period:   cfg.SamplePeriod,
-		Registry: s.nw.Telemetry(),
-	})
+	h.col = health.NewCollector(health.CollectorConfig{Registry: s.nw.Telemetry()})
 	if cfg.SlotBudget >= 0 {
 		budget := cfg.SlotBudget
 		if budget == 0 {
@@ -75,10 +66,7 @@ func (s *Simulation) EnableHealth(cfg HealthConfig) (*Health, error) {
 	}
 	if cfg.ProfileDir != "" {
 		ring, err := health.NewProfileRing(health.RingConfig{
-			Dir:         cfg.ProfileDir,
-			CPUDuration: cfg.CPUProfileDuration,
-			Period:      cfg.ProfilePeriod,
-			MaxPerType:  cfg.MaxProfiles,
+			Dir: cfg.ProfileDir,
 			Labels: map[string]string{
 				"seed":     strconv.FormatUint(s.manifest.Seed, 10),
 				"protocol": s.prot.Name(),

@@ -103,9 +103,8 @@ func TestHealthResultsDeterministic(t *testing.T) {
 		sim := newHealthTestSim(t)
 		if withHealth {
 			h, err := sim.EnableHealth(rtmac.HealthConfig{
-				SlotBudget:   time.Hour,
-				SamplePeriod: 10 * time.Millisecond,
-				ProfileDir:   filepath.Join(t.TempDir(), "ring"),
+				SlotBudget: time.Hour,
+				ProfileDir: filepath.Join(t.TempDir(), "ring"),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -194,10 +193,8 @@ func TestHealthProfileRingWritesManifest(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ring")
 	sim := newHealthTestSim(t)
 	h, err := sim.EnableHealth(rtmac.HealthConfig{
-		SlotBudget:         time.Hour,
-		ProfileDir:         dir,
-		CPUProfileDuration: 50 * time.Millisecond,
-		ProfilePeriod:      time.Hour, // one round
+		SlotBudget: time.Hour,
+		ProfileDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -242,7 +242,7 @@ func fcsmaSpec() protocolSpec {
 
 func dcfSpec() protocolSpec {
 	return protocolSpec{label: "DCF", build: func(n int) (mac.Protocol, error) {
-		return dcf.New(n, dcf.DefaultConfig())
+		return dcf.New(n)
 	}}
 }
 

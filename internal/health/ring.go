@@ -15,8 +15,12 @@ import (
 	"time"
 )
 
+// maxPerType bounds how many profiles of each type stay on disk; older ones
+// are pruned.
+const maxPerType = 8
+
 // RingConfig parameterizes a ProfileRing. The zero value (plus Dir) is
-// usable: 1 s CPU windows every 15 s, at most 8 profiles per type.
+// usable: 1 s CPU windows every 15 s.
 type RingConfig struct {
 	// Dir is the ring directory; created if missing. Required.
 	Dir string
@@ -25,9 +29,6 @@ type RingConfig struct {
 	// Period is the time between capture rounds (default 15 s). A round is
 	// one CPU window plus one heap snapshot.
 	Period time.Duration
-	// MaxPerType bounds how many profiles of each type stay on disk; older
-	// ones are pruned (default 8).
-	MaxPerType int
 	// Labels annotate every manifest entry with workload identity (seed,
 	// protocol, figure). They are also installed as pprof labels around the
 	// capture so CPU samples of the ring's own work are attributable.
@@ -56,7 +57,7 @@ type RingStatus struct {
 
 // ProfileRing continuously captures CPU and heap pprof snapshots into a
 // bounded on-disk ring. Each round records a CPUDuration CPU window and one
-// heap snapshot, appends manifest entries, then prunes beyond MaxPerType.
+// heap snapshot, appends manifest entries, then prunes beyond maxPerType.
 //
 // The CPU profiler is a process-global singleton: if something else (a
 // -cpuprofile flag, a /debug/pprof/profile request) holds it, the ring's
@@ -93,9 +94,6 @@ func NewProfileRing(cfg RingConfig) (*ProfileRing, error) {
 	}
 	if cfg.Period < cfg.CPUDuration {
 		cfg.Period = cfg.CPUDuration
-	}
-	if cfg.MaxPerType <= 0 {
-		cfg.MaxPerType = 8
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("health: profile ring dir: %w", err)
@@ -227,7 +225,7 @@ func (r *ProfileRing) setErr(err error) {
 	r.mu.Unlock()
 }
 
-// record appends the entry, prunes beyond MaxPerType, and rewrites the
+// record appends the entry, prunes beyond maxPerType, and rewrites the
 // manifest atomically (temp file + rename) so readers never see a torn line.
 func (r *ProfileRing) record(e ManifestEntry) error {
 	r.mu.Lock()
@@ -241,7 +239,7 @@ func (r *ProfileRing) record(e ManifestEntry) error {
 			ofType = append(ofType, i)
 		}
 	}
-	if n := len(ofType) - r.cfg.MaxPerType; n > 0 {
+	if n := len(ofType) - maxPerType; n > 0 {
 		drop := make(map[int]bool, n)
 		for _, i := range ofType[:n] {
 			drop[i] = true

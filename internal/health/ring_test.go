@@ -73,12 +73,12 @@ func TestProfileRingCapturesAndManifests(t *testing.T) {
 
 func TestProfileRingPrunes(t *testing.T) {
 	dir := t.TempDir()
-	r, err := NewProfileRing(RingConfig{Dir: dir, MaxPerType: 2})
+	r, err := NewProfileRing(RingConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Drive heap captures directly — no need to wait out CPU windows.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxPerType+3; i++ {
 		if err := r.captureHeap(); err != nil {
 			t.Fatal(err)
 		}
@@ -87,19 +87,21 @@ func TestProfileRingPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("manifest has %d entries after pruning, want 2", len(entries))
+	if len(entries) != maxPerType {
+		t.Fatalf("manifest has %d entries after pruning, want %d", len(entries), maxPerType)
 	}
-	// Newest two survive, and only their files remain on disk.
-	if entries[0].Seq != 3 || entries[1].Seq != 4 {
-		t.Errorf("wrong survivors: seq %d, %d (want 3, 4)", entries[0].Seq, entries[1].Seq)
+	// The newest survive, and only their files remain on disk.
+	for i, e := range entries {
+		if want := 3 + i; e.Seq != want {
+			t.Errorf("survivor %d: seq %d, want %d", i, e.Seq, want)
+		}
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 {
-		t.Errorf("%d profile files on disk after pruning, want 2: %v", len(files), files)
+	if len(files) != maxPerType {
+		t.Errorf("%d profile files on disk after pruning, want %d: %v", len(files), maxPerType, files)
 	}
 }
 

@@ -331,11 +331,11 @@ func TestTracerNilWriterKeepsAggregates(t *testing.T) {
 
 func TestTimelineRingWrap(t *testing.T) {
 	var out bytes.Buffer
-	tr, err := NewTracer(1, &out, 1, WithTimelineCapacity(4))
+	tr, err := NewTracer(1, &out, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := int64(0); k < 10; k++ {
+	for k := int64(0); k < timelineCapacity+6; k++ {
 		tr.BeginInterval(k, sim.Time(k*100), sim.Time(k*100+100), []int{0}, nil)
 		closeInterval(tr, k, float64(k))
 	}
@@ -343,8 +343,8 @@ func TestTimelineRingWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
-		t.Fatalf("retained %d points, want 4", len(pts))
+	if len(pts) != timelineCapacity {
+		t.Fatalf("retained %d points, want %d", len(pts), timelineCapacity)
 	}
 	for i, p := range pts {
 		if want := int64(6 + i); p.K != want {

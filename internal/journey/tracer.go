@@ -57,25 +57,14 @@ type Tracer struct {
 	nSwapDown []int64
 }
 
-// Option configures a Tracer.
-type Option func(*Tracer)
-
-// WithTimelineCapacity bounds each link's debt timeline ring to the given
-// number of intervals (default 512).
-func WithTimelineCapacity(n int) Option {
-	return func(t *Tracer) {
-		if n > 0 {
-			for i := range t.timelines {
-				t.timelines[i] = newTimeline(n)
-			}
-		}
-	}
-}
+// timelineCapacity is how many intervals each link's debt timeline ring
+// keeps.
+const timelineCapacity = 512
 
 // NewTracer builds a tracer for a network of links links, streaming completed
 // journeys as JSONL to w (nil keeps only the in-memory aggregates and
 // timelines) and recording every sample-th packet (1 records all).
-func NewTracer(links int, w io.Writer, sample int, opts ...Option) (*Tracer, error) {
+func NewTracer(links int, w io.Writer, sample int) (*Tracer, error) {
 	if links <= 0 {
 		return nil, fmt.Errorf("journey: no links")
 	}
@@ -100,7 +89,7 @@ func NewTracer(links int, w io.Writer, sample int, opts ...Option) (*Tracer, err
 		nSwapDown: make([]int64, links),
 	}
 	for i := range t.timelines {
-		t.timelines[i] = newTimeline(512)
+		t.timelines[i] = newTimeline(timelineCapacity)
 	}
 	if w != nil {
 		t.buf = bufio.NewWriter(w)
@@ -111,9 +100,6 @@ func NewTracer(links int, w io.Writer, sample int, opts ...Option) (*Tracer, err
 		if _, err := t.buf.Write(header.MarshalLine()); err != nil {
 			t.err = fmt.Errorf("journey: stream: %w", err)
 		}
-	}
-	for _, opt := range opts {
-		opt(t)
 	}
 	return t, nil
 }

@@ -14,33 +14,18 @@ import (
 	"rtmac/internal/sim"
 )
 
-// Config sets the backoff window evolution.
-type Config struct {
-	// CWMin is the initial contention window (802.11a: 16).
-	CWMin int
-	// CWMax caps the window after repeated failures (802.11a: 1024).
-	CWMax int
-}
-
-// DefaultConfig returns the 802.11a values.
-func DefaultConfig() Config { return Config{CWMin: 16, CWMax: 1024} }
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if c.CWMin < 1 {
-		return fmt.Errorf("dcf: CWMin %d must be at least 1", c.CWMin)
-	}
-	if c.CWMax < c.CWMin {
-		return fmt.Errorf("dcf: CWMax %d below CWMin %d", c.CWMax, c.CWMin)
-	}
-	return nil
-}
+// The backoff window evolution of 802.11a.
+const (
+	// cwMin is the initial contention window.
+	cwMin = 16
+	// cwMax caps the window after repeated failures.
+	cwMax = 1024
+)
 
 // Protocol is the DCF policy. Contention-window state persists across
 // intervals, as a real station's would.
 type Protocol struct {
-	cfg Config
-	cw  []int // current window per link
+	cw []int // current window per link
 	// rng caches the backoff stream; fireFns/doneFns are per-link callbacks
 	// built once against the stable interval context, so entering contention
 	// and chaining retransmissions allocate nothing.
@@ -50,17 +35,14 @@ type Protocol struct {
 	doneFns []func(delivered bool)
 }
 
-// New validates cfg and returns a DCF instance for n links.
-func New(n int, cfg Config) (*Protocol, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// New returns a DCF instance for n links.
+func New(n int) (*Protocol, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dcf: need at least 1 link, got %d", n)
 	}
-	p := &Protocol{cfg: cfg, cw: make([]int, n)}
+	p := &Protocol{cw: make([]int, n)}
 	for i := range p.cw {
-		p.cw[i] = cfg.CWMin
+		p.cw[i] = cwMin
 	}
 	return p, nil
 }
@@ -81,8 +63,8 @@ func (p *Protocol) BeginInterval(ctx *mac.Context) {
 			p.fireFns[link] = func() bool { return p.fire(p.ctx, link) }
 			p.doneFns[link] = func(delivered bool) {
 				if delivered {
-					p.cw[link] = p.cfg.CWMin
-				} else if p.cw[link]*2 <= p.cfg.CWMax {
+					p.cw[link] = cwMin
+				} else if p.cw[link]*2 <= cwMax {
 					p.cw[link] *= 2
 				}
 				ctx := p.ctx

@@ -14,21 +14,15 @@ func fastProfile() phy.Profile {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(0, DefaultConfig()); err == nil {
+	if _, err := New(0); err == nil {
 		t.Error("zero links accepted")
-	}
-	if _, err := New(2, Config{CWMin: 0, CWMax: 16}); err == nil {
-		t.Error("CWMin 0 accepted")
-	}
-	if _, err := New(2, Config{CWMin: 32, CWMax: 16}); err == nil {
-		t.Error("CWMax < CWMin accepted")
 	}
 }
 
 func runDCF(t *testing.T, seed uint64, n int, p float64, perLink int, q float64,
 	intervals int) (*mac.Network, *metrics.Collector, *Protocol) {
 	t.Helper()
-	prot, err := New(n, DefaultConfig())
+	prot, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,34 +89,33 @@ func TestDCFCollisionRateGrowsWithNetworkSize(t *testing.T) {
 
 func TestDCFWindowDoublesOnFailureAndResetsOnSuccess(t *testing.T) {
 	// With p = 1 and a single link there are no failures: the window must
-	// stay at CWMin.
+	// stay at cwMin.
 	_, _, prot := runDCF(t, 3, 1, 1, 2, 0, 50)
-	if got := prot.Window(0); got != DefaultConfig().CWMin {
-		t.Fatalf("lossless single station window %d, want CWMin", got)
+	if got := prot.Window(0); got != cwMin {
+		t.Fatalf("lossless single station window %d, want cwMin", got)
 	}
 	// With p = 0.05 the window of a retrying station must have grown beyond
-	// CWMin at some point; since success resets it, probe right after a run
+	// cwMin at some point; since success resets it, probe right after a run
 	// where the last attempts almost surely failed.
 	_, _, lossy := runDCF(t, 4, 1, 0.05, 6, 0, 30)
-	if got := lossy.Window(0); got <= DefaultConfig().CWMin {
-		t.Fatalf("heavily lossy station window %d, want > CWMin", got)
+	if got := lossy.Window(0); got <= cwMin {
+		t.Fatalf("heavily lossy station window %d, want > cwMin", got)
 	}
 }
 
 func TestDCFWindowCapped(t *testing.T) {
-	cfg := DefaultConfig()
-	prot, err := New(1, cfg)
+	prot, err := New(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Force many failures through the exported state by simulating the
-	// update rule directly: Window never exceeds CWMax.
+	// update rule directly: Window never exceeds cwMax.
 	for i := 0; i < 20; i++ {
-		if prot.cw[0]*2 <= cfg.CWMax {
+		if prot.cw[0]*2 <= cwMax {
 			prot.cw[0] *= 2
 		}
 	}
-	if prot.Window(0) > cfg.CWMax {
-		t.Fatalf("window %d exceeds CWMax %d", prot.Window(0), cfg.CWMax)
+	if prot.Window(0) > cwMax {
+		t.Fatalf("window %d exceeds cwMax %d", prot.Window(0), cwMax)
 	}
 }

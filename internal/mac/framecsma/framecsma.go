@@ -33,15 +33,12 @@ type Config struct {
 	// ControlSlot is the duration of one control mini-slot; every frame
 	// starts with one mini-slot per link (schedule agreement overhead).
 	ControlSlot sim.Time
-	// F is the debt influence function used to order links when slots are
-	// allocated; the zero value means the paper's log function.
-	F debt.InfluenceFunc
 }
 
 // DefaultConfig uses 20 µs control mini-slots (a conservative stand-in for
-// [23]'s control packets) and the paper's influence function.
+// [23]'s control packets).
 func DefaultConfig() Config {
-	return Config{ControlSlot: 20, F: debt.PaperLog()}
+	return Config{ControlSlot: 20}
 }
 
 // Validate reports configuration errors.
@@ -55,6 +52,9 @@ func (c Config) Validate() error {
 // Protocol is the frame-based CSMA policy.
 type Protocol struct {
 	cfg Config
+	// f is the debt influence function that orders links when slots are
+	// allocated: the paper's log function.
+	f debt.InfluenceFunc
 	// Per-interval scratch: remaining pre-allocated attempts per link and
 	// the debt-ordered link sequence.
 	alloc []int
@@ -77,10 +77,7 @@ func New(cfg Config) (*Protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.F.Name() == "" {
-		cfg.F = debt.PaperLog()
-	}
-	return &Protocol{cfg: cfg}, nil
+	return &Protocol{cfg: cfg, f: debt.PaperLog()}, nil
 }
 
 // Name implements mac.Protocol.
@@ -114,7 +111,7 @@ func (p *Protocol) BeginInterval(ctx *mac.Context) {
 	weights := p.weights
 	for link := 0; link < n; link++ {
 		p.order[link] = link
-		weights[link] = ctx.Ledger.Weight(link, p.cfg.F, ctx.Med.SuccessProb(link))
+		weights[link] = ctx.Ledger.Weight(link, p.f, ctx.Med.SuccessProb(link))
 	}
 	order := p.order
 	for i := 1; i < n; i++ {

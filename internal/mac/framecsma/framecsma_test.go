@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rtmac/internal/arrival"
+	"rtmac/internal/debt"
 	"rtmac/internal/mac"
 	"rtmac/internal/mac/ldf"
 	"rtmac/internal/metrics"
@@ -21,13 +22,13 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{ControlSlot: -1}); err == nil {
 		t.Fatal("negative control slot accepted")
 	}
-	// Zero-value config picks up the default influence function.
+	// Links are ordered by the paper's influence function.
 	p, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.cfg.F.Name() == "" {
-		t.Fatal("influence function not defaulted")
+	if got, want := p.f.Name(), debt.PaperLog().Name(); got != want {
+		t.Fatalf("influence function %q, want %q", got, want)
 	}
 }
 

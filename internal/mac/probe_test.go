@@ -49,7 +49,7 @@ func oracleCases(t *testing.T) []oracleCase {
 		{name: "fcsma", build: func() (mac.Protocol, error) { return fcsma.New(fcsma.DefaultConfig()) }},
 		{name: "framecsma", build: func() (mac.Protocol, error) { return framecsma.New(framecsma.DefaultConfig()) }},
 		{name: "tdma", build: func() (mac.Protocol, error) { return tdma.New(true), nil }},
-		{name: "dcf", build: func() (mac.Protocol, error) { return dcf.New(oracleLinks, dcf.DefaultConfig()) }},
+		{name: "dcf", build: func() (mac.Protocol, error) { return dcf.New(oracleLinks) }},
 		{name: "clashing", build: func() (mac.Protocol, error) { return mac.Clashing{}, nil }},
 		{name: "dbdp-ring", build: dbdp, graph: g},
 	}

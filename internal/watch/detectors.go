@@ -21,7 +21,7 @@ func ewmaAlpha(window int) float64 { return 2 / (float64(window) + 1) }
 // statistic is (q − ewma)/(Budget·q): 1 means the link's sustained delivery
 // shortfall exactly consumes the allowed miss budget. Both the fast and the
 // slow EWMA must burn ≥ 1 — the multi-window guard — and the link must carry
-// real debt (> BurnDebtFloor), so a link that is underserved only because it
+// real debt (> burnDebtFloor), so a link that is underserved only because it
 // has nothing to send never fires.
 func (e *Engine) observeBurn(i int, k int64, at sim.Time) {
 	st := &e.links[i]
@@ -29,25 +29,25 @@ func (e *Engine) observeBurn(i int, k int64, at sim.Time) {
 		return
 	}
 	d := float64(e.delivered[i])
-	st.ewmaFast += ewmaAlpha(e.cfg.BurnFastWindow) * (d - st.ewmaFast)
-	st.ewmaSlow += ewmaAlpha(e.cfg.BurnSlowWindow) * (d - st.ewmaSlow)
-	if e.intervals < int64(e.cfg.BurnSlowWindow) {
+	st.ewmaFast += ewmaAlpha(burnFastWindow) * (d - st.ewmaFast)
+	st.ewmaSlow += ewmaAlpha(burnSlowWindow) * (d - st.ewmaSlow)
+	if e.intervals < int64(burnSlowWindow) {
 		return // priming: the slow EWMA has not seen a full window yet
 	}
 	allowed := e.cfg.Budget * st.q
-	if allowed < e.cfg.BurnMinShortfall {
-		allowed = e.cfg.BurnMinShortfall
+	if allowed < burnMinShortfall {
+		allowed = burnMinShortfall
 	}
 	fast := (st.q - st.ewmaFast) / allowed
 	slow := (st.q - st.ewmaSlow) / allowed
 	burn := math.Min(fast, slow)
 	if !st.burnFiring {
-		if fast >= 1 && slow >= 1 && st.debt > e.cfg.BurnDebtFloor {
+		if fast >= 1 && slow >= 1 && st.debt > burnDebtFloor {
 			st.burnFiring = true
 			e.record(Alert{
 				Detector: DetectorBurnRate, Severity: SeverityCritical,
 				State: StateFiring, K: k, At: at, Link: i, Scope: ScopeLink,
-				Value: burn, Threshold: 1, Window: int64(e.cfg.BurnSlowWindow),
+				Value: burn, Threshold: 1, Window: int64(burnSlowWindow),
 				Msg: fmt.Sprintf("link %d burning %.2fx its deadline-miss budget (ewma %.3f < q %.3f, d+ %.1f)",
 					i, burn, st.ewmaSlow, st.q, st.debt),
 			})
@@ -57,7 +57,7 @@ func (e *Engine) observeBurn(i int, k int64, at sim.Time) {
 		e.record(Alert{
 			Detector: DetectorBurnRate, Severity: SeverityCritical,
 			State: StateResolved, K: k, At: at, Link: i, Scope: ScopeLink,
-			Value: burn, Threshold: 0.5, Window: int64(e.cfg.BurnSlowWindow),
+			Value: burn, Threshold: 0.5, Window: int64(burnSlowWindow),
 			Msg: fmt.Sprintf("link %d burn rate back under half budget (ewma %.3f, q %.3f)",
 				i, st.ewmaSlow, st.q),
 		})
@@ -65,10 +65,10 @@ func (e *Engine) observeBurn(i int, k int64, at sim.Time) {
 }
 
 // observeCUSUM advances link i's delivery-ratio change-point detector. Each
-// CUSUMBatch intervals pool into one sample x = delivered/attempts — batching
+// cusumBatch intervals pool into one sample x = delivered/attempts — batching
 // averages the near-Bernoulli per-interval ratio into approximately Gaussian
 // evidence, which is what gives the CUSUM its long in-control run length. The
-// first CUSUMWarmup batches establish the link's own baseline (Welford
+// first cusumWarmup batches establish the link's own baseline (Welford
 // mean/variance, then frozen); afterwards the one-sided standardized CUSUM
 // s ← max(0, s + (μ−x)/σ − k) accumulates downward surprise. Batches without
 // attempts carry no channel evidence and are skipped.
@@ -77,7 +77,7 @@ func (e *Engine) observeCUSUM(i int, k int64, at sim.Time) {
 	st.csBatchN++
 	st.csBatchD += e.delivered[i]
 	st.csBatchA += e.attempts[i]
-	if st.csBatchN < e.cfg.CUSUMBatch {
+	if st.csBatchN < cusumBatch {
 		return
 	}
 	attempts, delivered := st.csBatchA, st.csBatchD
@@ -86,7 +86,7 @@ func (e *Engine) observeCUSUM(i int, k int64, at sim.Time) {
 		return
 	}
 	x := float64(delivered) / float64(attempts)
-	if st.csCount < int64(e.cfg.CUSUMWarmup) {
+	if st.csCount < int64(cusumWarmup) {
 		st.csCount++
 		delta := x - st.csMean
 		st.csMean += delta / float64(st.csCount)
@@ -101,18 +101,18 @@ func (e *Engine) observeCUSUM(i int, k int64, at sim.Time) {
 	if sigma < 0.05 {
 		sigma = 0.05 // deterministic links: still demand a real drop
 	}
-	st.cusum += (st.csMean-x)/sigma - e.cfg.CUSUMAllowance
+	st.cusum += (st.csMean-x)/sigma - cusumAllowance
 	if st.cusum < 0 {
 		st.cusum = 0
 	}
-	h := e.cfg.CUSUMThreshold
+	h := cusumThreshold
 	if !st.cusumFiring {
 		if st.cusum > h {
 			st.cusumFiring = true
 			e.record(Alert{
 				Detector: DetectorDeliveryCUSUM, Severity: SeverityWarning,
 				State: StateFiring, K: k, At: at, Link: i, Scope: ScopeLink,
-				Value: st.cusum, Threshold: h, Window: st.csSamples * int64(e.cfg.CUSUMBatch),
+				Value: st.cusum, Threshold: h, Window: st.csSamples * int64(cusumBatch),
 				Msg: fmt.Sprintf("link %d delivery ratio broke below its baseline %.3f (cusum %.1f > %.1f)",
 					i, st.csMean, st.cusum, h),
 			})
@@ -122,7 +122,7 @@ func (e *Engine) observeCUSUM(i int, k int64, at sim.Time) {
 		e.record(Alert{
 			Detector: DetectorDeliveryCUSUM, Severity: SeverityWarning,
 			State: StateResolved, K: k, At: at, Link: i, Scope: ScopeLink,
-			Value: st.cusum, Threshold: h / 2, Window: st.csSamples * int64(e.cfg.CUSUMBatch),
+			Value: st.cusum, Threshold: h / 2, Window: st.csSamples * int64(cusumBatch),
 			Msg: fmt.Sprintf("link %d delivery ratio back near its baseline %.3f", i, st.csMean),
 		})
 	}
@@ -137,7 +137,7 @@ func (e *Engine) observeCUSUM(i int, k int64, at sim.Time) {
 // mean clears the debt floor, AND its mean exceeds the previous window's —
 // a requirement vector at the capacity boundary makes d⁺ a near-critical
 // reflected random walk whose excursions show transiently steep slopes, and
-// only DriftHotWindows windows of monotone growth separate an infeasible
+// only driftHotWindows windows of monotone growth separate an infeasible
 // vector from a tight feasible one.
 func (e *Engine) observeDrift(s *driftSeries, k int64, at sim.Time, total float64) {
 	y := 0.0
@@ -154,7 +154,7 @@ func (e *Engine) observeDrift(s *driftSeries, k int64, at sim.Time, total float6
 	s.sumIY += float64(s.n) * y
 	s.sumY += y
 	s.n++
-	w := e.cfg.DriftWindow
+	w := driftWindow
 	if s.n < w {
 		return
 	}
@@ -164,7 +164,7 @@ func (e *Engine) observeDrift(s *driftSeries, k int64, at sim.Time, total float6
 	mean := s.sumY / fw
 	s.n, s.sumY, s.sumIY = 0, 0, 0
 
-	floor := e.cfg.DriftDebtFloor
+	floor := driftDebtFloor
 	if s.scope != ScopeLink {
 		// Aggregate series sum several links' debts; scale the floor so a
 		// neighborhood of idle links plus noise cannot clear it.
@@ -174,7 +174,7 @@ func (e *Engine) observeDrift(s *driftSeries, k int64, at sim.Time, total float6
 		}
 		floor *= float64(n)
 	}
-	thr := e.cfg.DriftSlope
+	thr := driftSlope
 	rising := mean > s.prevMean
 	if slope > thr && mean > floor && rising {
 		if s.hot == 0 {
@@ -185,9 +185,9 @@ func (e *Engine) observeDrift(s *driftSeries, k int64, at sim.Time, total float6
 		s.hot = 0
 	}
 	s.prevMean = mean
-	need := e.cfg.DriftHotWindows
+	need := driftHotWindows
 	if !s.firing {
-		if s.hot >= need && mean >= e.cfg.DriftGrowth*s.baseMean {
+		if s.hot >= need && mean >= driftGrowth*s.baseMean {
 			s.firing = true
 			e.record(Alert{
 				Detector: DetectorDebtDrift, Severity: SeverityCritical,
@@ -222,13 +222,13 @@ func (s *driftSeries) subject() string {
 }
 
 // observeSpike advances the expired-backlog spike detector. The baseline
-// (mean/σ of the network-wide expired count) freezes after SpikeWarmup
+// (mean/σ of the network-wide expired count) freezes after spikeWarmup
 // intervals, so an injected divergence cannot poison its own reference; the
 // +4-packet absolute guard keeps near-deterministic baselines (σ ≈ 0) from
 // firing on single-packet noise.
 func (e *Engine) observeSpike(expired float64, k int64, at sim.Time) {
 	sp := &e.spike
-	if sp.count < int64(e.cfg.SpikeWarmup) {
+	if sp.count < int64(spikeWarmup) {
 		sp.count++
 		delta := expired - sp.mean
 		sp.mean += delta / float64(sp.count)
@@ -239,7 +239,7 @@ func (e *Engine) observeSpike(expired float64, k int64, at sim.Time) {
 	if sigma < 0.5 {
 		sigma = 0.5
 	}
-	thr := sp.mean + e.cfg.SpikeSigma*sigma + 4
+	thr := sp.mean + spikeSigma*sigma + 4
 	if !sp.firing {
 		if expired > thr {
 			sp.firing = true

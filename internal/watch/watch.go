@@ -140,8 +140,9 @@ func (a Alert) String() string {
 		a.K, a.At, a.Link, a.Detector, a.State, a.Severity, a.Msg)
 }
 
-// Config assembles an Engine. Zero-valued tuning fields take the documented
-// defaults; only Links and Required are mandatory.
+// Config assembles an Engine. Only Links and Required are mandatory; a zero
+// Budget takes its documented default. The detectors' own tuning is fixed
+// (see the constants below).
 type Config struct {
 	// Links is N, the number of links in the watched network.
 	Links int
@@ -154,115 +155,65 @@ type Config struct {
 	// detector considers the deadline-miss budget consumed (default 0.1,
 	// i.e. sustained delivery below 0.9·q_i burns the budget).
 	Budget float64
-	// BurnFastWindow/BurnSlowWindow are the EWMA horizons in intervals
-	// (defaults 200 and 1000); both must agree before burn_rate fires, the
-	// classic multi-window guard against transient wobbles. BurnDebtFloor
-	// (default 2 packets) additionally requires real accumulated debt.
-	// BurnMinShortfall (default 0.05 packets/interval) floors the absolute
-	// shortfall the budget allows: for a low-rate link (small q_i) a purely
-	// relative budget sinks below the EWMA's own sampling noise, and a
-	// detector should never be armed tighter than its estimator's error.
-	BurnFastWindow   int
-	BurnSlowWindow   int
-	BurnDebtFloor    float64
-	BurnMinShortfall float64
-	// CUSUMBatch is how many intervals pool into one delivery-ratio sample
-	// (default 50): batching averages out the near-Bernoulli per-interval
-	// ratio so the CUSUM sees approximately Gaussian evidence. CUSUMWarmup is
-	// how many batches establish the frozen baseline (default 20);
-	// CUSUMAllowance is the slack k in standard-deviation units (default 1 —
-	// a warmup baseline is an estimate, and the allowance must absorb its
-	// error); CUSUMThreshold the decision level h (default 8).
-	CUSUMBatch     int
-	CUSUMWarmup    int
-	CUSUMAllowance float64
-	CUSUMThreshold float64
-	// DriftWindow is the non-overlapping regression window in intervals
-	// (default 500); DriftSlope the firing slope in packets/interval
-	// (default 0.025); DriftDebtFloor the minimum window-mean d⁺ (default 5).
-	// DriftHotWindows consecutive windows — each with slope over the
-	// threshold AND a higher mean than the one before — are required to
-	// fire: a requirement at the capacity boundary turns d⁺ into a
-	// near-critical reflected random walk whose excursions show transiently
-	// steep slopes, and only monotone growth sustained across windows
-	// separates an infeasible vector from a tight feasible one (default 4 —
-	// long enough that the ramp-in from an empty network, which also grows
-	// monotonically until it plateaus, does not fire). DriftGrowth
-	// additionally demands the firing window's mean exceed this multiple of
-	// the mean just before the hot run began (default 1.5) — an excursion
-	// crawls, an infeasible debt process multiplies.
-	DriftWindow     int
-	DriftSlope      float64
-	DriftDebtFloor  float64
-	DriftHotWindows int
-	DriftGrowth     float64
-	// SpikeWarmup freezes the expired-backlog baseline after this many
-	// intervals (default 300); SpikeSigma is the z-score firing level
-	// (default 8).
-	SpikeWarmup int
-	SpikeSigma  float64
-	// MaxRetained bounds the alert transitions kept in memory (default 256;
-	// the counters keep exact totals beyond it).
-	MaxRetained int
 	// Registry, when non-nil, receives the rtmac_watch_* alert counters.
 	Registry *telemetry.Registry
 	// Output, when non-nil, receives one "alert" event per transition.
 	Output telemetry.Sink
 }
 
-func (cfg *Config) fill() {
-	if cfg.Budget == 0 {
-		cfg.Budget = 0.1
-	}
-	if cfg.BurnFastWindow == 0 {
-		cfg.BurnFastWindow = 200
-	}
-	if cfg.BurnSlowWindow == 0 {
-		cfg.BurnSlowWindow = 1000
-	}
-	if cfg.BurnDebtFloor == 0 {
-		cfg.BurnDebtFloor = 2
-	}
-	if cfg.BurnMinShortfall == 0 {
-		cfg.BurnMinShortfall = 0.05
-	}
-	if cfg.CUSUMBatch == 0 {
-		cfg.CUSUMBatch = 50
-	}
-	if cfg.CUSUMWarmup == 0 {
-		cfg.CUSUMWarmup = 20
-	}
-	if cfg.CUSUMAllowance == 0 {
-		cfg.CUSUMAllowance = 1
-	}
-	if cfg.CUSUMThreshold == 0 {
-		cfg.CUSUMThreshold = 8
-	}
-	if cfg.DriftWindow == 0 {
-		cfg.DriftWindow = 500
-	}
-	if cfg.DriftSlope == 0 {
-		cfg.DriftSlope = 0.025
-	}
-	if cfg.DriftDebtFloor == 0 {
-		cfg.DriftDebtFloor = 5
-	}
-	if cfg.DriftHotWindows == 0 {
-		cfg.DriftHotWindows = 4
-	}
-	if cfg.DriftGrowth == 0 {
-		cfg.DriftGrowth = 1.5
-	}
-	if cfg.SpikeWarmup == 0 {
-		cfg.SpikeWarmup = 300
-	}
-	if cfg.SpikeSigma == 0 {
-		cfg.SpikeSigma = 8
-	}
-	if cfg.MaxRetained == 0 {
-		cfg.MaxRetained = 256
-	}
-}
+// Detector tuning. These belong to the instruments, not to a run: each value
+// is argued below, and the debt-drift detector in particular is the
+// recurrence probe whose verdict must not move with per-run tuning.
+const (
+	// burnFastWindow/burnSlowWindow are the EWMA horizons in intervals; both
+	// must agree before burn_rate fires, the classic multi-window guard
+	// against transient wobbles. burnDebtFloor (packets) additionally
+	// requires real accumulated debt. burnMinShortfall (packets/interval)
+	// floors the absolute shortfall the budget allows: for a low-rate link
+	// (small q_i) a purely relative budget sinks below the EWMA's own
+	// sampling noise, and a detector should never be armed tighter than its
+	// estimator's error.
+	burnFastWindow   int     = 200
+	burnSlowWindow   int     = 1000
+	burnDebtFloor    float64 = 2
+	burnMinShortfall float64 = 0.05
+	// cusumBatch is how many intervals pool into one delivery-ratio sample:
+	// batching averages out the near-Bernoulli per-interval ratio so the
+	// CUSUM sees approximately Gaussian evidence. cusumWarmup is how many
+	// batches establish the frozen baseline; cusumAllowance is the slack k
+	// in standard-deviation units (1 — a warmup baseline is an estimate, and
+	// the allowance must absorb its error); cusumThreshold the decision
+	// level h.
+	cusumBatch     int     = 50
+	cusumWarmup    int     = 20
+	cusumAllowance float64 = 1
+	cusumThreshold float64 = 8
+	// driftWindow is the non-overlapping regression window in intervals;
+	// driftSlope the firing slope in packets/interval; driftDebtFloor the
+	// minimum window-mean d⁺. driftHotWindows consecutive windows — each
+	// with slope over the threshold AND a higher mean than the one before —
+	// are required to fire: a requirement at the capacity boundary turns d⁺
+	// into a near-critical reflected random walk whose excursions show
+	// transiently steep slopes, and only monotone growth sustained across
+	// windows separates an infeasible vector from a tight feasible one (4 —
+	// long enough that the ramp-in from an empty network, which also grows
+	// monotonically until it plateaus, does not fire). driftGrowth
+	// additionally demands the firing window's mean exceed this multiple of
+	// the mean just before the hot run began — an excursion crawls, an
+	// infeasible debt process multiplies.
+	driftWindow     int     = 500
+	driftSlope      float64 = 0.025
+	driftDebtFloor  float64 = 5
+	driftHotWindows int     = 4
+	driftGrowth     float64 = 1.5
+	// spikeWarmup freezes the expired-backlog baseline after this many
+	// intervals; spikeSigma is the z-score firing level.
+	spikeWarmup int     = 300
+	spikeSigma  float64 = 8
+	// maxRetained bounds the alert transitions kept in memory (the counters
+	// keep exact totals beyond it).
+	maxRetained = 256
+)
 
 // Engine is the streaming conformance engine. It implements telemetry.Sink:
 // feed it the live event stream (the simulation fan-out) or a recorded one
@@ -346,7 +297,7 @@ type driftSeries struct {
 	firing bool
 }
 
-// New validates the configuration, fills defaults, and builds an engine with
+// New validates the configuration, fills the Budget default, and builds an engine with
 // one drift series per link plus the network series (neighborhood series
 // self-assemble from the stream's conflict events at the first interval).
 func New(cfg Config) (*Engine, error) {
@@ -362,10 +313,12 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("watch: link %d requirement %v is not a finite non-negative rate", i, q)
 		}
 	}
-	if cfg.Budget < 0 || cfg.Budget > 1 {
+	if !(cfg.Budget >= 0 && cfg.Budget <= 1) {
 		return nil, fmt.Errorf("watch: miss budget %v outside [0,1]", cfg.Budget)
 	}
-	cfg.fill()
+	if cfg.Budget == 0 {
+		cfg.Budget = 0.1
+	}
 	e := &Engine{
 		cfg:         cfg,
 		delivered:   make([]int, cfg.Links),
@@ -521,7 +474,7 @@ func (e *Engine) record(a Alert) {
 	} else if e.firingNow > 0 {
 		e.firingNow--
 	}
-	if len(e.retained) < e.cfg.MaxRetained {
+	if len(e.retained) < maxRetained {
 		e.retained = append(e.retained, a)
 	}
 	if e.cfg.Output != nil {
@@ -552,7 +505,7 @@ func (e *Engine) Intervals() int64 {
 }
 
 // Alerts returns the retained alert transitions in detection order (at most
-// MaxRetained; Count reports the true firing total).
+// maxRetained; Count reports the true firing total).
 func (e *Engine) Alerts() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()

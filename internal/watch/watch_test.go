@@ -2,6 +2,7 @@ package watch
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +68,9 @@ func TestConfigValidation(t *testing.T) {
 		{Links: 2, Required: []float64{0.5}},
 		{Links: 1, Required: []float64{-0.1}},
 		{Links: 1, Required: []float64{0.5}, Budget: 1.5},
+		{Links: 1, Required: []float64{0.5}, Budget: -0.1},
+		{Links: 1, Required: []float64{0.5}, Budget: math.NaN()},
+		{Links: 1, Required: []float64{0.5}, Budget: math.Inf(1)},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

@@ -21,9 +21,6 @@ type Attribution = journey.Attribution
 // DebtPoint is one interval's entry in a link's debt timeline.
 type DebtPoint = journey.DebtPoint
 
-// JourneyCauses lists the terminal causes in canonical reporting order.
-func JourneyCauses() []string { return journey.Causes() }
-
 // DecodeJourneys parses a journeys JSONL stream produced by EnableJourneys,
 // stopping at the first malformed line.
 func DecodeJourneys(r io.Reader) ([]Journey, error) { return journey.Decode(r) }

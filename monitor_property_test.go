@@ -57,8 +57,7 @@ func runMonitoredCase(t *testing.T, protocol rtmac.Protocol, seed uint64, n, int
 	if err != nil {
 		t.Fatalf("seed=%d n=%d: %v", seed, n, err)
 	}
-	// Flight recorder disabled: these runs only need the checkers.
-	mon, err := s.EnableMonitor(rtmac.MonitorConfig{FlightRecorderIntervals: -1})
+	mon, err := s.EnableMonitor(rtmac.MonitorConfig{})
 	if err != nil {
 		t.Fatalf("seed=%d n=%d: %v", seed, n, err)
 	}

@@ -15,14 +15,10 @@ type MonitorConfig struct {
 	// Simulation.Run returns the violation as an error instead of letting a
 	// broken simulation grind on.
 	Strict bool
-	// FlightRecorderIntervals sets how many recent intervals of raw events
-	// the crash recorder retains for post-mortem dumps. Zero selects the
-	// default (64); a negative value disables the recorder.
-	FlightRecorderIntervals int
 }
 
-// DefaultFlightRecorderIntervals is the retention window used when
-// MonitorConfig.FlightRecorderIntervals is zero.
+// DefaultFlightRecorderIntervals is how many recent intervals of raw events
+// the monitor's crash recorder retains for post-mortem dumps.
 const DefaultFlightRecorderIntervals = 64
 
 // Violation is one invariant breach found by the monitor: the check that
@@ -108,24 +104,16 @@ func (s *Simulation) EnableMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
-	wrapped := &Monitor{m: m, interval: s.profileInterval}
-	if cfg.FlightRecorderIntervals >= 0 {
-		window := cfg.FlightRecorderIntervals
-		if window == 0 {
-			window = DefaultFlightRecorderIntervals
-		}
-		rec, err := monitor.NewFlightRecorder(window)
-		if err != nil {
-			return nil, fmt.Errorf("rtmac: %w", err)
-		}
-		wrapped.rec = rec
-		s.addSink(rec)
+	rec, err := monitor.NewFlightRecorder(DefaultFlightRecorderIntervals)
+	if err != nil {
+		return nil, fmt.Errorf("rtmac: %w", err)
 	}
+	s.addSink(rec)
 	s.nw.AddProbe(m)
 	if cfg.Strict {
 		s.nw.SetIntervalCheck(m.Err)
 	}
-	return wrapped, nil
+	return &Monitor{m: m, rec: rec, interval: s.profileInterval}, nil
 }
 
 // Count returns the total number of violations observed so far.
@@ -140,42 +128,28 @@ func (m *Monitor) Err() error { return m.m.Err() }
 
 // WriteFlightRecorder dumps the retained event window as JSON Lines — the
 // same format StreamEvents writes, so `rtmacsim -check` can audit a dump
-// directly. Returns an error when the recorder was disabled.
+// directly.
 func (m *Monitor) WriteFlightRecorder(w io.Writer) error {
-	if m.rec == nil {
-		return fmt.Errorf("rtmac: flight recorder disabled")
-	}
 	return m.rec.WriteJSONL(w)
 }
 
 // WriteFlightRecorderTimeline dumps the retained window as a human-readable
 // per-interval timeline for post-mortem reading without tooling.
 func (m *Monitor) WriteFlightRecorderTimeline(w io.Writer) error {
-	if m.rec == nil {
-		return fmt.Errorf("rtmac: flight recorder disabled")
-	}
 	return m.rec.WriteTimeline(w)
 }
 
 // RenderInterval draws the k-th interval from the flight recorder's tx
 // events as an ASCII timeline, one lane per link: 'D' delivered data, 'x'
 // channel loss, 'C' collision, 'e' empty priority-claiming frame, '.' idle.
-// Only intervals still in the recorder's window can be drawn. Returns an
-// error when the recorder was disabled.
+// Only intervals still in the recorder's window can be drawn.
 func (m *Monitor) RenderInterval(w io.Writer, k int64, width int) error {
-	if m.rec == nil {
-		return fmt.Errorf("rtmac: flight recorder disabled")
-	}
 	from := Time(k) * m.interval
 	return monitor.RenderTimeline(w, m.rec.Events(), from, from+m.interval, width)
 }
 
-// FlightRecorderEvents returns how many events the recorder has seen (zero
-// when disabled).
+// FlightRecorderEvents returns how many events the recorder has seen.
 func (m *Monitor) FlightRecorderEvents() int64 {
-	if m.rec == nil {
-		return 0
-	}
 	return m.rec.Total()
 }
 

@@ -82,7 +82,7 @@ func TestMonitorNoFalsePositivesOnDCF(t *testing.T) {
 
 func TestMonitorFlightRecorderDumpAuditsClean(t *testing.T) {
 	s := monitorTestSim(t, rtmac.DBDP())
-	mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true, FlightRecorderIntervals: 32})
+	mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +121,16 @@ func TestMonitorFlightRecorderDumpAuditsClean(t *testing.T) {
 // event JSON: each line of a flight-recorder dump equals the live stream's
 // line for the same event. On the two-clique graph the dump starts with the
 // pinned conflict events, which also open the stream; the retained window is
-// the stream's tail.
+// the stream's tail (the run is longer than the window).
 func TestFlightRecorderDumpMatchesStream(t *testing.T) {
 	s := newHotPathSimConflicts(t, rtmac.DBDP(), hotPathConflicts(t))
 	var live bytes.Buffer
 	stream := s.StreamEvents(&live)
-	mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true, FlightRecorderIntervals: 8})
+	mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(40); err != nil {
+	if err := s.Run(2 * rtmac.DefaultFlightRecorderIntervals); err != nil {
 		t.Fatal(err)
 	}
 	if err := stream.Flush(); err != nil {
@@ -160,21 +160,6 @@ func TestFlightRecorderDumpMatchesStream(t *testing.T) {
 		if line != want {
 			t.Fatalf("dump line %d differs from the stream:\ndump:   %q\nstream: %q", i, line, want)
 		}
-	}
-}
-
-func TestMonitorFlightRecorderDisabled(t *testing.T) {
-	s := monitorTestSim(t, rtmac.DBDP())
-	mon, err := s.EnableMonitor(rtmac.MonitorConfig{FlightRecorderIntervals: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	if err := mon.WriteFlightRecorder(&b); err == nil {
-		t.Error("disabled recorder dumped without error")
 	}
 }
 

@@ -203,7 +203,7 @@ func FCSMAWith(cwMin, cwMax, levels int, quantum float64) Protocol {
 func DCF() Protocol {
 	return Protocol{
 		label: "DCF",
-		build: func(n int) (mac.Protocol, error) { return dcf.New(n, dcf.DefaultConfig()) },
+		build: func(n int) (mac.Protocol, error) { return dcf.New(n) },
 	}
 }
 

@@ -319,16 +319,25 @@ func VideoProfile() Profile { return Profile{p: phy.Video()} }
 func ControlProfile() Profile { return Profile{p: phy.Control()} }
 
 // CustomProfile computes a profile from first principles for the given
-// payload size, PHY rate and deadline.
+// payload size, PHY rate and deadline. One data frame must fit in the
+// deadline.
 func CustomProfile(name string, payloadBytes int, rateMbps float64, deadline sim.Time) (Profile, error) {
 	if payloadBytes < 0 {
 		return Profile{}, fmt.Errorf("rtmac: negative payload size %d", payloadBytes)
 	}
-	if rateMbps <= 0 {
-		return Profile{}, fmt.Errorf("rtmac: non-positive PHY rate %v Mbps", rateMbps)
+	if !(rateMbps > 0) || math.IsInf(rateMbps, 1) {
+		return Profile{}, fmt.Errorf("rtmac: PHY rate %v Mbps is not positive and finite", rateMbps)
 	}
 	if deadline <= 0 {
 		return Profile{}, fmt.Errorf("rtmac: non-positive deadline %v", deadline)
+	}
+	// Bounding the data frame's airtime in floating point first keeps the
+	// integer airtime arithmetic from overflowing on a huge payload or a
+	// vanishing rate (Mbps is bits per µs).
+	bits := 8*(float64(payloadBytes)+phy.MACDataOverheadBytes) + phy.ServiceTailBits
+	if bits >= math.MaxInt || float64(phy.PLCPOverhead)+bits/rateMbps > float64(deadline) {
+		return Profile{}, fmt.Errorf("rtmac: a %d B payload at %v Mbps does not fit in the %v deadline",
+			payloadBytes, rateMbps, deadline)
 	}
 	p := phy.Custom(name, payloadBytes, rateMbps, deadline)
 	if err := p.Validate(); err != nil {

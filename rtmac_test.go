@@ -87,6 +87,12 @@ func TestNonFiniteAndZeroInputsRejected(t *testing.T) {
 	link := func(mutate func(*rtmac.Link)) func() error {
 		return func() error { return simulate(func(c *rtmac.Config) { mutate(&c.Links[0]) }) }
 	}
+	profile := func(payload int, rate float64) func() error {
+		return func() error {
+			_, err := rtmac.CustomProfile("custom", payload, rate, 5*rtmac.Millisecond)
+			return err
+		}
+	}
 	tests := []struct {
 		name string
 		err  func() error
@@ -112,6 +118,23 @@ func TestNonFiniteAndZeroInputsRejected(t *testing.T) {
 		{"WithInfluence R +Inf", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.PaperInfluence(), inf)))},
 		{"WithInfluence zero value", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.InfluenceFunc{}, 10)))},
 		{"ELDF zero value", protocol(rtmac.ELDF(rtmac.InfluenceFunc{}))},
+		{"SLO Budget NaN", func() error {
+			return simulate(func(c *rtmac.Config) { c.SLO = &rtmac.SLOConfig{Budget: nan} })
+		}},
+		{"WatchConfig Budget NaN", func() error {
+			s, err := rtmac.NewSimulation(rtmac.Config{
+				Seed: 1, Profile: rtmac.ControlProfile(), Links: controlLinks(2, 0.7, 0.5, 0.9), Protocol: rtmac.DBDP(),
+			})
+			if err != nil {
+				return nil // a valid config that fails to build fails the case
+			}
+			_, err = s.EnableWatch(rtmac.WatchConfig{Budget: nan})
+			return err
+		}},
+		{"CustomProfile payload MaxInt", profile(math.MaxInt, 54)},
+		{"CustomProfile rate NaN", profile(100, nan)},
+		{"CustomProfile rate +Inf", profile(100, inf)},
+		{"CustomProfile rate 1e-300", profile(100, 1e-300)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
