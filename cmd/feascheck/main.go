@@ -1,7 +1,11 @@
 // Command feascheck probes whether a timely-throughput requirement vector is
-// feasible on a fully-interfering network: it evaluates the analytic
-// necessary bounds, runs the feasibility-optimal LDF policy as an empirical
-// probe, and optionally binary-searches the capacity frontier.
+// feasible on the network a scenario describes — its conflict graph and its
+// channel, fading included: it evaluates the analytic necessary bounds (one
+// per maximal clique of the conflict graph), runs the centralized LDF policy
+// as an empirical probe, and optionally binary-searches the capacity
+// frontier or scans the subset-level bounds (fully-interfering static
+// channel only). On a graph that is not a union of cliques the probe is a
+// greedy-independent-set heuristic and the bounds are only necessary.
 //
 // Example — where does the paper's symmetric video scenario saturate?
 //
@@ -22,9 +26,6 @@ import (
 	"os"
 
 	"rtmac"
-	"rtmac/internal/arrival"
-	"rtmac/internal/feasibility"
-	"rtmac/internal/phy"
 	"rtmac/scenario"
 )
 
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		intervals   = fs.Int("intervals", 3000, "probe length in intervals")
 		seed        = fs.Uint64("seed", 1, "random seed")
 		frontier    = fs.Bool("frontier", false, "binary-search the feasible scale of the requirement vector")
-		subsets     = fs.Bool("subsets", false, "scan subset-level necessary bounds (links ≤ 14, uniform mode only)")
+		subsets     = fs.Bool("subsets", false, "scan subset-level necessary bounds (links ≤ 14, fully-interfering static channel only)")
 		jsonOut     = fs.Bool("json", false, "emit the assessment as one JSON document")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -74,10 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "feascheck:", err)
 		return 2
 	}
-	if *subsets && *configPath != "" {
-		return fail(fmt.Errorf("-subsets supports only the uniform-network flags"))
-	}
-
 	var (
 		cfg    rtmac.Config
 		source string
@@ -129,6 +126,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
+	subsetLine := ""
+	if *subsets && !*jsonOut {
+		msg, err := rtmac.SubsetBoundViolation(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		subsetLine = "subset bounds: satisfied\n"
+		if msg != "" {
+			subsetLine = "subset bounds: VIOLATED — " + msg + "\n"
+		}
+	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -138,11 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		printHuman(stdout, doc)
-		if *subsets {
-			if err := printSubsets(stdout, *profileName, *links, *p, *arrName, *rate, *ratio, *seed); err != nil {
-				return fail(err)
-			}
-		}
+		fmt.Fprint(stdout, subsetLine)
 	}
 	if !doc.Feasible {
 		return 1
@@ -157,9 +161,12 @@ func printHuman(w io.Writer, doc report) {
 		fmt.Fprintf(w, "requirement: q[0] = %.4f packets/interval (use -json for the full vector)\n",
 			doc.PerLink[0].Required)
 	}
-	if doc.NecessaryBoundsOK {
+	switch {
+	case doc.NecessaryBoundsOK && doc.NecessaryBoundsReason == "":
 		fmt.Fprintln(w, "necessary bounds: satisfied")
-	} else {
+	case doc.NecessaryBoundsOK:
+		fmt.Fprintf(w, "necessary bounds: satisfied — %s\n", doc.NecessaryBoundsReason)
+	default:
 		fmt.Fprintf(w, "necessary bounds: VIOLATED — %s\n", doc.NecessaryBoundsReason)
 	}
 	verdict := "FEASIBLE"
@@ -171,53 +178,4 @@ func printHuman(w io.Writer, doc report) {
 		fmt.Fprintf(w, "capacity frontier: γ ≈ %.3f (q scaled by γ is the empirical feasibility boundary)\n",
 			doc.Frontier)
 	}
-}
-
-// printSubsets scans subset-level necessary bounds, which need the internal
-// problem form and therefore remain a uniform-flags extra. The flags were
-// already validated by scenario.Build.
-func printSubsets(w io.Writer, profileName string, links int, p float64, arrName string, rate, ratio float64, seed uint64) error {
-	var profile phy.Profile
-	switch profileName {
-	case "video":
-		profile = phy.Video()
-	case "control":
-		profile = phy.Control()
-	}
-	var proc arrival.Process
-	var err error
-	switch arrName {
-	case "bernoulli":
-		proc, err = arrival.NewBernoulli(rate)
-	case "video":
-		proc, err = arrival.PaperVideo(rate)
-	case "fixed":
-		proc = arrival.Deterministic{N: int(rate)}
-	default:
-		err = fmt.Errorf("-subsets supports bernoulli, video and fixed arrivals, not %q", arrName)
-	}
-	if err != nil {
-		return err
-	}
-	av, err := arrival.Uniform(links, proc)
-	if err != nil {
-		return err
-	}
-	probs := make([]float64, links)
-	req := make([]float64, links)
-	for i := range probs {
-		probs[i] = p
-		req[i] = ratio * proc.Mean()
-	}
-	problem := feasibility.Problem{Profile: profile, SuccessProb: probs, Arrivals: av, Required: req}
-	msg, err := feasibility.SubsetBoundViolation(problem, seed, 4000)
-	if err != nil {
-		return err
-	}
-	if msg == "" {
-		fmt.Fprintln(w, "subset bounds: satisfied")
-	} else {
-		fmt.Fprintf(w, "subset bounds: VIOLATED — %s\n", msg)
-	}
-	return nil
 }

@@ -65,11 +65,36 @@ func TestUsageErrors(t *testing.T) {
 		{"-arrivals", "poisson"},
 		{"-profile", "lte"},
 		{"-links", "0"},
-		{"-config", "../../scenarios/factory.json", "-subsets"},
+		{"-config", "../../scenarios/spatial.json", "-subsets"}, // a partial conflict graph
+		{"-config", "../../scenarios/fading.json", "-subsets"},  // a fading channel
 		{"-nope"},
 	} {
 		if code, _, errs := runFeas(t, args...); code != 2 || errs == "" {
 			t.Errorf("%s: exit %d, want 2 with an error", strings.Join(args, " "), code)
 		}
+	}
+}
+
+// TestSpatialScenarioProbesItsGraph checks that the bounds and the probe see
+// the scenario's two 5-cliques: each clique carries 5·1.9/0.9 ≈ 10.56 of 16
+// slots, and LDF on the graph delivers.
+func TestSpatialScenarioProbesItsGraph(t *testing.T) {
+	code, out, errs := runFeas(t, "-config", "../../scenarios/spatial.json")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (feasible):\n%s%s", code, out, errs)
+	}
+	for _, want := range []string{"workload 10.56 of 16", "necessary bounds: satisfied", "empirically FEASIBLE"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSubsetsReadTheConfig checks that -subsets scans the scenario file's
+// links on a fully-interfering static channel.
+func TestSubsetsReadTheConfig(t *testing.T) {
+	code, out, errs := runFeas(t, "-config", "../../scenarios/factory.json", "-subsets", "-intervals", "500")
+	if code == 2 || !strings.Contains(out, "subset bounds: ") {
+		t.Fatalf("exit %d:\n%s%s", code, out, errs)
 	}
 }

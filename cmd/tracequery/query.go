@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"strings"
 
 	"rtmac/internal/journey"
-	"rtmac/internal/telemetry"
 )
 
 // run is the testable entry point: parses args, executes the query, writes
@@ -37,28 +35,11 @@ func run(args []string, stdout io.Writer) (int, error) {
 	}
 	defer in.Close()
 
-	raw, err := io.ReadAll(in)
+	js, err := journey.Decode(in, *check)
 	if err != nil {
 		return 1, fmt.Errorf("%s: %w", name, err)
 	}
-	// Journey i sits on line base+i+1: a valid leading schema header holds
-	// no journey, while a mismatched one is the line Decode stops on.
-	base := 0
-	first, _, _ := bytes.Cut(raw, []byte("\n"))
-	if h, ok := telemetry.ParseHeader(first); ok &&
-		h.Check(telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion) == nil {
-		base = 1
-	}
-	js, err := journey.Decode(bytes.NewReader(raw))
-	if err != nil {
-		return 1, fmt.Errorf("%s: line %d: %w", name, base+len(js)+1, err)
-	}
 	if *check {
-		for i := range js {
-			if err := js[i].Validate(); err != nil {
-				return 1, fmt.Errorf("%s: line %d: %w", name, base+i+1, err)
-			}
-		}
 		fmt.Fprintf(stdout, "ok: %d journeys, all spans valid\n", len(js))
 		return 0, nil
 	}

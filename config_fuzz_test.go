@@ -14,7 +14,9 @@ import (
 // an SLO miss budget. CustomProfile, NewSimulation, EnableMonitor, a short
 // Run and CheckFeasibility may reject a configuration with an error but must
 // never panic, and a budget outside [0, 1] (NaN included) must be rejected.
-// Every simulation that builds runs under the strict monitor.
+// CheckFeasibility must err exactly when NewSimulation errs on the same
+// config with the LDF protocol. Every simulation that builds runs under the
+// strict monitor.
 //
 // links is taken modulo 33, protocol modulo 7 (the six policies and the zero
 // Protocol), and graph modulo 4: no graph, NewConflictGraph over graphLinks
@@ -107,6 +109,13 @@ func FuzzConfig(f *testing.F) {
 			}
 			_ = s.Run(3)
 		}
-		_, _ = rtmac.CheckFeasibility(cfg, 5)
+		// The feasibility entry points build the network NewSimulation
+		// builds, so they reject exactly the same configs.
+		ldfCfg := cfg
+		ldfCfg.Protocol = rtmac.LDF()
+		_, simErr := rtmac.NewSimulation(ldfCfg)
+		if _, err := rtmac.CheckFeasibility(cfg, 5); (err == nil) != (simErr == nil) {
+			t.Fatalf("CheckFeasibility error %v, NewSimulation with LDF error %v", err, simErr)
+		}
 	})
 }

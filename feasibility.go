@@ -3,26 +3,29 @@ package rtmac
 import (
 	"fmt"
 
-	"rtmac/internal/arrival"
 	"rtmac/internal/feasibility"
+	"rtmac/internal/mac"
 )
 
 // FeasibilityResult reports a feasibility assessment of a configuration's
 // requirement vector.
 type FeasibilityResult struct {
-	// WorkloadSlots is Σ q_n/p_n, the expected transmission slots per
-	// interval the requirements demand.
+	// WorkloadSlots is the largest Σ_{n∈C} q_n/p_n over the maximal cliques
+	// C of the conflict graph: the expected transmission slots per interval
+	// the requirements demand of the busiest collision domain. On the
+	// fully-interfering channel it is Σ q_n/p_n over all links.
 	WorkloadSlots float64
 	// CapacitySlots is the contention-free slots one interval offers.
 	CapacitySlots int
 	// NecessaryBoundsOK reports whether the cheap analytic necessary
-	// conditions hold (q ≤ λ per link, workload ≤ capacity). False means
-	// provably infeasible.
+	// conditions hold (q ≤ λ per link, each clique's workload ≤ capacity).
+	// False means provably infeasible.
 	NecessaryBoundsOK bool
-	// NecessaryBoundsReason describes the violated bound, if any.
+	// NecessaryBoundsReason describes the violated bound, if any, or notes
+	// that only some of a graph's many maximal cliques were checked.
 	NecessaryBoundsReason string
-	// ProbeDeficiency is the total deficiency the feasibility-optimal
-	// centralized LDF policy left after the probe horizon.
+	// ProbeDeficiency is the total deficiency the centralized LDF policy
+	// left after the probe horizon.
 	ProbeDeficiency float64
 	// Feasible is the empirical verdict: the probe deficiency vanished.
 	Feasible bool
@@ -46,43 +49,48 @@ type FeasibilityLink struct {
 }
 
 // CheckFeasibility assesses whether cfg's timely-throughput requirements are
-// achievable by ANY policy: it evaluates analytic necessary bounds and runs
-// the feasibility-optimal centralized LDF policy as an empirical probe over
-// probeIntervals (0 selects a default horizon). Because the paper's DB-DP is
-// feasibility-optimal, a vector that probes feasible here is one DB-DP will
-// fulfill as well.
+// achievable by ANY policy on cfg's network: its conflict graph, its channel
+// (a fading channel included) and its arrivals. It evaluates analytic
+// necessary bounds, one per maximal clique of the conflict graph, and runs
+// the centralized LDF policy as an empirical probe over probeIntervals (0
+// selects a default horizon). The bounds are only necessary: passing them
+// does not prove feasibility. On the fully-interfering channel LDF and the
+// paper's DB-DP are feasibility-optimal, so a vector that probes feasible
+// there is one DB-DP will fulfill as well. On a conflict graph that is not a
+// union of cliques, LDF serves a greedy independent set, so the probe is a
+// heuristic there. The protocol field of cfg is not used.
 func CheckFeasibility(cfg Config, probeIntervals int) (FeasibilityResult, error) {
-	problem, err := toProblem(cfg)
+	nc, err := cfg.network()
 	if err != nil {
 		return FeasibilityResult{}, err
 	}
-	res := FeasibilityResult{
-		WorkloadSlots:     feasibility.TotalWorkload(problem),
-		CapacitySlots:     cfg.Profile.SlotsPerInterval(),
-		NecessaryBoundsOK: true,
-		PerLink:           make([]FeasibilityLink, len(cfg.Links)),
-	}
-	for i := range cfg.Links {
-		res.PerLink[i] = FeasibilityLink{
-			Link:        i,
-			Required:    problem.Required[i],
-			SuccessProb: problem.SuccessProb[i],
-			ArrivalRate: cfg.Links[i].Arrivals.proc.Mean(),
-		}
-	}
-	if err := feasibility.NecessaryBounds(problem); err != nil {
-		res.NecessaryBoundsOK = false
-		res.NecessaryBoundsReason = err.Error()
-	}
-	probe, err := feasibility.Probe(problem, feasibility.ProbeConfig{
-		Seed:      cfg.Seed + 1,
-		Intervals: probeIntervals,
-	})
+	nc.Seed++ // the probe's streams differ from a simulation of cfg
+	probe, err := feasibility.Probe(nc, feasibility.ProbeConfig{Intervals: probeIntervals})
 	if err != nil {
 		return FeasibilityResult{}, fmt.Errorf("rtmac: %w", err)
 	}
-	res.ProbeDeficiency = probe.Deficiency
-	res.Feasible = probe.Feasible && res.NecessaryBoundsOK
+	bounds, err := feasibility.NecessaryBounds(nc)
+	if err != nil {
+		return FeasibilityResult{}, fmt.Errorf("rtmac: %w", err)
+	}
+	res := FeasibilityResult{
+		WorkloadSlots:         bounds.Workload,
+		CapacitySlots:         cfg.Profile.SlotsPerInterval(),
+		NecessaryBoundsOK:     bounds.OK,
+		NecessaryBoundsReason: bounds.Reason,
+		ProbeDeficiency:       probe.Deficiency,
+		Feasible:              probe.Feasible && bounds.OK,
+		PerLink:               make([]FeasibilityLink, len(cfg.Links)),
+	}
+	means := nc.Arrivals.Means()
+	for i := range res.PerLink {
+		res.PerLink[i] = FeasibilityLink{
+			Link:        i,
+			Required:    nc.Required[i],
+			SuccessProb: bounds.SuccessProb[i],
+			ArrivalRate: means[i],
+		}
+	}
 	return res, nil
 }
 
@@ -90,18 +98,7 @@ func CheckFeasibility(cfg Config, probeIntervals int) (FeasibilityResult, error)
 // every link's requirement by γ still probes feasible. γ slightly above 1
 // means the configuration has headroom; below 1 means it is over capacity.
 func CapacityFrontier(cfg Config, probeIntervals int) (float64, error) {
-	problem, err := toProblem(cfg)
-	if err != nil {
-		return 0, err
-	}
-	gamma, err := feasibility.Frontier(problem, feasibility.ProbeConfig{
-		Seed:      cfg.Seed + 1,
-		Intervals: probeIntervals,
-	}, 0.05, 4.0, 14)
-	if err != nil {
-		return 0, fmt.Errorf("rtmac: %w", err)
-	}
-	return gamma, nil
+	return frontier(cfg, nil, probeIntervals)
 }
 
 // ProtocolCapacity binary-searches the largest requirement scale γ that the
@@ -114,14 +111,19 @@ func ProtocolCapacity(cfg Config, protocol Protocol, probeIntervals int) (float6
 	if protocol.build == nil {
 		return 0, fmt.Errorf("rtmac: no protocol configured")
 	}
-	problem, err := toProblem(cfg)
+	return frontier(cfg, protocol.build, probeIntervals)
+}
+
+// frontier runs the capacity search on cfg's network with policy (nil: LDF).
+func frontier(cfg Config, policy func(links int) (mac.Protocol, error), probeIntervals int) (float64, error) {
+	nc, err := cfg.network()
 	if err != nil {
 		return 0, err
 	}
-	gamma, err := feasibility.Frontier(problem, feasibility.ProbeConfig{
-		Seed:      cfg.Seed + 1,
+	nc.Seed++ // the probe's streams differ from a simulation of cfg
+	gamma, err := feasibility.Frontier(nc, feasibility.ProbeConfig{
 		Intervals: probeIntervals,
-		Protocol:  protocol.build,
+		Protocol:  policy,
 	}, 0.05, 4.0, 14)
 	if err != nil {
 		return 0, fmt.Errorf("rtmac: %w", err)
@@ -130,57 +132,32 @@ func ProtocolCapacity(cfg Config, protocol Protocol, probeIntervals int) (float6
 }
 
 // RequirementVector computes cfg's per-link timely-throughput requirement
-// vector q_n = ρ_n·λ_n — the SLO targets the watch plane defaults to —
-// reusing the same validation path as NewSimulation.
+// vector q_n = ρ_n·λ_n — the SLO targets the watch plane defaults to — for a
+// config that builds a network exactly as NewSimulation would.
 func RequirementVector(cfg Config) ([]float64, error) {
-	problem, err := toProblem(cfg)
+	nc, err := cfg.network()
 	if err != nil {
 		return nil, err
 	}
-	return problem.Required, nil
+	if _, err := feasibility.NecessaryBounds(nc); err != nil {
+		return nil, fmt.Errorf("rtmac: %w", err)
+	}
+	return nc.Required, nil
 }
 
-// toProblem converts a public configuration into the internal feasibility
-// problem, reusing the same validation path as NewSimulation.
-func toProblem(cfg Config) (feasibility.Problem, error) {
-	if len(cfg.Links) == 0 {
-		return feasibility.Problem{}, fmt.Errorf("rtmac: no links configured")
-	}
-	if cfg.Profile.p.Name == "" {
-		return feasibility.Problem{}, fmt.Errorf("rtmac: no profile configured")
-	}
-	if err := cfg.Conflicts.validate(); err != nil {
-		return feasibility.Problem{}, err
-	}
-	n := len(cfg.Links)
-	probs := make([]float64, n)
-	req := make([]float64, n)
-	procs := make([]arrival.Process, n)
-	for i, l := range cfg.Links {
-		if l.Arrivals.proc == nil {
-			return feasibility.Problem{}, fmt.Errorf("rtmac: link %d has no arrival process", i)
-		}
-		q, err := l.required()
-		if err != nil {
-			return feasibility.Problem{}, fmt.Errorf("rtmac: link %d: %w", i, err)
-		}
-		probs[i] = l.SuccessProb
-		if cfg.Fading != nil {
-			// The feasibility probe works in expectation; the fading
-			// model's stationary mean is the right marginal.
-			probs[i] = cfg.Fading.Mean()
-		}
-		req[i] = q
-		procs[i] = l.Arrivals.proc
-	}
-	av, err := arrival.NewIndependent(procs...)
+// SubsetBoundViolation scans every nonempty subset of cfg's links for a
+// violated subset-level necessary bound, estimating each subset's usable
+// slots by Monte Carlo over the arrivals (seeded by cfg.Seed), and describes
+// the worst violation, or returns "" when there is none. It supports at most
+// 14 links on the fully-interfering, static channel, and errs otherwise.
+func SubsetBoundViolation(cfg Config) (string, error) {
+	nc, err := cfg.network()
 	if err != nil {
-		return feasibility.Problem{}, fmt.Errorf("rtmac: %w", err)
+		return "", err
 	}
-	return feasibility.Problem{
-		Profile:     cfg.Profile.p,
-		SuccessProb: probs,
-		Arrivals:    av,
-		Required:    req,
-	}, nil
+	msg, err := feasibility.SubsetBoundViolation(nc, 4000)
+	if err != nil {
+		return "", fmt.Errorf("rtmac: %w", err)
+	}
+	return msg, nil
 }

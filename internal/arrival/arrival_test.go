@@ -254,3 +254,25 @@ func TestSampleBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPerturbCountsPerStream checks that the injection lands on the K-th
+// sample of every RNG stream, so networks sharing one Perturb each see it.
+func TestPerturbCountsPerStream(t *testing.T) {
+	inner, err := Uniform(2, Deterministic{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPerturb(inner, 1, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]int, 2)
+	for _, rng := range []*sim.RNG{sim.NewRNG(1), sim.NewRNG(2)} {
+		for k := 0; k < 3; k++ {
+			p.Sample(rng, dst)
+			if want := map[bool]int{true: 4, false: 1}[k == 1]; dst[0] != want || dst[1] != 1 {
+				t.Fatalf("sample %d: %v, want [%d 1]", k, dst, want)
+			}
+		}
+	}
+}

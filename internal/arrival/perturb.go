@@ -12,11 +12,14 @@ import (
 // wrapped process consumes exactly the same random stream as it would bare —
 // two runs differing only by a Perturb are byte-identical up to interval K
 // and diverge there, which is what the rundiff divergence tests rely on.
+// Calls are counted per RNG stream, so networks that share one Perturb (each
+// draws arrivals from its own stream) all see the injection.
 type Perturb struct {
 	inner VectorProcess
 	k     int64
 	link  int
 	extra int
+	rng   *sim.RNG
 	calls int64
 }
 
@@ -57,6 +60,9 @@ func (p *Perturb) MaxPerLink() []int {
 
 // Sample implements VectorProcess.
 func (p *Perturb) Sample(rng *sim.RNG, dst []int) {
+	if rng != p.rng {
+		p.rng, p.calls = rng, 0
+	}
 	p.inner.Sample(rng, dst)
 	if p.calls == p.k {
 		dst[p.link] += p.extra

@@ -4,18 +4,24 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"rtmac/internal/arrival"
 	"rtmac/internal/mac"
 	"rtmac/internal/mac/fcsma"
+	"rtmac/internal/medium"
 	"rtmac/internal/phy"
+	"rtmac/internal/sim"
 )
 
 func fastProfile() phy.Profile {
 	return phy.Profile{Name: "test", Slot: 1, DataAirtime: 10, EmptyAirtime: 2, Interval: 100}
 }
 
-func problem(t *testing.T, n int, p float64, perLink int, q float64) Problem {
+// problem is the network config of n links with success probability p,
+// perLink fixed arrivals and requirement q each, on the fully-interfering
+// channel of a 10-slot profile.
+func problem(t *testing.T, n int, p float64, perLink int, q float64) mac.NetworkConfig {
 	t.Helper()
 	av, err := arrival.Uniform(n, arrival.Deterministic{N: perLink})
 	if err != nil {
@@ -27,55 +33,74 @@ func problem(t *testing.T, n int, p float64, perLink int, q float64) Problem {
 		probs[i] = p
 		req[i] = q
 	}
-	return Problem{Profile: fastProfile(), SuccessProb: probs, Arrivals: av, Required: req}
+	return mac.NetworkConfig{Profile: fastProfile(), SuccessProb: probs, Arrivals: av, Required: req}
 }
 
+// bounds runs NecessaryBounds and fails the test on a build error.
+func bounds(t *testing.T, cfg mac.NetworkConfig) Bounds {
+	t.Helper()
+	b, err := NecessaryBounds(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestValidate checks that the bounds reject what mac.NewNetwork rejects:
+// the checks validate a config by building its network.
 func TestValidate(t *testing.T) {
 	good := problem(t, 2, 0.8, 1, 0.9)
-	if err := good.Validate(); err != nil {
+	if _, err := NecessaryBounds(good); err != nil {
 		t.Fatal(err)
 	}
 	bad := good
 	bad.Required = []float64{1}
-	if bad.Validate() == nil {
+	if _, err := NecessaryBounds(bad); err == nil {
 		t.Error("mismatched requirements accepted")
 	}
 	bad2 := good
 	bad2.SuccessProb = []float64{0.8, 0}
-	if bad2.Validate() == nil {
+	if _, err := NecessaryBounds(bad2); err == nil {
 		t.Error("zero probability accepted")
 	}
 	bad3 := good
 	bad3.Arrivals = nil
-	if bad3.Validate() == nil {
+	if _, err := NecessaryBounds(bad3); err == nil {
 		t.Error("nil arrivals accepted")
 	}
 }
 
 func TestNecessaryBounds(t *testing.T) {
 	// 10 slots per interval; 2 links, p=0.8, q=2 each ⇒ workload 5 ≤ 10: ok.
-	if err := NecessaryBounds(problem(t, 2, 0.8, 2, 2)); err != nil {
-		t.Fatalf("feasible bounds rejected: %v", err)
+	if b := bounds(t, problem(t, 2, 0.8, 2, 2)); !b.OK || b.Reason != "" {
+		t.Fatalf("feasible bounds rejected: %+v", b)
 	}
 	// q above arrival rate.
-	if err := NecessaryBounds(problem(t, 2, 0.8, 1, 1.5)); err == nil {
+	if b := bounds(t, problem(t, 2, 0.8, 1, 1.5)); b.OK {
 		t.Fatal("q > λ accepted")
 	}
 	// Workload above slots: 2 links, p=0.5, q=3 ⇒ 12 > 10.
-	if err := NecessaryBounds(problem(t, 2, 0.5, 3, 3)); err == nil {
+	b := bounds(t, problem(t, 2, 0.5, 3, 3))
+	if b.OK {
 		t.Fatal("overloaded workload accepted")
+	}
+	if want := "feasibility: expected workload 12.000 slots exceeds 10 available per interval"; b.Reason != want {
+		t.Fatalf("reason %q, want %q", b.Reason, want)
 	}
 }
 
+// TestTotalWorkload checks that on the fully-interfering channel the one
+// maximal clique is the whole network, so the workload is Σ q_n/p_n.
 func TestTotalWorkload(t *testing.T) {
-	p := problem(t, 2, 0.5, 2, 1)
-	if got := TotalWorkload(p); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("TotalWorkload = %v, want 4", got)
+	if got := bounds(t, problem(t, 2, 0.5, 2, 1)).Workload; math.Abs(got-4) > 1e-12 {
+		t.Fatalf("workload = %v, want 4", got)
 	}
 }
 
 func TestProbeFeasible(t *testing.T) {
-	res, err := Probe(problem(t, 2, 0.8, 2, 1.8), ProbeConfig{Seed: 1, Intervals: 2000})
+	p := problem(t, 2, 0.8, 2, 1.8)
+	p.Seed = 1
+	res, err := Probe(p, ProbeConfig{Intervals: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +111,20 @@ func TestProbeFeasible(t *testing.T) {
 
 func TestProbeInfeasible(t *testing.T) {
 	// Workload 2·6/1 = 12 > 10 slots.
-	res, err := Probe(problem(t, 2, 1, 6, 6), ProbeConfig{Seed: 1, Intervals: 1000})
+	p := problem(t, 2, 1, 6, 6)
+	p.Seed = 1
+	res, err := Probe(p, ProbeConfig{Intervals: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Feasible {
 		t.Fatal("overloaded problem probed feasible")
 	}
-	if lb := MaxDeficiencyLowerBound(problem(t, 2, 1, 6, 6)); res.Deficiency < lb-0.3 {
+	lb, err := maxDeficiencyLowerBound(problem(t, 2, 1, 6, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deficiency < lb-0.3 {
 		t.Fatalf("deficiency %v far below analytic lower bound %v", res.Deficiency, lb)
 	}
 }
@@ -103,7 +134,8 @@ func TestFrontierBracketsCapacity(t *testing.T) {
 	// γ ≤ 1 is trivially feasible (only 2 packets exist per interval) and
 	// γ > 1 violates q ≤ λ. The frontier must come out ≈ 1.
 	p := problem(t, 2, 1, 1, 1)
-	gamma, err := Frontier(p, ProbeConfig{Seed: 2, Intervals: 400}, 0.1, 2.0, 12)
+	p.Seed = 2
+	gamma, err := Frontier(p, ProbeConfig{Intervals: 400}, 0.1, 2.0, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,28 +155,16 @@ func TestExpectedServiceSlots(t *testing.T) {
 	// p = 1, 2 packets per link: subset {0} uses exactly 2 slots; subset
 	// {0,1} exactly 4.
 	p := problem(t, 2, 1, 2, 1)
-	one, err := ExpectedServiceSlots(p, []int{0}, 3, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(one-2) > 1e-9 {
+	if one := expectedServiceSlots(p, p.SuccessProb, []int{0}, 3, 500); math.Abs(one-2) > 1e-9 {
 		t.Fatalf("single-link service slots %v, want 2", one)
 	}
-	both, err := ExpectedServiceSlots(p, []int{0, 1}, 3, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(both-4) > 1e-9 {
+	if both := expectedServiceSlots(p, p.SuccessProb, []int{0, 1}, 3, 500); math.Abs(both-4) > 1e-9 {
 		t.Fatalf("two-link service slots %v, want 4", both)
 	}
 	// p = 0.5 doubles the expected cost: ≈ 4 slots for one link's 2 packets,
 	// truncated at 10.
 	lossy := problem(t, 2, 0.5, 2, 1)
-	est, err := ExpectedServiceSlots(lossy, []int{0}, 3, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est < 3.5 || est > 4.3 {
+	if est := expectedServiceSlots(lossy, lossy.SuccessProb, []int{0}, 3, 20000); est < 3.5 || est > 4.3 {
 		t.Fatalf("lossy service slots %v, want ≈ 4 (truncation keeps it near)", est)
 	}
 }
@@ -154,13 +174,14 @@ func TestSubsetBoundViolationDetectsOverload(t *testing.T) {
 	// per interval at p = 0.1 needs 10 slots on average — exactly the whole
 	// interval — while truncation caps useful service strictly below 10.
 	av, _ := arrival.Uniform(2, arrival.Deterministic{N: 1})
-	p := Problem{
+	p := mac.NetworkConfig{
 		Profile:     fastProfile(),
 		SuccessProb: []float64{0.1, 0.9},
 		Arrivals:    av,
 		Required:    []float64{1, 0.5},
 	}
-	msg, err := SubsetBoundViolation(p, 5, 4000)
+	p.Seed = 5
+	msg, err := SubsetBoundViolation(p, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +194,9 @@ func TestSubsetBoundViolationDetectsOverload(t *testing.T) {
 }
 
 func TestSubsetBoundNoViolationWhenLight(t *testing.T) {
-	msg, err := SubsetBoundViolation(problem(t, 3, 0.9, 1, 0.5), 5, 2000)
+	light := problem(t, 3, 0.9, 1, 0.5)
+	light.Seed = 5
+	msg, err := SubsetBoundViolation(light, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,19 +206,19 @@ func TestSubsetBoundNoViolationWhenLight(t *testing.T) {
 }
 
 func TestSubsetBoundRejectsHugeNetworks(t *testing.T) {
-	if _, err := SubsetBoundViolation(problem(t, 15, 0.9, 1, 0.5), 5, 10); err == nil {
+	if _, err := SubsetBoundViolation(problem(t, 15, 0.9, 1, 0.5), 10); err == nil {
 		t.Fatal("15-link exact scan accepted")
 	}
 }
 
 func TestMaxDeficiencyLowerBoundZeroWhenFeasible(t *testing.T) {
-	if lb := MaxDeficiencyLowerBound(problem(t, 2, 1, 1, 1)); lb != 0 {
+	if lb, err := maxDeficiencyLowerBound(problem(t, 2, 1, 1, 1)); err != nil || lb != 0 {
 		t.Fatalf("lower bound %v for an underloaded instance", lb)
 	}
 }
 
 func TestProbeConfigDefaultsAndErrors(t *testing.T) {
-	// Zero-value config picks defaults (seed, horizon, tolerance).
+	// Zero-value config picks defaults (horizon, tolerance).
 	res, err := Probe(problem(t, 2, 1, 1, 0.5), ProbeConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,13 +238,10 @@ func TestProbeConfigDefaultsAndErrors(t *testing.T) {
 	if _, err := Frontier(bad, ProbeConfig{}, 0.1, 2, 3); err == nil {
 		t.Fatal("invalid problem accepted by Frontier")
 	}
-	if _, err := ExpectedServiceSlots(bad, []int{0}, 1, 10); err == nil {
-		t.Fatal("invalid problem accepted by ExpectedServiceSlots")
-	}
-	if _, err := SubsetBoundViolation(bad, 1, 10); err == nil {
+	if _, err := SubsetBoundViolation(bad, 10); err == nil {
 		t.Fatal("invalid problem accepted by SubsetBoundViolation")
 	}
-	if err := NecessaryBounds(bad); err == nil {
+	if _, err := NecessaryBounds(bad); err == nil {
 		t.Fatal("invalid problem accepted by NecessaryBounds")
 	}
 }
@@ -250,9 +270,10 @@ func TestFCSMAKneeRatio(t *testing.T) {
 		probs[i] = 0.7
 		req[i] = 0.9 * proc.Mean() // γ = 1 corresponds to α* = 1
 	}
-	p := Problem{Profile: phy.Video(), SuccessProb: probs, Arrivals: av, Required: req}
+	p := mac.NetworkConfig{Profile: phy.Video(), SuccessProb: probs, Arrivals: av, Required: req}
 
-	cfg := ProbeConfig{Seed: 9, Intervals: 1500, Tolerance: 0.05}
+	p.Seed = 9
+	cfg := ProbeConfig{Intervals: 1500, Tolerance: 0.05}
 	ldfKnee, err := Frontier(p, cfg, 0.1, 1.0, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -271,4 +292,179 @@ func TestFCSMAKneeRatio(t *testing.T) {
 	if ratio < 0.55 || ratio > 0.90 {
 		t.Fatalf("FCSMA/LDF knee ratio %.2f, paper reports ≈ 0.70", ratio)
 	}
+}
+
+// graphProblem is problem on the given conflict graph.
+func graphProblem(t *testing.T, n int, edges [][2]int, p float64, perLink int, q float64) mac.NetworkConfig {
+	t.Helper()
+	g, err := medium.NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := problem(t, n, p, perLink, q)
+	cfg.Conflicts = g
+	return cfg
+}
+
+// TestCliqueBounds checks that the workload bound applies per maximal clique:
+// two disjoint 3-cliques each carry 3·3 = 9 of 10 slots, although the
+// network as a whole demands 18.
+func TestCliqueBounds(t *testing.T) {
+	twoCliques := [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}}
+	b := bounds(t, graphProblem(t, 6, twoCliques, 1, 3, 3))
+	if !b.OK || b.Reason != "" || b.Workload != 9 {
+		t.Fatalf("two 3-cliques at 9 slots each: %+v", b)
+	}
+	// Joining the cliques by an edge adds the clique {2 3} and leaves the
+	// bound per clique; raising a link's load past the slots breaks the
+	// clique that holds it, and the reason names that clique.
+	cfg := graphProblem(t, 6, append(twoCliques, [2]int{2, 3}), 1, 4, 3)
+	cfg.Required[4] = 4
+	if b = bounds(t, cfg); !b.OK || b.Workload != 10 {
+		t.Fatalf("clique {3 4 5} at exactly 10 slots: %+v", b)
+	}
+	cfg.Required[5] = 4
+	b = bounds(t, cfg)
+	want := "feasibility: expected workload 11.000 slots of clique [3 4 5] exceeds 10 available per interval"
+	if b.OK || b.Reason != want {
+		t.Fatalf("reason %q, want %q", b.Reason, want)
+	}
+}
+
+// TestMaximalCliquesMatchBruteForce compares the enumeration with a scan of
+// every subset on seeded random graphs.
+func TestMaximalCliquesMatchBruteForce(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(9)
+		var edges [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Bernoulli(0.5) {
+					edges = append(edges, [2]int{i, j})
+				}
+			}
+		}
+		g, err := medium.NewGraph(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clique := func(mask int) bool {
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if mask&(1<<i) != 0 && mask&(1<<j) != 0 && !g.Conflicts(i, j) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		want := map[uint64]bool{}
+		for mask := 1; mask < 1<<n; mask++ {
+			maximal := clique(mask)
+			for v := 0; maximal && v < n; v++ {
+				maximal = mask&(1<<v) != 0 || !clique(mask|1<<v)
+			}
+			if maximal {
+				want[uint64(mask)] = true
+			}
+		}
+		got := map[uint64]bool{}
+		maximalCliques(g, func(c []uint64) bool {
+			if got[c[0]] {
+				t.Fatalf("%v: clique %b reported twice", g, c[0])
+			}
+			got[c[0]] = true
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d maximal cliques, want %d", g, len(got), len(want))
+		}
+		for c := range want {
+			if !got[c] {
+				t.Fatalf("%v: maximal clique %b missing", g, c)
+			}
+		}
+	}
+}
+
+// TestMoonMoserCapped checks that a graph with exponentially many maximal
+// cliques — the complete 15-partite graph with parts of 3 links has 3^15 —
+// returns promptly, with the cap named in the reason.
+func TestMoonMoserCapped(t *testing.T) {
+	const parts = 15
+	var edges [][2]int
+	for i := 0; i < 3*parts; i++ {
+		for j := i + 1; j < 3*parts; j++ {
+			if i/3 != j/3 {
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+	}
+	start := time.Now()
+	b := bounds(t, graphProblem(t, 3*parts, edges, 1, 1, 0.1))
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("bounds took %v", elapsed)
+	}
+	if !b.OK || !strings.Contains(b.Reason, "first 4096 maximal cliques") {
+		t.Fatalf("capped enumeration: %+v", b)
+	}
+}
+
+// TestSubsetBoundNeedsOneStaticDomain checks that the subset scan refuses a
+// partial conflict graph and a fading channel, which its single-domain
+// static model does not describe.
+func TestSubsetBoundNeedsOneStaticDomain(t *testing.T) {
+	if _, err := SubsetBoundViolation(graphProblem(t, 3, [][2]int{{0, 1}}, 0.9, 1, 0.5), 10); err == nil {
+		t.Error("partial conflict graph accepted")
+	}
+	fading := problem(t, 3, 0.9, 1, 0.5)
+	fading.SuccessProb = nil
+	fading.ChannelFactory = func(eng *sim.Engine, links int) (medium.Model, error) {
+		return medium.NewGilbertElliott(eng, links, 0.9, 0.5, 0.1, 0.1, 10)
+	}
+	if _, err := SubsetBoundViolation(fading, 10); err == nil {
+		t.Error("fading channel accepted")
+	}
+	complete := problem(t, 3, 0.9, 1, 0.5)
+	complete.Conflicts = medium.CompleteGraph(3)
+	if _, err := SubsetBoundViolation(complete, 10); err != nil {
+		t.Errorf("complete graph rejected: %v", err)
+	}
+}
+
+// TestFadingBoundsReadModelMean checks that under fading the bounds read the
+// channel model's stationary mean.
+func TestFadingBoundsReadModelMean(t *testing.T) {
+	cfg := problem(t, 2, 0.9, 1, 0.5)
+	cfg.SuccessProb = nil
+	cfg.ChannelFactory = func(eng *sim.Engine, links int) (medium.Model, error) {
+		return medium.NewGilbertElliott(eng, links, 0.8, 0.4, 0.1, 0.3, 10)
+	}
+	want := 0.75*0.8 + 0.25*0.4
+	for n, p := range bounds(t, cfg).SuccessProb {
+		if math.Abs(p-want) > 1e-12 {
+			t.Fatalf("link %d mean %v, want %v", n, p, want)
+		}
+	}
+}
+
+// maxDeficiencyLowerBound returns a crude lower bound on the steady-state
+// total deficiency of an infeasible instance, to sanity-check simulated
+// deficiencies against: the largest clique's excess expected workload beyond
+// one interval's slots, converted back to packets at the best channel rate.
+func maxDeficiencyLowerBound(cfg mac.NetworkConfig) (float64, error) {
+	b, err := NecessaryBounds(cfg)
+	if err != nil {
+		return 0, err
+	}
+	excess := b.Workload - float64(cfg.Profile.SlotsPerInterval())
+	if excess <= 0 {
+		return 0, nil
+	}
+	best := 0.0
+	for _, prob := range b.SuccessProb {
+		best = math.Max(best, prob)
+	}
+	return excess * best, nil
 }

@@ -271,11 +271,19 @@ func (a *Attribution) Merge(b Attribution) {
 }
 
 // Decode parses a journeys JSONL stream (one Journey per line, as written by
-// the Tracer), stopping at the first malformed line. A leading schema header
-// is validated and skipped; headerless legacy streams decode as before.
-func Decode(r io.Reader) ([]Journey, error) {
+// the Tracer), stopping at the first malformed line and, when validate is
+// set, at the first journey whose spans break an invariant (Validate); the
+// error names the line. A leading schema header is validated and skipped;
+// headerless legacy streams decode as before.
+func Decode(r io.Reader, validate bool) ([]Journey, error) {
 	var out []Journey
 	_, err := telemetry.ReadJSONL(r, telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion,
-		"journey: decode journey", func(j Journey) { out = append(out, j) })
+		"journey: decode journey", func(j Journey) error {
+			out = append(out, j)
+			if validate {
+				return j.Validate()
+			}
+			return nil
+		})
 	return out, err
 }

@@ -8,6 +8,8 @@ import (
 	"rtmac/internal/medium"
 	"rtmac/internal/perm"
 	"rtmac/internal/sim"
+
+	"rtmac/internal/telemetry"
 )
 
 func TestClassify(t *testing.T) {
@@ -219,7 +221,7 @@ func TestTracerEndToEnd(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	js, err := Decode(&out)
+	js, err := Decode(&out, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,7 @@ func TestTracerSampling(t *testing.T) {
 	if tr.Count() != 4 {
 		t.Fatalf("Count = %d, want 4", tr.Count())
 	}
-	js, err := Decode(&out)
+	js, err := Decode(&out, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,9 +369,21 @@ func TestTimelinePartialAndPositiveDebt(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	_, err := Decode(strings.NewReader("{\"seq\":0}\nnot json\n"))
+	_, err := Decode(strings.NewReader("{\"seq\":0}\nnot json\n"), false)
 	if err == nil {
 		t.Fatal("malformed stream accepted")
+	}
+}
+
+// TestDecodeNamesTheLine checks that a broken second line of a journeys dump
+// — the line after the schema header — is reported as line 2, with no
+// journey decoded before it.
+func TestDecodeNamesTheLine(t *testing.T) {
+	header := telemetry.StreamHeader{Schema: telemetry.JourneyStreamSchema, Version: telemetry.JourneyStreamVersion}
+	dump := string(header.MarshalLine()) + "not json\n"
+	js, err := Decode(strings.NewReader(dump), false)
+	if err == nil || len(js) != 0 || !strings.HasPrefix(err.Error(), "journey: decode journey at line 2: ") {
+		t.Fatalf("decoded %d journeys, error %v; want line 2", len(js), err)
 	}
 }
 

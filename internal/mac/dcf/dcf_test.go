@@ -103,19 +103,12 @@ func TestDCFWindowDoublesOnFailureAndResetsOnSuccess(t *testing.T) {
 	}
 }
 
+// TestDCFWindowCapped drives repeated failures through the protocol: a
+// lone station whose transmissions almost never succeed doubles its window
+// on every missing ACK, which must stop at cwMax.
 func TestDCFWindowCapped(t *testing.T) {
-	prot, err := New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force many failures through the exported state by simulating the
-	// update rule directly: Window never exceeds cwMax.
-	for i := 0; i < 20; i++ {
-		if prot.cw[0]*2 <= cwMax {
-			prot.cw[0] *= 2
-		}
-	}
-	if prot.Window(0) > cwMax {
-		t.Fatalf("window %d exceeds cwMax %d", prot.Window(0), cwMax)
+	_, _, prot := runDCF(t, 5, 1, 1e-9, 20, 0, 50)
+	if got := prot.Window(0); got != cwMax {
+		t.Fatalf("window after repeated failures %d, want cwMax %d", got, cwMax)
 	}
 }

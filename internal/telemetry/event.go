@@ -222,6 +222,6 @@ func (j *JSONL) Flush() error {
 func DecodeJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	_, err := ReadJSONL(r, EventStreamSchema, EventStreamVersion, "telemetry: decode event",
-		func(ev Event) { out = append(out, ev) })
+		func(ev Event) error { out = append(out, ev); return nil })
 	return out, err
 }

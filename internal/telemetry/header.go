@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,37 +64,44 @@ func (h StreamHeader) Check(schema string, maxVersion int) error {
 }
 
 // ReadJSONL streams a JSONL stream of T records to fn, one line at a time
-// and in constant memory. A leading header line is checked against schema
-// and version and skipped; headerless legacy streams read as-is. A
-// malformed line stops the read with the error "<what> <i>: <cause>", i
-// counting the records before it; a header of another schema, or of an
-// unsupported version, stops it with Check's error. ReadJSONL returns how
-// many records fn received.
-func ReadJSONL[T any](r io.Reader, schema string, version int, what string, fn func(T)) (int64, error) {
-	dec := json.NewDecoder(r)
+// and in constant memory; blank lines are skipped. A leading header line is
+// checked against schema and version and skipped; headerless legacy streams
+// read as-is. The read stops at the first line that is malformed, carries a
+// header of another schema or an unsupported version (Check's error), or
+// makes fn fail, with the error "<what> at line <l>: <cause>", l counting
+// lines from 1. ReadJSONL returns how many records it handed to fn.
+func ReadJSONL[T any](r io.Reader, schema string, version int, what string, fn func(T) error) (int64, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 64<<20) // a line may be long, but not a whole stream without newlines
 	var n int64
-	for first := true; ; first = false {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return n, nil
-		} else if err != nil {
-			return n, fmt.Errorf("%s %d: %w", what, n, err)
+	line, first := 0, true
+	for ; sc.Scan(); line++ {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
+			continue
 		}
-		if first {
-			if h, ok := ParseHeader(raw); ok {
-				if err := h.Check(schema, version); err != nil {
-					return n, err
+		err := func() error {
+			if first {
+				first = false
+				if h, ok := ParseHeader(raw); ok {
+					return h.Check(schema, version)
 				}
-				continue
 			}
+			var rec T
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				return err
+			}
+			n++
+			return fn(rec)
+		}()
+		if err != nil {
+			return n, fmt.Errorf("%s at line %d: %w", what, line+1, err)
 		}
-		var rec T
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return n, fmt.Errorf("%s %d: %w", what, n, err)
-		}
-		fn(rec)
-		n++
 	}
+	if err := sc.Err(); err != nil {
+		return n, fmt.Errorf("%s at line %d: %w", what, line+1, err)
+	}
+	return n, nil
 }
 
 // MarshalLine renders the header as one JSONL line (newline included).

@@ -31,5 +31,5 @@ func WriteAlertsJSONL(w io.Writer, alerts []Alert) error {
 // events consumed.
 func ReplayJSONL(r io.Reader, e *Engine) (int64, error) {
 	return telemetry.ReadJSONL(r, telemetry.EventStreamSchema, telemetry.EventStreamVersion,
-		"watch: decode event", e.Emit)
+		"watch: decode event", func(ev telemetry.Event) error { e.Emit(ev); return nil })
 }

@@ -23,7 +23,7 @@ type DebtPoint = journey.DebtPoint
 
 // DecodeJourneys parses a journeys JSONL stream produced by EnableJourneys,
 // stopping at the first malformed line.
-func DecodeJourneys(r io.Reader) ([]Journey, error) { return journey.Decode(r) }
+func DecodeJourneys(r io.Reader) ([]Journey, error) { return journey.Decode(r, false) }
 
 // Journeys is the packet-journey tracer attached to a simulation.
 type Journeys struct {

@@ -87,17 +87,12 @@ func (l Link) required() (float64, error) {
 // Gilbert–Elliott model: every link hops independently between a Good and a
 // Bad state (reliabilities PGood/PBad), flipping with the given per-Period
 // probabilities. When set, the per-link SuccessProb fields are ignored —
-// every link's long-run mean reliability is the model's stationary mean.
+// every link's long-run mean reliability is the model's stationary mean,
+// which CheckFeasibility reports per link.
 type Fading struct {
 	PGood, PBad          float64
 	GoodToBad, BadToGood float64
 	Period               Time
-}
-
-// Mean returns the stationary mean reliability of the fading model.
-func (f Fading) Mean() float64 {
-	pBad := f.GoodToBad / (f.GoodToBad + f.BadToGood)
-	return (1-pBad)*f.PGood + pBad*f.PBad
 }
 
 // Config assembles one simulation.
@@ -169,19 +164,21 @@ func (s *Simulation) addSink(sink telemetry.Sink) {
 	s.nw.SetEventSink(telemetry.MultiSink(append([]telemetry.Sink(nil), s.sinks...)))
 }
 
-// NewSimulation validates cfg and builds the network.
-func NewSimulation(cfg Config) (*Simulation, error) {
+// network validates cfg and returns the network it describes without a
+// protocol or observers: NewSimulation adds its own, and the feasibility
+// entry points swap in LDF or the policy they measure. It is the one place
+// that checks a Config; mac.NewNetwork checks the rest (the profile, success
+// probabilities, the graph's link count and the fading parameters) when the
+// network is built.
+func (cfg Config) network() (mac.NetworkConfig, error) {
 	if len(cfg.Links) == 0 {
-		return nil, fmt.Errorf("rtmac: no links configured")
-	}
-	if cfg.Protocol.build == nil {
-		return nil, fmt.Errorf("rtmac: no protocol configured")
+		return mac.NetworkConfig{}, fmt.Errorf("rtmac: no links configured")
 	}
 	if cfg.Profile.p.Name == "" {
-		return nil, fmt.Errorf("rtmac: no profile configured (use VideoProfile, ControlProfile or CustomProfile)")
+		return mac.NetworkConfig{}, fmt.Errorf("rtmac: no profile configured (use VideoProfile, ControlProfile or CustomProfile)")
 	}
 	if err := cfg.Conflicts.validate(); err != nil {
-		return nil, err
+		return mac.NetworkConfig{}, err
 	}
 	n := len(cfg.Links)
 	probs := make([]float64, n)
@@ -189,11 +186,11 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	procs := make([]arrival.Process, n)
 	for i, l := range cfg.Links {
 		if l.Arrivals.proc == nil {
-			return nil, fmt.Errorf("rtmac: link %d has no arrival process", i)
+			return mac.NetworkConfig{}, fmt.Errorf("rtmac: link %d has no arrival process", i)
 		}
 		q, err := l.required()
 		if err != nil {
-			return nil, fmt.Errorf("rtmac: link %d: %w", i, err)
+			return mac.NetworkConfig{}, fmt.Errorf("rtmac: link %d: %w", i, err)
 		}
 		probs[i] = l.SuccessProb
 		req[i] = q
@@ -201,57 +198,68 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	}
 	av, err := arrival.NewIndependent(procs...)
 	if err != nil {
-		return nil, fmt.Errorf("rtmac: %w", err)
+		return mac.NetworkConfig{}, fmt.Errorf("rtmac: %w", err)
 	}
-	var arrivals arrival.VectorProcess = av
+	nc := mac.NetworkConfig{
+		Seed:      cfg.Seed,
+		Profile:   cfg.Profile.p,
+		Conflicts: cfg.Conflicts.graph(),
+		Arrivals:  av,
+		Required:  req,
+	}
 	if p := cfg.Perturb; p != nil {
 		extra := p.Extra
 		if extra == 0 {
 			extra = 1
 		}
-		arrivals, err = arrival.NewPerturb(av, p.K, p.Link, extra)
-		if err != nil {
-			return nil, fmt.Errorf("rtmac: %w", err)
+		if nc.Arrivals, err = arrival.NewPerturb(av, p.K, p.Link, extra); err != nil {
+			return mac.NetworkConfig{}, fmt.Errorf("rtmac: %w", err)
 		}
+	}
+	if cfg.Fading != nil {
+		f := *cfg.Fading
+		nc.ChannelFactory = func(eng *sim.Engine, links int) (medium.Model, error) {
+			return medium.NewGilbertElliott(eng, links, f.PGood, f.PBad,
+				f.GoodToBad, f.BadToGood, f.Period)
+		}
+	} else {
+		nc.SuccessProb = probs
+	}
+	if cfg.SLO != nil {
+		if err := cfg.SLO.validate(n); err != nil {
+			return mac.NetworkConfig{}, fmt.Errorf("rtmac: %w", err)
+		}
+	}
+	return nc, nil
+}
+
+// NewSimulation validates cfg and builds the network.
+func NewSimulation(cfg Config) (*Simulation, error) {
+	nc, err := cfg.network()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Protocol.build == nil {
+		return nil, fmt.Errorf("rtmac: no protocol configured")
 	}
 	var colOpts []metrics.Option
 	if cfg.SnapshotEvery > 0 {
 		colOpts = append(colOpts, metrics.WithSeries(cfg.SnapshotEvery))
 	}
-	col, err := metrics.NewCollector(req, colOpts...)
+	col, err := metrics.NewCollector(nc.Required, colOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
+	n := len(cfg.Links)
 	prot, err := cfg.Protocol.build(n)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
-	nwCfg := mac.NetworkConfig{
-		Seed:      cfg.Seed,
-		Profile:   cfg.Profile.p,
-		Conflicts: cfg.Conflicts.graph(),
-		Arrivals:  arrivals,
-		Required:  req,
-		Protocol:  prot,
-		Observers: []mac.Observer{col},
-	}
-	if cfg.Fading != nil {
-		f := *cfg.Fading
-		nwCfg.ChannelFactory = func(eng *sim.Engine, links int) (medium.Model, error) {
-			return medium.NewGilbertElliott(eng, links, f.PGood, f.PBad,
-				f.GoodToBad, f.BadToGood, f.Period)
-		}
-	} else {
-		nwCfg.SuccessProb = probs
-	}
-	nw, err := mac.NewNetwork(nwCfg)
+	nc.Protocol = prot
+	nc.Observers = []mac.Observer{col}
+	nw, err := mac.NewNetwork(nc)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
-	}
-	if cfg.SLO != nil {
-		if err := cfg.SLO.validate(n); err != nil {
-			return nil, fmt.Errorf("rtmac: %w", err)
-		}
 	}
 	manifest := telemetry.NewManifest("rtmac", cfg.Seed)
 	manifest.Protocol = prot.Name()
@@ -260,7 +268,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	return &Simulation{
 		nw:              nw,
 		col:             col,
-		req:             req,
+		req:             nc.Required,
 		prot:            prot,
 		cfgProt:         cfg.Protocol,
 		conflicts:       cfg.Conflicts,

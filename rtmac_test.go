@@ -67,25 +67,55 @@ func constructed[T any](_ T, err error) func() error { return func() error { ret
 // function to apply; each case must return an error, not run or panic.
 func TestNonFiniteAndZeroInputsRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	simulate := func(mutate func(*rtmac.Config)) error {
-		cfg := rtmac.Config{
+	base := func() rtmac.Config {
+		return rtmac.Config{
 			Seed:     1,
 			Profile:  rtmac.ControlProfile(),
 			Links:    controlLinks(2, 0.7, 0.5, 0.9),
 			Protocol: rtmac.DBDP(),
 		}
-		mutate(&cfg)
-		s, err := rtmac.NewSimulation(cfg)
-		if err != nil {
+	}
+	// Every entry point that builds a network from a Config must reject a
+	// config row.
+	entries := []struct {
+		name string
+		run  func(rtmac.Config) error
+	}{
+		{"NewSimulation", func(cfg rtmac.Config) error {
+			s, err := rtmac.NewSimulation(cfg)
+			if err != nil {
+				return err
+			}
+			return s.Run(10)
+		}},
+		{"CheckFeasibility", func(cfg rtmac.Config) error {
+			_, err := rtmac.CheckFeasibility(cfg, 10)
+			return err
+		}},
+		{"RequirementVector", func(cfg rtmac.Config) error {
+			_, err := rtmac.RequirementVector(cfg)
+			return err
+		}},
+	}
+	link := func(mutate func(*rtmac.Link)) func(*rtmac.Config) {
+		return func(c *rtmac.Config) { mutate(&c.Links[0]) }
+	}
+	fading := func(pGood float64, period rtmac.Time) func(*rtmac.Config) {
+		return func(c *rtmac.Config) {
+			c.Fading = &rtmac.Fading{PGood: pGood, PBad: 0.5, GoodToBad: 0.1, BadToGood: 0.1, Period: period}
+		}
+	}
+	// A protocol is read by NewSimulation and ProtocolCapacity only.
+	protocol := func(p rtmac.Protocol) func() error {
+		return func() error {
+			cfg := base()
+			cfg.Protocol = p
+			if _, err := rtmac.NewSimulation(cfg); err == nil {
+				return nil
+			}
+			_, err := rtmac.ProtocolCapacity(base(), p, 10)
 			return err
 		}
-		return s.Run(10)
-	}
-	protocol := func(p rtmac.Protocol) func() error {
-		return func() error { return simulate(func(c *rtmac.Config) { c.Protocol = p }) }
-	}
-	link := func(mutate func(*rtmac.Link)) func() error {
-		return func() error { return simulate(func(c *rtmac.Config) { mutate(&c.Links[0]) }) }
 	}
 	profile := func(payload int, rate float64) func() error {
 		return func() error {
@@ -95,46 +125,48 @@ func TestNonFiniteAndZeroInputsRejected(t *testing.T) {
 	}
 	tests := []struct {
 		name string
-		err  func() error
+		cfg  func(*rtmac.Config) // a config row; every entry point must reject it
+		err  func() error        // any other row: a nil error means accepted
 	}{
-		{"SuccessProb NaN", link(func(l *rtmac.Link) { l.SuccessProb = nan })},
-		{"DeliveryRatio NaN", link(func(l *rtmac.Link) { l.DeliveryRatio = nan })},
-		{"Required NaN", link(func(l *rtmac.Link) { l.Required, l.DeliveryRatio = nan, 0 })},
-		{"Required +Inf", link(func(l *rtmac.Link) { l.Required, l.DeliveryRatio = inf, 0 })},
-		{"Fading NaN", func() error {
-			return simulate(func(c *rtmac.Config) {
-				c.Fading = &rtmac.Fading{PGood: nan, PBad: 0.5, GoodToBad: 0.1, BadToGood: 0.1, Period: rtmac.Millisecond}
-			})
+		{name: "SuccessProb NaN", cfg: link(func(l *rtmac.Link) { l.SuccessProb = nan })},
+		{name: "DeliveryRatio NaN", cfg: link(func(l *rtmac.Link) { l.DeliveryRatio = nan })},
+		{name: "Required NaN", cfg: link(func(l *rtmac.Link) { l.Required, l.DeliveryRatio = nan, 0 })},
+		{name: "Required +Inf", cfg: link(func(l *rtmac.Link) { l.Required, l.DeliveryRatio = inf, 0 })},
+		{name: "Fading NaN", cfg: fading(nan, rtmac.Millisecond)},
+		{name: "Fading PGood 1.5", cfg: fading(1.5, rtmac.Millisecond)},
+		{name: "Fading Period 0", cfg: fading(0.9, 0)},
+		{name: "Conflicts for another link count", cfg: func(c *rtmac.Config) {
+			g, err := rtmac.NewConflictGraph(5, [][2]int{{0, 1}, {1, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Conflicts = g
 		}},
-		{"BernoulliArrivals NaN", constructed(rtmac.BernoulliArrivals(nan))},
-		{"BinomialArrivals NaN", constructed(rtmac.BinomialArrivals(3, nan))},
-		{"VideoArrivals NaN", constructed(rtmac.VideoArrivals(nan))},
-		{"LogInfluence NaN", constructed(rtmac.LogInfluence(nan))},
-		{"LogInfluence +Inf", constructed(rtmac.LogInfluence(inf))},
-		{"PowerInfluence NaN", constructed(rtmac.PowerInfluence(nan))},
-		{"PowerInfluence +Inf", constructed(rtmac.PowerInfluence(inf))},
-		{"WithConstantMu NaN", protocol(rtmac.DBDP(rtmac.WithConstantMu(nan)))},
-		{"WithInfluence R NaN", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.PaperInfluence(), nan)))},
-		{"WithInfluence R +Inf", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.PaperInfluence(), inf)))},
-		{"WithInfluence zero value", protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.InfluenceFunc{}, 10)))},
-		{"ELDF zero value", protocol(rtmac.ELDF(rtmac.InfluenceFunc{}))},
-		{"SLO Budget NaN", func() error {
-			return simulate(func(c *rtmac.Config) { c.SLO = &rtmac.SLOConfig{Budget: nan} })
-		}},
-		{"WatchConfig Budget NaN", func() error {
-			s, err := rtmac.NewSimulation(rtmac.Config{
-				Seed: 1, Profile: rtmac.ControlProfile(), Links: controlLinks(2, 0.7, 0.5, 0.9), Protocol: rtmac.DBDP(),
-			})
+		{name: "SLO Budget NaN", cfg: func(c *rtmac.Config) { c.SLO = &rtmac.SLOConfig{Budget: nan} }},
+		{name: "BernoulliArrivals NaN", err: constructed(rtmac.BernoulliArrivals(nan))},
+		{name: "BinomialArrivals NaN", err: constructed(rtmac.BinomialArrivals(3, nan))},
+		{name: "VideoArrivals NaN", err: constructed(rtmac.VideoArrivals(nan))},
+		{name: "LogInfluence NaN", err: constructed(rtmac.LogInfluence(nan))},
+		{name: "LogInfluence +Inf", err: constructed(rtmac.LogInfluence(inf))},
+		{name: "PowerInfluence NaN", err: constructed(rtmac.PowerInfluence(nan))},
+		{name: "PowerInfluence +Inf", err: constructed(rtmac.PowerInfluence(inf))},
+		{name: "WithConstantMu NaN", err: protocol(rtmac.DBDP(rtmac.WithConstantMu(nan)))},
+		{name: "WithInfluence R NaN", err: protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.PaperInfluence(), nan)))},
+		{name: "WithInfluence R +Inf", err: protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.PaperInfluence(), inf)))},
+		{name: "WithInfluence zero value", err: protocol(rtmac.DBDP(rtmac.WithInfluence(rtmac.InfluenceFunc{}, 10)))},
+		{name: "ELDF zero value", err: protocol(rtmac.ELDF(rtmac.InfluenceFunc{}))},
+		{name: "WatchConfig Budget NaN", err: func() error {
+			s, err := rtmac.NewSimulation(base())
 			if err != nil {
 				return nil // a valid config that fails to build fails the case
 			}
 			_, err = s.EnableWatch(rtmac.WatchConfig{Budget: nan})
 			return err
 		}},
-		{"CustomProfile payload MaxInt", profile(math.MaxInt, 54)},
-		{"CustomProfile rate NaN", profile(100, nan)},
-		{"CustomProfile rate +Inf", profile(100, inf)},
-		{"CustomProfile rate 1e-300", profile(100, 1e-300)},
+		{name: "CustomProfile payload MaxInt", err: profile(math.MaxInt, 54)},
+		{name: "CustomProfile rate NaN", err: profile(100, nan)},
+		{name: "CustomProfile rate +Inf", err: profile(100, inf)},
+		{name: "CustomProfile rate 1e-300", err: profile(100, 1e-300)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,8 +175,18 @@ func TestNonFiniteAndZeroInputsRejected(t *testing.T) {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			if err := tc.err(); err == nil {
-				t.Fatal("accepted")
+			if tc.cfg == nil {
+				if err := tc.err(); err == nil {
+					t.Fatal("accepted")
+				}
+				return
+			}
+			for _, e := range entries {
+				cfg := base()
+				tc.cfg(&cfg)
+				if err := e.run(cfg); err == nil {
+					t.Errorf("%s accepted", e.name)
+				}
 			}
 		})
 	}
@@ -686,6 +728,38 @@ func TestCheckFeasibility(t *testing.T) {
 	}
 }
 
+// TestFiveCycleBoundsAreNecessaryOnly pins the clique bounds as necessary
+// only. On a 5-cycle every maximal clique is an edge, and each edge carries
+// 7 + 7 = 14 of the control profile's 16 slots, so every bound holds. But an
+// independent set of the 5-cycle holds only 2 of the 5 links, so at most
+// 2·16 = 32 of the 35 packets per interval can be delivered: the probe must
+// report the vector infeasible.
+func TestFiveCycleBoundsAreNecessaryOnly(t *testing.T) {
+	links := make([]rtmac.Link, 5)
+	for i := range links {
+		links[i] = rtmac.Link{SuccessProb: 1, Arrivals: rtmac.FixedArrivals(7), DeliveryRatio: 1}
+	}
+	cycle, err := rtmac.NewConflictGraph(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rtmac.CheckFeasibility(rtmac.Config{
+		Seed:      1,
+		Profile:   rtmac.ControlProfile(),
+		Links:     links,
+		Conflicts: cycle,
+	}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.NecessaryBoundsOK || res.NecessaryBoundsReason != "" || res.WorkloadSlots != 14 {
+		t.Fatalf("edge bounds 14 ≤ 16 should hold: %+v", res)
+	}
+	if res.Feasible {
+		t.Fatalf("5-cycle needing 35 deliveries from 32 slot-links probed feasible: %+v", res)
+	}
+}
+
 func TestCapacityFrontier(t *testing.T) {
 	cfg := rtmac.Config{
 		Seed:    1,
@@ -737,9 +811,6 @@ func TestFadingChannelConfig(t *testing.T) {
 		GoodToBad: 0.05, BadToGood: 0.05,
 		Period: rtmac.Millisecond,
 	}
-	if got := fading.Mean(); math.Abs(got-0.65) > 1e-12 {
-		t.Fatalf("Fading.Mean = %v, want 0.65", got)
-	}
 	links := make([]rtmac.Link, 6)
 	for i := range links {
 		links[i] = rtmac.Link{
@@ -747,13 +818,14 @@ func TestFadingChannelConfig(t *testing.T) {
 			DeliveryRatio: 0.9,
 		}
 	}
-	sim, err := rtmac.NewSimulation(rtmac.Config{
+	cfg := rtmac.Config{
 		Seed:     41,
 		Profile:  rtmac.ControlProfile(),
 		Links:    links,
 		Protocol: rtmac.DBDP(),
 		Fading:   fading,
-	})
+	}
+	sim, err := rtmac.NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,15 +847,17 @@ func TestFadingChannelConfig(t *testing.T) {
 	if rep.TotalDeficiency > 0.15 {
 		t.Fatalf("fading deficiency %v on a light load", rep.TotalDeficiency)
 	}
-	// Feasibility checks accept fading configs via the stationary mean.
-	res, err := rtmac.CheckFeasibility(rtmac.Config{
-		Seed: 41, Profile: rtmac.ControlProfile(), Links: links, Fading: fading,
-	}, 500)
+	// Feasibility checks accept fading configs; their bounds read the
+	// model's stationary mean reliability.
+	res, err := rtmac.CheckFeasibility(cfg, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.NecessaryBoundsOK {
 		t.Fatalf("fading feasibility bounds: %+v", res)
+	}
+	if got := res.PerLink[0].SuccessProb; math.Abs(got-0.65) > 1e-12 {
+		t.Fatalf("stationary mean reliability %v, want 0.65", got)
 	}
 	// Invalid fading parameters surface as construction errors.
 	bad := *fading
