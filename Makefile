@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLedgerRecord -fuzztime=30s ./internal/ledger
 	$(GO) test -fuzz=FuzzContentionGraph -fuzztime=30s -fuzzminimizetime=2s ./internal/mac
 	$(GO) test -fuzz=FuzzMediumLinkTransitions -fuzztime=30s -fuzzminimizetime=2s ./internal/medium
+	$(GO) test -fuzz=FuzzGraphComponents -fuzztime=30s -fuzzminimizetime=2s ./internal/medium
 	$(GO) test -fuzz=FuzzConfig -fuzztime=30s .
 
 cover:

@@ -106,9 +106,10 @@ func BenchmarkIntervalTDMA(b *testing.B)  { benchProtocolIntervals(b, rtmac.TDMA
 
 // BenchmarkIntervalConflictGraph prices the spatial-reuse medium: the same
 // control workload as BenchmarkIntervalDBDP, but on a two-clique conflict
-// graph so the per-neighborhood contention clock, the local DP backoff ranks,
-// and the medium's neighborhood busy bitsets are all on the hot path.
-// Compare against BenchmarkIntervalDBDP for the graph-mode overhead.
+// graph, so two component grids share the contention clock and the local
+// DP backoff ranks and the medium's per-component state are on the hot
+// path. Compare against BenchmarkIntervalDBDP for the overhead of a second
+// component.
 func BenchmarkIntervalConflictGraph(b *testing.B) {
 	conflicts, err := rtmac.CliqueConflicts(10, [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}})
 	if err != nil {
@@ -138,16 +139,14 @@ func BenchmarkIntervalConflictGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkIntervalCliques prices graph-mode contention as the network
+// BenchmarkIntervalCliques prices the contention clock as the network
 // grows: DB-DP on the control workload over N links split into disjoint
-// 10-link cliques (N = 10 would be one clique, the complete graph, which
-// takes the single-grid path). Each transmission reaches the contention
-// clock as one batched busy and one batched idle call for its whole
-// neighborhood, which freezes or resumes the clique with word operations and
-// repairs the due tree once, in about 2k + log N minima for a k-link clique.
-// The per-link cost still grows with N (0.42 µs at N = 20, 1.03 µs at
-// N = 200 on a 2-vCPU host; docs/PERFORMANCE.md), so ns/interval grows
-// faster than linearly.
+// 10-link cliques (N = 10 would be one clique, the complete graph). Each
+// clique is a connected component of the conflict graph and counts on one
+// grid, so a transmission freezes and resumes one grid and moves one leaf
+// of the due tree over the N/10 grids; the medium scans only the clique's
+// own in-flight transmissions. ns/interval grows about linearly in N
+// (docs/PERFORMANCE.md has the measured per-link cost).
 func BenchmarkIntervalCliques(b *testing.B) {
 	for _, n := range []int{20, 50, 200} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -161,6 +160,22 @@ func BenchmarkIntervalCliques(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkIntervalRing prices one non-clique component: DB-DP on the ring
+// over 130 links (link i conflicts with i-1 and i+1), with the traffic of
+// the ring-130 stream pins. Every link counts on a grid of its own, and a
+// transmission freezes and resumes the three grids of its neighbourhood.
+func BenchmarkIntervalRing(b *testing.B) {
+	s, err := rtmac.NewSimulation(pinConfig(130, ringConflicts(b, 130), rtmac.DBDP()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(b.N); err != nil {
+		b.Fatal(err)
 	}
 }
 

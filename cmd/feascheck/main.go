@@ -14,7 +14,8 @@
 //
 // With -json the assessment is emitted as one machine-readable document
 // carrying the per-link requirement vector (the SLO targets `rtmacwatch
-// -slo` consumes) and the slot margin. Exit codes are unified with the other
+// -slo` consumes), the slot margin and, with -subsets, the subset-bound
+// verdict. Exit codes are unified with the other
 // tools: 0 feasible, 1 infeasible, 2 usage or I/O error.
 package main
 
@@ -44,6 +45,14 @@ type report struct {
 	Feasible              bool                    `json:"feasible"`
 	Frontier              float64                 `json:"frontier,omitempty"`
 	PerLink               []rtmac.FeasibilityLink `json:"per_link"`
+	SubsetBounds          *subsetBounds           `json:"subset_bounds,omitempty"`
+}
+
+// subsetBounds is the -subsets verdict: whether every subset's workload fits
+// its Monte-Carlo capacity estimate, and the worst violation if not.
+type subsetBounds struct {
+	Satisfied      bool   `json:"satisfied"`
+	WorstViolation string `json:"worst_violation,omitempty"`
 }
 
 func main() {
@@ -126,16 +135,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	subsetLine := ""
-	if *subsets && !*jsonOut {
+	if *subsets {
 		msg, err := rtmac.SubsetBoundViolation(cfg)
 		if err != nil {
 			return fail(err)
 		}
-		subsetLine = "subset bounds: satisfied\n"
-		if msg != "" {
-			subsetLine = "subset bounds: VIOLATED — " + msg + "\n"
-		}
+		doc.SubsetBounds = &subsetBounds{Satisfied: msg == "", WorstViolation: msg}
 	}
 
 	if *jsonOut {
@@ -146,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		printHuman(stdout, doc)
-		fmt.Fprint(stdout, subsetLine)
 	}
 	if !doc.Feasible {
 		return 1
@@ -177,5 +181,12 @@ func printHuman(w io.Writer, doc report) {
 	if doc.Frontier != 0 {
 		fmt.Fprintf(w, "capacity frontier: γ ≈ %.3f (q scaled by γ is the empirical feasibility boundary)\n",
 			doc.Frontier)
+	}
+	switch sb := doc.SubsetBounds; {
+	case sb == nil:
+	case sb.Satisfied:
+		fmt.Fprintln(w, "subset bounds: satisfied")
+	default:
+		fmt.Fprintf(w, "subset bounds: VIOLATED — %s\n", sb.WorstViolation)
 	}
 }

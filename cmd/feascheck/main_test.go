@@ -91,10 +91,43 @@ func TestSpatialScenarioProbesItsGraph(t *testing.T) {
 }
 
 // TestSubsetsReadTheConfig checks that -subsets scans the scenario file's
-// links on a fully-interfering static channel.
+// links on a fully-interfering static channel. The factory's estop link
+// needs λ/p ≈ 0.167 slots per interval, which the Monte-Carlo capacity
+// estimate of its subset matches to within sampling error: satisfied.
 func TestSubsetsReadTheConfig(t *testing.T) {
 	code, out, errs := runFeas(t, "-config", "../../scenarios/factory.json", "-subsets", "-intervals", "500")
-	if code == 2 || !strings.Contains(out, "subset bounds: ") {
+	if code == 2 || !strings.Contains(out, "subset bounds: satisfied") {
 		t.Fatalf("exit %d:\n%s%s", code, out, errs)
+	}
+}
+
+// TestSubsetsJSON checks that -json carries the -subsets verdict in
+// subset_bounds, and that the field is absent without -subsets.
+func TestSubsetsJSON(t *testing.T) {
+	for _, args := range [][]string{
+		{"-config", "../../scenarios/factory.json", "-json", "-subsets"},
+		{"-config", "../../scenarios/factory.json", "-json"},
+	} {
+		code, out, errs := runFeas(t, append(args, "-intervals", "500")...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, want 0:\n%s", strings.Join(args, " "), code, errs)
+		}
+		var doc struct {
+			SubsetBounds *subsetBounds `json:"subset_bounds"`
+		}
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatal(err)
+		}
+		scanned := args[len(args)-1] == "-subsets"
+		switch sb := doc.SubsetBounds; {
+		case !scanned && sb != nil:
+			t.Errorf("%s: subset_bounds present without -subsets: %+v", strings.Join(args, " "), *sb)
+		case scanned && (sb == nil || !sb.Satisfied || sb.WorstViolation != ""):
+			t.Errorf("%s: subset_bounds %+v, want satisfied with no violation", strings.Join(args, " "), sb)
+		}
+	}
+	// A graph the subset scan cannot read is a usage error with -json too.
+	if code, _, errs := runFeas(t, "-config", "../../scenarios/spatial.json", "-json", "-subsets"); code != 2 || errs == "" {
+		t.Errorf("-json -subsets on a partial conflict graph: exit %d, want 2 with an error", code)
 	}
 }

@@ -124,13 +124,15 @@ func pinConfig(n int, graph *rtmac.ConflictGraph, protocol rtmac.Protocol) rtmac
 // workload, to digests recorded before the graph-mode contention clock was
 // rebuilt around a due-time tree. The 130-link clique and ring pins were
 // recorded before carrier sensing moved to batched bitset transitions;
-// they are the only pins whose neighbourhoods span several words. Complete graphs take the single grid, so
-// TestCompleteGraphEquivalence never reaches this code; these pins are its
-// byte-identity guard. The complete/<protocol> pins run the same workload
-// on the fully-interfering channel (nil conflicts), pinning the single-grid
-// streams against a recorded digest rather than a second run of the same
-// code. Regenerate with -update-graph-pins only for an intended behaviour
-// change.
+// they are the only pins whose neighbourhoods span several words. All of
+// them predate the contention clock counting each clique component on one
+// grid. TestCompleteGraphEquivalence compares two runs of the same
+// complete-graph code; these pins are the byte-identity guard for the
+// clique and non-clique components alike. The complete/<protocol> pins run
+// the same workload on the fully-interfering channel (nil conflicts),
+// pinning its one-grid streams against a recorded digest rather than a
+// second run of the same code. Regenerate with -update-graph-pins only for
+// an intended behaviour change.
 func TestGraphModeStreamsPinned(t *testing.T) {
 	const intervals = 1000
 	got := map[string]graphStreamPin{}

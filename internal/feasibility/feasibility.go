@@ -24,6 +24,7 @@ package feasibility
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -283,14 +284,15 @@ func Frontier(cfg mac.NetworkConfig, pc ProbeConfig, lo, hi float64, iterations 
 // can usefully occupy (arrival randomness can idle the channel even when
 // capacity remains). Combined with the workload of S this yields the
 // subset-level necessary condition Σ_{n∈S} q_n/p_n ≤ expectedServiceSlots(S).
-func expectedServiceSlots(cfg mac.NetworkConfig, probs []float64, subset []int, seed uint64, samples int) float64 {
+// It returns the sample mean and its standard error.
+func expectedServiceSlots(cfg mac.NetworkConfig, probs []float64, subset []int, seed uint64, samples int) (mean, stderr float64) {
 	if samples <= 0 {
 		samples = 2000
 	}
 	rng := sim.NewRNG(seed)
 	slots := cfg.Profile.SlotsPerInterval()
 	arrivals := make([]int, cfg.Arrivals.Links())
-	total := 0.0
+	total, squares := 0.0, 0.0
 	for s := 0; s < samples; s++ {
 		cfg.Arrivals.Sample(rng, arrivals)
 		used := 0
@@ -310,14 +312,29 @@ func expectedServiceSlots(cfg mac.NetworkConfig, probs []float64, subset []int, 
 			}
 		}
 		total += float64(used)
+		squares += float64(used) * float64(used)
 	}
-	return total / float64(samples)
+	k := float64(samples)
+	mean = total / k
+	if samples > 1 {
+		stderr = math.Sqrt(max(squares-k*mean*mean, 0) / (k - 1) / k)
+	}
+	return mean, stderr
 }
+
+// subsetBoundSigmas is how many standard errors of the Monte-Carlo capacity
+// estimate a subset's workload must exceed it by to count as a violation.
+// The scan tests up to 2^14 subsets, so the margin is wide: sampling noise
+// alone flags a subset whose workload equals its capacity with probability
+// about 3·10⁻⁵.
+const subsetBoundSigmas = 4
 
 // SubsetBoundViolation scans all 2^N − 1 nonempty subsets (N ≤ maxExactLinks)
 // for a violated subset-level necessary bound and returns a description of
 // the worst violation, or the empty string when none is found; cfg.Seed
-// seeds the Monte Carlo. The bound models one collision domain with a static
+// seeds the Monte Carlo. A subset violates its bound only when its workload
+// exceeds the capacity estimate by more than subsetBoundSigmas standard
+// errors of the estimate. The bound models one collision domain with a static
 // channel, so cfg must have the complete conflict graph and no channel
 // factory.
 func SubsetBoundViolation(cfg mac.NetworkConfig, samples int) (string, error) {
@@ -344,11 +361,11 @@ func SubsetBoundViolation(cfg mac.NetworkConfig, samples int) (string, error) {
 				workload += cfg.Required[i] / probs[i]
 			}
 		}
-		capacity := expectedServiceSlots(cfg, probs, subset, cfg.Seed, samples)
-		if gap := workload - capacity; gap > 1e-6 && gap > worstGap {
+		capacity, stderr := expectedServiceSlots(cfg, probs, subset, cfg.Seed, samples)
+		if gap := workload - capacity; gap > subsetBoundSigmas*stderr+1e-6 && gap > worstGap {
 			worstGap = gap
-			worst = fmt.Sprintf("subset %v: workload %.3f > capacity %.3f (gap %.3f slots/interval)",
-				subset, workload, capacity, gap)
+			worst = fmt.Sprintf("subset %v: workload %.3f > capacity %.3f ± %.3f (gap %.3f slots/interval)",
+				subset, workload, capacity, stderr, gap)
 		}
 	}
 	return worst, nil

@@ -155,17 +155,48 @@ func TestExpectedServiceSlots(t *testing.T) {
 	// p = 1, 2 packets per link: subset {0} uses exactly 2 slots; subset
 	// {0,1} exactly 4.
 	p := problem(t, 2, 1, 2, 1)
-	if one := expectedServiceSlots(p, p.SuccessProb, []int{0}, 3, 500); math.Abs(one-2) > 1e-9 {
+	if one, _ := expectedServiceSlots(p, p.SuccessProb, []int{0}, 3, 500); math.Abs(one-2) > 1e-9 {
 		t.Fatalf("single-link service slots %v, want 2", one)
 	}
-	if both := expectedServiceSlots(p, p.SuccessProb, []int{0, 1}, 3, 500); math.Abs(both-4) > 1e-9 {
+	if both, _ := expectedServiceSlots(p, p.SuccessProb, []int{0, 1}, 3, 500); math.Abs(both-4) > 1e-9 {
 		t.Fatalf("two-link service slots %v, want 4", both)
 	}
 	// p = 0.5 doubles the expected cost: ≈ 4 slots for one link's 2 packets,
 	// truncated at 10.
 	lossy := problem(t, 2, 0.5, 2, 1)
-	if est := expectedServiceSlots(lossy, lossy.SuccessProb, []int{0}, 3, 20000); est < 3.5 || est > 4.3 {
+	if est, _ := expectedServiceSlots(lossy, lossy.SuccessProb, []int{0}, 3, 20000); est < 3.5 || est > 4.3 {
 		t.Fatalf("lossy service slots %v, want ≈ 4 (truncation keeps it near)", est)
+	}
+	// The standard error is zero without randomness and shrinks as
+	// 1/√samples with it.
+	if _, se := expectedServiceSlots(p, p.SuccessProb, []int{0, 1}, 3, 500); se != 0 {
+		t.Fatalf("deterministic service has standard error %v, want 0", se)
+	}
+	_, se1 := expectedServiceSlots(lossy, lossy.SuccessProb, []int{0}, 3, 2000)
+	_, se4 := expectedServiceSlots(lossy, lossy.SuccessProb, []int{0}, 3, 8000)
+	if se1 <= 0 || se4 <= 0 || math.Abs(se1/se4-2) > 0.3 {
+		t.Fatalf("standard errors %v at 2000 samples and %v at 8000, want a ratio near 2", se1, se4)
+	}
+}
+
+// TestSubsetBoundToleratesSamplingNoise checks the margin of the subset
+// scan on one lossy link whose capacity is estimated by Monte Carlo: a
+// workload at the capacity passes, one 20% above it is still flagged.
+func TestSubsetBoundToleratesSamplingNoise(t *testing.T) {
+	tight := problem(t, 1, 0.5, 2, 1)
+	tight.Seed = 5
+	capacity, se := expectedServiceSlots(tight, tight.SuccessProb, []int{0}, tight.Seed, 4000)
+	// Scale q so the workload q/p lies a little above the estimate, but
+	// within its sampling error.
+	tight.Required[0] = (capacity + se) * tight.SuccessProb[0]
+	if msg, err := SubsetBoundViolation(tight, 4000); err != nil || msg != "" {
+		t.Fatalf("workload within one standard error of capacity flagged: %q, %v", msg, err)
+	}
+	over := problem(t, 1, 0.5, 2, 1)
+	over.Seed = 5
+	over.Required[0] = 1.2 * capacity * over.SuccessProb[0]
+	if msg, err := SubsetBoundViolation(over, 4000); err != nil || !strings.Contains(msg, "subset [0]") {
+		t.Fatalf("workload 20%% over capacity not flagged: %q, %v", msg, err)
 	}
 }
 

@@ -12,9 +12,12 @@ import (
 // non-conflicting links transmit concurrently.
 //
 // The adjacency is stored as per-link bitset rows, so conflict queries and
-// closed-neighborhood walks are allocation-free. A Graph is immutable after
-// construction and safe to share between a medium, its contention
-// coordinator, and the protocols.
+// closed-neighborhood walks are allocation-free. Links in different
+// connected components share no conflict, so each component is a channel of
+// its own; the graph labels them once at construction and flags the
+// components that are cliques (every pair of their links conflicts). A Graph
+// is immutable after construction and safe to share between a medium, its
+// contention coordinator, and the protocols.
 type Graph struct {
 	n     int
 	words int
@@ -26,6 +29,12 @@ type Graph struct {
 	closed   []uint64
 	edges    int
 	complete bool
+	// comp labels each link with its connected component, numbered in order
+	// of the components' lowest links; size counts each component's links
+	// and clique is 1 for the components whose links all conflict pairwise.
+	comp   []int
+	size   []int
+	clique []int
 }
 
 // NewGraph builds a conflict graph over n links from an edge list. Edges are
@@ -115,8 +124,8 @@ func (g *Graph) setEdge(i, j int) {
 }
 
 // finalize derives the closed rows (into storage the caller may have
-// provided), the edge count, and the completeness flag from the open
-// adjacency.
+// provided), the edge count, the completeness flag and the components from
+// the open adjacency.
 func (g *Graph) finalize() {
 	if g.closed == nil {
 		g.closed = make([]uint64, len(g.rows))
@@ -131,6 +140,68 @@ func (g *Graph) finalize() {
 	}
 	g.edges = bitsSet / 2
 	g.complete = g.edges == g.n*(g.n-1)/2
+	g.findComponents()
+}
+
+// findComponents labels the connected components by union-find over the
+// edges, each set rooted at its lowest link, and flags the cliques: a
+// component of s links is one iff each of its links has degree s-1.
+func (g *Graph) findComponents() {
+	buf := make([]int, 3*g.n)
+	label := buf[:g.n:g.n]
+	for i := range label {
+		label[i] = i
+	}
+	root := func(i int) int {
+		for label[i] != i {
+			label[i] = label[label[i]]
+			i = label[i]
+		}
+		return i
+	}
+	for i := 0; i < g.n; i++ {
+		for w, word := range g.rows[i*g.words : (i+1)*g.words] {
+			for ; word != 0; word &= word - 1 {
+				j := w*64 + bits.TrailingZeros64(word)
+				if j <= i {
+					continue
+				}
+				if ri, rj := root(i), root(j); ri < rj {
+					label[rj] = ri
+				} else if rj < ri {
+					label[ri] = rj
+				}
+			}
+		}
+	}
+	// Parents point to lower links: flatten every link onto its root, then
+	// number the roots in ascending order, each before the links under it.
+	for i := range label {
+		label[i] = root(i)
+	}
+	comps := 0
+	for i, r := range label {
+		if r == i {
+			label[i] = comps
+			comps++
+		} else {
+			label[i] = label[r]
+		}
+	}
+	g.comp = label
+	g.size = buf[g.n : g.n+comps : g.n+comps]
+	g.clique = buf[2*g.n : 2*g.n+comps]
+	for _, c := range label {
+		g.size[c]++
+	}
+	for c := range g.clique {
+		g.clique[c] = 1
+	}
+	for i, c := range label {
+		if g.Degree(i) != g.size[c]-1 {
+			g.clique[c] = 0
+		}
+	}
 }
 
 // Links returns the number of links the graph covers.
@@ -160,6 +231,21 @@ func (g *Graph) Degree(i int) int {
 	}
 	return d
 }
+
+// Components returns the number of connected components.
+func (g *Graph) Components() int { return len(g.size) }
+
+// Component returns the connected component of link i, a label in
+// [0, Components()); components are numbered in order of their lowest link.
+func (g *Graph) Component(i int) int { return g.comp[i] }
+
+// ComponentSize returns the number of links in component c.
+func (g *Graph) ComponentSize(c int) int { return g.size[c] }
+
+// Clique reports whether every pair of links in component c conflicts. A
+// clique component is one collision domain, like the paper's channel; an
+// isolated link is a clique of one.
+func (g *Graph) Clique(c int) bool { return g.clique[c] != 0 }
 
 // ClosedRow returns link i's closed-neighborhood bitset (i's own bit plus
 // every conflicting link). The returned slice aliases the graph's storage
