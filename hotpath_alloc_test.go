@@ -101,13 +101,13 @@ func TestHotPathZeroAlloc(t *testing.T) {
 }
 
 // TestHotPathZeroAllocConflictGraph extends the zero-allocation contract to
-// explicit conflict graphs: the complete graph (which Contention and DP
-// serve on their single-domain paths), a genuinely sparse two-clique graph
-// (which exercises the per-neighborhood contention clock, the graph-mode
-// protocol branches, and the medium's listener notifications), and three
-// wide graphs: 50 links in five disjoint 10-link cliques, where the
-// contention clock's due tree spans 64 leaves, and 130 links as 13 cliques
-// or as a ring, whose neighborhood sets and scratch masks span three words.
+// explicit conflict graphs: the complete graph (one clique component, which
+// DP serves on its single-domain path), a genuinely sparse two-clique graph
+// (two component grids, the graph-mode protocol branches, and the medium's
+// per-component notifications), and three wide graphs: 50 links in five
+// disjoint 10-link cliques, and 130 links as 13 cliques or as a ring (one
+// component, a grid per link), whose neighborhood sets and scratch masks
+// span three words.
 // DCF re-Adds a link from its transmission's onDone callback. All must be
 // allocation-free once warm, with observability disabled.
 func TestHotPathZeroAllocConflictGraph(t *testing.T) {
