@@ -47,7 +47,6 @@ figures-quick:
 fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./scenario
 	$(GO) test -fuzz=FuzzDecodeSLO -fuzztime=30s ./scenario
-	$(GO) test -fuzz=FuzzDecodeTopology -fuzztime=30s ./scenario
 	$(GO) test -fuzz=FuzzRankUnrank -fuzztime=30s ./internal/perm
 	$(GO) test -fuzz=FuzzAdjacentSwapCodec -fuzztime=30s ./internal/perm
 	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry

@@ -91,18 +91,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if *configPath != "" {
 		source = *configPath
-		cfg, _, _, err = scenario.LoadAnyFile(*configPath)
+		cfg, _, _, err = scenario.LoadFile(*configPath)
 	} else {
 		// The uniform network goes through the scenario document, so the
 		// flags share its names and checks. The protocol is only a
 		// placeholder: the probe always runs LDF.
 		source = "flags"
-		cfg, _, err = scenario.Build(scenario.Document{
+		cfg, _, _, err = scenario.Build(scenario.Document{
 			Seed:      *seed,
 			Intervals: *intervals,
 			Profile:   scenario.ProfileSpec{Preset: *profileName},
 			Protocol:  scenario.ProtocolSpec{Name: "ldf"},
-			Links: []scenario.LinkGroup{{
+			Links: []scenario.LinkSpec{{
 				Count:         *links,
 				SuccessProb:   *p,
 				Arrivals:      scenario.ArrivalsSpec{Type: *arrName, Param: *rate},

@@ -165,20 +165,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail(1, err)
 			}
-			plane.SetRunsProvider(func() any {
-				h, err := ledger.BuildHistory(store, 200)
-				if err != nil {
-					return &ledger.History{Enabled: true, Dir: store.Dir()}
-				}
-				return h
-			})
-			plane.SetCompareProvider(func(refA, refB string) any {
-				c, err := ledger.BuildCompare(store, refA, refB, ledger.DiffOptions{})
-				if err != nil {
-					return &ledger.Compare{Enabled: true, Dir: store.Dir(), Error: err.Error()}
-				}
-				return c
-			})
+			plane.SetRunsProvider(func() any { return store.HistoryDoc() })
+			plane.SetCompareProvider(func(refA, refB string) any { return store.CompareDoc(refA, refB) })
 		}
 	}
 	// The health plane for a sweep is process-level: one collector sampling

@@ -147,17 +147,17 @@ func (o options) scenario() (rtmac.Config, int, *topology.Network, error) {
 		err       error
 	)
 	if o.config != "" {
-		cfg, topo, intervals, err = scenario.LoadAnyFile(o.config)
+		cfg, topo, intervals, err = scenario.LoadFile(o.config)
 	} else {
 		if o.pairs < 1 {
 			return rtmac.Config{}, 0, nil, fmt.Errorf("-pairs %d must be at least 1", o.pairs)
 		}
-		cfg, intervals, err = scenario.Build(scenario.Document{
+		cfg, topo, intervals, err = scenario.Build(scenario.Document{
 			Seed:      o.seed,
 			Intervals: o.intervals,
 			Profile:   scenario.ProfileSpec{Preset: o.profile},
 			Protocol:  scenario.ProtocolSpec{Name: o.protocol, Pairs: o.pairs},
-			Links: []scenario.LinkGroup{{
+			Links: []scenario.LinkSpec{{
 				Count:         o.links,
 				SuccessProb:   o.p,
 				Arrivals:      scenario.ArrivalsSpec{Type: o.arrivals, Param: o.rate},

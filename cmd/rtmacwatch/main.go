@@ -204,7 +204,7 @@ func targetsFromSLODoc(path string) ([]float64, error) {
 }
 
 func targetsFromScenario(path string) ([]float64, float64, error) {
-	cfg, _, _, err := scenario.LoadAnyFile(path)
+	cfg, _, _, err := scenario.LoadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -145,7 +145,7 @@ func TestAlertsArtifact(t *testing.T) {
 // optionally perturbed, and returns its path.
 func recordScenario(t *testing.T, path string, perturb *rtmac.Perturbation) string {
 	t.Helper()
-	cfg, _, intervals, err := scenario.LoadAnyFile(path)
+	cfg, _, intervals, err := scenario.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFactoryScenario(t *testing.T) {
 		t.Skip("two 20000-interval runs")
 	}
 	const factory = "../../scenarios/factory.json"
-	cfg, _, _, err := scenario.LoadAnyFile(factory)
+	cfg, _, _, err := scenario.LoadFile(factory)
 	if err != nil {
 		t.Fatal(err)
 	}

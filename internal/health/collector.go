@@ -22,13 +22,12 @@ const (
 	// which is itself a statement about the hot path's allocation behavior.
 	// Reading exact numbers would need runtime.ReadMemStats, a stop-the-world
 	// the collector must not inflict on the process it is observing.
-	mHeapLive    = "/gc/heap/live:bytes"
-	mHeapUsed    = "/memory/classes/heap/objects:bytes"
-	mHeapGoal    = "/gc/heap/goal:bytes"
-	mGCCycles    = "/gc/cycles/total:gc-cycles"
-	mGCPauses    = "/sched/pauses/total/gc:seconds"
-	mGCPausesOld = "/gc/pauses:seconds" // pre-1.22 name, kept as fallback
-	mSchedLat    = "/sched/latencies:seconds"
+	mHeapLive = "/gc/heap/live:bytes"
+	mHeapUsed = "/memory/classes/heap/objects:bytes"
+	mHeapGoal = "/gc/heap/goal:bytes"
+	mGCCycles = "/gc/cycles/total:gc-cycles"
+	mGCPauses = "/sched/pauses/total/gc:seconds"
+	mSchedLat = "/sched/latencies:seconds"
 )
 
 // seriesLen bounds the sparkline history the collector keeps per series; at
@@ -141,20 +140,13 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	for _, d := range metrics.All() {
 		avail[d.Name] = true
 	}
-	want := []string{mGoroutines, mHeapLive, mHeapUsed, mHeapGoal, mGCCycles, mGCPauses, mSchedLat}
-	if !avail[mGCPauses] && avail[mGCPausesOld] {
-		want[5] = mGCPausesOld
-	}
-	for _, name := range want {
+	for _, name := range []string{mGoroutines, mHeapLive, mHeapUsed, mHeapGoal, mGCCycles, mGCPauses, mSchedLat} {
 		if avail[name] {
 			c.idx[name] = len(c.samples)
 			c.samples = append(c.samples, metrics.Sample{Name: name})
 		} else {
 			c.idx[name] = -1
 		}
-	}
-	if want[5] == mGCPausesOld {
-		c.idx[mGCPauses] = c.idx[mGCPausesOld]
 	}
 
 	if cfg.Registry != nil {

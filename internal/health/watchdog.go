@@ -103,13 +103,9 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	for _, d := range metrics.All() {
 		avail[d.Name] = true
 	}
-	pauseName := mGCPauses
-	if !avail[pauseName] && avail[mGCPausesOld] {
-		pauseName = mGCPausesOld
-	}
-	if avail[pauseName] {
+	if avail[mGCPauses] {
 		w.havePause = true
-		w.samples = append(w.samples, metrics.Sample{Name: pauseName})
+		w.samples = append(w.samples, metrics.Sample{Name: mGCPauses})
 	}
 	if avail[mSchedLat] {
 		w.haveSched = true

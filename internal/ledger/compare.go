@@ -30,11 +30,17 @@ type CompareSide struct {
 	Run HistoryRun `json:"run"`
 }
 
+// CompareDoc is the /api/compare document the observability plane serves:
+// BuildCompare under the default diff options.
+func (s *Store) CompareDoc(refA, refB string) *Compare {
+	return BuildCompare(s, refA, refB, DiffOptions{})
+}
+
 // BuildCompare resolves refA and refB against the store and diffs the two
-// records. Reference or validation errors are reported inside the document
-// (Compare.Error), not as a Go error; only the unexpected — an unreadable
-// store — comes back as an error.
-func BuildCompare(s *Store, refA, refB string, opts DiffOptions) (*Compare, error) {
+// records. Every failure — an unknown or ambiguous reference, an unreadable
+// record, mismatched directions — is reported inside the document
+// (Compare.Error), so the page can render it next to the inputs.
+func BuildCompare(s *Store, refA, refB string, opts DiffOptions) *Compare {
 	c := &Compare{Enabled: true, Dir: s.Dir()}
 	side := func(ref string) (*CompareSide, *Record) {
 		id, err := s.Resolve(ref)
@@ -51,20 +57,20 @@ func BuildCompare(s *Store, refA, refB string, opts DiffOptions) (*Compare, erro
 	}
 	sideA, recA := side(refA)
 	if sideA == nil {
-		return c, nil
+		return c
 	}
 	sideB, recB := side(refB)
 	if sideB == nil {
-		return c, nil
+		return c
 	}
 	c.A, c.B = sideA, sideB
 	rep, err := Diff(recA, recB, opts)
 	if err != nil {
 		c.Error = err.Error()
-		return c, nil
+		return c
 	}
 	c.Report = rep
-	return c, nil
+	return c
 }
 
 // historyRow reduces one record to its history-table row, shared between

@@ -58,6 +58,17 @@ type TrajectoryPoint struct {
 	N       int64   `json:"n"`
 }
 
+// HistoryDoc is the /api/runs document the observability plane serves: the
+// newest 200 records, or an empty history when the ledger cannot be listed,
+// so the page still renders.
+func (s *Store) HistoryDoc() *History {
+	h, err := BuildHistory(s, 200)
+	if err != nil {
+		return &History{Enabled: true, Dir: s.Dir()}
+	}
+	return h
+}
+
 // BuildHistory reads the newest `limit` records (0 = all) into the history
 // document. Records that fail to load are skipped — a torn append must not
 // take the dashboard down.

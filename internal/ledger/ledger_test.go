@@ -398,6 +398,23 @@ func TestBuildHistory(t *testing.T) {
 			t.Fatalf("trajectory %s/%s has %d samples, want 2", tr.Series, tr.Metric, len(tr.Values))
 		}
 	}
+	if doc := store.HistoryDoc(); len(doc.Runs) != 2 {
+		t.Fatalf("served history has %d runs, want 2", len(doc.Runs))
+	}
+	// An unreadable index still serves an enabled, empty document.
+	broken, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(broken.Dir(), "index.jsonl"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildHistory(broken, 0); err == nil {
+		t.Fatal("unreadable index listed")
+	}
+	if doc := broken.HistoryDoc(); !doc.Enabled || doc.Dir != broken.Dir() || len(doc.Runs) != 0 {
+		t.Fatalf("fallback history: %+v", doc)
+	}
 }
 
 func TestEquivalent(t *testing.T) {
@@ -430,10 +447,7 @@ func TestBuildCompare(t *testing.T) {
 	}
 
 	// Identical records: the document carries both sides and a clean report.
-	c, err := BuildCompare(store, "latest~1", "latest", DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := store.CompareDoc("latest~1", "latest")
 	if c.Error != "" || c.Report == nil {
 		t.Fatalf("compare of identical runs: error=%q report=%v", c.Error, c.Report)
 	}
@@ -448,10 +462,7 @@ func TestBuildCompare(t *testing.T) {
 	}
 
 	// A short ID prefix resolves like on the history page's compare links.
-	c, err = BuildCompare(store, idA[:12], "latest", DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c = BuildCompare(store, idA[:12], "latest", DiffOptions{})
 	if c.Error != "" || c.A == nil || c.A.Run.ID != idA {
 		t.Fatalf("prefix reference failed: error=%q a=%+v", c.Error, c.A)
 	}
@@ -460,19 +471,13 @@ func TestBuildCompare(t *testing.T) {
 	if _, err := store.Append(testRecord(t, []uint64{1, 2, 3}, 0.6)); err != nil {
 		t.Fatal(err)
 	}
-	c, err = BuildCompare(store, "latest~1", "latest", DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c = BuildCompare(store, "latest~1", "latest", DiffOptions{})
 	if c.Error != "" || c.Report == nil || !c.Report.HasRegression() {
 		t.Fatalf("worsened run not flagged: error=%q report=%+v", c.Error, c.Report)
 	}
 
 	// Bad references land in the document, not in the HTTP error path.
-	c, err = BuildCompare(store, "latest~99", "latest", DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c = BuildCompare(store, "latest~99", "latest", DiffOptions{})
 	if c.Error == "" || c.Report != nil {
 		t.Fatalf("unresolvable reference not surfaced: %+v", c)
 	}

@@ -1,5 +1,8 @@
 // Package scenario loads simulation configurations from JSON documents, so
-// heterogeneous networks can be described in files instead of code:
+// heterogeneous networks can be described in files instead of code. One
+// schema, Document, takes its links in either of two forms. Without node
+// declarations each entry is a group of count identical anonymous links, the
+// groups the paper evaluates on:
 //
 //	{
 //	  "seed": 1,
@@ -14,9 +17,27 @@
 //	  ]
 //	}
 //
-// Load returns the rtmac.Config plus the interval count, ready for
-// rtmac.NewSimulation. The cmd/rtmacsim tool accepts such files via
-// -config.
+// A document that declares access points or clients names its nodes and
+// links instead, the directed links of the paper's Figure 1; each entry is
+// one link, compiled through rtmac/topology so reports map back to names:
+//
+//	{
+//	  "name": "cell", "seed": 1, "intervals": 5000,
+//	  "profile": {"preset": "control"},
+//	  "protocol": {"name": "dbdp"},
+//	  "accessPoints": ["ap1"],
+//	  "clients": ["sensor", "actuator"],
+//	  "links": [
+//	    {"name": "telemetry", "from": "sensor", "to": "ap1",
+//	     "successProb": 0.7, "arrivals": {"type": "bernoulli", "param": 0.5},
+//	     "deliveryRatio": 0.99}
+//	  ]
+//	}
+//
+// Load and LoadFile return the rtmac.Config, the named topology (nil without
+// nodes) and the interval count, ready for rtmac.NewSimulation. The commands
+// rtmacsim and feascheck accept such files via -config, rtmacwatch via
+// -scenario.
 package scenario
 
 import (
@@ -27,16 +48,23 @@ import (
 	"os"
 
 	"rtmac"
+	"rtmac/topology"
 )
 
 // Document is the JSON schema.
 type Document struct {
-	Seed      uint64        `json:"seed"`
-	Intervals int           `json:"intervals"`
-	Profile   ProfileSpec   `json:"profile"`
-	Protocol  ProtocolSpec  `json:"protocol"`
-	Links     []LinkGroup   `json:"links"`
-	Snapshots SnapshotsSpec `json:"snapshots"`
+	// Name labels the topology of a document with nodes; default "scenario".
+	Name      string       `json:"name,omitempty"`
+	Seed      uint64       `json:"seed"`
+	Intervals int          `json:"intervals"`
+	Profile   ProfileSpec  `json:"profile"`
+	Protocol  ProtocolSpec `json:"protocol"`
+	// AccessPoints and Clients declare the nodes named links run between.
+	// Declaring any makes every link entry a named link.
+	AccessPoints []string      `json:"accessPoints,omitempty"`
+	Clients      []string      `json:"clients,omitempty"`
+	Links        []LinkSpec    `json:"links"`
+	Snapshots    SnapshotsSpec `json:"snapshots"`
 	// Fading, when present, replaces every link's static successProb with a
 	// network-wide Gilbert–Elliott fading channel.
 	Fading *FadingSpec `json:"fading,omitempty"`
@@ -82,12 +110,11 @@ type ConflictsSpec struct {
 	// "edges" or "cliques" when the matching list is present, else
 	// "complete".
 	Mode string `json:"mode,omitempty"`
-	// Edges lists conflicting link pairs by index (flat documents).
-	// Duplicate and reversed pairs are idempotent; self-conflicts are
-	// errors.
+	// Edges lists conflicting link pairs by index. Duplicate and reversed
+	// pairs are idempotent; self-conflicts are errors.
 	Edges [][2]int `json:"edges,omitempty"`
-	// Names lists conflicting link pairs by link name (topology documents
-	// only). Unknown names and self-conflicts are errors.
+	// Names lists conflicting link pairs by link name (documents with
+	// nodes only). Unknown names and self-conflicts are errors.
 	Names [][2]string `json:"names,omitempty"`
 	// Cliques lists collision domains by link index: every pair within a
 	// clique conflicts.
@@ -111,8 +138,8 @@ func (s *ConflictsSpec) mode() string {
 }
 
 // buildConflicts compiles the spec for an n-link network. nameIndex resolves
-// link names to indices (nil for flat documents, where named edges are an
-// error).
+// link names to indices (nil for documents without nodes, where named edges
+// are an error).
 func buildConflicts(spec *ConflictsSpec, n int, nameIndex func(string) (int, error)) (*rtmac.ConflictGraph, error) {
 	if spec == nil {
 		return nil, nil
@@ -133,7 +160,7 @@ func buildConflicts(spec *ConflictsSpec, n int, nameIndex func(string) (int, err
 		edges := spec.Edges
 		if len(spec.Names) > 0 {
 			if nameIndex == nil {
-				return nil, fmt.Errorf("scenario: named conflict edges need a topology document")
+				return nil, fmt.Errorf("scenario: named conflict edges need named links, but the document declares no nodes")
 			}
 			edges = append([][2]int(nil), edges...)
 			for _, pair := range spec.Names {
@@ -197,10 +224,15 @@ type ProtocolSpec struct {
 	R float64 `json:"r,omitempty"`
 }
 
-// LinkGroup describes count identical links.
-type LinkGroup struct {
-	Count         int          `json:"count"`
-	SuccessProb   float64      `json:"successProb"`
+// LinkSpec is one entry of the links list. Without node declarations it is
+// a group of Count identical anonymous links; with them it is one directed
+// link Name from node From to node To.
+type LinkSpec struct {
+	Count         int          `json:"count,omitempty"`
+	Name          string       `json:"name,omitempty"`
+	From          string       `json:"from,omitempty"`
+	To            string       `json:"to,omitempty"`
+	SuccessProb   float64      `json:"successProb,omitempty"`
 	Arrivals      ArrivalsSpec `json:"arrivals"`
 	DeliveryRatio float64      `json:"deliveryRatio,omitempty"`
 	Required      float64      `json:"required,omitempty"`
@@ -224,61 +256,54 @@ type SnapshotsSpec struct {
 	Every int `json:"every,omitempty"`
 }
 
-// Load parses a JSON document and assembles the configuration.
-func Load(r io.Reader) (rtmac.Config, int, error) {
+// Load parses a JSON document and assembles the configuration, the named
+// topology (nil when the document declares no nodes) and the interval count.
+func Load(r io.Reader) (rtmac.Config, *topology.Network, int, error) {
 	var doc Document
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
-		return rtmac.Config{}, 0, fmt.Errorf("scenario: parsing: %w", err)
+		return rtmac.Config{}, nil, 0, fmt.Errorf("scenario: parsing: %w", err)
 	}
 	return Build(doc)
 }
 
 // LoadFile is Load over a file path.
-func LoadFile(path string) (rtmac.Config, int, error) {
+func LoadFile(path string) (rtmac.Config, *topology.Network, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return rtmac.Config{}, 0, fmt.Errorf("scenario: %w", err)
+		return rtmac.Config{}, nil, 0, fmt.Errorf("scenario: %w", err)
 	}
 	defer f.Close()
 	return Load(f)
 }
 
-// Build assembles a configuration from an already-decoded document.
-func Build(doc Document) (rtmac.Config, int, error) {
+// Build assembles a configuration, the named topology (nil when the document
+// declares no nodes) and the interval count from an already-decoded
+// document.
+func Build(doc Document) (rtmac.Config, *topology.Network, int, error) {
 	if doc.Intervals <= 0 {
-		return rtmac.Config{}, 0, fmt.Errorf("scenario: intervals must be positive, got %d", doc.Intervals)
+		return rtmac.Config{}, nil, 0, fmt.Errorf("scenario: intervals must be positive, got %d", doc.Intervals)
 	}
 	profile, err := buildProfile(doc.Profile)
 	if err != nil {
-		return rtmac.Config{}, 0, err
+		return rtmac.Config{}, nil, 0, err
 	}
 	protocol, err := buildProtocol(doc.Protocol)
 	if err != nil {
-		return rtmac.Config{}, 0, err
+		return rtmac.Config{}, nil, 0, err
 	}
-	var links []rtmac.Link
-	for gi, group := range doc.Links {
-		if group.Count <= 0 {
-			return rtmac.Config{}, 0, fmt.Errorf("scenario: link group %d has count %d", gi, group.Count)
-		}
-		arr, err := buildArrivals(group.Arrivals)
-		if err != nil {
-			return rtmac.Config{}, 0, fmt.Errorf("scenario: link group %d: %w", gi, err)
-		}
-		for i := 0; i < group.Count; i++ {
-			links = append(links, rtmac.Link{
-				SuccessProb:   group.SuccessProb,
-				Arrivals:      arr,
-				DeliveryRatio: group.DeliveryRatio,
-				Required:      group.Required,
-			})
-		}
-	}
-	conflicts, err := buildConflicts(doc.Conflicts, len(links), nil)
+	links, net, err := buildLinks(doc)
 	if err != nil {
-		return rtmac.Config{}, 0, err
+		return rtmac.Config{}, nil, 0, err
+	}
+	var nameIndex func(string) (int, error)
+	if net != nil {
+		nameIndex = net.LinkIndex
+	}
+	conflicts, err := buildConflicts(doc.Conflicts, len(links), nameIndex)
+	if err != nil {
+		return rtmac.Config{}, nil, 0, err
 	}
 	cfg := rtmac.Config{
 		Seed:          doc.Seed,
@@ -298,7 +323,77 @@ func Build(doc Document) (rtmac.Config, int, error) {
 			Period:    rtmac.Time(doc.Fading.PeriodUs) * rtmac.Microsecond,
 		}
 	}
-	return cfg, doc.Intervals, nil
+	return cfg, net, doc.Intervals, nil
+}
+
+// buildLinks expands the link entries: groups of anonymous links when the
+// document declares no nodes, else one named link each, compiled through a
+// topology that the caller gets back to map indices to names.
+func buildLinks(doc Document) ([]rtmac.Link, *topology.Network, error) {
+	if len(doc.AccessPoints) == 0 && len(doc.Clients) == 0 {
+		var links []rtmac.Link
+		for gi, group := range doc.Links {
+			if group.Name != "" || group.From != "" || group.To != "" {
+				return nil, nil, fmt.Errorf("scenario: link group %d is a named link, but the document declares no accessPoints or clients", gi)
+			}
+			if group.Count <= 0 {
+				return nil, nil, fmt.Errorf("scenario: link group %d has count %d", gi, group.Count)
+			}
+			arr, err := buildArrivals(group.Arrivals)
+			if err != nil {
+				return nil, nil, fmt.Errorf("scenario: link group %d: %w", gi, err)
+			}
+			for i := 0; i < group.Count; i++ {
+				links = append(links, rtmac.Link{
+					SuccessProb:   group.SuccessProb,
+					Arrivals:      arr,
+					DeliveryRatio: group.DeliveryRatio,
+					Required:      group.Required,
+				})
+			}
+		}
+		return links, nil, nil
+	}
+	name := doc.Name
+	if name == "" {
+		name = "scenario"
+	}
+	net := topology.New(name)
+	for _, ap := range doc.AccessPoints {
+		if err := net.AddAccessPoint(ap); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, c := range doc.Clients {
+		if err := net.AddClient(c); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, l := range doc.Links {
+		if l.Count != 0 {
+			return nil, nil, fmt.Errorf("scenario: link %q has count %d: a document with nodes takes one named link per entry", l.Name, l.Count)
+		}
+		arr, err := buildArrivals(l.Arrivals)
+		if err != nil {
+			return nil, nil, fmt.Errorf("scenario: link %q: %w", l.Name, err)
+		}
+		if err := net.AddLink(topology.Link{
+			Name:          l.Name,
+			From:          l.From,
+			To:            l.To,
+			SuccessProb:   l.SuccessProb,
+			Arrivals:      arr,
+			DeliveryRatio: l.DeliveryRatio,
+			Required:      l.Required,
+		}); err != nil {
+			return nil, nil, err
+		}
+	}
+	links, err := net.Links()
+	if err != nil {
+		return nil, nil, err
+	}
+	return links, net, nil
 }
 
 func buildProfile(spec ProfileSpec) (rtmac.Profile, error) {

@@ -23,9 +23,12 @@ const asymmetricJSON = `{
 }`
 
 func TestLoadAndRun(t *testing.T) {
-	cfg, intervals, err := Load(strings.NewReader(asymmetricJSON))
+	cfg, net, intervals, err := Load(strings.NewReader(asymmetricJSON))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if net != nil {
+		t.Fatal("document without nodes produced a topology")
 	}
 	if intervals != 50 {
 		t.Fatalf("intervals = %d", intervals)
@@ -48,16 +51,59 @@ func TestLoadAndRun(t *testing.T) {
 	}
 }
 
+// topologyJSON declares nodes, so its links are named.
+const topologyJSON = `{
+  "seed": 1, "intervals": 20,
+  "profile": {"preset": "control"},
+  "protocol": {"name": "ldf"},
+  "accessPoints": ["ap"],
+  "clients": ["c1"],
+  "links": [{"name": "dl", "from": "ap", "to": "c1",
+             "successProb": 0.9, "arrivals": {"type": "fixed", "param": 1},
+             "deliveryRatio": 1}]
+}`
+
 func TestLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scenario.json")
-	if err := os.WriteFile(path, []byte(asymmetricJSON), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, doc        string
+		links, intervals int
+		named            bool
+	}{
+		{"groups.json", asymmetricJSON, 5, 50, false},
+		{"topology.json", topologyJSON, 1, 20, true},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, net, intervals, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(cfg.Links) != tc.links || intervals != tc.intervals {
+			t.Fatalf("%s: %d links, %d intervals", tc.name, len(cfg.Links), intervals)
+		}
+		if (net != nil) != tc.named || (net != nil && net.NumLinks() != tc.links) {
+			t.Fatalf("%s: topology %v, want named links %v", tc.name, net, tc.named)
+		}
+		sim, err := rtmac.NewSimulation(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := sim.Run(intervals); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
-	if _, _, err := LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, _, _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	garbage := filepath.Join(dir, "garbage.json")
+	if err := os.WriteFile(garbage, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadFile(garbage); err == nil {
+		t.Fatal("garbage accepted")
 	}
 }
 
@@ -68,14 +114,14 @@ func TestAllProtocols(t *testing.T) {
 			Intervals: 10,
 			Profile:   ProfileSpec{Preset: "control"},
 			Protocol:  ProtocolSpec{Name: name},
-			Links: []LinkGroup{{
+			Links: []LinkSpec{{
 				Count:         3,
 				SuccessProb:   0.7,
 				Arrivals:      ArrivalsSpec{Type: "bernoulli", Param: 0.5},
 				DeliveryRatio: 0.9,
 			}},
 		}
-		cfg, intervals, err := Build(doc)
+		cfg, _, intervals, err := Build(doc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -95,13 +141,13 @@ func TestProtocolOptions(t *testing.T) {
 		Intervals: 10,
 		Profile:   ProfileSpec{Preset: "control"},
 		Protocol:  ProtocolSpec{Name: "dbdp", Pairs: 2, Influence: "log", Scale: 50, R: 5},
-		Links: []LinkGroup{{
+		Links: []LinkSpec{{
 			Count: 6, SuccessProb: 0.7,
 			Arrivals:      ArrivalsSpec{Type: "fixed", Param: 1},
 			DeliveryRatio: 0.9,
 		}},
 	}
-	cfg, intervals, err := Build(doc)
+	cfg, _, intervals, err := Build(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +159,7 @@ func TestProtocolOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc.Protocol = ProtocolSpec{Name: "dbdp", Frozen: true}
-	if _, _, err := Build(doc); err != nil {
+	if _, _, _, err := Build(doc); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,12 +184,12 @@ func TestCustomProfile(t *testing.T) {
 		Intervals: 10,
 		Profile:   ProfileSpec{PayloadBytes: 200, RateMbps: 54, DeadlineUs: 3000},
 		Protocol:  ProtocolSpec{Name: "ldf"},
-		Links: []LinkGroup{{
+		Links: []LinkSpec{{
 			Count: 2, SuccessProb: 0.9,
 			Arrivals: ArrivalsSpec{Type: "fixed", Param: 1}, DeliveryRatio: 1,
 		}},
 	}
-	cfg, _, err := Build(doc)
+	cfg, _, _, err := Build(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +205,7 @@ func TestRejections(t *testing.T) {
 			Intervals: 10,
 			Profile:   ProfileSpec{Preset: "control"},
 			Protocol:  ProtocolSpec{Name: "ldf"},
-			Links: []LinkGroup{{
+			Links: []LinkSpec{{
 				Count: 1, SuccessProb: 0.5,
 				Arrivals: ArrivalsSpec{Type: "fixed", Param: 1}, DeliveryRatio: 1,
 			}},
@@ -179,12 +225,19 @@ func TestRejections(t *testing.T) {
 		{"negative fixed count", func(d *Document) { d.Links[0].Arrivals.Param = -2 }},
 		{"negative pairs", func(d *Document) { d.Protocol = ProtocolSpec{Name: "dbdp", Pairs: -1} }},
 		{"pairs on a non-dbdp protocol", func(d *Document) { d.Protocol.Pairs = 2 }},
+		{"named link without nodes", func(d *Document) {
+			d.Links[0].Name, d.Links[0].From, d.Links[0].To = "up", "sensor", "ap"
+		}},
+		{"named conflict edges without nodes", func(d *Document) {
+			d.Links[0].Count = 2
+			d.Conflicts = &ConflictsSpec{Names: [][2]string{{"a", "b"}}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			doc := base()
 			tc.mutate(&doc)
-			if _, _, err := Build(doc); err == nil {
+			if _, _, _, err := Build(doc); err == nil {
 				t.Fatal("invalid document accepted")
 			}
 		})
@@ -192,7 +245,7 @@ func TestRejections(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	_, _, err := Load(strings.NewReader(`{"intervals": 10, "bogus": true}`))
+	_, _, _, err := Load(strings.NewReader(`{"intervals": 10, "bogus": true}`))
 	if err == nil {
 		t.Fatal("unknown field accepted")
 	}
@@ -209,13 +262,13 @@ func TestFadingScenario(t *testing.T) {
 			GoodToBad: 0.05, BadToGood: 0.05,
 			PeriodUs: 1000,
 		},
-		Links: []LinkGroup{{
+		Links: []LinkSpec{{
 			Count:         4,
 			Arrivals:      ArrivalsSpec{Type: "bernoulli", Param: 0.5},
 			DeliveryRatio: 0.9,
 		}},
 	}
-	cfg, intervals, err := Build(doc)
+	cfg, _, intervals, err := Build(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +289,7 @@ func TestFadingScenario(t *testing.T) {
 }
 
 func TestBuildTopology(t *testing.T) {
-	doc := TopologyDocument{
+	doc := Document{
 		Name:         "cell",
 		Seed:         1,
 		Intervals:    100,
@@ -244,14 +297,14 @@ func TestBuildTopology(t *testing.T) {
 		Protocol:     ProtocolSpec{Name: "dbdp"},
 		AccessPoints: []string{"ap"},
 		Clients:      []string{"sensor", "actuator"},
-		Links: []NamedLink{
+		Links: []LinkSpec{
 			{Name: "up", From: "sensor", To: "ap", SuccessProb: 0.7,
 				Arrivals: ArrivalsSpec{Type: "bernoulli", Param: 0.5}, DeliveryRatio: 0.95},
 			{Name: "d2d", From: "sensor", To: "actuator", SuccessProb: 0.6,
 				Arrivals: ArrivalsSpec{Type: "bernoulli", Param: 0.2}, DeliveryRatio: 0.9},
 		},
 	}
-	cfg, net, intervals, err := BuildTopology(doc)
+	cfg, net, intervals, err := Build(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,76 +327,23 @@ func TestBuildTopology(t *testing.T) {
 		t.Fatal("collisions")
 	}
 
-	// Error paths: bad node reference, bad arrivals, bad intervals.
-	bad := doc
-	bad.Links = []NamedLink{{Name: "x", From: "ghost", To: "ap",
-		Arrivals: ArrivalsSpec{Type: "bernoulli", Param: 0.5}}}
-	if _, _, _, err := BuildTopology(bad); err == nil {
-		t.Fatal("unknown node accepted")
-	}
-	bad2 := doc
-	bad2.Intervals = 0
-	if _, _, _, err := BuildTopology(bad2); err == nil {
-		t.Fatal("zero intervals accepted")
-	}
-	bad3 := doc
-	bad3.Links[0].Arrivals.Type = "poisson"
-	if _, _, _, err := BuildTopology(bad3); err == nil {
-		t.Fatal("bad arrivals accepted")
-	}
-}
-
-func TestLoadAnyFileDetectsFormats(t *testing.T) {
-	flat := filepath.Join(t.TempDir(), "flat.json")
-	if err := os.WriteFile(flat, []byte(asymmetricJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, net, intervals, err := LoadAnyFile(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net != nil {
-		t.Fatal("flat document produced a topology")
-	}
-	if len(cfg.Links) != 5 || intervals != 50 {
-		t.Fatalf("flat: %d links, %d intervals", len(cfg.Links), intervals)
-	}
-
-	topo := filepath.Join(t.TempDir(), "topo.json")
-	doc := `{
-	  "seed": 1, "intervals": 20,
-	  "profile": {"preset": "control"},
-	  "protocol": {"name": "ldf"},
-	  "accessPoints": ["ap"],
-	  "clients": ["c1"],
-	  "links": [{"name": "dl", "from": "ap", "to": "c1",
-	             "successProb": 0.9, "arrivals": {"type": "fixed", "param": 1},
-	             "deliveryRatio": 1}]
-	}`
-	if err := os.WriteFile(topo, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg2, net2, _, err := LoadAnyFile(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net2 == nil || net2.NumLinks() != 1 {
-		t.Fatal("topology document not detected")
-	}
-	sim, err := rtmac.NewSimulation(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(20); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, _, err := LoadAnyFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	badPath := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(badPath, []byte("not json"), 0o644)
-	if _, _, _, err := LoadAnyFile(badPath); err == nil {
-		t.Fatal("garbage accepted")
+	// Error paths: each mutation of the valid document must be rejected.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Document)
+	}{
+		{"unknown node", func(d *Document) { d.Links[0].From = "ghost" }},
+		{"zero intervals", func(d *Document) { d.Intervals = 0 }},
+		{"bad arrivals", func(d *Document) { d.Links[0].Arrivals.Type = "poisson" }},
+		{"count on a named link", func(d *Document) { d.Links[0].Count = 2 }},
+		{"unnamed link", func(d *Document) { d.Links[0].Name = "" }},
+		{"no links", func(d *Document) { d.Links = nil }},
+	} {
+		bad := doc
+		bad.Links = append([]LinkSpec(nil), doc.Links...)
+		tc.mutate(&bad)
+		if _, _, _, err := Build(bad); err == nil {
+			t.Errorf("%s: document accepted", tc.name)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func TestShippedScenariosRunCleanUnderStrictMonitor(t *testing.T) {
 	for _, path := range paths {
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			t.Parallel()
-			cfg, _, intervals, err := LoadAnyFile(path)
+			cfg, _, intervals, err := LoadFile(path)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}

@@ -107,20 +107,8 @@ func (o *Observability) ServeRunLedger(dir string) error {
 	if err != nil {
 		return err
 	}
-	o.plane.SetRunsProvider(func() any {
-		h, err := ledger.BuildHistory(store, 200)
-		if err != nil {
-			return &ledger.History{Enabled: true, Dir: store.Dir()}
-		}
-		return h
-	})
-	o.plane.SetCompareProvider(func(refA, refB string) any {
-		c, err := ledger.BuildCompare(store, refA, refB, ledger.DiffOptions{})
-		if err != nil {
-			return &ledger.Compare{Enabled: true, Dir: store.Dir(), Error: err.Error()}
-		}
-		return c
-	})
+	o.plane.SetRunsProvider(func() any { return store.HistoryDoc() })
+	o.plane.SetCompareProvider(func(refA, refB string) any { return store.CompareDoc(refA, refB) })
 	return nil
 }
 

@@ -30,13 +30,17 @@ func (t Telemetry) WriteJSON(w io.Writer) error { return t.reg.WriteJSON(w) }
 func (t Telemetry) Names() []string { return t.reg.Names() }
 
 // Counter returns the current value of a registry counter, or an error when
-// the name is unknown. Intended for tests and dashboards; hot paths should
-// not poll.
+// the name is unknown or names a gauge or histogram. Intended for tests and
+// dashboards; hot paths should not poll.
 func (t Telemetry) Counter(name string) (int64, error) {
-	for _, n := range t.reg.Names() {
-		if n == name {
-			return t.reg.Counter(name, "").Value(), nil
+	for _, m := range t.reg.Snapshot() {
+		if m.Name != name {
+			continue
 		}
+		if m.Kind != telemetry.KindCounter.String() {
+			return 0, fmt.Errorf("rtmac: metric %q is a %s, not a counter", name, m.Kind)
+		}
+		return int64(m.Value), nil
 	}
 	return 0, fmt.Errorf("rtmac: unknown counter %q", name)
 }

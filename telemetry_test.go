@@ -164,8 +164,10 @@ func TestTelemetryExposition(t *testing.T) {
 	if rep.Channel.Transmissions != int(txTotal) {
 		t.Errorf("Report transmissions %d != registry %d", rep.Channel.Transmissions, txTotal)
 	}
-	if _, err := s.Telemetry().Counter("rtmac_no_such_metric"); err == nil {
-		t.Error("unknown counter lookup did not error")
+	for _, name := range []string{"rtmac_no_such_metric", "rtmac_channel_utilization", "rtmac_backoff_slots"} {
+		if _, err := s.Telemetry().Counter(name); err == nil {
+			t.Errorf("counter lookup of %s (unknown, gauge or histogram) did not error", name)
+		}
 	}
 }
 
