@@ -47,6 +47,7 @@ figures-quick:
 fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./scenario
 	$(GO) test -fuzz=FuzzDecodeSLO -fuzztime=30s ./scenario
+	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=30s -fuzzminimizetime=2s ./internal/sim
 	$(GO) test -fuzz=FuzzRankUnrank -fuzztime=30s ./internal/perm
 	$(GO) test -fuzz=FuzzAdjacentSwapCodec -fuzztime=30s ./internal/perm
 	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry

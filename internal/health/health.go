@@ -72,15 +72,18 @@ func BuildDoc(c *Collector, w *Watchdog, r *ProfileRing) Doc {
 }
 
 // ValidateDoc parses a health document (e.g. fetched from /api/health) and
-// checks its structural invariants: the runtime block must identify a Go
-// toolchain, and an enabled document must carry collector state. Used by
-// `rtmacsim -check` to guard the endpoint and a record directory's
-// health.json.
+// checks its structural invariants: only whitespace may follow it, the
+// runtime block must identify a Go toolchain, and an enabled document must
+// carry collector state. Used by `rtmacsim -check` to guard the endpoint
+// and a record directory's health.json.
 func ValidateDoc(r io.Reader) (Doc, error) {
 	var d Doc
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&d); err != nil {
 		return Doc{}, fmt.Errorf("health: parsing document: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Doc{}, fmt.Errorf("health: data after the document")
 	}
 	if d.Runtime.GoVersion == "" {
 		return Doc{}, fmt.Errorf("health: document has no runtime.go_version")

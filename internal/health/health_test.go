@@ -159,6 +159,8 @@ func TestValidateDocRejectsBroken(t *testing.T) {
 		"no runtime":      `{"enabled":false}`,
 		"bad gomaxprocs":  `{"enabled":false,"runtime":{"go_version":"go1.24","gomaxprocs":0}}`,
 		"enabled no coll": `{"enabled":true,"runtime":{"go_version":"go1.24","gomaxprocs":4}}`,
+		"trailing data":   `{"enabled":false,"runtime":{"go_version":"go1.24","gomaxprocs":4}} {"bogus": 1}`,
+		"trailing text":   `{"enabled":false,"runtime":{"go_version":"go1.24","gomaxprocs":4}}` + "\n trailing",
 	}
 	for name, doc := range cases {
 		if _, err := ValidateDoc(strings.NewReader(doc)); err == nil {

@@ -121,8 +121,11 @@ type Contention struct {
 	dirty      []int
 	// backoffHist, when set, observes every initial backoff counter —
 	// protocol-independent visibility into how much idle countdown each
-	// policy pays per interval.
+	// policy pays per interval. The counters wait in backoffs, which holds
+	// one per link, and reach the histogram in one call when the interval
+	// closes (Clear) or the buffer fills.
 	backoffHist *telemetry.Histogram
+	backoffs    []float64
 	// backoffObs, when set, additionally observes (link, counter) pairs; the
 	// network hands them to its probes as Backoff records.
 	backoffObs func(link, counter int)
@@ -285,7 +288,10 @@ func (c *Contention) Add(link, counter int, contender Contender) {
 	c.active++
 	c.insert(g, c.slotOf[link])
 	if c.backoffHist != nil {
-		c.backoffHist.Observe(float64(counter))
+		if len(c.backoffs) == cap(c.backoffs) {
+			c.flushBackoffs()
+		}
+		c.backoffs = append(c.backoffs, float64(counter))
 	}
 	if c.backoffObs != nil {
 		c.backoffObs(link, counter)
@@ -316,7 +322,22 @@ func (c *Contention) Add(link, counter int, contender Contender) {
 }
 
 // SetBackoffHistogram installs the telemetry histogram fed by every Add.
-func (c *Contention) SetBackoffHistogram(h *telemetry.Histogram) { c.backoffHist = h }
+// The counters are observed in batches, by Clear at the latest.
+func (c *Contention) SetBackoffHistogram(h *telemetry.Histogram) {
+	c.flushBackoffs()
+	c.backoffHist = h
+	if h != nil && c.backoffs == nil {
+		c.backoffs = make([]float64, 0, len(c.entries))
+	}
+}
+
+// flushBackoffs observes the buffered initial counters in one call.
+func (c *Contention) flushBackoffs() {
+	if len(c.backoffs) != 0 {
+		c.backoffHist.Observe(c.backoffs...)
+		c.backoffs = c.backoffs[:0]
+	}
+}
 
 // SetBackoffObserver installs a per-link observer fed by every Add, called
 // with the link and its initial counter at the instant it joins contention.
@@ -399,8 +420,10 @@ func (c *Contention) rekey(g *grid, slot int) {
 }
 
 // Clear removes every entry and cancels the slot clock. Networks call it at
-// interval end so no countdown leaks across the deadline.
+// interval end so no countdown leaks across the deadline; it also hands the
+// interval's initial counters to the backoff histogram.
 func (c *Contention) Clear() {
+	c.flushBackoffs()
 	clear(c.entries)
 	c.active = 0
 	for i := range c.grids {

@@ -49,14 +49,16 @@ type Context struct {
 
 func newContext(eng *sim.Engine, med *medium.Medium, profile phy.Profile, ledger *debt.Ledger) *Context {
 	n := med.Links()
+	// The three per-link counts share one allocation.
+	counts := make([]int, 3*n)
 	c := &Context{
 		Eng:       eng,
 		Med:       med,
 		Profile:   profile,
 		Ledger:    ledger,
-		arrivals:  make([]int, n),
-		pending:   make([]int, n),
-		served:    make([]int, n),
+		arrivals:  counts[:n:n],
+		pending:   counts[n : 2*n : 2*n],
+		served:    counts[2*n:],
 		empty:     make([]bool, n),
 		dataCB:    make([]func(medium.Outcome), n),
 		emptyCB:   make([]func(medium.Outcome), n),

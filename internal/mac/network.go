@@ -166,7 +166,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		cont:     cont,
 		arrivals: make([]int, n),
 		reg:      reg,
-		inst:     newInstrumentation(reg),
+		inst:     newInstrumentation(reg, n),
 	}
 	cont.SetBackoffHistogram(nw.inst.backoffHist)
 	ledger.SetUpdateHook(func(k int64, debts []float64) {

@@ -60,14 +60,18 @@ type instrumentation struct {
 
 	debtHist    *telemetry.Histogram
 	backoffHist *telemetry.Histogram
+	// posDebts holds one interval's positive debts, one per link, for the
+	// debt histogram's single Observe call.
+	posDebts []float64
 
 	// prioScratch is the reusable σ snapshot filled by priorityCarrier
 	// protocols.
 	prioScratch perm.Permutation
 }
 
-func newInstrumentation(reg *telemetry.Registry) *instrumentation {
+func newInstrumentation(reg *telemetry.Registry, links int) *instrumentation {
 	return &instrumentation{
+		posDebts:      make([]float64, links),
 		intervals:     reg.Counter("rtmac_intervals_total", "completed simulation intervals"),
 		swapAccepted:  reg.Counter("rtmac_swap_accepted_total", "DP priority swaps committed"),
 		swapRejected:  reg.Counter("rtmac_swap_rejected_total", "DP swap candidacies that did not commit"),
@@ -83,24 +87,27 @@ func newInstrumentation(reg *telemetry.Registry) *instrumentation {
 	}
 }
 
-// observeDebts feeds the ledger's update hook: histogram always, one
-// network-wide debt record per interval to the probes.
+// observeDebts feeds the ledger's update hook: histogram always, in one
+// call for the interval's links, one network-wide debt record per interval
+// to the probes.
 func (in *instrumentation) observeDebts(k int64, at sim.Time, debts []float64) {
 	maxDebt, sum := 0.0, 0.0
 	positive := 0
-	for _, d := range debts {
+	posDebts := in.posDebts[:len(debts)]
+	for i, d := range debts {
 		pos := d
 		if pos < 0 {
 			pos = 0
 		} else if pos > 0 {
 			positive++
 		}
-		in.debtHist.Observe(pos)
+		posDebts[i] = pos
 		sum += d
 		if d > maxDebt {
 			maxDebt = d
 		}
 	}
+	in.debtHist.Observe(posDebts...)
 	if len(in.probes) == 0 {
 		return
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Timer is a handle to a scheduled event. It can be cancelled as long as the
 // event has not yet fired.
@@ -29,40 +26,89 @@ func (t *Timer) At() Time { return t.at }
 // Cancelled reports whether Cancel was called before the timer fired.
 func (t *Timer) Cancelled() bool { return t.cancelled }
 
-// eventQueue is a min-heap ordered by (at, seq) so that events scheduled for
-// the same instant fire in FIFO order. Deterministic ordering of simultaneous
-// events is essential for reproducible runs.
+// eventQueue is a binary min-heap ordered by (at, seq) so that events
+// scheduled for the same instant fire in FIFO order. Deterministic ordering
+// of simultaneous events is essential for reproducible runs; seq is unique,
+// so the order is total and the heap's layout never shows in a run. The
+// sifts compare and move *Timer directly, with no interface dispatch, and
+// keep each Timer's index current for Cancel.
 type eventQueue []*Timer
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before reports whether a fires before b.
+func before(a, b *Timer) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*q)
+// push adds t to the heap.
+func (q *eventQueue) push(t *Timer) {
 	*q = append(*q, t)
+	q.up(len(*q)-1, t)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
+// pop removes and returns the earliest timer.
+func (q *eventQueue) pop() *Timer {
+	h := *q
+	n := len(h) - 1
+	t, last := h[0], h[n]
+	h[n] = nil
+	*q = h[:n]
+	if n > 0 {
+		q.down(0, last)
+	}
 	t.index = -1
-	*q = old[:n-1]
 	return t
+}
+
+// remove deletes the timer at position i, marking it index -1.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	t, last := h[i], h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n && !q.down(i, last) {
+		q.up(i, last)
+	}
+	t.index = -1
+}
+
+// up places t at position i, or at the first ancestor slot whose parent
+// fires before it, moving the ancestors it passes down one level.
+func (q eventQueue) up(i int, t *Timer) {
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q[p]
+		if !before(t, parent) {
+			break
+		}
+		q[i], parent.index = parent, i
+		i = p
+	}
+	q[i], t.index = t, i
+}
+
+// down places t at position i, or at the first descendant slot whose
+// children fire after it, moving the children it passes up one level. It
+// reports whether t moved below i.
+func (q eventQueue) down(i int, t *Timer) bool {
+	start, n := i, len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		child := q[c]
+		if r := c + 1; r < n && before(q[r], child) {
+			c, child = r, q[r]
+		}
+		if !before(child, t) {
+			break
+		}
+		q[i], child.index = child, i
+		i = c
+	}
+	q[i], t.index = t, i
+	return i > start
 }
 
 // Engine is a sequential discrete-event simulator. It is not safe for
@@ -149,7 +195,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Timer {
 		t = &Timer{at: at, seq: e.seq, fn: fn}
 	}
 	e.seq++
-	heap.Push(&e.queue, t)
+	e.queue.push(t)
 	if p := e.Pending(); p > e.maxPending {
 		e.maxPending = p
 	}
@@ -169,7 +215,7 @@ func (e *Engine) Cancel(t *Timer) bool {
 		return false
 	}
 	t.cancelled = true
-	heap.Remove(&e.queue, t.index)
+	e.queue.remove(t.index)
 	t.fn = nil
 	e.free = append(e.free, t)
 	return true
@@ -266,7 +312,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	t := heap.Pop(&e.queue).(*Timer)
+	t := e.queue.pop()
 	e.now = t.at
 	e.fired++
 	fn := t.fn

@@ -85,23 +85,29 @@ type Histogram struct {
 	total  uint64
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
+// Observe records the given values in order under one lock, so a caller
+// that collects a batch (the MAC layer observes each interval's values when
+// the interval closes) pays one lock per batch rather than one per value.
+// The counts, total and sum equal those of observing the values one at a
+// time.
+func (h *Histogram) Observe(vs ...float64) {
 	h.mu.Lock()
-	// Bucket lookup is a linear scan rather than a binary search: bound
-	// slices are short (≈10 entries) and observations skew toward the low
-	// buckets, so the scan's predictable branches beat sort.SearchFloat64s
-	// on the simulation hot path.
-	i := len(h.bounds) // +Inf bucket unless a bound catches v
-	for j, ub := range h.bounds {
-		if v <= ub {
-			i = j
-			break
+	for _, v := range vs {
+		// Bucket lookup is a linear scan rather than a binary search: bound
+		// slices are short (≈10 entries) and observations skew toward the
+		// low buckets, so the scan's predictable branches beat
+		// sort.SearchFloat64s on the simulation hot path.
+		i := len(h.bounds) // +Inf bucket unless a bound catches v
+		for j, ub := range h.bounds {
+			if v <= ub {
+				i = j
+				break
+			}
 		}
+		h.counts[i]++
+		h.sum += v
 	}
-	h.counts[i]++
-	h.sum += v
-	h.total++
+	h.total += uint64(len(vs))
 	h.mu.Unlock()
 }
 

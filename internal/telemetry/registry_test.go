@@ -3,6 +3,8 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +100,47 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
+// TestHistogramBatchMatchesSingles observes value sequences once one value
+// per call and once in batches of random sizes (empty ones included): the
+// bucket counts, the total and the bits of the sum must agree, since a batch
+// adds its values in the same order.
+func TestHistogramBatchMatchesSingles(t *testing.T) {
+	bounds := []float64{0, 0.25, 1, 4, 64}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 200; trial++ {
+		values := make([]float64, rng.IntN(300))
+		for i := range values {
+			switch rng.IntN(4) {
+			case 0:
+				values[i] = -rng.Float64() * 10 // below the first bound
+			case 1:
+				values[i] = bounds[rng.IntN(len(bounds))] // on a bound
+			case 2:
+				values[i] = 64 + rng.Float64()*1e6 // above the last bound
+			default:
+				values[i] = rng.Float64() * 64
+			}
+		}
+		reg := NewRegistry()
+		one := reg.Histogram("rtmac_single", "", bounds)
+		for _, v := range values {
+			one.Observe(v)
+		}
+		batched := reg.Histogram("rtmac_batched", "", bounds)
+		for rest := values; len(rest) > 0; {
+			n := min(rng.IntN(12), len(rest))
+			batched.Observe(rest[:n]...)
+			rest = rest[n:]
+		}
+		want, got := one.Snapshot(), batched.Snapshot()
+		if !slices.Equal(got.Counts, want.Counts) || got.Total != want.Total ||
+			math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {
+			t.Fatalf("trial %d: batched counts %v total %d sum %v, singles %v %d %v",
+				trial, got.Counts, got.Total, got.Sum, want.Counts, want.Total, want.Sum)
+		}
+	}
+}
+
 func TestHistogramRejectsBadBounds(t *testing.T) {
 	for _, bounds := range [][]float64{nil, {}, {1, 1}, {2, 1}} {
 		func() {
@@ -163,12 +206,64 @@ func TestSnapshotJSON(t *testing.T) {
 }
 
 // TestRegistryConcurrency exercises the registry under -race: concurrent
-// registration of the same names plus concurrent updates.
+// registration of the same names plus concurrent updates, while one
+// goroutine observes batches and another scrapes with Snapshot and
+// WritePrometheus. A scrape must never see half a batch.
 func TestRegistryConcurrency(t *testing.T) {
 	reg := NewRegistry()
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup
+	batch := reg.Histogram("rtmac_conc_batch", "", []float64{0.5, 2})
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		ones := []float64{1, 1, 1, 1, 1, 1, 1}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			batch.Observe(ones[:i%len(ones)+1]...)
+		}
+	}()
+	scrapeErr := make(chan error, 1)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				scrapeErr <- nil
+				return
+			default:
+			}
+			for _, m := range reg.Snapshot() {
+				var n uint64
+				for _, c := range m.Counts {
+					n += c
+				}
+				// Every batched value is 1, so a whole batch keeps the
+				// sum equal to the total.
+				if n != m.Total || m.Name == "rtmac_conc_batch" && m.Sum != float64(m.Total) {
+					scrapeErr <- fmt.Errorf("torn %s snapshot: counts %v total %d sum %v",
+						m.Name, m.Counts, m.Total, m.Sum)
+					return
+				}
+			}
+			var sb strings.Builder
+			if err := reg.WritePrometheus(&sb); err != nil {
+				scrapeErr <- err
+				return
+			}
+			if _, err := ValidatePrometheus(strings.NewReader(sb.String())); err != nil {
+				scrapeErr <- err
+				return
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -184,6 +279,11 @@ func TestRegistryConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	bg.Wait()
+	if err := <-scrapeErr; err != nil {
+		t.Fatal(err)
+	}
 	if got := reg.Counter("rtmac_conc_total", "").Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}

@@ -29,8 +29,8 @@ const conflictTopologyJSON = `{
 }`
 
 // FuzzLoad feeds arbitrary bytes through the JSON scenario loader, in both
-// link forms. Every accepted document must name only distinct, declared
-// links in its conflict pairs, compile into a conflict graph that is
+// link forms. Every accepted document must be followed by nothing but
+// whitespace, name only distinct, declared links in its conflict pairs, compile into a conflict graph that is
 // symmetric and covers exactly the declared links, and produce a
 // configuration that NewSimulation either accepts or rejects cleanly —
 // never a panic.
@@ -58,6 +58,8 @@ func FuzzLoad(f *testing.F) {
 		`"mode": "complete", "edges": [[0, 1]]`, 1))
 	f.Add(`{"accessPoints": ["ap"], "clients": [], "links": []}`)
 	f.Add(`not json`)
+	f.Add(`{"intervals": 1} {"bogus": 1} trailing`)
+	f.Add("{\"intervals\": 1}\n\t ")
 	f.Fuzz(func(t *testing.T, raw string) {
 		cfg, net, intervals, err := Load(strings.NewReader(raw))
 		if err != nil {
@@ -70,8 +72,12 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("topology names %d links, config has %d", net.NumLinks(), len(cfg.Links))
 		}
 		var doc Document
-		if err := json.NewDecoder(strings.NewReader(raw)).Decode(&doc); err != nil {
+		dec := json.NewDecoder(strings.NewReader(raw))
+		if err := dec.Decode(&doc); err != nil {
 			t.Fatalf("accepted document does not decode: %v", err)
+		}
+		if rest := raw[dec.InputOffset():]; strings.Trim(rest, " \t\r\n") != "" {
+			t.Fatalf("accepted document followed by %q", rest)
 		}
 		if doc.Conflicts != nil {
 			for _, pair := range doc.Conflicts.Names {

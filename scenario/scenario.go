@@ -258,12 +258,16 @@ type SnapshotsSpec struct {
 
 // Load parses a JSON document and assembles the configuration, the named
 // topology (nil when the document declares no nodes) and the interval count.
+// Only whitespace may follow the document.
 func Load(r io.Reader) (rtmac.Config, *topology.Network, int, error) {
 	var doc Document
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
 		return rtmac.Config{}, nil, 0, fmt.Errorf("scenario: parsing: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return rtmac.Config{}, nil, 0, fmt.Errorf("scenario: parsing: data after the document")
 	}
 	return Build(doc)
 }

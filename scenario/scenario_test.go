@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,6 +249,23 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	_, _, _, err := Load(strings.NewReader(`{"intervals": 10, "bogus": true}`))
 	if err == nil {
 		t.Fatal("unknown field accepted")
+	}
+}
+
+// TestLoadRejectsTrailingData requires Load to reject anything but
+// whitespace after the document.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	raw, err := os.ReadFile("../scenarios/control.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Load(bytes.NewReader(append(raw, " \t\r\n"...))); err != nil {
+		t.Fatalf("control.json with trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{`{"bogus": 1} trailing`, `trailing`, `]`, `1`} {
+		if _, _, _, err := Load(bytes.NewReader(append(raw, tail...))); err == nil {
+			t.Errorf("control.json followed by %q accepted", tail)
+		}
 	}
 }
 
