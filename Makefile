@@ -44,22 +44,35 @@ figures:
 figures-quick:
 	$(GO) run ./cmd/figures -scale 0.05 -seeds 1 -quiet
 
+# Every fuzz target, each mutating for FUZZTIME (CI runs `make fuzz
+# FUZZTIME=20s`). -run '^$$' skips the package's unit tests.
+FUZZTIME ?= 30s
+FUZZ = $(GO) test -run '^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 fuzz:
-	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./scenario
-	$(GO) test -fuzz=FuzzDecodeSLO -fuzztime=30s ./scenario
-	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=30s -fuzzminimizetime=2s ./internal/sim
-	$(GO) test -fuzz=FuzzRankUnrank -fuzztime=30s ./internal/perm
-	$(GO) test -fuzz=FuzzAdjacentSwapCodec -fuzztime=30s ./internal/perm
-	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry
-	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
-	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=30s ./internal/telemetry
-	$(GO) test -fuzz=FuzzJSONLFieldOrder -fuzztime=30s ./internal/telemetry
-	$(GO) test -fuzz=FuzzAppendJourneyJSON -fuzztime=30s ./internal/journey
-	$(GO) test -fuzz=FuzzLedgerRecord -fuzztime=30s ./internal/ledger
-	$(GO) test -fuzz=FuzzContentionGraph -fuzztime=30s -fuzzminimizetime=2s ./internal/mac
-	$(GO) test -fuzz=FuzzMediumLinkTransitions -fuzztime=30s -fuzzminimizetime=2s ./internal/medium
-	$(GO) test -fuzz=FuzzGraphComponents -fuzztime=30s -fuzzminimizetime=2s ./internal/medium
-	$(GO) test -fuzz=FuzzConfig -fuzztime=30s .
+# Scenario files in both link forms and SLO documents: the loaders may
+# reject a document but must never panic.
+	$(FUZZ) -fuzz=FuzzLoad ./scenario
+	$(FUZZ) -fuzz=FuzzDecodeSLO ./scenario
+# The event heap against a reference queue ordered by (at, seq).
+	$(FUZZ) -fuzz=FuzzEngineOrder ./internal/sim
+	$(FUZZ) -fuzz=FuzzRankUnrank ./internal/perm
+	$(FUZZ) -fuzz=FuzzAdjacentSwapCodec ./internal/perm
+# The encoders and decoders against encoding/json and the exposition
+# format's rules.
+	$(FUZZ) -fuzz=FuzzValidatePrometheus ./internal/telemetry
+	$(FUZZ) -fuzz=FuzzDecodeEvents ./internal/telemetry
+	$(FUZZ) -fuzz=FuzzAppendJSON ./internal/telemetry
+	$(FUZZ) -fuzz=FuzzJSONLFieldOrder ./internal/telemetry
+	$(FUZZ) -fuzz=FuzzAppendJourneyJSON ./internal/journey
+	$(FUZZ) -fuzz=FuzzLedgerRecord ./internal/ledger
+# The carrier-sense oracles: component-grid contention against the
+# scanning reference, the medium's neighborhood bitsets against a naive
+# per-link model, and component labels against a BFS.
+	$(FUZZ) -fuzz=FuzzContentionGraph ./internal/mac
+	$(FUZZ) -fuzz=FuzzMediumLinkTransitions ./internal/medium
+	$(FUZZ) -fuzz=FuzzGraphComponents ./internal/medium
+# Directly built rtmac.Config values: errors allowed, panics not.
+	$(FUZZ) -fuzz=FuzzConfig .
 
 cover:
 	$(GO) test -cover ./...

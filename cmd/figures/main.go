@@ -8,7 +8,7 @@
 //	figures -csv results         # also write results/<fig>.csv
 //	figures -serve :8080         # watch live progress at http://localhost:8080
 //	figures -ledger .ledger      # append aggregated points to the run ledger
-//	figures -health -profilering /tmp/ring   # runtime health + continuous profiling
+//	figures -health -cpuprofile cpu.pprof    # runtime health + a CPU profile
 //
 // Each figure prints an aligned table and an ASCII chart; -csv writes the
 // raw points for external plotting.
@@ -56,12 +56,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ledgerDir = fs.String("ledger", "", "append this run's aggregated points to the run ledger in DIR (see ledgerctl)")
 		seedList  = fs.String("seedlist", "", "comma-separated exact replication seeds, overriding -seeds and the derived schedule (e.g. 101,202); lets separately recorded ledger runs merge into exactly one combined run")
 
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile for the whole sweep to this file")
-		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		healthFlag  = fs.Bool("health", false, "sample runtime health (GC pauses, heap, scheduler latency) during the sweep; summary lands in the ledger manifest and on /api/health when -serve is active")
-		profileRing = fs.String("profilering", "", "continuously capture CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
-		watchFlag   = fs.Bool("watch", false, "run the SLO conformance watch engine inside every simulation and report the cross-sweep alert tally (informational: sweep points cross the capacity frontier by design, so alerts are expected)")
-		sloBudget   = fs.Float64("slo-budget", 0, "deadline-miss budget fraction for the watch engine (default 0.1); setting it implies -watch")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile for the whole sweep to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		healthFlag = fs.Bool("health", false, "sample runtime health (GC pauses, heap, scheduler latency) during the sweep; summary lands in the ledger manifest and on /api/health when -serve is active")
+		watchFlag  = fs.Bool("watch", false, "run the SLO conformance watch engine inside every simulation and report the cross-sweep alert tally (informational: sweep points cross the capacity frontier by design, so alerts are expected)")
+		sloBudget  = fs.Float64("slo-budget", 0, "deadline-miss budget fraction for the watch engine (default 0.1); setting it implies -watch")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2 // the flag package already printed the error
@@ -69,9 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "figures:", err)
 		return code
-	}
-	if *profileRing != "" {
-		*healthFlag = true
 	}
 
 	if *list {
@@ -170,13 +166,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	// The health plane for a sweep is process-level: one collector sampling
-	// the runtime for the whole run, and (optionally) a profile ring
-	// labeled with the tool name. Per-interval watchdogs live in rtmacsim,
+	// the runtime for the whole run. Per-interval watchdogs live in rtmacsim,
 	// where a single simulation owns the process; a sweep runs many at once.
-	var (
-		healthCol  *health.Collector
-		healthRing *health.ProfileRing
-	)
+	var healthCol *health.Collector
 	if *healthFlag {
 		var cfg health.CollectorConfig
 		if plane != nil {
@@ -184,21 +176,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		healthCol = health.NewCollector(cfg)
 		healthCol.Start()
-		if *profileRing != "" {
-			ring, err := health.NewProfileRing(health.RingConfig{
-				Dir:    *profileRing,
-				Labels: map[string]string{"tool": "figures"},
-			})
-			if err != nil {
-				return fail(1, err)
-			}
-			ring.Start()
-			healthRing = ring
-			fmt.Fprintf(stderr, "health: profile ring capturing into %s\n", *profileRing)
-		}
 		if plane != nil {
 			plane.SetHealthProvider(func() any {
-				return health.BuildDoc(healthCol, nil, healthRing)
+				return health.BuildDoc(healthCol, nil)
 			})
 		}
 	}
@@ -256,9 +236,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "wrote %s\n", *htmlPath)
 	}
 	if healthCol != nil {
-		if healthRing != nil {
-			healthRing.Stop()
-		}
 		healthCol.Stop()
 		sum := healthCol.Summary()
 		if manifest != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -71,6 +72,26 @@ func TestSeedListRecordsMerge(t *testing.T) {
 	}
 	if err := ledger.Equivalent(merged, recs[2]); err != nil {
 		t.Fatalf("per-seed records do not merge into the combined run: %v", err)
+	}
+}
+
+// TestCPUProfile profiles a sweep beside the health collector and requires
+// a non-empty gzip pprof file.
+func TestCPUProfile(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	code, _, errs := runFigures(t, "-fig", "fig9", "-scale", "0.02", "-seeds", "1", "-quiet", "-health", "-cpuprofile", cpu)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, errs)
+	}
+	if !strings.Contains(errs, "health: ") {
+		t.Errorf("no health summary line:\n%s", errs)
+	}
+	data, err := os.ReadFile(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("%s is not a gzip pprof file (%d bytes)", cpu, len(data))
 	}
 }
 

@@ -16,9 +16,8 @@
 //	rtmacsim -check run
 //
 //	# With the runtime health plane: GC/scheduler telemetry, slot-budget
-//	# watchdog, continuous profile ring, /api/health + /debug/pprof:
-//	rtmacsim -protocol dbdp -intervals 200000 -health \
-//	         -profilering /tmp/ring -serve :8080
+//	# watchdog, /api/health + /debug/pprof:
+//	rtmacsim -protocol dbdp -intervals 200000 -health -serve :8080
 //
 // -record DIR writes events.jsonl (every event), journeys.jsonl (every
 // packet), flight.jsonl and flight.txt (the monitor's flight recorder),
@@ -69,7 +68,6 @@ type options struct {
 	cpuprofile, memprofile              string
 	serve, ledger, record, check        string
 	health                              bool
-	profileRing                         string
 	slotBudget                          time.Duration
 	watch                               bool
 	sloBudget                           float64
@@ -105,7 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.serve, "serve", "", "serve the live observability plane (dashboard, /metrics, /api/progress, /api/links, /events SSE) on this address (e.g. :8080); after the run the server stays up with the final state until interrupted")
 	fs.StringVar(&o.ledger, "ledger", "", "append the run's final metrics (with mergeable partials) to the run ledger in DIR; inspect with ledgerctl")
 	fs.BoolVar(&o.health, "health", false, "enable the runtime health plane: GC/scheduler telemetry, slot-budget watchdog, /api/health on -serve, health summary in manifests")
-	fs.StringVar(&o.profileRing, "profilering", "", "capture continuous CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
 	fs.DurationVar(&o.slotBudget, "slot-budget", 0, "wall-clock budget per simulated interval for the -health watchdog (default: one simulated interval; negative disables the watchdog)")
 	fs.BoolVar(&o.watch, "watch", false, "run the SLO conformance engine over the live event stream: burn-rate, delivery CUSUM, debt-drift and expiry-spike detectors against the requirement vector (or the scenario's slo section); alerts flow into the event stream and /api/alerts")
 	fs.Float64Var(&o.sloBudget, "slo-budget", 0, "deadline-miss budget for the -watch burn-rate detector, as a fraction of each link's target (0 = scenario's slo budget, or the default 0.1)")
@@ -129,7 +126,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rtmacsim:", err)
 		return 2
 	}
-	if err := simulate(ctx, o, cfg, intervals, topo, stdout); err != nil {
+	sim, err := rtmac.NewSimulation(cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, "rtmacsim:", err)
+		return 2
+	}
+	if err := simulate(ctx, o, sim, cfg, intervals, topo, stdout); err != nil {
 		fmt.Fprintln(stderr, "rtmacsim:", err)
 		return 1
 	}
@@ -174,14 +176,10 @@ func (o options) scenario() (rtmac.Config, int, *topology.Network, error) {
 	return cfg, intervals, topo, nil
 }
 
-// simulate runs one simulation with the planes o asks for and prints the
-// report. Every stream -record opened is flushed and closed on every return
-// path, a failed run included.
-func simulate(ctx context.Context, o options, cfg rtmac.Config, intervals int, topo *topology.Network, stdout io.Writer) (err error) {
-	sim, err := rtmac.NewSimulation(cfg)
-	if err != nil {
-		return err
-	}
+// simulate runs sim, built from cfg, with the planes o asks for and prints
+// the report. Every stream -record opened is flushed and closed on every
+// return path, a failed run included.
+func simulate(ctx context.Context, o options, sim *rtmac.Simulation, cfg rtmac.Config, intervals int, topo *topology.Network, stdout io.Writer) (err error) {
 	if cfg.Conflicts != nil {
 		fmt.Fprintf(stdout, "%s\n", cfg.Conflicts)
 	}
@@ -231,17 +229,13 @@ func simulate(ctx context.Context, o options, cfg rtmac.Config, intervals int, t
 		}
 	}
 	var hp *rtmac.Health
-	if o.health || o.profileRing != "" {
-		hp, err = sim.EnableHealth(rtmac.HealthConfig{SlotBudget: o.slotBudget, ProfileDir: o.profileRing})
+	if o.health {
+		hp, err = sim.EnableHealth(rtmac.HealthConfig{SlotBudget: o.slotBudget})
 		if err != nil {
 			return err
 		}
-		defer hp.Stop() // idempotent; stops the sampling goroutines on error paths too
-		if o.profileRing != "" {
-			fmt.Fprintf(stdout, "health: runtime collector + slot-budget watchdog on; profile ring -> %s\n", o.profileRing)
-		} else {
-			fmt.Fprintln(stdout, "health: runtime collector + slot-budget watchdog on")
-		}
+		defer hp.Stop() // idempotent; stops the sampling goroutine on error paths too
+		fmt.Fprintln(stdout, "health: runtime collector + slot-budget watchdog on")
 	}
 	// stopHealth takes the health plane's final collector round and saves
 	// its document into the record directory.
@@ -313,7 +307,7 @@ func simulate(ctx context.Context, o options, cfg rtmac.Config, intervals int, t
 	}
 	if hp != nil && o.serve == "" {
 		// Final collector round before manifests are stamped; with -serve the
-		// plane stays live (the ring keeps capturing) until shutdown.
+		// plane stays live until shutdown.
 		if err := stopHealth(); err != nil {
 			return err
 		}

@@ -578,37 +578,27 @@ func TestServe(t *testing.T) {
 	}
 }
 
-// TestHealthPlane serves a run with the runtime health plane and the
-// profile ring live: /api/health must serve a valid enabled document, the
-// ring must capture a CPU profile that pprof can read, and health.json
-// lands in the record directory at shutdown.
+// TestHealthPlane serves a run with the runtime health plane live:
+// /api/health must serve a valid enabled document, /debug/pprof/profile
+// must return a CPU profile that pprof can read, and health.json lands in
+// the record directory at shutdown.
 func TestHealthPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits for a one-second CPU profile")
 	}
-	ring := filepath.Join(t.TempDir(), "ring")
 	dir := filepath.Join(t.TempDir(), "run")
-	srv := serve(t, "-protocol", "dbdp", "-intervals", "3000",
-		"-health", "-profilering", ring, "-record", dir)
+	srv := serve(t, "-protocol", "dbdp", "-intervals", "3000", "-health", "-record", dir)
 	defer srv.cancel()
-	var cpu string
-	for deadline := time.Now().Add(20 * time.Second); cpu == "" && time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
-		entries, _ := health.ReadManifest(ring)
-		for _, e := range entries {
-			if e.Type == "cpu" {
-				cpu = filepath.Join(ring, e.File)
-			}
-		}
-	}
-	if cpu == "" {
-		t.Fatal("profile ring captured no CPU profile")
-	}
 	doc, err := health.ValidateDoc(bytes.NewReader(get(t, srv.url+"/api/health")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !doc.Enabled || doc.Ring == nil {
-		t.Errorf("/api/health: enabled %v, ring %v", doc.Enabled, doc.Ring)
+	if !doc.Enabled || doc.Watchdog == nil {
+		t.Errorf("/api/health: enabled %v, watchdog %v", doc.Enabled, doc.Watchdog)
+	}
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := os.WriteFile(cpu, get(t, srv.url+"/debug/pprof/profile?seconds=1"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	srv.cancel()
 	if code := srv.wait(t); code != 0 {
@@ -620,12 +610,51 @@ func TestHealthPlane(t *testing.T) {
 	if code, out, errs := runSim(t, "-check", filepath.Join(dir, "health.json")); code != 0 {
 		t.Errorf("health.json failed -check (exit %d):\n%s%s", code, out, errs)
 	}
+	checkPprof(t, cpu)
+}
+
+// checkPprof fails the test unless path holds a non-empty gzip-compressed
+// profile that pprof can read.
+func checkPprof(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("%s is not a gzip pprof file (%d bytes)", path, len(data))
+	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command to run pprof")
 	}
-	if out, err := exec.Command(goTool, "tool", "pprof", "-raw", cpu).CombinedOutput(); err != nil {
-		t.Errorf("pprof cannot read %s: %v\n%s", cpu, err, out)
+	if out, err := exec.Command(goTool, "tool", "pprof", "-raw", path).CombinedOutput(); err != nil {
+		t.Errorf("pprof cannot read %s: %v\n%s", path, err, out)
+	}
+}
+
+// TestCPUProfile profiles a whole run beside the health plane.
+func TestCPUProfile(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	if code, out, errs := runSim(t, "-intervals", "2000", "-health", "-cpuprofile", cpu); code != 0 {
+		t.Fatalf("exit %d:\n%s%s", code, out, errs)
+	}
+	checkPprof(t, cpu)
+}
+
+// TestConfigErrorsExit2 covers configuration errors caught by the scenario
+// builder and by rtmac.NewSimulation alike: each is a usage error.
+func TestConfigErrorsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-rate", "-1"},
+		{"-links", "0"},
+		{"-p", "0"},
+		{"-ratio", "2"},
+		{"-perturb-interval", "5", "-perturb-link", "99"},
+	} {
+		if code, _, errs := runSim(t, append(args, "-intervals", "10")...); code != 2 || errs == "" {
+			t.Errorf("%v exited %d (%q), want 2 with an error", args, code, errs)
+		}
 	}
 }
 

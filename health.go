@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"rtmac/internal/health"
@@ -12,33 +11,27 @@ import (
 )
 
 // HealthConfig configures Simulation.EnableHealth. The runtime collector
-// samples runtime/metrics every 250 ms; the profile ring, when enabled,
-// captures a 1 s CPU window and a heap snapshot every 15 s and keeps the
-// newest 8 profiles of each type.
+// samples runtime/metrics every 250 ms.
 type HealthConfig struct {
 	// SlotBudget is the slot-budget watchdog's wall-clock allowance per
 	// simulated interval. Zero selects the default — one simulated interval's
 	// duration in real time (the live-wire criterion: can this process keep
 	// up with its own clock?). Negative disables the watchdog entirely.
 	SlotBudget time.Duration
-	// ProfileDir, when non-empty, enables the continuous profile ring in that
-	// directory.
-	ProfileDir string
 }
 
 // Health is the runtime health plane attached to a simulation: a
-// runtime/metrics collector, a slot-budget watchdog on the interval loop,
-// and (optionally) a continuous profile ring. Construct with EnableHealth,
-// stop with Stop before reading the final Summary.
+// runtime/metrics collector and a slot-budget watchdog on the interval loop.
+// Construct with EnableHealth, stop with Stop before reading the final
+// Summary.
 //
 // The plane observes the host runtime, never the simulation: a fixed-seed
 // run produces byte-identical results, CSVs and event streams with or
 // without it — except for "stall" events, which report wall-clock truth and
 // are inherently non-deterministic.
 type Health struct {
-	col  *health.Collector
-	dog  *health.Watchdog
-	ring *health.ProfileRing
+	col *health.Collector
+	dog *health.Watchdog
 }
 
 // EnableHealth attaches the runtime health plane. Call before Run; call
@@ -64,32 +57,15 @@ func (s *Simulation) EnableHealth(cfg HealthConfig) (*Health, error) {
 		})
 		s.nw.AddProbe(h.dog)
 	}
-	if cfg.ProfileDir != "" {
-		ring, err := health.NewProfileRing(health.RingConfig{
-			Dir: cfg.ProfileDir,
-			Labels: map[string]string{
-				"seed":     strconv.FormatUint(s.manifest.Seed, 10),
-				"protocol": s.prot.Name(),
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("rtmac: %w", err)
-		}
-		h.ring = ring
-		ring.Start()
-	}
 	h.col.Start()
 	s.health = h
 	return h, nil
 }
 
 // Stop halts the collector's sampling loop (after one final round, so the
-// summary reflects the run's end state) and the profile ring. Idempotent.
+// summary reflects the run's end state). Idempotent.
 func (h *Health) Stop() {
 	h.col.Stop()
-	if h.ring != nil {
-		h.ring.Stop()
-	}
 }
 
 // Summary condenses the run's health observations for the manifest: peak
@@ -113,7 +89,7 @@ func (h *Health) Overruns() int64 {
 
 // doc builds the /api/health document for the obs plane.
 func (h *Health) doc() health.Doc {
-	return health.BuildDoc(h.col, h.dog, h.ring)
+	return health.BuildDoc(h.col, h.dog)
 }
 
 // WriteJSON writes the /api/health document of this plane as indented
@@ -130,7 +106,7 @@ func (h *Health) WriteJSON(w io.Writer) error {
 // every other attach.
 func (s *Simulation) healthDoc() any {
 	if s.health == nil {
-		return health.BuildDoc(nil, nil, nil)
+		return health.BuildDoc(nil, nil)
 	}
 	return s.health.doc()
 }

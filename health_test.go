@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"rtmac"
-	"rtmac/internal/health"
 )
 
 func newHealthTestSim(t *testing.T) *rtmac.Simulation {
@@ -102,10 +100,7 @@ func TestHealthResultsDeterministic(t *testing.T) {
 	run := func(withHealth bool) rtmac.Report {
 		sim := newHealthTestSim(t)
 		if withHealth {
-			h, err := sim.EnableHealth(rtmac.HealthConfig{
-				SlotBudget: time.Hour,
-				ProfileDir: filepath.Join(t.TempDir(), "ring"),
-			})
+			h, err := sim.EnableHealth(rtmac.HealthConfig{SlotBudget: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,46 +179,5 @@ func TestEnableHealthTwiceFails(t *testing.T) {
 	defer h.Stop()
 	if _, err := sim.EnableHealth(rtmac.HealthConfig{}); err == nil {
 		t.Fatal("second EnableHealth accepted")
-	}
-}
-
-// TestHealthProfileRingWritesManifest runs with a ring attached long enough
-// for the first capture round and checks the on-disk layout.
-func TestHealthProfileRingWritesManifest(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ring")
-	sim := newHealthTestSim(t)
-	h, err := sim.EnableHealth(rtmac.HealthConfig{
-		SlotBudget: time.Hour,
-		ProfileDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(200); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if entries, err := health.ReadManifest(dir); err == nil && len(entries) >= 2 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	h.Stop()
-	entries, err := health.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var haveCPU bool
-	for _, e := range entries {
-		if e.Type == "cpu" {
-			haveCPU = true
-		}
-		if e.Labels["seed"] != "7" || e.Labels["protocol"] == "" {
-			t.Fatalf("ring entry missing workload labels: %+v", e)
-		}
-	}
-	if !haveCPU {
-		t.Fatalf("ring captured no CPU profile: %+v", entries)
 	}
 }

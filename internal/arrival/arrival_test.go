@@ -175,56 +175,6 @@ func TestUniformVector(t *testing.T) {
 	}
 }
 
-func TestCommonShockMeansAndCorrelation(t *testing.T) {
-	low, _ := Uniform(2, Deterministic{N: 0})
-	high, _ := Uniform(2, Deterministic{N: 4})
-	cs, err := NewCommonShock(0.25, low, high)
-	if err != nil {
-		t.Fatal(err)
-	}
-	means := cs.Means()
-	for _, m := range means {
-		if math.Abs(m-1.0) > 1e-12 {
-			t.Fatalf("Means = %v, want all 1.0", means)
-		}
-	}
-	// Coordinates must move together: both zero or both four.
-	rng := sim.NewRNG(9)
-	dst := make([]int, 2)
-	sawLow, sawHigh := false, false
-	for i := 0; i < 1000; i++ {
-		cs.Sample(rng, dst)
-		if dst[0] != dst[1] {
-			t.Fatalf("common-shock coordinates diverged: %v", dst)
-		}
-		if dst[0] == 0 {
-			sawLow = true
-		} else {
-			sawHigh = true
-		}
-	}
-	if !sawLow || !sawHigh {
-		t.Fatal("common shock never switched regime")
-	}
-	if got := cs.MaxPerLink(); got[0] != 4 || got[1] != 4 {
-		t.Fatalf("MaxPerLink = %v, want [4 4]", got)
-	}
-}
-
-func TestCommonShockValidation(t *testing.T) {
-	two, _ := Uniform(2, Deterministic{N: 1})
-	three, _ := Uniform(3, Deterministic{N: 1})
-	if _, err := NewCommonShock(-1, two, two); err == nil {
-		t.Error("negative gamma accepted")
-	}
-	if _, err := NewCommonShock(0.5, nil, two); err == nil {
-		t.Error("nil regime accepted")
-	}
-	if _, err := NewCommonShock(0.5, two, three); err == nil {
-		t.Error("mismatched link counts accepted")
-	}
-}
-
 // Property: every sample of every built-in process stays within [0, Max].
 func TestSampleBoundsProperty(t *testing.T) {
 	rng := sim.NewRNG(21)

@@ -82,63 +82,5 @@ func (v *Independent) Sample(rng *sim.RNG, dst []int) {
 	}
 }
 
-// CommonShock correlates link arrivals through a shared burst indicator:
-// with probability Gamma the whole network draws from High, otherwise from
-// Low. It demonstrates the paper's allowance for within-interval correlation
-// while keeping {A(k)} i.i.d. across intervals.
-type CommonShock struct {
-	gamma     float64
-	low, high VectorProcess
-}
-
-// NewCommonShock validates and builds the correlated process. Low and high
-// must describe the same number of links.
-func NewCommonShock(gamma float64, low, high VectorProcess) (*CommonShock, error) {
-	switch {
-	case !(gamma >= 0 && gamma <= 1):
-		return nil, fmt.Errorf("arrival: shock probability %v outside [0, 1]", gamma)
-	case low == nil || high == nil:
-		return nil, fmt.Errorf("arrival: nil regime process")
-	case low.Links() != high.Links():
-		return nil, fmt.Errorf("arrival: regime link counts differ: %d vs %d", low.Links(), high.Links())
-	}
-	return &CommonShock{gamma: gamma, low: low, high: high}, nil
-}
-
-// Links implements VectorProcess.
-func (c *CommonShock) Links() int { return c.low.Links() }
-
-// Means implements VectorProcess.
-func (c *CommonShock) Means() []float64 {
-	lo, hi := c.low.Means(), c.high.Means()
-	means := make([]float64, len(lo))
-	for n := range means {
-		means[n] = (1-c.gamma)*lo[n] + c.gamma*hi[n]
-	}
-	return means
-}
-
-// MaxPerLink implements VectorProcess.
-func (c *CommonShock) MaxPerLink() []int {
-	lo, hi := c.low.MaxPerLink(), c.high.MaxPerLink()
-	maxes := make([]int, len(lo))
-	for n := range maxes {
-		maxes[n] = max(lo[n], hi[n])
-	}
-	return maxes
-}
-
-// Sample implements VectorProcess.
-func (c *CommonShock) Sample(rng *sim.RNG, dst []int) {
-	if rng.Bernoulli(c.gamma) {
-		c.high.Sample(rng, dst)
-		return
-	}
-	c.low.Sample(rng, dst)
-}
-
 // Interface compliance.
-var (
-	_ VectorProcess = (*Independent)(nil)
-	_ VectorProcess = (*CommonShock)(nil)
-)
+var _ VectorProcess = (*Independent)(nil)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -58,10 +59,10 @@ func TestGoldenFigures(t *testing.T) {
 }
 
 // TestGoldenFiguresWithHealthPlane re-runs the golden check with the runtime
-// health plane live — a fast-sampling collector plus a pprof ring capturing
-// into a scratch directory — and demands byte-identical CSVs. The health
+// health plane live — a fast-sampling collector plus the CPU profiler
+// writing into a scratch file — and demands byte-identical CSVs. The health
 // plane observes the runtime, never the simulation; this is the contract
-// that makes `-health` safe to leave on for recorded runs.
+// that makes `-health` and `-cpuprofile` safe to leave on for recorded runs.
 func TestGoldenFiguresWithHealthPlane(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden files are updated by TestGoldenFigures")
@@ -69,17 +70,15 @@ func TestGoldenFiguresWithHealthPlane(t *testing.T) {
 	col := health.NewCollector(health.CollectorConfig{Period: 10 * time.Millisecond})
 	col.Start()
 	defer col.Stop()
-	ring, err := health.NewProfileRing(health.RingConfig{
-		Dir:         t.TempDir(),
-		CPUDuration: 20 * time.Millisecond,
-		Period:      50 * time.Millisecond,
-		Labels:      map[string]string{"tool": "golden-test"},
-	})
+	prof, err := os.Create(filepath.Join(t.TempDir(), "cpu.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring.Start()
-	defer ring.Stop()
+	defer prof.Close()
+	if err := pprof.StartCPUProfile(prof); err != nil {
+		t.Fatal(err)
+	}
+	defer pprof.StopCPUProfile()
 
 	opts := RunOptions{Seeds: 1, IntervalScale: 0.01, BaseSeed: 424242}
 	for _, fig := range All() {

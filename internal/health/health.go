@@ -6,15 +6,12 @@
 // they decide whether a run of the protocol stack could have held its slot
 // schedule in wall-clock time.
 //
-// Three cooperating pieces, each independently attachable:
+// Two cooperating pieces, each independently attachable:
 //
 //   - Collector: a background sampler over runtime/metrics (GC pause
 //     histogram, stop-the-world totals, scheduling latency, heap live/goal,
 //     goroutine count) publishing into a telemetry.Registry, entirely off
 //     the simulation hot path.
-//   - ProfileRing: continuous profiling — periodic CPU and heap pprof
-//     snapshots captured into a bounded on-disk ring with a JSONL manifest
-//     recording each profile's type, wall-clock window and workload labels.
 //   - Watchdog: a slot-budget monitor on the interval loop. It measures
 //     wall-clock nanoseconds per simulated interval against a budget and,
 //     on overrun, attributes the stall (GC pause overlapped, scheduler
@@ -44,16 +41,15 @@ type Doc struct {
 	Enabled bool `json:"enabled"`
 	// Runtime identifies the process: Go version, GOMAXPROCS, host, VCS.
 	Runtime telemetry.BuildRuntime `json:"runtime"`
-	// Collector, Watchdog and Ring report each attached component's live
-	// state; absent components are omitted.
+	// Collector and Watchdog report each attached component's live state;
+	// absent components are omitted.
 	Collector *CollectorStatus `json:"collector,omitempty"`
 	Watchdog  *WatchdogStatus  `json:"watchdog,omitempty"`
-	Ring      *RingStatus      `json:"ring,omitempty"`
 }
 
 // BuildDoc assembles the health document from whichever components exist;
 // any of them may be nil. The runtime block is always populated.
-func BuildDoc(c *Collector, w *Watchdog, r *ProfileRing) Doc {
+func BuildDoc(c *Collector, w *Watchdog) Doc {
 	d := Doc{Runtime: telemetry.RuntimeInfo()}
 	if c != nil {
 		d.Enabled = true
@@ -63,10 +59,6 @@ func BuildDoc(c *Collector, w *Watchdog, r *ProfileRing) Doc {
 	if w != nil {
 		st := w.Status()
 		d.Watchdog = &st
-	}
-	if r != nil {
-		st := r.Status()
-		d.Ring = &st
 	}
 	return d
 }

@@ -120,7 +120,7 @@ func TestBuildDocAndValidate(t *testing.T) {
 	c.Stop()
 	w := NewWatchdog(WatchdogConfig{Budget: time.Hour})
 
-	doc := BuildDoc(c, w, nil)
+	doc := BuildDoc(c, w)
 	if !doc.Enabled {
 		t.Fatal("doc with collector should be enabled")
 	}
@@ -145,7 +145,7 @@ func TestBuildDocAndValidate(t *testing.T) {
 
 	// Disabled doc (no components) must still validate.
 	buf.Reset()
-	if err := json.NewEncoder(&buf).Encode(BuildDoc(nil, nil, nil)); err != nil {
+	if err := json.NewEncoder(&buf).Encode(BuildDoc(nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateDoc(&buf); err != nil {

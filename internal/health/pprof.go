@@ -9,9 +9,9 @@ import (
 
 // StartCPUProfile opens path and starts the process CPU profiler into it,
 // returning a stop function that ends the profile and closes the file. It is
-// the shared -cpuprofile implementation for rtmacsim and figures; the CPU
-// profiler is a process singleton, so combining -cpuprofile with an active
-// profile ring makes whichever starts second fail.
+// the shared -cpuprofile implementation for rtmacsim and figures. The CPU
+// profiler is one per process: while it runs, the obs plane's
+// /debug/pprof/profile returns an error, and the reverse.
 func StartCPUProfile(path string) (stop func() error, err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -32,8 +32,7 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 
 // WriteHeapProfile forces a GC (so the profile reflects live objects, not
 // garbage awaiting collection) and writes a heap profile to path. It is the
-// shared -memprofile implementation for both CLIs; the profile ring's
-// periodic heap snapshots deliberately skip the forced GC.
+// shared -memprofile implementation for both CLIs.
 func WriteHeapProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

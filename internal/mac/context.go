@@ -129,13 +129,6 @@ func (c *Context) Pending(n int) int { return c.pending[n] }
 // Served returns S_n(k) so far in this interval.
 func (c *Context) Served(n int) int { return c.served[n] }
 
-// ServedVector returns a copy of the S(k) vector.
-func (c *Context) ServedVector() []int {
-	out := make([]int, len(c.served))
-	copy(out, c.served)
-	return out
-}
-
 // Remaining returns the time left before the interval deadline.
 func (c *Context) Remaining() sim.Time {
 	if r := c.End - c.Eng.Now(); r > 0 {

@@ -113,7 +113,9 @@ func (p *Protocol) Rounds() int64 { return p.rounds }
 // BeginInterval implements mac.Protocol.
 func (p *Protocol) BeginInterval(ctx *mac.Context) {
 	if !p.subscribed {
-		ctx.Med.Subscribe(p)
+		// The network's contention coordinator subscribed at construction,
+		// so FCSMA is the last listener and may transmit from LinksIdle.
+		ctx.Med.SubscribeLinks(p)
 		p.subscribed = true
 		p.rng = ctx.Eng.RNG("fcsma")
 		p.fireFn = func() {
@@ -134,13 +136,16 @@ func (p *Protocol) EndInterval(ctx *mac.Context) {
 	p.ctx = nil
 }
 
-// ChannelBusy implements medium.Listener.
-func (p *Protocol) ChannelBusy(sim.Time) {}
+// LinksBusy implements medium.LinkListener.
+func (p *Protocol) LinksBusy([]uint64, sim.Time) {}
 
-// ChannelIdle implements medium.Listener: every release of the channel opens
-// the next transmission opportunity, so all backlogged links re-contend.
-func (p *Protocol) ChannelIdle(sim.Time) {
-	if p.ctx != nil {
+// LinksIdle implements medium.LinkListener: every release of the whole
+// channel opens the next transmission opportunity, so all backlogged links
+// re-contend. A channel-wide release always drains the finishing link's own
+// neighborhood, so each one reaches here; a neighborhood that idles while
+// the channel is still occupied elsewhere starts no round.
+func (p *Protocol) LinksIdle([]uint64, sim.Time) {
+	if p.ctx != nil && !p.ctx.Med.Busy() {
 		p.startRound()
 	}
 }
@@ -192,8 +197,8 @@ func (p *Protocol) startRound() {
 // simultaneously and collide on the medium.
 func (p *Protocol) fireRound() {
 	for _, link := range p.winners {
-		// One packet per capture; the ChannelIdle after it triggers the next
-		// round. A link whose exchange no longer fits stays silent.
+		// One packet per capture; the channel's release after it triggers
+		// the next round. A link whose exchange no longer fits stays silent.
 		p.ctx.TransmitData(link, nil)
 	}
 	// If nothing fit, the channel stays idle and no further rounds can fit
@@ -202,6 +207,6 @@ func (p *Protocol) fireRound() {
 
 // Interface compliance.
 var (
-	_ mac.Protocol    = (*Protocol)(nil)
-	_ medium.Listener = (*Protocol)(nil)
+	_ mac.Protocol        = (*Protocol)(nil)
+	_ medium.LinkListener = (*Protocol)(nil)
 )

@@ -328,8 +328,8 @@ func TestContextServedVectorAndForceEmpty(t *testing.T) {
 	nw := newTestNetwork(t, cfg)
 	ctx := nw.ctx
 	ctx.beginInterval(0, 0, 100, []int{2, 0})
-	if v := ctx.ServedVector(); v[0] != 0 || v[1] != 0 {
-		t.Fatalf("fresh served vector %v", v)
+	if ctx.Served(0) != 0 || ctx.Served(1) != 0 {
+		t.Fatalf("fresh served vector [%d %d]", ctx.Served(0), ctx.Served(1))
 	}
 	// ForceEmptyFrame queues and sends in one call.
 	if !ctx.ForceEmptyFrame(1, nil) {
@@ -340,12 +340,6 @@ func TestContextServedVectorAndForceEmpty(t *testing.T) {
 	nw.Engine().RunUntil(99)
 	if ctx.ForceEmptyFrame(0, nil) {
 		t.Fatal("ForceEmptyFrame started with 1 µs remaining")
-	}
-	// Served vector is a copy.
-	v := ctx.ServedVector()
-	v[0] = 99
-	if ctx.Served(0) == 99 {
-		t.Fatal("ServedVector aliases internal state")
 	}
 }
 

@@ -47,19 +47,11 @@ func (o Outcome) String() string {
 	}
 }
 
-// Listener observes channel busy/idle transitions, the simulated analogue of
-// carrier sensing hardware.
-type Listener interface {
-	// ChannelBusy fires when the channel transitions idle -> busy.
-	ChannelBusy(at sim.Time)
-	// ChannelIdle fires when the channel transitions busy -> idle.
-	ChannelIdle(at sim.Time)
-}
-
 // LinkListener observes per-link carrier-sense transitions under a conflict
-// graph: a link is busy while any transmission in its closed neighborhood
-// (itself or a conflicting link) is in flight. On the complete graph every
-// link moves with the global Listener view.
+// graph, the simulated analogue of carrier sensing hardware: a link is busy
+// while any transmission in its closed neighborhood (itself or a conflicting
+// link) is in flight. On the complete graph every link moves with the whole
+// channel, and Busy tells whether the channel as a whole is occupied.
 //
 // One transmission starting or finishing moves a whole neighborhood at once,
 // so the transitioned links arrive together as a bitset: bit j%64 of word
@@ -67,8 +59,10 @@ type Listener interface {
 // Graph.ClosedRow). Each call carries at least one link, all of one
 // connected component; in a clique component they are the whole component.
 // The set aliases the medium's storage: it is valid only until the call
-// returns, must not be modified, and the listener must not start a
-// transmission from inside the call.
+// returns and must not be modified. A listener must not start a
+// transmission from inside LinksBusy, and may start one from inside
+// LinksIdle only if it is the last one subscribed: the start reuses the
+// set's storage and delivers its LinksBusy to every listener at once.
 type LinkListener interface {
 	// LinksBusy fires when the neighborhoods of the links in set
 	// transition idle -> busy.
@@ -184,7 +178,6 @@ type Medium struct {
 	txs       []*Transmission
 	inFlight  int
 	txFree    []*Transmission
-	listeners []Listener
 	busySince sim.Time
 	inFinish  bool
 	reg       *telemetry.Registry
@@ -410,14 +403,9 @@ func (m *Medium) Airtime() Airtime {
 // one.
 func (m *Medium) Registry() *telemetry.Registry { return m.reg }
 
-// Subscribe registers a carrier-sense listener. Listeners are notified in
-// subscription order, which keeps runs deterministic.
-func (m *Medium) Subscribe(l Listener) {
-	m.listeners = append(m.listeners, l)
-}
-
-// SubscribeLinks registers a per-link carrier-sense listener. It must not
-// be called from a transmission's onDone: the medium tracks pending idle
+// SubscribeLinks registers a per-link carrier-sense listener. Listeners are
+// notified in subscription order, which keeps runs deterministic. It must
+// not be called from a transmission's onDone: the medium tracks pending idle
 // transitions only while a listener is subscribed.
 func (m *Medium) SubscribeLinks(l LinkListener) {
 	m.linkListeners = append(m.linkListeners, l)
@@ -432,7 +420,7 @@ func (m *Medium) SetTrace(fn func(tx Transmission, outcome Outcome)) { m.trace =
 
 // Start begins a transmission of the given duration on link. onDone is
 // invoked exactly once, at the instant the transmission ends, with the
-// outcome; it runs before any ChannelIdle notification so the transmitter
+// outcome; it runs before any LinksIdle notification so the transmitter
 // can chain another transmission back-to-back without releasing the channel.
 func (m *Medium) Start(link int, duration sim.Time, empty bool, onDone func(Outcome)) *Transmission {
 	if link < 0 || link >= m.links {
@@ -490,9 +478,6 @@ func (m *Medium) Start(link int, duration sim.Time, empty bool, onDone func(Outc
 	}
 	if wasIdle {
 		m.busySince = now
-		for _, l := range m.listeners {
-			l.ChannelBusy(now)
-		}
 	}
 	m.noteStart(link, comp, now)
 	m.eng.ScheduleAt(tx.End, tx.finishFn)
@@ -622,7 +607,7 @@ func (m *Medium) finish(tx *Transmission) {
 	m.inFlight--
 	// The busy set drops before onDone so BusyFor reflects the finished
 	// transmission during the callback, like Busy; idle notifications wait
-	// until after it, like ChannelIdle.
+	// until after it.
 	m.noteFinishDown(tx.Link, comp, active)
 	outcome := m.resolve(tx)
 	if m.trace != nil {
@@ -636,11 +621,7 @@ func (m *Medium) finish(tx *Transmission) {
 		m.inFinish = false
 	}
 	if m.inFlight == 0 {
-		now := m.eng.Now()
-		m.met.busyUS.Add(int64(now - m.busySince))
-		for _, l := range m.listeners {
-			l.ChannelIdle(now)
-		}
+		m.met.busyUS.Add(int64(m.eng.Now() - m.busySince))
 	}
 	m.noteFinishIdle(tx.Link, comp, m.eng.Now())
 	// Recycle: nothing references tx past this point (Start's return value is

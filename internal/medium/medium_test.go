@@ -2,6 +2,7 @@ package medium
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -124,8 +125,8 @@ func TestBackToBackTransmissionsDoNotCollide(t *testing.T) {
 	// A transmitter chaining a second transmission inside onDone must hold
 	// the channel without an idle gap and without self-collision.
 	eng, m := newTestMedium(t, 1)
-	lis := &recordingListener{}
-	m.Subscribe(lis)
+	rec := &linkSetRecorder{}
+	m.SubscribeLinks(rec)
 	var outcomes []Outcome
 	m.Start(0, 100, false, func(o Outcome) {
 		outcomes = append(outcomes, o)
@@ -135,11 +136,8 @@ func TestBackToBackTransmissionsDoNotCollide(t *testing.T) {
 	if len(outcomes) != 2 || outcomes[0] != Delivered || outcomes[1] != Delivered {
 		t.Fatalf("outcomes = %v, want two deliveries", outcomes)
 	}
-	if len(lis.busy) != 1 || len(lis.idle) != 1 {
-		t.Fatalf("busy=%v idle=%v, want exactly one transition each", lis.busy, lis.idle)
-	}
-	if lis.idle[0] != 200 {
-		t.Fatalf("idle at %v, want 200", lis.idle[0])
+	if want := []string{"busy@0[0 1 2 3]", "idle@200[0 1 2 3]"}; !slices.Equal(rec.calls, want) {
+		t.Fatalf("transitions %v, want exactly one each: %v", rec.calls, want)
 	}
 	if m.Stats().BusyTime != 200 {
 		t.Fatalf("BusyTime = %v, want 200", m.Stats().BusyTime)
@@ -230,41 +228,29 @@ func TestStartValidationPanics(t *testing.T) {
 	}
 }
 
-type recordingListener struct {
-	busy []sim.Time
-	idle []sim.Time
-}
-
-func (r *recordingListener) ChannelBusy(at sim.Time) { r.busy = append(r.busy, at) }
-func (r *recordingListener) ChannelIdle(at sim.Time) { r.idle = append(r.idle, at) }
-
+// On the complete graph every transmission moves all links together.
 func TestListenerSeesTransitions(t *testing.T) {
 	eng, m := newTestMedium(t, 1)
-	lis := &recordingListener{}
-	m.Subscribe(lis)
+	rec := &linkSetRecorder{}
+	m.SubscribeLinks(rec)
 	eng.ScheduleAt(10, func() { m.Start(0, 100, false, nil) })
 	eng.ScheduleAt(300, func() { m.Start(1, 50, false, nil) })
 	eng.Run()
-	if len(lis.busy) != 2 || lis.busy[0] != 10 || lis.busy[1] != 300 {
-		t.Fatalf("busy transitions = %v, want [10 300]", lis.busy)
-	}
-	if len(lis.idle) != 2 || lis.idle[0] != 110 || lis.idle[1] != 350 {
-		t.Fatalf("idle transitions = %v, want [110 350]", lis.idle)
+	want := []string{"busy@10[0 1 2 3]", "idle@110[0 1 2 3]", "busy@300[0 1 2 3]", "idle@350[0 1 2 3]"}
+	if !slices.Equal(rec.calls, want) {
+		t.Fatalf("transitions %v, want %v", rec.calls, want)
 	}
 }
 
 func TestListenerNotNotifiedDuringOverlap(t *testing.T) {
 	eng, m := newTestMedium(t, 1)
-	lis := &recordingListener{}
-	m.Subscribe(lis)
+	rec := &linkSetRecorder{}
+	m.SubscribeLinks(rec)
 	m.Start(0, 100, false, nil)
 	eng.ScheduleAt(50, func() { m.Start(1, 100, false, nil) })
 	eng.Run()
-	if len(lis.busy) != 1 {
-		t.Fatalf("busy transitions = %v, want exactly one", lis.busy)
-	}
-	if len(lis.idle) != 1 || lis.idle[0] != 150 {
-		t.Fatalf("idle transitions = %v, want [150]", lis.idle)
+	if want := []string{"busy@0[0 1 2 3]", "idle@150[0 1 2 3]"}; !slices.Equal(rec.calls, want) {
+		t.Fatalf("transitions %v, want %v", rec.calls, want)
 	}
 	if m.Stats().BusyTime != 150 {
 		t.Fatalf("BusyTime = %v, want union 150", m.Stats().BusyTime)

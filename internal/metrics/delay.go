@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rtmac/internal/mac"
 	"rtmac/internal/medium"
@@ -131,19 +130,4 @@ func (d *DelayStats) DeadlineShare(frac float64) float64 {
 		acc += d.buckets[i]
 	}
 	return float64(acc) / float64(d.total)
-}
-
-// SortedQuantiles is a convenience returning the given quantiles in one
-// pass, for reports.
-func (d *DelayStats) SortedQuantiles(qs ...float64) (map[float64]sim.Time, error) {
-	sort.Float64s(qs)
-	out := make(map[float64]sim.Time, len(qs))
-	for _, q := range qs {
-		v, err := d.Quantile(q)
-		if err != nil {
-			return nil, err
-		}
-		out[q] = v
-	}
-	return out, nil
 }

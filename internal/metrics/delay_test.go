@@ -68,13 +68,6 @@ func TestDelayQuantiles(t *testing.T) {
 	if share := d.DeadlineShare(0.5); share != 0.9 {
 		t.Fatalf("DeadlineShare(0.5) = %v, want 0.9", share)
 	}
-	qs, err := d.SortedQuantiles(0.5, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs[0.5] != 10 || qs[0.99] != 100 {
-		t.Fatalf("SortedQuantiles = %v", qs)
-	}
 }
 
 func TestDelayQuantileEmpty(t *testing.T) {

@@ -151,12 +151,6 @@ async function refreshHealth() {
           ' (gc ' + w.stalls_gc + ' / sched ' + w.stalls_sched + ' / user ' + w.stalls_user + ')' : '') +
         '</td><td></td></tr>');
     }
-    if (h.ring) {
-      rows.push('<tr><td>profile ring</td><td>' + h.ring.cpu_profiles + ' cpu + ' +
-        h.ring.heap_profiles + ' heap profiles in ' + esc(h.ring.dir) +
-        (h.ring.last_error ? ' · last error: ' + esc(h.ring.last_error) : '') +
-        '</td><td></td></tr>');
-    }
     tbl.innerHTML = rows.join('');
   } catch (e) { /* keep polling */ }
 }

@@ -179,7 +179,7 @@ func TestHealthEndpointServesValidDoc(t *testing.T) {
 	col := health.NewCollector(health.CollectorConfig{Period: 10 * time.Millisecond})
 	col.Start()
 	col.Stop() // at least one sample, then settle
-	plane.SetHealthProvider(func() any { return health.BuildDoc(col, nil, nil) })
+	plane.SetHealthProvider(func() any { return health.BuildDoc(col, nil) })
 	doc := getHealthDoc(t, plane)
 	if !doc.Enabled || doc.Collector == nil || doc.Collector.Samples < 1 {
 		t.Fatalf("enabled doc not served: %+v", doc)

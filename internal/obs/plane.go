@@ -103,8 +103,8 @@ func (p *Plane) Handler() http.Handler {
 	mux.HandleFunc("/events", p.handleEvents)
 	// The standard pprof endpoints, mounted explicitly because the plane uses
 	// its own mux rather than http.DefaultServeMux. /debug/pprof/profile
-	// shares the process CPU profiler with -cpuprofile and the profile ring;
-	// whichever starts second gets an error, not a corrupt profile.
+	// shares the process CPU profiler with -cpuprofile; whichever starts
+	// second gets an error, not a corrupt profile.
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
