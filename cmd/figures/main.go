@@ -69,6 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "figures:", err)
 		return code
 	}
+	if !(*sloBudget >= 0 && *sloBudget <= 1) {
+		return fail(2, fmt.Errorf("-slo-budget: miss budget %v outside [0, 1]", *sloBudget))
+	}
 
 	if *list {
 		for _, f := range experiment.Extended() {

@@ -102,3 +102,14 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestSLOBudgetOutOfRange checks that -slo-budget outside [0, 1], NaN
+// included, is a usage error (exit 2) caught before any figure runs.
+func TestSLOBudgetOutOfRange(t *testing.T) {
+	for _, b := range []string{"NaN", "-0.1", "1.5"} {
+		code, out, errs := runFigures(t, "-fig", "fig9", "-scale", "0.02", "-seeds", "1", "-quiet", "-slo-budget", b)
+		if code != 2 || !strings.Contains(errs, "miss budget") || out != "" {
+			t.Errorf("-slo-budget %s exited %d (%q, stdout %q), want 2 with a miss-budget error and no figure", b, code, errs, out)
+		}
+	}
+}

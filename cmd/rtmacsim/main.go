@@ -118,6 +118,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rtmacsim: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
+	if !(o.sloBudget >= 0 && o.sloBudget <= 1) {
+		fmt.Fprintf(stderr, "rtmacsim: -slo-budget: miss budget %v outside [0, 1]\n", o.sloBudget)
+		return 2
+	}
 	if o.check != "" {
 		return check(o.check, stdout, stderr)
 	}

@@ -417,12 +417,12 @@ func TestWatchScenario(t *testing.T) {
 }
 
 // TestSLOBudgetOutOfRange checks that -slo-budget outside [0, 1], NaN
-// included, fails the run before it starts.
+// included, is a configuration error (exit 2) caught before the run starts.
 func TestSLOBudgetOutOfRange(t *testing.T) {
 	for _, b := range []string{"NaN", "-0.1", "1.5"} {
-		code, _, errs := runSim(t, "-links", "2", "-intervals", "5", "-slo-budget", b)
-		if code != 1 || !strings.Contains(errs, "miss budget") {
-			t.Errorf("-slo-budget %s exited %d (%q), want 1 with a miss-budget error", b, code, errs)
+		code, out, errs := runSim(t, "-links", "2", "-intervals", "5", "-slo-budget", b)
+		if code != 2 || !strings.Contains(errs, "miss budget") || out != "" {
+			t.Errorf("-slo-budget %s exited %d (%q, stdout %q), want 2 with a miss-budget error and no run", b, code, errs, out)
 		}
 	}
 }

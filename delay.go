@@ -17,7 +17,7 @@ type Delay struct {
 // given histogram resolution (buckets per deadline; 100 is a fine default).
 // Call before Run.
 func (s *Simulation) EnableDelayStats(resolution int) (*Delay, error) {
-	d, err := metrics.NewDelayStats(s.profileInterval, resolution)
+	d, err := metrics.NewDelayStats(s.profile.Interval, resolution)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
@@ -63,7 +63,7 @@ type DelayQuantiles struct {
 // EnableDelaySketch starts streaming delivery delays through the quantile
 // sketch. Call before Run; it can coexist with EnableDelayStats.
 func (s *Simulation) EnableDelaySketch() (*DelayQuantiles, error) {
-	d, err := metrics.NewDelaySketch(s.profileInterval)
+	d, err := metrics.NewDelaySketch(s.profile.Interval)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}

@@ -48,7 +48,7 @@ func (s *Simulation) EnableHealth(cfg HealthConfig) (*Health, error) {
 	if cfg.SlotBudget >= 0 {
 		budget := cfg.SlotBudget
 		if budget == 0 {
-			budget = time.Duration(s.profileInterval) * time.Microsecond
+			budget = time.Duration(s.profile.Interval) * time.Microsecond
 		}
 		h.dog = health.NewWatchdog(health.WatchdogConfig{
 			Budget:   budget,

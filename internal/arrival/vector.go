@@ -27,7 +27,8 @@ type Independent struct {
 }
 
 // NewIndependent wraps per-link processes. It returns an error when the
-// list is empty or contains a nil entry.
+// list is empty or contains a nil entry. The vector keeps the slice it is
+// given, so a caller passing procs... must not change it afterwards.
 func NewIndependent(procs ...Process) (*Independent, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("arrival: no per-link processes")
@@ -37,9 +38,7 @@ func NewIndependent(procs ...Process) (*Independent, error) {
 			return nil, fmt.Errorf("arrival: nil process for link %d", n)
 		}
 	}
-	cp := make([]Process, len(procs))
-	copy(cp, procs)
-	return &Independent{procs: cp}, nil
+	return &Independent{procs: procs}, nil
 }
 
 // Uniform builds an Independent vector with the same process on every link.

@@ -3,8 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"rtmac/internal/metrics"
-	"rtmac/internal/phy"
+	"rtmac"
 )
 
 // ExtraDelay measures what the deficiency sweeps do not show: the delivery
@@ -25,33 +24,35 @@ func (delayFigure) Title() string {
 func (f delayFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
 	xs := sweepRange(0.40, 0.60, 0.05)
-	specs := []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()}
-	// One BaseSeed run per (x, protocol); hists[si*len(xs)+xi] keeps its
+	curves := labelled(rtmac.DBDP(), rtmac.LDF(), rtmac.FCSMA())
+	// One BaseSeed run per (x, protocol); hists[ci*len(xs)+xi] keeps its
 	// 200-bucket delay histogram.
-	hists := make([]*metrics.DelayStats, len(specs)*len(xs))
+	hists := make([]*rtmac.Delay, len(curves)*len(xs))
 	var jobs []job
 	for xi, x := range xs {
-		sc, err := videoScenario(x, videoRho, opts.scaled(videoIntervals))
+		cfg, err := videoConfig(x, videoRho)
 		if err != nil {
 			return nil, fmt.Errorf("experiment extra-delay: %w", err)
 		}
-		sc.delayBuckets = 200
-		for si, spec := range specs {
-			slot := &hists[si*len(xs)+xi]
-			jobs = append(jobs, job{key: fmt.Sprintf("%g/%s", x, spec.label), spec: spec, sc: sc,
-				seed: opts.BaseSeed, reduce: func(out runOut) { *slot = out.hist }})
+		cfg.Seed = opts.BaseSeed
+		for ci, c := range curves {
+			slot := &hists[ci*len(xs)+xi]
+			cfg.Protocol = c.protocol
+			jobs = append(jobs, job{key: fmt.Sprintf("%g/%s", x, c.label), cfg: cfg,
+				intervals: opts.scaled(videoIntervals), delayBuckets: 200,
+				reduce: func(out runOut) { *slot = out.hist }})
 		}
 	}
 	if err := runJobs(f, jobs, opts); err != nil {
 		return nil, fmt.Errorf("experiment extra-delay: %w", err)
 	}
-	deadline := float64(phy.Video().Interval)
+	deadline := float64(rtmac.VideoProfile().Interval())
 	res := &Result{ID: f.ID(), Title: f.Title(), XLabel: "alpha*", YLabel: "delay / deadline"}
-	for si, spec := range specs {
-		p50 := Series{Label: spec.label + " p50"}
-		p99 := Series{Label: spec.label + " p99"}
+	for ci, c := range curves {
+		p50 := Series{Label: c.label + " p50"}
+		p99 := Series{Label: c.label + " p99"}
 		for xi, x := range xs {
-			hist := hists[si*len(xs)+xi]
+			hist := hists[ci*len(xs)+xi]
 			q50, err := hist.Quantile(0.5)
 			if err != nil {
 				return nil, err

@@ -3,8 +3,10 @@
 // deficiency sweeps (Figs. 3, 4, 7, 8, 9, 10), the convergence comparison
 // (Fig. 5), and the fixed-priority throughput profile (Fig. 6), plus the
 // repository's beyond-paper experiments. Every figure declares its
-// simulations as jobs and runs them through one worker pool (runJobs, which
-// alone calls runOne), so every RunOptions plane — monitor, watch engine,
+// simulations as jobs, each an rtmac.Config with its series' rtmac.Protocol
+// and seed, and runs them through one worker pool (runJobs). Each job builds
+// an rtmac.Simulation and attaches its planes with the same Enable* calls a
+// single run uses, so every RunOptions plane — monitor, watch engine,
 // telemetry, events, progress — reaches every simulation.
 //
 // Absolute numbers come from this repository's simulator rather than the
@@ -22,19 +24,8 @@ import (
 	"strconv"
 	"sync"
 
-	"rtmac/internal/arrival"
-	"rtmac/internal/core"
+	"rtmac"
 	"rtmac/internal/ledger"
-	"rtmac/internal/mac"
-	"rtmac/internal/mac/dcf"
-	"rtmac/internal/mac/fcsma"
-	"rtmac/internal/mac/framecsma"
-	"rtmac/internal/mac/ldf"
-	"rtmac/internal/medium"
-	"rtmac/internal/metrics"
-	"rtmac/internal/monitor"
-	"rtmac/internal/phy"
-	"rtmac/internal/sim"
 	"rtmac/internal/stats"
 	"rtmac/internal/telemetry"
 	"rtmac/internal/watch"
@@ -91,7 +82,8 @@ type RunOptions struct {
 	// registry is safe for that concurrent use.
 	Telemetry *telemetry.Registry
 	// Events, when non-nil, receives every network's structured event stream
-	// (e.g. the observability plane's SSE broker).
+	// with its monitor violations and watch alerts (e.g. the observability
+	// plane's SSE broker).
 	Events telemetry.Sink
 	// Recorder, when non-nil, captures every aggregated figure point as a
 	// mergeable partial for the run ledger. A nil recorder costs nothing.
@@ -212,67 +204,40 @@ type Figure interface {
 	Run(opts RunOptions) (*Result, error)
 }
 
-// protocolSpec names one policy and knows how to build a fresh instance.
-// collisionFree and swapPairs parameterize the invariant monitor when
-// RunOptions.Monitor is set.
-type protocolSpec struct {
-	label         string
-	build         func(n int) (mac.Protocol, error)
-	collisionFree bool
-	swapPairs     int
+// curve is one series' policy: the label the figure prints next to the
+// protocol it runs.
+type curve struct {
+	label    string
+	protocol rtmac.Protocol
 }
 
-func dbdpSpec() protocolSpec {
-	return protocolSpec{label: "DB-DP", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-		return core.NewDBDP(n)
-	}}
+// labelled names each protocol's curve by the protocol's own label.
+func labelled(protocols ...rtmac.Protocol) []curve {
+	out := make([]curve, len(protocols))
+	for i, p := range protocols {
+		out[i] = curve{label: p.Label(), protocol: p}
+	}
+	return out
 }
 
-func ldfSpec() protocolSpec {
-	return protocolSpec{label: "LDF", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-		return ldf.NewLDF(), nil
-	}}
-}
-
-func fcsmaSpec() protocolSpec {
-	return protocolSpec{label: "FCSMA", build: func(n int) (mac.Protocol, error) {
-		return fcsma.New(fcsma.DefaultConfig())
-	}}
-}
-
-func dcfSpec() protocolSpec {
-	return protocolSpec{label: "DCF", build: func(n int) (mac.Protocol, error) {
-		return dcf.New(n)
-	}}
-}
-
-func framecsmaSpec() protocolSpec {
-	return protocolSpec{label: "Frame-CSMA", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-		return framecsma.New(framecsma.DefaultConfig())
-	}}
-}
-
-// scenario is one fully specified network instance.
-type scenario struct {
-	profile     phy.Profile
-	successProb []float64
-	// channel, when set, replaces successProb with a time-varying channel
-	// model bound to each network's engine.
-	channel     func(eng *sim.Engine, links int) (medium.Model, error)
-	arrivals    arrival.VectorProcess
-	required    []float64
-	intervals   int
-	seriesEvery int
-	// delayBuckets, when positive, also records each run's delivery delays
-	// in a histogram of that many buckets per deadline.
+// job is one (sweep point, protocol, seed) simulation: cfg carries the
+// point's network with the job's seed and protocol, and reduce folds the
+// finished run into the figure's aggregate.
+type job struct {
+	key       string // progress and profile label, e.g. "<x>/<protocol>"
+	cfg       rtmac.Config
+	intervals int
+	// delayBuckets, when positive, also records the run's delivery delays in
+	// a histogram of that many buckets per deadline.
 	delayBuckets int
+	reduce       func(out runOut)
 }
 
 // runOut is everything one simulation yields to its reducer.
 type runOut struct {
-	col   *metrics.Collector
-	delay *metrics.DelaySketch
-	hist  *metrics.DelayStats // nil unless the scenario asked for delayBuckets
+	sim   *rtmac.Simulation
+	delay *rtmac.DelayQuantiles
+	hist  *rtmac.Delay // nil unless the job asked for delayBuckets
 }
 
 // replication packages the run as one seed-tagged replication for the
@@ -288,103 +253,47 @@ func (o runOut) replication(seed uint64, value float64) stats.Replication {
 	}
 }
 
-// runOne simulates a scenario under a protocol and returns the collector, a
-// delivery-delay sketch and, when the scenario asks for one, a delay
-// histogram. With opts.Monitor, the strict invariant monitor
-// rides along and the run fails at the end of the first violating interval.
-// opts.Telemetry and opts.Events, when set, are attached to the network.
-func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOut, error) {
-	links := len(sc.required)
-	prot, err := spec.build(links)
-	if err != nil {
-		return runOut{}, fmt.Errorf("experiment: building %s: %w", spec.label, err)
-	}
-	var colOpts []metrics.Option
-	if sc.seriesEvery > 0 {
-		colOpts = append(colOpts, metrics.WithSeries(sc.seriesEvery))
-	}
-	col, err := metrics.NewCollector(sc.required, colOpts...)
+// run builds the job's simulation with the planes opts ask for and runs it.
+// Every run carries a delivery-delay sketch, plus the delay histogram when
+// the job asks for one. opts.Monitor adds the strict invariant monitor,
+// without its flight recorder, so the run fails at the end of the first
+// violating interval; opts.Watch adds the watch engine, whose verdict is
+// merged into opts.WatchTally. opts.Telemetry and opts.Events are shared by
+// every run.
+func (j job) run(opts RunOptions) (runOut, error) {
+	cfg := j.cfg
+	cfg.Registry, cfg.Events = opts.Telemetry, opts.Events
+	s, err := rtmac.NewSimulation(cfg)
 	if err != nil {
 		return runOut{}, err
 	}
-	nw, err := mac.NewNetwork(mac.NetworkConfig{
-		Seed:           seed,
-		Profile:        sc.profile,
-		SuccessProb:    sc.successProb,
-		ChannelFactory: sc.channel,
-		Arrivals:       sc.arrivals,
-		Required:       sc.required,
-		Protocol:       prot,
-		Observers:      []mac.Observer{col},
-		Telemetry:      opts.Telemetry,
-		Events:         opts.Events,
-	})
-	if err != nil {
+	out := runOut{sim: s}
+	if out.delay, err = s.EnableDelaySketch(); err != nil {
 		return runOut{}, err
 	}
-	out := runOut{col: col}
-	if out.delay, err = metrics.NewDelaySketch(sc.profile.Interval); err != nil {
-		return runOut{}, err
-	}
-	nw.AddProbe(out.delay)
-	if sc.delayBuckets > 0 {
-		if out.hist, err = metrics.NewDelayStats(sc.profile.Interval, sc.delayBuckets); err != nil {
+	if j.delayBuckets > 0 {
+		if out.hist, err = s.EnableDelayStats(j.delayBuckets); err != nil {
 			return runOut{}, err
 		}
-		nw.AddProbe(out.hist)
 	}
-	// The monitor reads typed records as a probe; the watch engine reads the
-	// event stream alongside whatever external stream the caller attached.
 	if opts.Monitor {
-		mon, err := monitor.New(monitor.Config{
-			Links:         links,
-			Interval:      sc.profile.Interval,
-			CollisionFree: spec.collisionFree,
-			SwapPairs:     spec.swapPairs,
-			Strict:        true,
-			Registry:      nw.Telemetry(),
-		})
-		if err != nil {
-			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.label, err)
+		if _, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true, NoFlightRecorder: true}); err != nil {
+			return runOut{}, err
 		}
-		nw.AddProbe(mon)
-		nw.SetIntervalCheck(mon.Err)
 	}
-	var eng *watch.Engine
+	var w *rtmac.Watch
 	if opts.Watch {
-		eng, err = watch.New(watch.Config{
-			Links:    links,
-			Required: sc.required,
-			Budget:   opts.WatchBudget,
-			Registry: nw.Telemetry(),
-			Output:   opts.Events, // alerts join the external stream, if any
-		})
-		if err != nil {
-			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.label, err)
-		}
-		if opts.Events != nil {
-			nw.SetEventSink(telemetry.MultiSink{eng, opts.Events})
-		} else {
-			nw.SetEventSink(eng)
+		if w, err = s.EnableWatch(rtmac.WatchConfig{Budget: opts.WatchBudget}); err != nil {
+			return runOut{}, err
 		}
 	}
-	if err := nw.Run(sc.intervals); err != nil {
+	if err := s.Run(j.intervals); err != nil {
 		return runOut{}, err
 	}
-	if eng != nil && opts.WatchTally != nil {
-		opts.WatchTally.Merge(eng)
+	if w != nil && opts.WatchTally != nil {
+		opts.WatchTally.Merge(w.Count(), w.Firing(), w.ByDetector())
 	}
 	return out, nil
-}
-
-// job is one (sweep point, protocol, seed) simulation; reduce merges its
-// output into the figure's aggregate.
-type job struct {
-	key    string // progress and profile label, e.g. "<x>/<protocol>"
-	spec   protocolSpec
-	sc     scenario
-	seed   uint64
-	reduce func(out runOut)
 }
 
 // runJobs executes jobs across a worker pool and is the only place figures
@@ -419,14 +328,14 @@ func runJobs(fig Figure, jobs []job, opts RunOptions) error {
 			var out runOut
 			var err error
 			pprof.Do(context.Background(), pprof.Labels(
-				"figure", id, "point", j.key, "seed", strconv.FormatUint(j.seed, 10),
+				"figure", id, "point", j.key, "seed", strconv.FormatUint(j.cfg.Seed, 10),
 			), func(context.Context) {
-				out, err = runOne(j.sc, j.spec, j.seed, opts)
+				out, err = j.run(opts)
 			})
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
-					firstErr = err
+					firstErr = fmt.Errorf("%s: %w", j.key, err)
 				}
 				mu.Unlock()
 				return
@@ -439,7 +348,7 @@ func runJobs(fig Figure, jobs []job, opts RunOptions) error {
 			}
 			if opts.Progress != nil {
 				fmt.Fprintf(opts.Progress, "done %s seed=%d deficiency=%.4f\n",
-					j.key, j.seed, out.col.TotalDeficiency())
+					j.key, j.cfg.Seed, out.sim.TotalDeficiency())
 			}
 		}()
 	}
@@ -459,12 +368,4 @@ func sweepRange(lo, hi, step float64) []float64 {
 		xs = append(xs, math.Round(x*1e6)/1e6)
 	}
 	return xs
-}
-
-func uniformVec(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }

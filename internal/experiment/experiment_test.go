@@ -3,12 +3,13 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"rtmac/internal/mac"
+	"rtmac"
 	"rtmac/internal/telemetry"
 	"rtmac/internal/watch"
 )
@@ -516,15 +517,10 @@ func TestExtraDelayShape(t *testing.T) {
 }
 
 func TestSweepPropagatesBuildErrors(t *testing.T) {
-	broken := protocolSpec{label: "broken", build: func(int) (mac.Protocol, error) {
-		return nil, fmt.Errorf("deliberate failure")
-	}}
-	sc, err := controlScenario(0.5, 0.9, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := func(float64, RunOptions) (scenario, error) { return sc, nil }
-	fig := &sweepFigure{id: "t", xs: []float64{0.5}, build: built, specs: []protocolSpec{broken}}
+	// A NaN constant µ passes DBDP() but fails the protocol's build.
+	broken := []curve{{label: "broken", protocol: rtmac.DBDP(rtmac.WithConstantMu(math.NaN()))}}
+	control := func(float64) (rtmac.Config, error) { return controlConfig(0.5, 0.9) }
+	fig := &sweepFigure{id: "t", xs: []float64{0.5}, horizon: 10, build: control, curves: broken}
 	if _, err := fig.Run(RunOptions{}); err == nil {
 		t.Fatal("broken protocol build did not propagate")
 	}
@@ -532,10 +528,10 @@ func TestSweepPropagatesBuildErrors(t *testing.T) {
 	if _, err := fig.Run(RunOptions{}); err == nil {
 		t.Fatal("broken protocol build did not propagate through group sweep")
 	}
-	fig = &sweepFigure{id: "t", xs: []float64{0.5}, specs: []protocolSpec{ldfSpec()},
-		build: func(float64, RunOptions) (scenario, error) { return scenario{}, fmt.Errorf("bad scenario") }}
+	fig = &sweepFigure{id: "t", xs: []float64{0.5}, horizon: 10, curves: labelled(rtmac.LDF()),
+		build: func(float64) (rtmac.Config, error) { return rtmac.Config{}, fmt.Errorf("bad network") }}
 	if _, err := fig.Run(RunOptions{}); err == nil {
-		t.Fatal("scenario build error not propagated")
+		t.Fatal("network build error not propagated")
 	}
 }
 

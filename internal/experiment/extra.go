@@ -3,10 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"rtmac/internal/core"
-	"rtmac/internal/mac"
-	"rtmac/internal/phy"
-	"rtmac/internal/sim"
+	"rtmac"
 )
 
 // overheadFigure sweeps a timing parameter of the DP protocol's overhead
@@ -19,21 +16,22 @@ import (
 //     figure measures exactly that sensitivity.
 //   - extra-emptycost: the airtime of the empty priority-claiming frame,
 //     which the paper bounds at two per interval.
-func overheadFigure(id, title, xlabel string, xs []float64, apply func(p *phy.Profile, x float64)) Figure {
+func overheadFigure(id, title, xlabel string, xs []float64, apply func(p rtmac.Profile, x rtmac.Time) (rtmac.Profile, error)) Figure {
 	return &sweepFigure{
 		id:          id,
 		title:       title,
 		xlabel:      xlabel,
 		xs:          xs, // µs values of the swept parameter
-		specs:       []protocolSpec{dbdpSpec()},
+		curves:      labelled(rtmac.DBDP()),
+		horizon:     videoIntervals,
 		replaySeeds: true,
-		build: func(x float64, opts RunOptions) (scenario, error) {
-			sc, err := videoScenario(0.6, videoRho, opts.scaled(videoIntervals))
+		build: func(x float64) (rtmac.Config, error) {
+			cfg, err := videoConfig(0.6, videoRho)
 			if err != nil {
-				return scenario{}, err
+				return rtmac.Config{}, err
 			}
-			apply(&sc.profile, x)
-			return sc, sc.profile.Validate()
+			cfg.Profile, err = apply(cfg.Profile, rtmac.Time(x))
+			return cfg, err
 		},
 	}
 }
@@ -44,34 +42,25 @@ func ExtraSlotTime() Figure {
 	// clumsier carrier sensing.
 	return overheadFigure("extra-slottime",
 		"DB-DP overhead sensitivity: backoff slot duration (video, alpha*=0.6)",
-		"backoff slot (us)", []float64{1, 5, 9, 18, 36, 72},
-		func(p *phy.Profile, x float64) { p.Slot = sim.Time(x) })
+		"backoff slot (us)", []float64{1, 5, 9, 18, 36, 72}, rtmac.Profile.WithSlot)
 }
 
 // ExtraEmptyCost returns the empty-frame airtime ablation.
 func ExtraEmptyCost() Figure {
 	return overheadFigure("extra-emptycost",
 		"DB-DP overhead sensitivity: empty priority-claim frame airtime (video, alpha*=0.6)",
-		"empty frame airtime (us)", []float64{10, 70, 150, 330},
-		func(p *phy.Profile, x float64) { p.EmptyAirtime = sim.Time(x) })
+		"empty frame airtime (us)", []float64{10, 70, 150, 330}, rtmac.Profile.WithEmptyAirtime)
 }
 
 // ExtraSwapPairs compares the Remark-6 multi-pair extension's convergence:
 // windowed throughput of the initially lowest-priority link for 1, 3 and 6
 // swap pairs per interval.
 func ExtraSwapPairs() Figure {
-	var specs []protocolSpec
+	var curves []curve
 	for _, pairs := range []int{1, 3, 6} {
-		specs = append(specs, protocolSpec{
-			label:         fmt.Sprintf("%d pair(s)", pairs),
-			collisionFree: true,
-			swapPairs:     pairs,
-			build: func(n int) (mac.Protocol, error) {
-				if pairs == 1 {
-					return core.NewDBDP(n)
-				}
-				return core.New(n, core.PaperDebtGlauber(), core.WithPairs(pairs))
-			},
+		curves = append(curves, curve{
+			label:    fmt.Sprintf("%d pair(s)", pairs),
+			protocol: rtmac.DBDP(rtmac.WithSwapPairs(pairs)),
 		})
 	}
 	return &trajectoryFigure{
@@ -80,6 +69,6 @@ func ExtraSwapPairs() Figure {
 		ylabel: func(watched int, _ float64) string {
 			return fmt.Sprintf("windowed timely-throughput of link %d", watched)
 		},
-		specs: specs,
+		curves: curves,
 	}
 }

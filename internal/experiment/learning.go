@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"rtmac/internal/core"
-	"rtmac/internal/mac"
-)
+import "rtmac"
 
 // ExtraLearning compares DB-DP with the known-p_n oracle against DB-DP that
 // LEARNS reliability online from its own ACKs (the paper's suggested
@@ -15,20 +12,15 @@ func ExtraLearning() Figure {
 		title:  "DB-DP with known p_n vs online-learned reliability (asymmetric network, 90% ratio)",
 		xlabel: "alpha*",
 		xs:     sweepRange(0.50, 0.75, 0.05),
-		specs: []protocolSpec{
-			dbdpSpec(),
-			{label: "DB-DP (learned p)", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-				policy, err := core.NewEstimatedDebtGlauber(n)
-				if err != nil {
-					return nil, err
-				}
-				return core.New(n, policy)
-			}},
-			ldfSpec(),
+		curves: []curve{
+			{label: "DB-DP", protocol: rtmac.DBDP()},
+			{label: "DB-DP (learned p)", protocol: rtmac.DBDP(rtmac.WithLearnedReliability())},
+			{label: "LDF", protocol: rtmac.LDF()},
 		},
+		horizon:     videoIntervals,
 		replaySeeds: true,
-		build: func(x float64, opts RunOptions) (scenario, error) {
-			return asymmetricScenario(x, videoRho, opts.scaled(videoIntervals))
+		build: func(x float64) (rtmac.Config, error) {
+			return asymmetricConfig(x, videoRho)
 		},
 	}
 }

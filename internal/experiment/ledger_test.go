@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"rtmac"
 	"rtmac/internal/ledger"
 	"rtmac/internal/stats"
 )
@@ -12,14 +13,14 @@ import (
 // ledger: running N seeds as N separate "processes" (one record per seed,
 // appended to a real store) and merging the records yields byte-for-byte the
 // record a single process aggregating all N seeds produces. Seeds are passed
-// to runOne explicitly, sidestepping the sweep harness's job-order-dependent
+// to each job explicitly, sidestepping the sweep harness's job-order-dependent
 // seed schedule.
 func TestLedgerMergeFidelity(t *testing.T) {
-	sc, err := videoScenario(0.55, 0.9, 60)
+	cfg, err := videoConfig(0.55, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dbdpSpec()
+	cfg.Protocol = rtmac.DBDP()
 	opts := RunOptions{}.fill()
 	seeds := []uint64{101, 202, 303}
 
@@ -27,14 +28,15 @@ func TestLedgerMergeFidelity(t *testing.T) {
 		t.Helper()
 		agg := &stats.PointAggregate{}
 		for _, seed := range runSeeds {
-			out, err := runOne(sc, spec, seed, opts)
+			cfg.Seed = seed
+			out, err := job{cfg: cfg, intervals: 60}.run(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg.Add(out.replication(seed, out.col.TotalDeficiency()))
+			agg.Add(out.replication(seed, out.sim.TotalDeficiency()))
 		}
 		rec := ledger.NewRecorder()
-		rec.RecordAggregate("fig3", spec.label, 0.55, "deficiency", ledger.BetterLower, agg)
+		rec.RecordAggregate("fig3", "DB-DP", 0.55, "deficiency", ledger.BetterLower, agg)
 		out, err := rec.Finalize("figures", "merge fidelity", nil)
 		if err != nil {
 			t.Fatal(err)

@@ -68,9 +68,6 @@ type NetworkConfig struct {
 	// Telemetry, when non-nil, is the metric registry the network and its
 	// medium publish into; otherwise the network creates a private one.
 	Telemetry *telemetry.Registry
-	// Events, when non-nil, receives the structured event stream from the
-	// start of the run (it can also be attached later with SetEventSink).
-	Events telemetry.Sink
 }
 
 // Network runs one protocol over the interval structure of the paper.
@@ -183,9 +180,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	// Run stays allocation-free per call.
 	nw.beginFn = func(int) error { return nw.beginInterval() }
 	nw.endFn = func(int) error { return nw.endInterval() }
-	if cfg.Events != nil {
-		nw.SetEventSink(cfg.Events)
-	}
 	return nw, nil
 }
 

@@ -1,6 +1,6 @@
 // Package metrics collects the quantities the paper's evaluation reports:
 // per-link timely-throughput, total timely-throughput deficiency
-// (Definition 1), group-wide deficiencies, and convergence-time series.
+// (Definition 1), and convergence-time series.
 package metrics
 
 import (
@@ -128,16 +128,6 @@ func (c *Collector) Deficiency(n int) float64 {
 func (c *Collector) TotalDeficiency() float64 {
 	total := 0.0
 	for n := range c.required {
-		total += c.Deficiency(n)
-	}
-	return total
-}
-
-// GroupDeficiency sums deficiencies over a subset of links (the paper's
-// group-wide metric in Figs. 7–8).
-func (c *Collector) GroupDeficiency(links []int) float64 {
-	total := 0.0
-	for _, n := range links {
 		total += c.Deficiency(n)
 	}
 	return total

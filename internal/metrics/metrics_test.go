@@ -39,12 +39,6 @@ func TestThroughputAndDeficiency(t *testing.T) {
 	if got := c.TotalDeficiency(); math.Abs(got-0.15) > 1e-12 {
 		t.Fatalf("TotalDeficiency = %v, want 0.15", got)
 	}
-	if got := c.GroupDeficiency([]int{1}); got != 0 {
-		t.Fatalf("GroupDeficiency([1]) = %v", got)
-	}
-	if got := c.GroupDeficiency([]int{0, 1}); math.Abs(got-0.15) > 1e-12 {
-		t.Fatalf("GroupDeficiency([0 1]) = %v", got)
-	}
 	if c.Intervals() != 4 || c.Links() != 2 {
 		t.Fatalf("counters wrong: %d intervals, %d links", c.Intervals(), c.Links())
 	}

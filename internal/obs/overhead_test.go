@@ -46,10 +46,12 @@ func newControlNetwork(tb testing.TB, sink telemetry.Sink) *mac.Network {
 		Arrivals:    av,
 		Required:    req,
 		Protocol:    prot,
-		Events:      sink,
 	})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if sink != nil {
+		nw.SetEventSink(sink)
 	}
 	return nw
 }

@@ -97,6 +97,14 @@ func (p Profile) Validate() error {
 	case p.Interval < p.DataAirtime:
 		return fmt.Errorf("phy: profile %q: interval %v shorter than one packet airtime %v",
 			p.Name, p.Interval, p.DataAirtime)
+	case p.Slot > p.Interval:
+		return fmt.Errorf("phy: profile %q: slot %v longer than the interval %v", p.Name, p.Slot, p.Interval)
+	case p.EmptyAirtime > p.DataAirtime:
+		// An empty frame carries no payload and no ACK. A longer one breaks
+		// DB-DP's end-of-interval swap handshake (core panics with an
+		// inconsistent swap on the 24-link control network at 330 µs).
+		return fmt.Errorf("phy: profile %q: empty airtime %v longer than the data airtime %v",
+			p.Name, p.EmptyAirtime, p.DataAirtime)
 	}
 	return nil
 }

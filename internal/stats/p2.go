@@ -22,37 +22,45 @@ type P2 struct {
 	np    [5]float64 // desired marker positions
 	dnp   [5]float64 // per-observation increments of np
 	count int64
-	buf   []float64 // first observations, sorted, until markers initialize
+	// buf holds the first observations, sorted, until the fifth initializes
+	// the markers.
+	buf [5]float64
 }
 
 // NewP2 returns a P² estimator for the quantile p ∈ (0, 1).
 func NewP2(p float64) (*P2, error) {
-	if p <= 0 || p >= 1 || math.IsNaN(p) {
-		return nil, fmt.Errorf("stats: quantile %v outside (0, 1)", p)
+	var s P2
+	if err := s.init(p); err != nil {
+		return nil, err
 	}
-	return &P2{
-		p:   p,
-		dnp: [5]float64{0, p / 2, p, (1 + p) / 2, 1},
-		buf: make([]float64, 0, 5),
-	}, nil
+	return &s, nil
+}
+
+// init readies s to estimate the quantile p ∈ (0, 1); estimators held by
+// value (QuantileSketch's) start here.
+func (s *P2) init(p float64) error {
+	if p <= 0 || p >= 1 || math.IsNaN(p) {
+		return fmt.Errorf("stats: quantile %v outside (0, 1)", p)
+	}
+	*s = P2{p: p, dnp: [5]float64{0, p / 2, p, (1 + p) / 2, 1}}
+	return nil
 }
 
 // Add folds one observation into the estimator.
 func (s *P2) Add(x float64) {
-	s.count++
-	if s.buf != nil {
-		i := sort.SearchFloat64s(s.buf, x)
-		s.buf = append(s.buf, 0)
-		copy(s.buf[i+1:], s.buf[i:])
+	if n := int(s.count); n < len(s.buf) {
+		i := sort.SearchFloat64s(s.buf[:n], x)
+		copy(s.buf[i+1:n+1], s.buf[i:n])
 		s.buf[i] = x
-		if len(s.buf) == 5 {
-			copy(s.q[:], s.buf)
+		s.count++
+		if s.count == int64(len(s.buf)) {
+			s.q = s.buf
 			s.n = [5]float64{1, 2, 3, 4, 5}
 			s.np = [5]float64{1, 1 + 2*s.p, 1 + 4*s.p, 3 + 2*s.p, 5}
-			s.buf = nil
 		}
 		return
 	}
+	s.count++
 
 	// Locate the cell k the observation falls into, widening the extreme
 	// markers when it falls outside them.
@@ -120,11 +128,11 @@ func (s *P2) Count() int64 { return s.count }
 // Quantile returns the current estimate of the target quantile (0 when the
 // stream is empty).
 func (s *P2) Quantile() float64 {
-	if s.buf != nil {
-		if len(s.buf) == 0 {
+	if n := int(s.count); n < len(s.buf) {
+		if n == 0 {
 			return 0
 		}
-		idx := int(math.Ceil(s.p*float64(len(s.buf)))) - 1
+		idx := int(math.Ceil(s.p*float64(n))) - 1
 		if idx < 0 {
 			idx = 0
 		}
@@ -138,7 +146,7 @@ func (s *P2) Quantile() float64 {
 // distribution is reduced to per replication.
 type QuantileSketch struct {
 	qs  []float64
-	est []*P2
+	est []P2
 	acc Accumulator
 	min float64
 	max float64
@@ -152,7 +160,7 @@ func NewQuantileSketch(quantiles ...float64) (*QuantileSketch, error) {
 	}
 	s := &QuantileSketch{
 		qs:  append([]float64(nil), quantiles...),
-		est: make([]*P2, len(quantiles)),
+		est: make([]P2, len(quantiles)),
 		min: math.Inf(1),
 		max: math.Inf(-1),
 	}
@@ -160,11 +168,9 @@ func NewQuantileSketch(quantiles ...float64) (*QuantileSketch, error) {
 		if i > 0 && q <= quantiles[i-1] {
 			return nil, fmt.Errorf("stats: sketch quantiles not strictly increasing at %d", i)
 		}
-		p2, err := NewP2(q)
-		if err != nil {
+		if err := s.est[i].init(q); err != nil {
 			return nil, err
 		}
-		s.est[i] = p2
 	}
 	return s, nil
 }
@@ -178,8 +184,8 @@ func (s *QuantileSketch) Add(x float64) {
 	if x > s.max {
 		s.max = x
 	}
-	for _, e := range s.est {
-		e.Add(x)
+	for i := range s.est {
+		s.est[i].Add(x)
 	}
 }
 

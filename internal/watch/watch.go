@@ -573,9 +573,9 @@ func (e *Engine) Board() Board {
 	return b
 }
 
-// Tally accumulates conformance verdicts across many engines — the figures
-// pipeline runs one engine per (scenario, seed) job on parallel workers and
-// merges them here.
+// Tally accumulates conformance verdicts across many runs — the figures
+// pipeline watches every (point, protocol, seed) job on parallel workers and
+// merges each run's verdict here.
 type Tally struct {
 	mu         sync.Mutex
 	runs       int64
@@ -584,15 +584,16 @@ type Tally struct {
 	byDetector map[string]int64
 }
 
-// Merge folds one finished engine's verdict into the tally.
-func (t *Tally) Merge(e *Engine) {
-	s := e.Summary()
+// Merge folds one finished run's verdict into the tally: its firing
+// transitions, the alerts still firing at its end, and the firing count per
+// detector.
+func (t *Tally) Merge(alerts int64, firing int, byDetector map[string]int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.runs++
-	t.alerts += s.Alerts
-	t.firing += s.Firing
-	for d, n := range s.ByDetector {
+	t.alerts += alerts
+	t.firing += firing
+	for d, n := range byDetector {
 		if t.byDetector == nil {
 			t.byDetector = make(map[string]int64)
 		}

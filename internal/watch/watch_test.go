@@ -342,8 +342,8 @@ func TestSummaryAndTally(t *testing.T) {
 		t.Fatalf("summary of an infeasible run is empty: %+v", s)
 	}
 	var tally Tally
-	tally.Merge(e)
-	tally.Merge(e)
+	tally.Merge(e.Count(), e.FiringNow(), e.ByDetector())
+	tally.Merge(s.Alerts, s.Firing, s.ByDetector)
 	if tally.Runs() != 2 || tally.Alerts() != 2*s.Alerts {
 		t.Fatalf("tally runs=%d alerts=%d, want 2 and %d", tally.Runs(), tally.Alerts(), 2*s.Alerts)
 	}

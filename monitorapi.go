@@ -1,6 +1,7 @@
 package rtmac
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -15,6 +16,11 @@ type MonitorConfig struct {
 	// Simulation.Run returns the violation as an error instead of letting a
 	// broken simulation grind on.
 	Strict bool
+	// NoFlightRecorder leaves out the flight recorder, which keeps the last
+	// DefaultFlightRecorderIntervals intervals of raw events for post-mortem
+	// dumps. The checks are unchanged; the dump methods then return an error.
+	// Sweeps of many short simulations that never dump set it.
+	NoFlightRecorder bool
 }
 
 // DefaultFlightRecorderIntervals is how many recent intervals of raw events
@@ -54,7 +60,8 @@ func violationsOut(in []monitor.Violation) []Violation {
 // Monitor is a running simulation's invariant monitor: it watches the
 // interval loop for breaches of the paper's structural guarantees (σ
 // bijectivity, single-adjacent-swap, collision-freedom, Eq. 1 debt
-// bookkeeping, airtime conservation) and carries the flight recorder.
+// bookkeeping, airtime conservation) and, unless NoFlightRecorder was set,
+// carries the flight recorder.
 type Monitor struct {
 	m        *monitor.Monitor
 	rec      *monitor.FlightRecorder
@@ -93,7 +100,7 @@ func (s *Simulation) EnableMonitor(cfg MonitorConfig) (*Monitor, error) {
 	}
 	m, err := monitor.New(monitor.Config{
 		Links:         len(s.req),
-		Interval:      s.profileInterval,
+		Interval:      s.profile.Interval,
 		CollisionFree: collisionFree,
 		SwapPairs:     s.cfgProt.swapPairs,
 		Conflicts:     s.conflicts.graph(),
@@ -104,17 +111,23 @@ func (s *Simulation) EnableMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
-	rec, err := monitor.NewFlightRecorder(DefaultFlightRecorderIntervals)
-	if err != nil {
-		return nil, fmt.Errorf("rtmac: %w", err)
+	mon := &Monitor{m: m, interval: s.profile.Interval}
+	if !cfg.NoFlightRecorder {
+		if mon.rec, err = monitor.NewFlightRecorder(DefaultFlightRecorderIntervals); err != nil {
+			return nil, fmt.Errorf("rtmac: %w", err)
+		}
+		s.addSink(mon.rec)
 	}
-	s.addSink(rec)
 	s.nw.AddProbe(m)
 	if cfg.Strict {
 		s.nw.SetIntervalCheck(m.Err)
 	}
-	return &Monitor{m: m, rec: rec, interval: s.profileInterval}, nil
+	return mon, nil
 }
+
+// errNoFlightRecorder is what the dump methods return for a monitor enabled
+// with NoFlightRecorder.
+var errNoFlightRecorder = errors.New("rtmac: monitor has no flight recorder (MonitorConfig.NoFlightRecorder)")
 
 // Count returns the total number of violations observed so far.
 func (m *Monitor) Count() int64 { return m.m.Count() }
@@ -130,12 +143,18 @@ func (m *Monitor) Err() error { return m.m.Err() }
 // same format StreamEvents writes, so `rtmacsim -check` can audit a dump
 // directly.
 func (m *Monitor) WriteFlightRecorder(w io.Writer) error {
+	if m.rec == nil {
+		return errNoFlightRecorder
+	}
 	return m.rec.WriteJSONL(w)
 }
 
 // WriteFlightRecorderTimeline dumps the retained window as a human-readable
 // per-interval timeline for post-mortem reading without tooling.
 func (m *Monitor) WriteFlightRecorderTimeline(w io.Writer) error {
+	if m.rec == nil {
+		return errNoFlightRecorder
+	}
 	return m.rec.WriteTimeline(w)
 }
 
@@ -144,12 +163,19 @@ func (m *Monitor) WriteFlightRecorderTimeline(w io.Writer) error {
 // channel loss, 'C' collision, 'e' empty priority-claiming frame, '.' idle.
 // Only intervals still in the recorder's window can be drawn.
 func (m *Monitor) RenderInterval(w io.Writer, k int64, width int) error {
+	if m.rec == nil {
+		return errNoFlightRecorder
+	}
 	from := Time(k) * m.interval
 	return monitor.RenderTimeline(w, m.rec.Events(), from, from+m.interval, width)
 }
 
-// FlightRecorderEvents returns how many events the recorder has seen.
+// FlightRecorderEvents returns how many events the recorder has seen (0
+// without one).
 func (m *Monitor) FlightRecorderEvents() int64 {
+	if m.rec == nil {
+		return 0
+	}
 	return m.rec.Total()
 }
 

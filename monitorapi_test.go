@@ -47,6 +47,39 @@ func TestMonitorCleanDBDPRun(t *testing.T) {
 	}
 }
 
+// TestMonitorWithoutFlightRecorder checks that NoFlightRecorder keeps the
+// checks (the violation counters are registered) but attaches no recorder, so
+// every dump method reports that instead of writing an empty dump.
+func TestMonitorWithoutFlightRecorder(t *testing.T) {
+	s := monitorTestSim(t, rtmac.DBDP())
+	mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true, NoFlightRecorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(200); err != nil {
+		t.Fatalf("strict run failed: %v", err)
+	}
+	if _, err := s.Telemetry().Counter("rtmac_monitor_violations_total"); err != nil {
+		t.Fatalf("monitor not attached: %v", err)
+	}
+	if n := mon.FlightRecorderEvents(); n != 0 {
+		t.Errorf("FlightRecorderEvents = %d without a recorder", n)
+	}
+	var buf bytes.Buffer
+	for name, dump := range map[string]func() error{
+		"WriteFlightRecorder":         func() error { return mon.WriteFlightRecorder(&buf) },
+		"WriteFlightRecorderTimeline": func() error { return mon.WriteFlightRecorderTimeline(&buf) },
+		"RenderInterval":              func() error { return mon.RenderInterval(&buf, 199, 80) },
+	} {
+		if err := dump(); err == nil || !strings.Contains(err.Error(), "no flight recorder") {
+			t.Errorf("%s without a recorder: error %v", name, err)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("dumps wrote %d bytes without a recorder", buf.Len())
+	}
+}
+
 func TestMonitorDoesNotPerturbTrajectory(t *testing.T) {
 	plain := monitorTestSim(t, rtmac.DBDP())
 	if err := plain.Run(150); err != nil {

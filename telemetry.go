@@ -102,16 +102,19 @@ func (e *EventStream) Flush() error { return e.sink.Flush() }
 
 // Manifest describes the provenance of this run: seed, configuration
 // summary, build identity, and wall-clock timings. Extra carries arbitrary
-// additional configuration (e.g. CLI flag values) into the manifest.
+// additional configuration (e.g. CLI flag values) into the manifest. The
+// build identity is read at the call, the start time when the simulation
+// was built.
 func (s *Simulation) Manifest(tool string, extra map[string]string) *Manifest {
-	m := s.manifest
-	m.Tool = tool
+	m := telemetry.NewManifest(tool, s.seed)
+	m.Started = s.started
+	m.Protocol = s.prot.Name()
+	m.Profile = s.profile.Name
+	m.Links = len(s.req)
 	m.Intervals = s.nw.Intervals()
 	m.SimTimeUS = int64(s.nw.Engine().Now())
 	if len(extra) > 0 {
-		if m.Config == nil {
-			m.Config = make(map[string]string, len(extra))
-		}
+		m.Config = make(map[string]string, len(extra))
 		for k, v := range extra {
 			m.Config[k] = v
 		}
