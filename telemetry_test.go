@@ -232,3 +232,55 @@ func TestMonitorRenderIntervalDrawsCollisions(t *testing.T) {
 		t.Fatal("no collision glyph in any DCF interval")
 	}
 }
+
+// TestSharedRegistryIgnoresFeasibilityProbes checks that Config.Registry
+// receives the metrics of the simulation built from the config and nothing
+// from the probe networks the feasibility entry points build from the same
+// config.
+func TestSharedRegistryIgnoresFeasibilityProbes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := rtmac.Config{
+		Seed:     5,
+		Profile:  rtmac.ControlProfile(),
+		Links:    controlLinks(4, 0.7, 0.5, 0.9),
+		Protocol: rtmac.DBDP(),
+		Registry: reg,
+	}
+	exposition := func() string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	empty := exposition()
+	s, err := rtmac.NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	published := exposition()
+	if published == empty {
+		t.Fatal("the simulation published nothing into the shared registry")
+	}
+	if _, err := rtmac.CheckFeasibility(cfg, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rtmac.CapacityFrontier(cfg, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rtmac.ProtocolCapacity(cfg, rtmac.FCSMA(), 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rtmac.RequirementVector(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rtmac.SubsetBoundViolation(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := exposition(); got != published {
+		t.Errorf("feasibility probes changed the shared registry:\nbefore:\n%s\nafter:\n%s", published, got)
+	}
+}
