@@ -24,7 +24,8 @@
 // trace.json (Perfetto), metrics.prom, metrics.json and manifest.json, and
 // with -health also health.json. -check PATH validates a record directory or
 // one of its artifacts by base name: the event audit for events.jsonl and
-// flight.jsonl, the Perfetto format for trace.json, the Prometheus
+// flight.jsonl, every span and the cause attribution for journeys.jsonl, the
+// Perfetto format for trace.json, the Prometheus
 // exposition for metrics.prom, and the health document for health.json.
 //
 // Exit codes: 0 success, 1 the run failed or -check found a problem, 2 usage
@@ -47,6 +48,7 @@ import (
 
 	"rtmac"
 	"rtmac/internal/health"
+	"rtmac/internal/journey"
 	"rtmac/internal/ledger"
 	"rtmac/internal/stats"
 	"rtmac/internal/telemetry"
@@ -110,7 +112,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.perturbLink, "perturb-link", 0, "link receiving the -perturb-interval injection")
 	fs.IntVar(&o.perturbExtra, "perturb-extra", 1, "packets injected by -perturb-interval")
 	fs.StringVar(&o.record, "record", "", "record the run into DIR: events.jsonl, journeys.jsonl, flight.jsonl/.txt (implies -monitor), trace.json (Perfetto), metrics.prom/.json, manifest.json, and health.json with -health")
-	fs.StringVar(&o.check, "check", "", "validate a -record directory, or one of its events.jsonl, flight.jsonl, trace.json, metrics.prom or health.json, then exit")
+	fs.StringVar(&o.check, "check", "", "validate a -record directory, or one of its events.jsonl, flight.jsonl, journeys.jsonl, trace.json, metrics.prom or health.json, then exit")
 	if err := fs.Parse(args); err != nil {
 		return 2 // the flag package already printed the error
 	}
@@ -534,11 +536,12 @@ func reportAlerts(w *rtmac.Watch, stdout io.Writer) {
 // checkers maps each record artifact that has a validator to it; -check
 // picks one by base name.
 var checkers = map[string]func(r io.Reader) (string, error){
-	"events.jsonl": checkEvents,
-	"flight.jsonl": checkEvents,
-	"trace.json":   checkPerfetto,
-	"metrics.prom": checkMetrics,
-	"health.json":  checkHealthDoc,
+	"events.jsonl":   checkEvents,
+	"flight.jsonl":   checkEvents,
+	"journeys.jsonl": checkJourneys,
+	"trace.json":     checkPerfetto,
+	"metrics.prom":   checkMetrics,
+	"health.json":    checkHealthDoc,
 }
 
 // check validates a record directory — every artifact with a validator,
@@ -621,6 +624,26 @@ func checkEvents(r io.Reader) (string, error) {
 		counts = append(counts, fmt.Sprintf("%d %s", kinds[kind], kind))
 	}
 	return fmt.Sprintf("%d events ok (%s); invariant audit clean", len(events), strings.Join(counts, ", ")), nil
+}
+
+// checkJourneys validates a packet-journey stream: every line must parse and
+// every journey's spans must pass Journey.Validate, the error naming the
+// first line that does not, and the per-cause attribution of all journeys
+// must reconcile with their count.
+func checkJourneys(r io.Reader) (string, error) {
+	js, err := journey.Decode(r, true)
+	if err != nil {
+		return "", err
+	}
+	var a journey.Attribution
+	for i := range js {
+		a.Add(js[i].Cause)
+	}
+	if !a.Reconciles() {
+		return "", fmt.Errorf("attribution does not reconcile: %d journeys, %d delivered, %d missed",
+			a.Total, a.Delivered, a.Missed())
+	}
+	return fmt.Sprintf("%d journeys ok (%d delivered, %d missed); all spans valid", a.Total, a.Delivered, a.Missed()), nil
 }
 
 // checkMetrics validates a Prometheus text exposition, the format of

@@ -180,10 +180,11 @@ func TestCheck(t *testing.T) {
 		{"perfetto", "trace.json", func(b []byte) []byte { return b[:len(b)/2] }, "trace.json"},
 		{"prometheus", "metrics.prom", func(b []byte) []byte { return append(b, "rtmac_undeclared_total 1\n"...) }, "metrics.prom"},
 		{"health document", "health.json", func([]byte) []byte { return []byte(`{"enabled":true}`) }, "health.json"},
+		{"journey record", "journeys.jsonl", func(b []byte) []byte { return append(b, "{not json\n"...) }, "journeys.jsonl"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := t.TempDir()
-			for _, name := range []string{"events.jsonl", "flight.jsonl", "trace.json", "metrics.prom", "health.json"} {
+			for _, name := range []string{"events.jsonl", "flight.jsonl", "journeys.jsonl", "trace.json", "metrics.prom", "health.json"} {
 				data, err := os.ReadFile(filepath.Join(dir, name))
 				if err != nil {
 					t.Fatal(err)
@@ -216,6 +217,47 @@ func TestCheck(t *testing.T) {
 			t.Errorf("-check on flight.txt exited %d, want 2", code)
 		}
 	})
+}
+
+// TestCheckJourneys runs -check on journeys.jsonl files with one corrupted
+// record each: a line that is not JSON, a header of another stream and a
+// journey whose spans break an invariant. Each must exit 1 with an error
+// naming the file and the line, counting the schema header as line 1.
+func TestCheckJourneys(t *testing.T) {
+	dir := record(t, "-links", "4", "-intervals", "20", "-seed", "5")
+	path := filepath.Join(dir, "journeys.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, errs := runSim(t, "-check", path)
+	if code != 0 || !strings.Contains(out, "journeys ok") {
+		t.Fatalf("fresh journeys.jsonl failed -check (exit %d):\n%s%s", code, out, errs)
+	}
+	header, body, _ := bytes.Cut(data, []byte("\n"))
+	first, _, _ := bytes.Cut(body, []byte("\n"))
+	join := func(lines ...string) []byte { return []byte(strings.Join(lines, "\n") + "\n") }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		line string
+	}{
+		{"malformed line", join(string(header), "this is not json", string(body)), "line 2:"},
+		{"foreign header", join(`{"schema":"rtmac.events","schema_version":1}`, string(body)), "line 1:"},
+		{"invalid span", join(string(header), string(first),
+			`{"seq":0,"k":0,"link":0,"idx":0,"arrived":0,"deadline":100,"cause":"delivered"}`), "line 3:"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := filepath.Join(t.TempDir(), "journeys.jsonl")
+			if err := os.WriteFile(bad, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, _, errs := runSim(t, "-check", bad)
+			if code != 1 || !strings.Contains(errs, bad+":") || !strings.Contains(errs, tc.line) {
+				t.Errorf("-check exited %d, want 1 naming %s and %q:\n%s", code, bad, tc.line, errs)
+			}
+		})
+	}
 }
 
 // TestRecordArtifacts checks what -record writes for a short strict DB-DP

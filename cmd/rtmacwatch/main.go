@@ -298,7 +298,7 @@ func (p alertPrinter) Emit(ev telemetry.Event) {
 		return
 	}
 	state := watch.StateResolved
-	if ev.Fields["state"] == 1 {
+	if ev.Value("state") == 1 {
 		state = watch.StateFiring
 	}
 	fmt.Fprintf(p.out, "k=%d link=%d %s %s: %s\n", ev.K, ev.Link, ev.Check, state, ev.Msg)

@@ -9,8 +9,9 @@
 //	tracequery -by-link journeys.jsonl     # per-link attribution table
 //	tracequery -cause lost-to-collision -print 5 journeys.jsonl
 //	tracequery -link 3 journeys.jsonl      # one link only
-//	tracequery -check journeys.jsonl       # validate every span; exit 1 on malformed
-//	tracequery -check - < run/journeys.jsonl
+//	tracequery - < run/journeys.jsonl      # read stdin
+//
+// `rtmacsim -check` validates a recorded journeys.jsonl.
 package main
 
 import (

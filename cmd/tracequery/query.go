@@ -17,7 +17,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("tracequery", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		check  = fs.Bool("check", false, "validate every journey and exit 1 on the first malformed span")
 		link   = fs.Int("link", -1, "restrict to one link (-1 = all)")
 		cause  = fs.String("cause", "", "restrict to one terminal cause (e.g. lost-to-collision)")
 		byLink = fs.Bool("by-link", false, "print a per-link attribution table")
@@ -35,13 +34,9 @@ func run(args []string, stdout io.Writer) (int, error) {
 	}
 	defer in.Close()
 
-	js, err := journey.Decode(in, *check)
+	js, err := journey.Decode(in, false)
 	if err != nil {
 		return 1, fmt.Errorf("%s: %w", name, err)
-	}
-	if *check {
-		fmt.Fprintf(stdout, "ok: %d journeys, all spans valid\n", len(js))
-		return 0, nil
 	}
 
 	js = filter(js, *link, *cause)

@@ -71,21 +71,6 @@ func runQuery(t *testing.T, input []byte, args ...string) (string, int) {
 	return out.String(), code
 }
 
-// checkErr runs tracequery -check over input and returns the exit code and
-// the error text.
-func checkErr(t *testing.T, input []byte) (int, string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "journeys.jsonl")
-	if err := os.WriteFile(path, input, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, err := run([]string{"-check", path}, &bytes.Buffer{})
-	if err == nil {
-		return code, ""
-	}
-	return code, err.Error()
-}
-
 // TestGoldenOutput pins tracequery's exact output for a fixed seed, for the
 // summary, per-link and pretty-print views.
 func TestGoldenOutput(t *testing.T) {
@@ -120,37 +105,6 @@ func TestGoldenOutput(t *testing.T) {
 					"(intentional behaviour change? regenerate with -update)", name, got, want)
 			}
 		})
-	}
-}
-
-func TestCheckMode(t *testing.T) {
-	input := fixedJourneys(t)
-	out, code := runQuery(t, input, "-check")
-	if code != 0 {
-		t.Fatalf("valid stream rejected (exit %d): %s", code, out)
-	}
-	if !strings.Contains(out, "all spans valid") {
-		t.Fatalf("unexpected check output: %q", out)
-	}
-
-	// A malformed line fails with exit 1 and names its line, counting the
-	// schema header the stream opens with.
-	header, body, _ := bytes.Cut(input, []byte("\n"))
-	broken := bytes.Join([][]byte{header, []byte("this is not json"), body}, []byte("\n"))
-	if code, err := checkErr(t, broken); code != 1 || !strings.Contains(err, "line 2:") {
-		t.Fatalf("malformed line: exit %d, error %q, want exit 1 at line 2", code, err)
-	}
-	// A header of another schema is the line the read stops on.
-	foreign := append([]byte(`{"schema":"rtmac.events","schema_version":1}`+"\n"), body...)
-	if code, err := checkErr(t, foreign); code != 1 || !strings.Contains(err, "line 1:") {
-		t.Fatalf("foreign header: exit %d, error %q, want exit 1 at line 1", code, err)
-	}
-
-	// A structurally invalid span (valid JSON, broken invariants) also fails.
-	valid, _, _ := bytes.Cut(body, []byte("\n"))
-	invalid := []byte(string(valid) + "\n" + `{"seq":0,"k":0,"link":0,"idx":0,"arrived":0,"deadline":100,"cause":"delivered"}` + "\n")
-	if code, err := checkErr(t, invalid); code != 1 || !strings.Contains(err, "line 2:") {
-		t.Fatalf("invalid span: exit %d, error %q, want exit 1 at line 2", code, err)
 	}
 }
 
@@ -191,8 +145,5 @@ func TestEmptyInput(t *testing.T) {
 	}
 	if !strings.Contains(out, "journeys: 0") {
 		t.Fatalf("unexpected output for empty input: %q", out)
-	}
-	if out2, code := runQuery(t, nil, "-check"); code != 0 || !strings.Contains(out2, "0 journeys") {
-		t.Fatalf("empty check failed: exit %d, %q", code, out2)
 	}
 }

@@ -190,14 +190,16 @@ func TestHotPathAllocBoundWithTelemetry(t *testing.T) {
 // at once — the event stream, the strict monitor with its default flight
 // recorder, journeys at sample 1 and the watch engine. No plane allocates
 // per event; what remains is high-water growth of reused storage (a
-// flight-recorder bucket's arena, the journey pool, a line buffer) when an
-// interval is busier than any that storage has held before. That growth
-// stops once every buffer has seen its largest interval, so it is bounded
-// here at one allocation per twenty intervals, not pinned at exactly zero.
+// flight-recorder bucket sized to a new largest interval, the journey pool,
+// a line buffer) when an interval is busier than any that storage has held
+// before. Over the 1000 measured intervals that is 1 allocation for DB-DP
+// and 3 for LDF; the bound of 10 leaves 6 for the runtime's own background
+// allocations, which share the process-wide counter.
 func TestHotPathZeroAllocObserved(t *testing.T) {
 	const (
-		warmup = 300 // also fills every flight-recorder bucket once
-		runs   = 1000
+		warmup    = 300 // also fills every flight-recorder bucket once
+		runs      = 1000
+		maxAllocs = 10
 	)
 	for _, name := range []string{"dbdp", "ldf"} {
 		t.Run(name, func(t *testing.T) {
@@ -222,9 +224,9 @@ func TestHotPathZeroAllocObserved(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > runs/20 {
+			if allocs > maxAllocs {
 				t.Errorf("%s: %d allocs over %d observed steady-state intervals, want <= %d",
-					name, allocs, runs, runs/20)
+					name, allocs, runs, maxAllocs)
 			}
 			if stream.Count() == 0 || jt.Count() == 0 || mon.FlightRecorderEvents() == 0 {
 				t.Errorf("a plane saw nothing: events=%d journeys=%d recorder=%d",

@@ -76,7 +76,7 @@ type Watchdog struct {
 	haveSched bool
 	basePause pauseStats
 	baseSched pauseStats
-	fields    map[string]float64 // reused per emission; sinks must not retain
+	payload   *telemetry.Payload // reused per emission; sinks must not retain
 }
 
 // WatchdogStatus is the watchdog's live state for /api/health.
@@ -95,9 +95,9 @@ type WatchdogStatus struct {
 // NewWatchdog builds a watchdog and takes its first attribution baseline.
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	w := &Watchdog{
-		budget: cfg.Budget.Nanoseconds(),
-		sink:   cfg.Sink,
-		fields: make(map[string]float64, 8),
+		budget:  cfg.Budget.Nanoseconds(),
+		sink:    cfg.Sink,
+		payload: telemetry.NewPayload(telemetry.StallSchema),
 	}
 	avail := make(map[string]bool)
 	for _, d := range metrics.All() {
@@ -220,16 +220,15 @@ func (w *Watchdog) overrun(k int64, at sim.Time, elapsed int64) {
 	}
 
 	if w.sink != nil {
-		f := w.fields
-		clear(f)
-		f["budget_ns"] = float64(w.budget)
-		f["elapsed_ns"] = float64(elapsed)
-		f["overrun_ns"] = float64(over)
-		f["gc_pause_ns"] = float64(gcPauseNS)
-		f["gc_pauses"] = float64(gcPauses)
-		f["sched_p99_ns"] = float64(schedP99NS)
-		f["cause"] = float64(cause)
-		w.sink.Emit(telemetry.Event{K: k, At: at, Link: -1, Kind: telemetry.EventStall, Fields: f})
+		v := w.payload.Values
+		v[telemetry.StallBudget] = float64(w.budget)
+		v[telemetry.StallElapsed] = float64(elapsed)
+		v[telemetry.StallOverrun] = float64(over)
+		v[telemetry.StallGCPause] = float64(gcPauseNS)
+		v[telemetry.StallGCPauses] = float64(gcPauses)
+		v[telemetry.StallSchedP99] = float64(schedP99NS)
+		v[telemetry.StallCause] = float64(cause)
+		w.sink.Emit(telemetry.Event{K: k, At: at, Link: -1, Kind: telemetry.EventStall, Payload: w.payload})
 	}
 	w.mu.Unlock()
 }

@@ -14,18 +14,15 @@ func begin(w *Watchdog) { w.BeginInterval(0, 0, 0, nil, nil) }
 
 func end(w *Watchdog, k int64, at sim.Time) { w.EndInterval(k, at, 0, 0, 0, nil) }
 
-// captureSink records emitted events, copying Fields (the watchdog reuses
-// its scratch map, per the Sink contract).
+// captureSink records emitted events with their payload copied into Fields
+// (the watchdog reuses its payload, per the Sink contract).
 type captureSink struct {
 	events []telemetry.Event
 }
 
 func (s *captureSink) Emit(ev telemetry.Event) {
 	cp := ev
-	cp.Fields = make(map[string]float64, len(ev.Fields))
-	for k, v := range ev.Fields {
-		cp.Fields[k] = v
-	}
+	cp.Payload, cp.Fields = nil, ev.Payload.Map()
 	s.events = append(s.events, cp)
 }
 

@@ -1,8 +1,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"rtmac/internal/medium"
 	"rtmac/internal/perm"
 	"rtmac/internal/sim"
@@ -71,11 +69,10 @@ func (NopProbe) EndInterval(int64, sim.Time, int, int, int, perm.Permutation)   
 
 // eventProbe is the probe SetEventSink installs: it renders every typed
 // record as a telemetry.Event on its sink. Each emission site owns one
-// scratch Fields map reused across events. A site writes a fixed key set,
-// so steady-state emission only overwrites values: no map growth and no
-// per-event allocation. This is safe because the Sink contract forbids
-// retaining the Fields map beyond the Emit call. Round, Fire and Sense have
-// no event kind and stay no-ops.
+// payload of its kind's canonical schema and overwrites its values for every
+// event, so steady-state emission allocates nothing and builds no map. This
+// is safe because the Sink contract forbids retaining the payload beyond the
+// Emit call. Round, Fire and Sense have no event kind and stay no-ops.
 type eventProbe struct {
 	NopProbe
 	sink telemetry.Sink
@@ -83,26 +80,22 @@ type eventProbe struct {
 	// stream when it is not complete.
 	graph *medium.Graph
 
-	txFields       map[string]float64
-	backoffFields  map[string]float64
-	debtFields     map[string]float64
-	swapFields     map[string]float64
-	intervalFields map[string]float64
-	prioFields     map[string]float64
-	// prioKeys caches the "l<n>" field names of the priority snapshot
-	// (built with the first snapshot).
-	prioKeys []string
+	tx, backoff, swap, debt, interval *telemetry.Payload
+	// prio is the priority snapshot's payload, built with the first
+	// snapshot; prioSlot[link] is the position of link's field in it.
+	prio     *telemetry.Payload
+	prioSlot []int
 }
 
 func newEventProbe(sink telemetry.Sink, graph *medium.Graph) *eventProbe {
 	return &eventProbe{
-		sink:           sink,
-		graph:          graph,
-		txFields:       make(map[string]float64, 3),
-		backoffFields:  make(map[string]float64, 1),
-		debtFields:     make(map[string]float64, 3),
-		swapFields:     make(map[string]float64, 4),
-		intervalFields: make(map[string]float64, 3),
+		sink:     sink,
+		graph:    graph,
+		tx:       telemetry.NewPayload(telemetry.TxSchema),
+		backoff:  telemetry.NewPayload(telemetry.BackoffSchema),
+		swap:     telemetry.NewPayload(telemetry.SwapSchema),
+		debt:     telemetry.NewPayload(telemetry.DebtSchema),
+		interval: telemetry.NewPayload(telemetry.IntervalSchema),
 	}
 }
 
@@ -115,45 +108,48 @@ func (e *eventProbe) BeginInterval(k int64, _, _ sim.Time, _ []int, _ perm.Permu
 	if k != 0 || g.Complete() {
 		return
 	}
-	fields := make(map[string]float64, 1)
+	p := telemetry.NewPayload(telemetry.ConflictSchema)
 	g.EachEdge(func(i, j int) {
-		fields["peer"] = float64(j)
-		e.sink.Emit(telemetry.Event{K: 0, At: 0, Link: i, Kind: telemetry.EventConflict, Fields: fields})
+		p.Values[telemetry.ConflictPeer] = float64(j)
+		e.sink.Emit(telemetry.Event{K: 0, At: 0, Link: i, Kind: telemetry.EventConflict, Payload: p})
 	})
 }
 
 func (e *eventProbe) Backoff(k int64, at sim.Time, link, slots int) {
-	e.backoffFields["slots"] = float64(slots)
+	e.backoff.Values[telemetry.BackoffSlots] = float64(slots)
 	e.sink.Emit(telemetry.Event{
-		K: k, At: at, Link: link, Kind: telemetry.EventBackoff, Fields: e.backoffFields,
+		K: k, At: at, Link: link, Kind: telemetry.EventBackoff, Payload: e.backoff,
 	})
 }
 
 func (e *eventProbe) Tx(k int64, tx medium.Transmission, outcome medium.Outcome) {
-	e.txFields["dur"] = float64(tx.End - tx.Start)
-	e.txFields["empty"] = b2f(tx.Empty)
-	e.txFields["outcome"] = float64(outcome)
+	v := e.tx.Values
+	v[telemetry.TxDur] = float64(tx.End - tx.Start)
+	v[telemetry.TxEmpty] = b2f(tx.Empty)
+	v[telemetry.TxOutcome] = float64(outcome)
 	e.sink.Emit(telemetry.Event{
-		K: k, At: tx.End, Link: tx.Link, Kind: telemetry.EventTx, Fields: e.txFields,
+		K: k, At: tx.End, Link: tx.Link, Kind: telemetry.EventTx, Payload: e.tx,
 	})
 }
 
 func (e *eventProbe) Swap(k int64, at sim.Time, pos, down, up int, accepted bool) {
-	e.swapFields["pos"] = float64(pos)
-	e.swapFields["down"] = float64(down)
-	e.swapFields["up"] = float64(up)
-	e.swapFields["accepted"] = b2f(accepted)
+	v := e.swap.Values
+	v[telemetry.SwapPos] = float64(pos)
+	v[telemetry.SwapDown] = float64(down)
+	v[telemetry.SwapUp] = float64(up)
+	v[telemetry.SwapAccepted] = b2f(accepted)
 	e.sink.Emit(telemetry.Event{
-		K: k, At: at, Link: -1, Kind: telemetry.EventSwap, Fields: e.swapFields,
+		K: k, At: at, Link: -1, Kind: telemetry.EventSwap, Payload: e.swap,
 	})
 }
 
 func (e *eventProbe) Debt(k int64, at sim.Time, _ []float64, max, mean float64, positive int) {
-	e.debtFields["max"] = max
-	e.debtFields["mean"] = mean
-	e.debtFields["positive"] = float64(positive)
+	v := e.debt.Values
+	v[telemetry.DebtMax] = max
+	v[telemetry.DebtMean] = mean
+	v[telemetry.DebtPositive] = float64(positive)
 	e.sink.Emit(telemetry.Event{
-		K: k, At: at, Link: -1, Kind: telemetry.EventDebt, Fields: e.debtFields,
+		K: k, At: at, Link: -1, Kind: telemetry.EventDebt, Payload: e.debt,
 	})
 }
 
@@ -161,27 +157,29 @@ func (e *eventProbe) Debt(k int64, at sim.Time, _ []float64, max, mean float64, 
 // holds link n's priority index), so a stream reader sees the interval's
 // swaps strictly before the permutation they produced.
 func (e *eventProbe) EndInterval(k int64, end sim.Time, arrivals, served, expired int, prio perm.Permutation) {
-	e.intervalFields["arrivals"] = float64(arrivals)
-	e.intervalFields["served"] = float64(served)
-	e.intervalFields["expired"] = float64(expired)
+	v := e.interval.Values
+	v[telemetry.IntervalArrivals] = float64(arrivals)
+	v[telemetry.IntervalServed] = float64(served)
+	v[telemetry.IntervalExpired] = float64(expired)
 	e.sink.Emit(telemetry.Event{
-		K: k, At: end, Link: -1, Kind: telemetry.EventInterval, Fields: e.intervalFields,
+		K: k, At: end, Link: -1, Kind: telemetry.EventInterval, Payload: e.interval,
 	})
 	if prio == nil {
 		return
 	}
-	if e.prioKeys == nil {
-		e.prioKeys = make([]string, len(prio))
-		for i := range e.prioKeys {
-			e.prioKeys[i] = fmt.Sprintf("l%d", i)
+	if len(prio) != len(e.prioSlot) {
+		s := telemetry.PrioSchema(len(prio))
+		e.prio = telemetry.NewPayload(s)
+		e.prioSlot = make([]int, len(prio))
+		for link := range e.prioSlot {
+			e.prioSlot[link] = s.Index(telemetry.PrioName(link))
 		}
-		e.prioFields = make(map[string]float64, len(prio))
 	}
 	for link, pr := range prio {
-		e.prioFields[e.prioKeys[link]] = float64(pr)
+		e.prio.Values[e.prioSlot[link]] = float64(pr)
 	}
 	e.sink.Emit(telemetry.Event{
-		K: k, At: end, Link: -1, Kind: telemetry.EventPriority, Fields: e.prioFields,
+		K: k, At: end, Link: -1, Kind: telemetry.EventPriority, Payload: e.prio,
 	})
 }
 

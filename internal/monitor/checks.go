@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
@@ -45,7 +44,7 @@ func newPermutationValid(links int) *permutationValid {
 		keys:     make([]string, links),
 	}
 	for link := range c.keys {
-		c.keys[link] = "l" + strconv.Itoa(link)
+		c.keys[link] = telemetry.PrioName(link)
 	}
 	return c
 }
@@ -113,12 +112,12 @@ func (c *permutationValid) bijective(k int64, at sim.Time, prio []int, report Re
 // names the wrong number of links, misses one or holds a non-integral
 // priority is reported here, flaws in lower links first, and yields false.
 func (c *permutationValid) decode(ev telemetry.Event, report Reporter) ([]int, bool) {
-	if len(ev.Fields) != c.links {
-		c.wrongSize(ev.K, ev.At, len(ev.Fields), report)
+	if n := ev.Payload.Len(); n != c.links {
+		c.wrongSize(ev.K, ev.At, n, report)
 		return nil, false
 	}
 	for link, key := range c.keys {
-		v, ok := ev.Fields[key]
+		v, ok := ev.Payload.Lookup(key)
 		if ok && float64(int(v)) == v {
 			c.decoded[link] = int(v)
 			continue

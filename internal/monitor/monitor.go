@@ -40,12 +40,13 @@ type Violation struct {
 	Fields map[string]float64
 }
 
-// Event renders the violation as a telemetry event for sinks and streams.
+// Event renders the violation as a telemetry event for sinks and streams,
+// with Fields converted to a payload of its own.
 func (v Violation) Event() telemetry.Event {
 	return telemetry.Event{
 		K: v.K, At: v.At, Link: v.Link,
 		Kind: telemetry.EventViolation, Check: v.Check, Msg: v.Msg,
-		Fields: v.Fields,
+		Payload: telemetry.PayloadOf(v.Fields),
 	}
 }
 
@@ -211,17 +212,16 @@ func (m *Monitor) interval(k int64, end sim.Time, served float64) {
 // Violation events emitted by this monitor itself pass through unchecked,
 // so the monitor can share a fan-out with its own output sink.
 func (m *Monitor) Emit(ev telemetry.Event) {
-	f := ev.Fields
 	switch ev.Kind {
 	case telemetry.EventTx:
-		dur := sim.Time(f["dur"])
-		m.tx(ev.K, ev.Link, ev.At-dur, ev.At, f["empty"] != 0, f["outcome"] == outcomeCollided)
+		dur := sim.Time(ev.Value("dur"))
+		m.tx(ev.K, ev.Link, ev.At-dur, ev.At, ev.Value("empty") != 0, ev.Value("outcome") == outcomeCollided)
 	case telemetry.EventSwap:
-		m.Swap(ev.K, ev.At, int(f["pos"]), int(f["down"]), int(f["up"]), f["accepted"] == 1)
+		m.Swap(ev.K, ev.At, int(ev.Value("pos")), int(ev.Value("down")), int(ev.Value("up")), ev.Value("accepted") == 1)
 	case telemetry.EventDebt:
-		m.debt.debt(ev.K, f["mean"])
+		m.debt.debt(ev.K, ev.Value("mean"))
 	case telemetry.EventInterval:
-		m.interval(ev.K, ev.At, f["served"])
+		m.interval(ev.K, ev.At, ev.Value("served"))
 	case telemetry.EventPriority:
 		if prio, ok := m.perm.decode(ev, m.reporter); ok {
 			m.perm.prio(ev.K, ev.At, prio, m.reporter)
@@ -304,8 +304,8 @@ func InferConfig(events []telemetry.Event) (Config, error) {
 		switch ev.Kind {
 		case telemetry.EventSwap, telemetry.EventPriority:
 			dpFamily = true
-			if ev.Kind == telemetry.EventPriority && len(ev.Fields) > links {
-				links = len(ev.Fields)
+			if n := ev.Payload.Len(); ev.Kind == telemetry.EventPriority && n > links {
+				links = n
 			}
 		case telemetry.EventInterval:
 			if interval == 0 && ev.At > 0 {
@@ -314,7 +314,7 @@ func InferConfig(events []telemetry.Event) (Config, error) {
 				interval = ev.At / sim.Time(ev.K+1)
 			}
 		case telemetry.EventConflict:
-			peer := int(ev.Fields["peer"])
+			peer := int(ev.Value("peer"))
 			if peer+1 > links {
 				links = peer + 1
 			}

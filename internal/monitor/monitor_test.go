@@ -36,23 +36,23 @@ func prioEvent(k int64, prio ...int) telemetry.Event {
 	}
 	return telemetry.Event{
 		K: k, At: sim.Time(k+1) * testInterval, Link: -1,
-		Kind: telemetry.EventPriority, Fields: fields,
+		Kind: telemetry.EventPriority, Payload: telemetry.PayloadOf(fields),
 	}
 }
 
 func intervalEvent(k int64, served float64) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: sim.Time(k+1) * testInterval, Link: -1,
-		Kind:   telemetry.EventInterval,
-		Fields: map[string]float64{"arrivals": 4, "served": served, "expired": 0},
+		Kind:    telemetry.EventInterval,
+		Payload: telemetry.PayloadOf(map[string]float64{"arrivals": 4, "served": served, "expired": 0}),
 	}
 }
 
 func debtEvent(k int64, sum float64) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: sim.Time(k+1) * testInterval, Link: -1,
-		Kind:   telemetry.EventDebt,
-		Fields: map[string]float64{"max": sum, "mean": sum / testLinks, "positive": 1},
+		Kind:    telemetry.EventDebt,
+		Payload: telemetry.PayloadOf(map[string]float64{"max": sum, "mean": sum / testLinks, "positive": 1}),
 	}
 }
 
@@ -64,16 +64,16 @@ func swapEvent(k int64, pos, down, up int, accepted bool) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: sim.Time(k)*testInterval + 10, Link: -1,
 		Kind: telemetry.EventSwap,
-		Fields: map[string]float64{
+		Payload: telemetry.PayloadOf(map[string]float64{
 			"pos": float64(pos), "down": float64(down), "up": float64(up), "accepted": acc,
-		},
+		}),
 	}
 }
 
 func txEvent(k int64, link int, end, dur sim.Time, outcome int) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: end, Link: link, Kind: telemetry.EventTx,
-		Fields: map[string]float64{"dur": float64(dur), "empty": 0, "outcome": float64(outcome)},
+		Payload: telemetry.PayloadOf(map[string]float64{"dur": float64(dur), "empty": 0, "outcome": float64(outcome)}),
 	}
 }
 

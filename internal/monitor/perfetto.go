@@ -99,17 +99,17 @@ func (p *Perfetto) write(ev traceEvent) {
 func (p *Perfetto) Emit(ev telemetry.Event) {
 	switch ev.Kind {
 	case telemetry.EventTx:
-		dur := int64(ev.Fields["dur"])
+		dur := int64(ev.Value("dur"))
 		name, cat := "data", "tx"
 		switch {
-		case ev.Fields["outcome"] == outcomeCollided:
+		case ev.Value("outcome") == outcomeCollided:
 			name, cat = "collision", "collision"
-		case ev.Fields["empty"] == 1:
+		case ev.Value("empty") == 1:
 			name = "empty"
 		}
 		outcomes := [...]string{"delivered", "lost", "collided"}
 		oc := "?"
-		if o := int(ev.Fields["outcome"]); o >= 0 && o < len(outcomes) {
+		if o := int(ev.Value("outcome")); o >= 0 && o < len(outcomes) {
 			oc = outcomes[o]
 		}
 		p.write(traceEvent{
@@ -121,19 +121,19 @@ func (p *Perfetto) Emit(ev telemetry.Event) {
 		p.write(traceEvent{
 			Name: "backoff", Ph: "i", Ts: int64(ev.At),
 			Pid: perfettoPid, Tid: ev.Link + 1, Cat: "backoff", Scope: "t",
-			Args: map[string]any{"k": ev.K, "slots": ev.Fields["slots"]},
+			Args: map[string]any{"k": ev.K, "slots": ev.Value("slots")},
 		})
 	case telemetry.EventSwap:
 		name := "swap rejected"
-		if ev.Fields["accepted"] == 1 {
+		if ev.Value("accepted") == 1 {
 			name = "swap"
 		}
 		p.write(traceEvent{
 			Name: name, Ph: "i", Ts: int64(ev.At),
 			Pid: perfettoPid, Tid: perfettoNetworkTid, Cat: "swap", Scope: "p",
 			Args: map[string]any{
-				"k": ev.K, "pos": ev.Fields["pos"],
-				"down": ev.Fields["down"], "up": ev.Fields["up"],
+				"k": ev.K, "pos": ev.Value("pos"),
+				"down": ev.Value("down"), "up": ev.Value("up"),
 			},
 		})
 	case telemetry.EventInterval:
@@ -141,9 +141,9 @@ func (p *Perfetto) Emit(ev telemetry.Event) {
 			Name: "interval", Ph: "C", Ts: int64(ev.At),
 			Pid: perfettoPid, Tid: perfettoNetworkTid,
 			Args: map[string]any{
-				"arrivals": ev.Fields["arrivals"],
-				"served":   ev.Fields["served"],
-				"expired":  ev.Fields["expired"],
+				"arrivals": ev.Value("arrivals"),
+				"served":   ev.Value("served"),
+				"expired":  ev.Value("expired"),
 			},
 		})
 	case telemetry.EventDebt:
@@ -151,8 +151,8 @@ func (p *Perfetto) Emit(ev telemetry.Event) {
 			Name: "debt", Ph: "C", Ts: int64(ev.At),
 			Pid: perfettoPid, Tid: perfettoNetworkTid,
 			Args: map[string]any{
-				"max": ev.Fields["max"], "mean": ev.Fields["mean"],
-				"positive": ev.Fields["positive"],
+				"max": ev.Value("max"), "mean": ev.Value("mean"),
+				"positive": ev.Value("positive"),
 			},
 		})
 	case telemetry.EventViolation:

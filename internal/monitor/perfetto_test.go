@@ -29,7 +29,7 @@ func TestPerfettoDocumentShape(t *testing.T) {
 		debtEvent(0, 1),
 		intervalEvent(0, 2),
 		prioEvent(0, 1, 2, 3, 4),
-		{K: 0, At: 900, Link: -1, Kind: telemetry.EventBackoff, Fields: map[string]float64{"slots": 3}},
+		{K: 0, At: 900, Link: -1, Kind: telemetry.EventBackoff, Payload: telemetry.PayloadOf(map[string]float64{"slots": 3})},
 		{K: 0, At: 950, Link: -1, Kind: telemetry.EventViolation, Check: "debt_sane", Msg: "x"},
 	})
 	var doc struct {

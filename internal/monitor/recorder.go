@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"rtmac/internal/medium"
@@ -19,18 +18,21 @@ import (
 // dumps exactly the window of history that explains what happened.
 //
 // The ring holds K interval buckets. A bucket keeps its events and a flat
-// arena of their fields' key/value pairs; when a new interval evicts the
-// oldest, that bucket is emptied and reused, so once every bucket has held
-// its largest interval, recording copies an event without allocating. Field
-// maps are rebuilt only by Events, the cold dump path. A recycled map would
-// grow to the largest key set it ever held; the arena holds exactly the
-// pairs recorded.
+// slice of their payload values; when a new interval evicts the oldest, that
+// bucket is emptied and reused. A reused bucket whose storage is smaller
+// than the largest interval recorded so far is given storage for that
+// interval plus a quarter once, rather than growing step by step, so after
+// the first interval at the run's largest size recording copies an event
+// without allocating. Payloads are rebuilt only by Events, the cold dump
+// path.
 type FlightRecorder struct {
 	capacity int
 	// ring[(head+i) % capacity] is the i-th oldest of the n retained
 	// intervals, in order of first appearance (not of K).
 	ring    []bucket
 	head, n int
+	// last is the bucket bucketFor returned most recently.
+	last    *bucket
 	dropped int64
 	total   int64
 	// pinned holds run-scoped events exempt from windowed eviction: the
@@ -38,87 +40,68 @@ type FlightRecorder struct {
 	// [k, k+64] without them would audit a spatial-reuse run against the
 	// complete graph, so they are retained forever and written first.
 	pinned bucket
-	// order remembers each kind's field keys, so that add copies pairs by
-	// lookup instead of iterating each map.
-	order telemetry.FieldOrder
+	// maxEvents and maxValues are the most events and payload values one
+	// bucket has held.
+	maxEvents, maxValues int
 }
 
 // bucket is one interval's recorded events, in emission order.
 type bucket struct {
 	k      int64
 	events []recorded
-	fields []field
+	values []float64
 }
 
-// recorded is one event with its Fields moved into the bucket's arena at
-// fields[lo : lo+n]; n is -1 when the event's Fields map was nil.
+// recorded is one event without its payload, whose values are copied to
+// the bucket's values[lo : lo+schema.Len()]; schema is nil when the event
+// had no payload. A decoded event's Fields map is dropped, not kept.
 type recorded struct {
-	ev    telemetry.Event
-	lo, n int
+	ev     telemetry.Event
+	schema *telemetry.Schema
+	lo     int
 }
 
-type field struct {
-	key   string
-	value float64
-}
-
-func (b *bucket) add(ev telemetry.Event, order *telemetry.FieldOrder) {
-	rec := recorded{lo: len(b.fields), n: -1}
-	if ev.Fields != nil {
-		rec.n = len(ev.Fields)
-		b.fields = appendPairs(b.fields, ev, order)
-		ev.Fields = nil
+// add appends ev, its payload values copied into the bucket.
+func (b *bucket) add(ev *telemetry.Event) {
+	b.events = append(b.events, recorded{ev: *ev, lo: len(b.values)})
+	rec := &b.events[len(b.events)-1]
+	rec.ev.Payload, rec.ev.Fields = nil, nil
+	if p := ev.Payload; p != nil {
+		rec.schema = p.Schema
+		b.values = append(b.values, p.Values...)
 	}
-	rec.ev = ev
-	b.events = append(b.events, rec)
 }
 
-// appendPairs appends ev's key/value pairs to dst in the key order that
-// order remembers for ev.Kind. When that order does not match the map's key
-// set, it copies the pairs in map order and remembers the new key set.
-func appendPairs(dst []field, ev telemetry.Event, order *telemetry.FieldOrder) []field {
-	mark := len(dst)
-	if keys := order.Cached(ev.Kind, len(ev.Fields)); keys != nil {
-		for _, k := range keys {
-			v, ok := ev.Fields[k]
-			if !ok {
-				break
-			}
-			dst = append(dst, field{k, v})
-		}
-		if len(dst)-mark == len(keys) {
-			return dst
-		}
-		dst = dst[:mark]
-	}
-	for k, v := range ev.Fields {
-		dst = append(dst, field{k, v})
-	}
-	order.Remember(ev.Kind, ev.Fields)
-	return dst
-}
-
-// reset empties the bucket for interval k, keeping its storage.
-func (b *bucket) reset(k int64) {
+// reset empties the bucket for interval k, keeping its storage unless it is
+// smaller than the largest interval recorded so far.
+func (b *bucket) reset(k int64, maxEvents, maxValues int) {
 	b.k = k
+	if cap(b.events) < maxEvents {
+		b.events = make([]recorded, 0, maxEvents+maxEvents/4)
+	}
+	if cap(b.values) < maxValues {
+		b.values = make([]float64, 0, maxValues+maxValues/4)
+	}
 	b.events = b.events[:0]
-	b.fields = b.fields[:0]
+	b.values = b.values[:0]
 }
 
-// appendEvents appends the bucket's events to out with freshly built Fields
-// maps.
-func (b *bucket) appendEvents(out []telemetry.Event) []telemetry.Event {
+// appendEvents appends the bucket's events to out, their payloads taken in
+// order from payloads and their values copied into values, and returns the
+// three slices advanced past what it used.
+func (b *bucket) appendEvents(out []telemetry.Event, payloads []telemetry.Payload, values []float64) ([]telemetry.Event, []telemetry.Payload, []float64) {
 	for _, rec := range b.events {
 		ev := rec.ev
-		if rec.n >= 0 {
-			ev.Fields = make(map[string]float64, rec.n)
-			for _, f := range b.fields[rec.lo : rec.lo+rec.n] {
-				ev.Fields[f.key] = f.value
-			}
+		if rec.schema != nil {
+			n := rec.schema.Len()
+			copy(values, b.values[rec.lo:rec.lo+n])
+			payloads[0] = telemetry.Payload{Schema: rec.schema, Values: values[:n:n]}
+			ev.Payload = &payloads[0]
+			payloads, values = payloads[1:], values[n:]
 		}
 		out = append(out, ev)
 	}
-	return out
+	return out, payloads, values
 }
 
 // NewFlightRecorder returns a recorder keeping the most recent `intervals`
@@ -135,23 +118,32 @@ func NewFlightRecorder(intervals int) (*FlightRecorder, error) {
 
 // Emit implements telemetry.Sink. Events are grouped by interval index; when
 // a new interval appears beyond the capacity, the oldest interval's events
-// are dropped. Field values are copied into the recorder's arena (the Sink
-// contract does not grant ownership of the map).
+// are dropped. Payload values are copied into the recorder's buckets (the
+// Sink contract does not grant ownership of the payload).
 func (r *FlightRecorder) Emit(ev telemetry.Event) {
 	r.total++
 	if ev.Kind == telemetry.EventConflict {
-		r.pinned.add(ev, &r.order)
+		r.pinned.add(&ev)
 		return
 	}
-	r.bucketFor(ev.K).add(ev, &r.order)
+	b := r.bucketFor(ev.K)
+	b.add(&ev)
+	r.maxEvents = max(r.maxEvents, len(b.events))
+	r.maxValues = max(r.maxValues, len(b.values))
 }
 
 // bucketFor returns interval k's bucket. An interval not retained gets a new
 // bucket, which evicts the oldest interval when the ring is full.
 func (r *FlightRecorder) bucketFor(k int64) *bucket {
-	// Newest first: almost every event belongs to the latest interval.
+	// Almost every event belongs to the interval of the one before it; a
+	// bucket always holds the interval it was last reset for.
+	if r.last != nil && r.last.k == k {
+		return r.last
+	}
+	// Newest first.
 	for i := r.n - 1; i >= 0; i-- {
 		if b := &r.ring[(r.head+i)%r.capacity]; b.k == k {
+			r.last = b
 			return b
 		}
 	}
@@ -164,7 +156,8 @@ func (r *FlightRecorder) bucketFor(k int64) *bucket {
 		r.head = (r.head + 1) % r.capacity
 		r.dropped += int64(len(b.events))
 	}
-	b.reset(k)
+	b.reset(k, r.maxEvents, r.maxValues)
+	r.last = b
 	return b
 }
 
@@ -179,17 +172,25 @@ func (r *FlightRecorder) Intervals() int { return r.n }
 
 // Events returns the retained events: pinned run-scoped events (the conflict
 // topology) first, then the windowed intervals in ascending K, in emission
-// order within each interval. The slice and every Fields map are new; none
-// aliases the recorder's storage.
+// order within each interval. The slice and every payload are new (the
+// schemas are shared); none aliases the recorder's storage.
 func (r *FlightRecorder) Events() []telemetry.Event {
-	retained := make([]*bucket, r.n)
-	for i := range retained {
-		retained[i] = &r.ring[(r.head+i)%r.capacity]
+	retained := make([]*bucket, 0, r.n+1)
+	retained = append(retained, &r.pinned)
+	for i := 0; i < r.n; i++ {
+		retained = append(retained, &r.ring[(r.head+i)%r.capacity])
 	}
-	slices.SortFunc(retained, func(a, b *bucket) int { return cmp.Compare(a.k, b.k) })
-	out := r.pinned.appendEvents(nil)
+	slices.SortFunc(retained[1:], func(a, b *bucket) int { return cmp.Compare(a.k, b.k) })
+	var events, values int
 	for _, b := range retained {
-		out = b.appendEvents(out)
+		events += len(b.events)
+		values += len(b.values)
+	}
+	out := make([]telemetry.Event, 0, events)
+	payloads := make([]telemetry.Payload, events)
+	vals := make([]float64, values)
+	for _, b := range retained {
+		out, payloads, vals = b.appendEvents(out, payloads, vals)
 	}
 	return out
 }
@@ -268,15 +269,15 @@ func RenderTimeline(w io.Writer, events []telemetry.Event, from, to sim.Time, wi
 	}
 	span := float64(to - from)
 	for _, ev := range events {
-		start, end := ev.At-sim.Time(ev.Fields["dur"]), ev.At
+		start, end := ev.At-sim.Time(ev.Value("dur")), ev.At
 		if ev.Kind != telemetry.EventTx || end <= from || start >= to {
 			continue
 		}
 		glyph := byte('D')
-		switch outcome := medium.Outcome(ev.Fields["outcome"]); {
+		switch outcome := medium.Outcome(ev.Value("outcome")); {
 		case outcome == medium.Collided:
 			glyph = 'C'
-		case ev.Fields["empty"] != 0:
+		case ev.Value("empty") != 0:
 			glyph = 'e'
 		case outcome == medium.Lost:
 			glyph = 'x'
@@ -309,43 +310,40 @@ func formatEvent(ev telemetry.Event) string {
 	switch ev.Kind {
 	case telemetry.EventTx:
 		what := "data"
-		if ev.Fields["empty"] == 1 {
+		if ev.Value("empty") == 1 {
 			what = "empty"
 		}
 		outcome := [...]string{"delivered", "lost", "collided"}
 		oc := "?"
-		if o := int(ev.Fields["outcome"]); o >= 0 && o < len(outcome) {
+		if o := int(ev.Value("outcome")); o >= 0 && o < len(outcome) {
 			oc = outcome[o]
 		}
 		return fmt.Sprintf("t=%-8v link=%-3d tx %s %vµs %s",
-			ev.At, ev.Link, what, ev.Fields["dur"], oc)
+			ev.At, ev.Link, what, ev.Value("dur"), oc)
 	case telemetry.EventBackoff:
-		return fmt.Sprintf("t=%-8v link=%-3d backoff %v slots", ev.At, ev.Link, ev.Fields["slots"])
+		return fmt.Sprintf("t=%-8v link=%-3d backoff %v slots", ev.At, ev.Link, ev.Value("slots"))
 	case telemetry.EventSwap:
 		verdict := "rejected"
-		if ev.Fields["accepted"] == 1 {
+		if ev.Value("accepted") == 1 {
 			verdict = "accepted"
 		}
 		return fmt.Sprintf("t=%-8v swap pos=%v links %v<->%v %s",
-			ev.At, ev.Fields["pos"], ev.Fields["down"], ev.Fields["up"], verdict)
+			ev.At, ev.Value("pos"), ev.Value("down"), ev.Value("up"), verdict)
 	case telemetry.EventDebt:
 		return fmt.Sprintf("t=%-8v debt max=%v mean=%v positive=%v",
-			ev.At, ev.Fields["max"], ev.Fields["mean"], ev.Fields["positive"])
+			ev.At, ev.Value("max"), ev.Value("mean"), ev.Value("positive"))
 	case telemetry.EventInterval:
 		return fmt.Sprintf("t=%-8v interval arrivals=%v served=%v expired=%v",
-			ev.At, ev.Fields["arrivals"], ev.Fields["served"], ev.Fields["expired"])
+			ev.At, ev.Value("arrivals"), ev.Value("served"), ev.Value("expired"))
 	case telemetry.EventViolation:
 		return fmt.Sprintf("t=%-8v VIOLATION [%s] %s", ev.At, ev.Check, ev.Msg)
 	default:
-		keys := make([]string, 0, len(ev.Fields))
-		for k := range ev.Fields {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		var b strings.Builder
 		fmt.Fprintf(&b, "t=%-8v link=%-3d %s", ev.At, ev.Link, ev.Kind)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%v", k, ev.Fields[k])
+		if p := ev.Payload; p != nil {
+			for i, v := range p.Values {
+				fmt.Fprintf(&b, " %s=%v", p.Schema.Name(i), v)
+			}
 		}
 		return b.String()
 	}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,9 +47,9 @@ func TestFlightRecorderCopiesFields(t *testing.T) {
 	}
 	ev := txEvent(0, 0, 300, 200, 0)
 	r.Emit(ev)
-	ev.Fields["dur"] = -1 // caller reuses the map; the recorder must not see it
-	if got := r.Events()[0].Fields["dur"]; got != 200 {
-		t.Errorf("recorder shares the caller's field map: dur = %v", got)
+	ev.Payload.Values[telemetry.TxDur] = -1 // caller reuses the payload; the recorder must not see it
+	if got := r.Events()[0].Value("dur"); got != 200 {
+		t.Errorf("recorder shares the caller's payload: dur = %v", got)
 	}
 }
 
@@ -59,16 +60,16 @@ func TestFlightRecorderEventsDoNotAlias(t *testing.T) {
 	}
 	r.Emit(txEvent(0, 0, 300, 200, 0))
 	first := r.Events()
-	first[0].Fields["dur"] = -1 // a dump consumer edits what it was given
-	first[0].Fields["extra"] = 7
-	if got := r.Events()[0].Fields; got["dur"] != 200 || len(got) != 3 {
-		t.Errorf("Events returned maps aliasing the recorder: second call sees %v", got)
+	first[0].Payload.Values[telemetry.TxDur] = -1 // a dump consumer edits what it was given
+	first[0].Payload.Values = append(first[0].Payload.Values, 7)
+	if got := r.Events()[0]; got.Value("dur") != 200 || got.Payload.Len() != 3 {
+		t.Errorf("Events returned payloads aliasing the recorder: second call sees %+v", got.Payload)
 	}
 }
 
-// refRecorder is the map-bucketed flight recorder that the arena ring
+// refRecorder is the map-bucketed flight recorder that the bucket ring
 // replaced, kept as the reference model for its semantics: buckets keyed by
-// K, evicted in order of first appearance, every Fields map deep-copied.
+// K, evicted in order of first appearance, every payload deep-copied.
 type refRecorder struct {
 	capacity       int
 	buckets        map[int64][]telemetry.Event
@@ -82,12 +83,8 @@ func newRefRecorder(capacity int) *refRecorder {
 }
 
 func (r *refRecorder) Emit(ev telemetry.Event) {
-	if ev.Fields != nil {
-		f := make(map[string]float64, len(ev.Fields))
-		for k, v := range ev.Fields {
-			f[k] = v
-		}
-		ev.Fields = f
+	if p := ev.Payload; p != nil {
+		ev.Payload = &telemetry.Payload{Schema: p.Schema, Values: slices.Clone(p.Values)}
 	}
 	r.total++
 	if ev.Kind == telemetry.EventConflict {
@@ -117,8 +114,8 @@ func (r *refRecorder) Events() []telemetry.Event {
 }
 
 // randomRecorderEvent draws an event for interval k: mostly tx and interval
-// events, some pinned conflict edges and violations, with a nil, empty or
-// one-to-four-key Fields map.
+// events, some pinned conflict edges and violations, with no payload, an
+// empty one or one of one to four fields.
 func randomRecorderEvent(rng *rand.Rand, k int64) telemetry.Event {
 	ev := telemetry.Event{K: k, At: sim.Time(k)*testInterval + sim.Time(rng.IntN(1000)), Link: rng.IntN(10) - 1}
 	switch x := rng.IntN(20); {
@@ -132,14 +129,15 @@ func randomRecorderEvent(rng *rand.Rand, k int64) telemetry.Event {
 		ev.Kind = telemetry.EventTx
 	}
 	switch x := rng.IntN(10); {
-	case x < 2: // nil Fields
+	case x < 2: // no payload
 	case x < 3:
-		ev.Fields = map[string]float64{}
+		ev.Payload = telemetry.NewPayload(telemetry.NewSchema())
 	default:
-		ev.Fields = make(map[string]float64)
+		fields := make(map[string]float64)
 		for i := rng.IntN(4); i >= 0; i-- {
-			ev.Fields[string(rune('a'+rng.IntN(6)))] = rng.NormFloat64()
+			fields[string(rune('a'+rng.IntN(6)))] = rng.NormFloat64()
 		}
+		ev.Payload = telemetry.PayloadOf(fields)
 	}
 	return ev
 }
@@ -147,9 +145,9 @@ func randomRecorderEvent(rng *rand.Rand, k int64) telemetry.Event {
 // TestFlightRecorderMatchesReference drives the arena recorder and the
 // reference model with the same random streams — K advancing, repeating and
 // jumping back past evicted intervals, capacities down to 1, pinned conflict
-// events, nil and empty Fields — and demands identical Events, Dropped,
-// Intervals and Total throughout. The caller's maps are overwritten after
-// every Emit, as emitters reuse scratch maps.
+// events, no and empty payloads — and demands identical Events, Dropped,
+// Intervals and Total throughout. The caller's payload values are
+// overwritten after every Emit, as emitters reuse their payloads.
 func TestFlightRecorderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 200; trial++ {
@@ -171,8 +169,10 @@ func TestFlightRecorderMatchesReference(t *testing.T) {
 			ev := randomRecorderEvent(rng, k)
 			r.Emit(ev)
 			ref.Emit(ev)
-			for key := range ev.Fields {
-				ev.Fields[key] = -1
+			if ev.Payload != nil {
+				for i := range ev.Payload.Values {
+					ev.Payload.Values[i] = -1
+				}
 			}
 			if i%23 != 0 && i != 299 {
 				continue
@@ -188,10 +188,10 @@ func TestFlightRecorderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderFieldOrderChanges streams events whose key sets change
-// under the recorder's remembered per-kind order: the same size with other
-// keys, another size, more keys than an order holds, and more kinds than it
-// remembers. Events must return every event with equal Fields.
+// TestFlightRecorderFieldOrderChanges streams events whose schema changes
+// from event to event: the same size with other names, another size, no
+// fields, twenty priority fields, and twelve kinds. Events must return every
+// event with an equal payload.
 func TestFlightRecorderFieldOrderChanges(t *testing.T) {
 	keySets := [][]string{
 		{"dur", "empty", "outcome"},
@@ -213,11 +213,12 @@ func TestFlightRecorderFieldOrderChanges(t *testing.T) {
 	var want []telemetry.Event
 	for i, keys := range keySets {
 		for kind := 0; kind < 12; kind++ {
-			ev := telemetry.Event{K: 0, At: sim.Time(i), Link: kind, Kind: "kind" + strconv.Itoa(kind),
-				Fields: map[string]float64{}}
+			fields := map[string]float64{}
 			for j, key := range keys {
-				ev.Fields[key] = float64(i*100 + j)
+				fields[key] = float64(i*100 + j)
 			}
+			ev := telemetry.Event{K: 0, At: sim.Time(i), Link: kind, Kind: "kind" + strconv.Itoa(kind),
+				Payload: telemetry.PayloadOf(fields)}
 			r.Emit(ev)
 			want = append(want, ev)
 		}

@@ -18,7 +18,7 @@ func span(link int, start, end sim.Time, empty bool, outcome medium.Outcome) tel
 	}
 	return telemetry.Event{
 		At: end, Link: link, Kind: telemetry.EventTx,
-		Fields: map[string]float64{"dur": float64(end - start), "empty": e, "outcome": float64(outcome)},
+		Payload: telemetry.PayloadOf(map[string]float64{"dur": float64(end - start), "empty": e, "outcome": float64(outcome)}),
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // can. With zero subscribers Emit is a single atomic load and returns without
 // allocating, which keeps the simulator's interval hot path free when nobody
 // is watching; events are serialized to JSON only when at least one
-// subscriber exists, so the broker never retains the caller's Fields map.
+// subscriber exists, so the broker never retains the caller's payload.
 //
 // Slow subscribers lose events rather than stalling the simulation: each
 // subscription has a bounded buffer and Emit drops on a full channel.

@@ -219,11 +219,11 @@ func getHealthDoc(t *testing.T, plane *obs.Plane) health.Doc {
 
 // TestBrokerEmitZeroSubscribersDoesNotAllocate pins the disabled-plane
 // guarantee: with no subscribers, Emit is a single atomic check and
-// allocates nothing, even for events carrying a Fields map.
+// allocates nothing, even for events carrying a payload.
 func TestBrokerEmitZeroSubscribersDoesNotAllocate(t *testing.T) {
 	b := obs.NewBroker()
 	ev := telemetry.Event{K: 7, Kind: "interval", Link: -1,
-		Fields: map[string]float64{"deficiency": 0.5}}
+		Payload: telemetry.PayloadOf(map[string]float64{"deficiency": 0.5})}
 	allocs := testing.AllocsPerRun(1000, func() { b.Emit(ev) })
 	if allocs != 0 {
 		t.Fatalf("Emit with zero subscribers allocates %.1f objects/op, want 0", allocs)

@@ -140,7 +140,7 @@ func TestBrokerZeroSubscribersIsNoop(t *testing.T) {
 	b := NewBroker()
 	// Emit with no subscribers must not block, panic, or retain anything.
 	for i := 0; i < 100; i++ {
-		b.Emit(telemetry.Event{K: int64(i), Fields: map[string]float64{"x": 1}})
+		b.Emit(telemetry.Event{K: int64(i), Payload: telemetry.PayloadOf(map[string]float64{"x": 1})})
 	}
 	ch, cancel := b.Subscribe(4)
 	defer cancel()

@@ -149,7 +149,7 @@ func DiffEvents(a, b io.Reader, opts Options) (*EventDiff, error) {
 			div.LineB = lb.lineNo + 1
 		}
 		if div.A != nil && div.B != nil {
-			div.Fields = fieldDeltas(div.A.Fields, div.B.Fields)
+			div.Fields = fieldDeltas(div.A.Payload.Map(), div.B.Payload.Map())
 		}
 		return &EventDiff{Events: index, Divergence: div}, nil
 	}

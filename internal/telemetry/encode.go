@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -10,48 +11,31 @@ import (
 )
 
 // AppendJSON appends the JSON encoding of ev and a newline to dst, byte for
-// byte what json.Marshal(ev) followed by '\n' produces (and so what
-// json.Encoder.Encode writes): sorted field keys, encoding/json's float
-// formatting and its HTML-safe string escaping. A NaN or infinite field value
-// fails with the same *json.UnsupportedValueError json.Marshal returns, and
-// dst comes back unextended. Field maps of up to 16 keys sort in a stack
-// scratch and encode without allocating beyond the growth of dst.
+// byte what json.Marshal of the event with its payload as a map, followed by
+// '\n', produces (and so what json.Encoder.Encode writes): sorted field
+// keys, encoding/json's float formatting and its HTML-safe string escaping.
+// The payload's keys come pre-escaped from its schema. A NaN or infinite
+// field value fails with the same *json.UnsupportedValueError json.Marshal
+// returns, and dst comes back unextended. It allocates nothing beyond the
+// growth of dst.
 func AppendJSON(dst []byte, ev Event) ([]byte, error) {
-	return appendEvent(dst, ev, nil)
-}
-
-// appendEvent is AppendJSON writing ev.Fields in the key order that order
-// remembers for ev.Kind, when that order still matches the map's key set.
-// A nil order sorts the keys of every event.
-func appendEvent(dst []byte, ev Event, order *FieldOrder) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"k":`...)
-	dst = strconv.AppendInt(dst, ev.K, 10)
+	dst = appendInt(dst, ev.K)
 	dst = append(dst, `,"t":`...)
-	dst = strconv.AppendInt(dst, int64(ev.At), 10)
+	dst = appendInt(dst, int64(ev.At))
 	dst = append(dst, `,"link":`...)
-	dst = strconv.AppendInt(dst, int64(ev.Link), 10)
+	dst = appendInt(dst, int64(ev.Link))
 	dst = append(dst, `,"kind":`...)
 	dst = AppendString(dst, ev.Kind)
-	if len(ev.Fields) > 0 {
+	if p := ev.Payload; p.Len() > 0 {
 		dst = append(dst, `,"f":{`...)
-		var (
-			complete bool
-			err      error
-		)
-		if keys := order.Cached(ev.Kind, len(ev.Fields)); keys != nil {
-			dst, complete, err = appendFields(dst, ev.Fields, keys)
-		}
-		if !complete && err == nil {
-			keys := order.Remember(ev.Kind, ev.Fields)
-			if keys == nil {
-				var scratch [orderKeys]string
-				keys = sortedKeys(ev.Fields, scratch[:0])
+		for i, v := range p.Values {
+			dst = append(dst, p.Schema.keys[i]...)
+			var err error
+			if dst, err = appendFloat(dst, v); err != nil {
+				return dst[:start], err
 			}
-			dst, _, err = appendFields(dst, ev.Fields, keys)
-		}
-		if err != nil {
-			return dst[:start], err
 		}
 		dst = append(dst, '}')
 	}
@@ -66,114 +50,6 @@ func appendEvent(dst []byte, ev Event, order *FieldOrder) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-// appendFields appends the comma-separated "key":value pairs of fields in
-// the order of keys. When a key is absent from fields it reports false and
-// returns dst as it was.
-func appendFields(dst []byte, fields map[string]float64, keys []string) ([]byte, bool, error) {
-	mark := len(dst)
-	for i, k := range keys {
-		v, ok := fields[k]
-		if !ok {
-			return dst[:mark], false, nil
-		}
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendString(dst, k)
-		dst = append(dst, ':')
-		var err error
-		if dst, err = appendFloat(dst, v); err != nil {
-			return dst, false, err
-		}
-	}
-	return dst, true, nil
-}
-
-// sortedKeys appends the keys of fields to scratch and sorts them.
-func sortedKeys(fields map[string]float64, scratch []string) []string {
-	for k := range fields {
-		scratch = append(scratch, k)
-	}
-	slices.Sort(scratch)
-	return scratch
-}
-
-// The fixed capacity of a FieldOrder: one order for each of up to
-// orderKinds event kinds, of up to orderKeys keys each. Ten kinds cover
-// every canonical kind; sixteen keys cover every kind the simulator emits
-// at N <= 16 links.
-const (
-	orderKinds = 10
-	orderKeys  = 16
-)
-
-// FieldOrder remembers each event kind's sorted field keys, so that a sink
-// can walk the remembered list with map lookups instead of collecting and
-// sorting the keys of every event. Every emission site writes a fixed key
-// set per kind, so the list almost always matches. It matches exactly when
-// the map has as many keys as the list and every listed key is present.
-//
-// The storage is a fixed array inside the value, so a sink that embeds a
-// FieldOrder allocates nothing for it. Kinds beyond the first ten seen, and
-// key sets of more than sixteen keys, are not remembered. The zero value is
-// ready to use, and a nil *FieldOrder remembers nothing.
-type FieldOrder struct {
-	used  int
-	kinds [orderKinds]kindOrder
-}
-
-// kindOrder is one kind's remembered keys, keys[:n].
-type kindOrder struct {
-	kind string
-	n    int
-	keys [orderKeys]string
-}
-
-// Cached returns the keys remembered for kind if there are n of them, and
-// nil otherwise. The caller confirms the list by finding every key in its
-// map; on a miss it calls Remember.
-func (o *FieldOrder) Cached(kind string, n int) []string {
-	if o == nil {
-		return nil
-	}
-	for i := range o.kinds[:o.used] {
-		if ko := &o.kinds[i]; ko.kind == kind {
-			if ko.n != n {
-				return nil
-			}
-			return ko.keys[:n]
-		}
-	}
-	return nil
-}
-
-// Remember stores the sorted keys of fields as kind's order and returns
-// them. It returns nil, remembering nothing, when the keys or the kind do
-// not fit. The returned slice is valid until the next call to Remember.
-func (o *FieldOrder) Remember(kind string, fields map[string]float64) []string {
-	if o == nil || len(fields) > orderKeys {
-		return nil
-	}
-	var ko *kindOrder
-	for i := range o.kinds[:o.used] {
-		if o.kinds[i].kind == kind {
-			ko = &o.kinds[i]
-			break
-		}
-	}
-	if ko == nil {
-		if o.used == orderKinds {
-			return nil
-		}
-		ko = &o.kinds[o.used]
-		ko.kind = kind
-		o.used++
-	}
-	keys := sortedKeys(fields, ko.keys[:0])
-	ko.n = len(keys)
-	return keys
-}
-
 // appendFloat formats a float64 the way encoding/json does: the shortest
 // digits that round-trip, in plain notation except below 1e-6 and from 1e21,
 // where the exponent drops its padding zero (1e-07 becomes 1e-7).
@@ -181,9 +57,10 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 	// Below 2^53 every integer is exact, its shortest round-trip digits are
 	// its decimal digits, and the 'e' form starts only at 1e21, so an
 	// integer value prints as one. -0 keeps its sign through the general
-	// path.
-	if f == math.Trunc(f) && math.Abs(f) < 1<<53 && (f != 0 || !math.Signbit(f)) {
-		return strconv.AppendInt(dst, int64(f), 10), nil
+	// path. The conversion of a NaN, an infinity or an out-of-range value
+	// yields some integer that does not convert back to f.
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		return appendInt(dst, i), nil
 	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, &json.UnsupportedValueError{
@@ -205,6 +82,71 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
+// appendInt appends v in decimal, as strconv.AppendInt(dst, v, 10) does,
+// but writes the digits straight into dst, two at a time.
+func appendInt(dst []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u // the magnitude, also for math.MinInt64
+	}
+	if u < 10 {
+		return append(dst, byte('0'+u))
+	}
+	// bits·1233/4096 is ⌊log10 2^bits⌋, at most one short of the digit
+	// count less one.
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	dst = slices.Grow(dst, n)
+	i := len(dst) + n
+	dst = dst[:i]
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		i -= 2
+		dst[i], dst[i+1] = decimalPairs[r], decimalPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = decimalPairs[2*u], decimalPairs[2*u+1]
+	} else {
+		dst[i-1] = byte('0' + u)
+	}
+	return dst
+}
+
+// pow10[i] is 10^i.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = 10 * p[i-1]
+	}
+	return p
+}()
+
+// decimalPairs holds the two-digit numbers 00 … 99 back to back.
+const decimalPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// jsonSafe[b] reports whether the ASCII byte b stands for itself inside a
+// JSON string under encoding/json's HTML-safe escaping.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return safe
+}()
+
 const hexDigits = "0123456789abcdef"
 
 // AppendString appends s as a JSON string literal with encoding/json's
@@ -218,7 +160,7 @@ func AppendString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if jsonSafe[b] {
 				i++
 				continue
 			}

@@ -11,11 +11,31 @@ import (
 	"rtmac/internal/sim"
 )
 
+// mirrorEvent is Event's wire layout with the payload as a plain map: what
+// encoding/json makes of it is the encoder's reference.
+type mirrorEvent struct {
+	K      int64              `json:"k"`
+	At     int64              `json:"t"`
+	Link   int                `json:"link"`
+	Kind   string             `json:"kind"`
+	Fields map[string]float64 `json:"f,omitempty"`
+	Check  string             `json:"check,omitempty"`
+	Msg    string             `json:"msg,omitempty"`
+}
+
+// mirrored returns ev with the payload built from fields, and its mirror.
+func mirrored(ev Event, fields map[string]float64) (Event, mirrorEvent) {
+	ev.Payload = PayloadOf(fields)
+	return ev, mirrorEvent{K: ev.K, At: int64(ev.At), Link: ev.Link, Kind: ev.Kind,
+		Fields: fields, Check: ev.Check, Msg: ev.Msg}
+}
+
 // FuzzAppendJSON holds AppendJSON to encoding/json: for any event it must
-// append exactly json.Marshal's bytes and a newline, or fail with the same
-// error and leave dst as it was. The field map takes its keys from keys split
-// at ',' and the values a, b, c in turn; nilFields picks a nil map over an
-// empty one. The seeds cover the float formatting edges (-0, 1e-7, 1e21, the
+// append exactly the bytes json.Marshal writes for the event's map-based
+// mirror and a newline, or fail with the same error and leave dst as it was.
+// The payload takes its names from keys split at ',' and the values a, b, c
+// in turn; nilFields picks a nil map over an empty one (both mean no
+// payload). The seeds cover the float formatting edges (-0, 1e-7, 1e21, the
 // smallest subnormal, NaN and ±Inf), the integer path's edges (±(2^53-1),
 // and the integer-valued 2^53, 2^53+2, 1e20, 1e17+16 and 2^62 that take the
 // general path, the last two printing other digits than their integers)
@@ -40,17 +60,18 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Add(int64(0), int64(0), 0, "prio", "", "", "", 0.0, 0.0, 0.0, true)
 	f.Add(int64(0), int64(0), 0, "prio", "", "", "", 0.0, 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, k, at int64, link int, kind, check, msg, keys string, a, b, c float64, nilFields bool) {
-		ev := Event{K: k, At: sim.Time(at), Link: link, Kind: kind, Check: check, Msg: msg}
+		var fields map[string]float64
 		if !nilFields {
-			ev.Fields = map[string]float64{}
+			fields = map[string]float64{}
 			if keys != "" {
 				values := [...]float64{a, b, c}
 				for i, key := range strings.Split(keys, ",") {
-					ev.Fields[key] = values[i%len(values)]
+					fields[key] = values[i%len(values)]
 				}
 			}
 		}
-		want, wantErr := json.Marshal(ev)
+		ev, mirror := mirrored(Event{K: k, At: sim.Time(at), Link: link, Kind: kind, Check: check, Msg: msg}, fields)
+		want, wantErr := json.Marshal(mirror)
 		got, err := AppendJSON([]byte("dst:"), ev)
 		if wantErr != nil {
 			var uv *json.UnsupportedValueError
@@ -71,18 +92,19 @@ func FuzzAppendJSON(f *testing.F) {
 	})
 }
 
-// FuzzJSONLFieldOrder holds the JSONL sink's remembered per-kind field
-// order to encoding/json. It streams events of one kind whose key sets
-// change, each key set twice so the second event takes the remembered
-// order: keySets holds the sets, separated by ';', with keys split at ','.
-// The seeds change the keys at the same size, then the size, and cross the
-// sixteen keys a remembered order holds. Every line must equal
-// json.Marshal(ev) plus a newline; an event json.Marshal rejects must make
-// Flush fail.
+// FuzzJSONLFieldOrder holds the JSONL sink to encoding/json on a stream of
+// events of one kind whose schema changes from event to event: keySets holds
+// the field name sets, separated by ';', with names split at ','. The stream
+// runs through the sets twice, so consecutive events differ in schema
+// wherever neighbouring sets differ, and kinds with a canonical schema mix it
+// with schemas of their own. The seeds change the names at the same size,
+// then the size, and pass seventeen priority fields. Every line must equal
+// json.Marshal of the event's mirror plus a newline; an event json.Marshal
+// rejects must make Flush fail.
 func FuzzJSONLFieldOrder(f *testing.F) {
 	f.Add("tx", "dur,empty,outcome;dur,empty,slots;dur,empty;dur,empty,outcome", 120.0, 0.0, 0.5)
 	f.Add("x", "a,b;c,d;a,b,c,d,e;;a", 1.0, 2.0, 3.0)
-	f.Add("prio", "l0,l1,l2,l3,l4,l5,l6,l7,l8,l9,l10,l11,l12,l13,l14,l15,l16;l0,l1,l2,l3,l4,l5,l6,l7,l8,l9,l10,l11,l12,l13,l14,l15;l0,l1", 1.0, 2.0, 3.0)
+	f.Add("prio", "l0,l1,l2,l3,l4,l5,l6,l7,l8,l9,l10,l11,l12,l13,l14,l15,l16;l0,l1,l2,l3,l4,l5,l6,l7,l8,l9,l10,l11,l12,l13,l14,l15;l0,l1;l1,l2", 1.0, 2.0, 3.0)
 	f.Add("debt", "max,mean,positive;max,mean,nan", 1.5, 2.0, math.NaN())
 	f.Fuzz(func(t *testing.T, kind, keySets string, a, b, c float64) {
 		values := [...]float64{a, b, c}
@@ -91,27 +113,24 @@ func FuzzJSONLFieldOrder(f *testing.F) {
 			want strings.Builder
 		)
 		sink := NewJSONL(&buf)
+		sets := strings.Split(keySets, ";")
 		failed := false
-		for i, set := range strings.Split(keySets, ";") {
-			for rep := 0; rep < 2; rep++ {
-				ev := Event{K: int64(i), At: sim.Time(rep), Link: -1, Kind: kind, Fields: map[string]float64{}}
-				if set != "" {
-					for j, key := range strings.Split(set, ",") {
-						ev.Fields[key] = values[(i+j+rep)%len(values)]
-					}
+		for i := 0; i < 2*len(sets) && !failed; i++ {
+			fields := map[string]float64{}
+			if set := sets[i%len(sets)]; set != "" {
+				for j, key := range strings.Split(set, ",") {
+					fields[key] = values[(i+j)%len(values)]
 				}
-				sink.Emit(ev)
-				line, err := json.Marshal(ev)
-				if err != nil {
-					failed = true
-					break
-				}
-				want.Write(line)
-				want.WriteByte('\n')
 			}
-			if failed {
+			ev, mirror := mirrored(Event{K: int64(i), At: sim.Time(i), Link: -1, Kind: kind}, fields)
+			sink.Emit(ev)
+			line, err := json.Marshal(mirror)
+			if err != nil {
+				failed = true
 				break
 			}
+			want.Write(line)
+			want.WriteByte('\n')
 		}
 		err := sink.Flush()
 		if failed {
@@ -130,24 +149,21 @@ func FuzzJSONLFieldOrder(f *testing.F) {
 	})
 }
 
-// TestJSONLFieldOrderManyKinds streams more kinds than a FieldOrder
-// remembers, interleaved and with a key set changing halfway, and demands
-// json.Marshal's bytes for every line: kinds past the capacity sort per
-// event.
+// TestJSONLFieldOrderManyKinds streams thirteen kinds interleaved, with a
+// key set changing halfway, and demands json.Marshal's bytes for every line.
 func TestJSONLFieldOrderManyKinds(t *testing.T) {
 	var buf, want strings.Builder
 	sink := NewJSONL(&buf)
 	for round := 0; round < 4; round++ {
-		for kind := 0; kind < orderKinds+3; kind++ {
-			ev := Event{K: int64(round), Link: kind, Kind: "kind" + strconv.Itoa(kind), Fields: map[string]float64{
-				"b": float64(round), "a": float64(kind) / 4,
-			}}
+		for kind := 0; kind < 13; kind++ {
+			fields := map[string]float64{"b": float64(round), "a": float64(kind) / 4}
 			if round >= 2 {
-				delete(ev.Fields, "a")
-				ev.Fields["c"] = -1
+				delete(fields, "a")
+				fields["c"] = -1
 			}
+			ev, mirror := mirrored(Event{K: int64(round), Link: kind, Kind: "kind" + strconv.Itoa(kind)}, fields)
 			sink.Emit(ev)
-			line, err := json.Marshal(ev)
+			line, err := json.Marshal(mirror)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,12 +180,12 @@ func TestJSONLFieldOrderManyKinds(t *testing.T) {
 }
 
 // TestAppendJSONNoAllocs pins the encoder's zero-allocation contract for the
-// largest field map the simulator emits per interval at N = 10 (the prio
+// largest payload the simulator emits per interval at N = 10 (the prio
 // snapshot) once dst has room.
 func TestAppendJSONNoAllocs(t *testing.T) {
-	ev := Event{K: 4, At: 10000, Link: -1, Kind: EventPriority, Fields: map[string]float64{}}
-	for i := 0; i < 10; i++ {
-		ev.Fields["l"+strconv.Itoa(i)] = float64(i + 1)
+	ev := Event{K: 4, At: 10000, Link: -1, Kind: EventPriority, Payload: NewPayload(PrioSchema(10))}
+	for i := range ev.Payload.Values {
+		ev.Payload.Values[i] = float64(i + 1)
 	}
 	dst := make([]byte, 0, 512)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -180,5 +196,22 @@ func TestAppendJSONNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendJSON allocates %.1f per event, want 0", allocs)
+	}
+}
+
+// TestAppendInt holds appendInt to strconv.AppendInt at every digit-count
+// boundary, the 64-bit extremes and a spread of values in between.
+func TestAppendInt(t *testing.T) {
+	values := []int64{0, 1, 9, 10, 11, 99, 100, 101, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(10); p <= 1e18; p *= 10 {
+		values = append(values, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	for v := int64(1); v < math.MaxInt64/7; v = v*7 + 3 {
+		values = append(values, v, -v)
+	}
+	for _, v := range values {
+		if got, want := appendInt([]byte("x"), v), strconv.AppendInt([]byte("x"), v, 10); string(got) != string(want) {
+			t.Errorf("appendInt(%d) = %q, want %q", v, got, want)
+		}
 	}
 }

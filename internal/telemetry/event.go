@@ -22,9 +22,13 @@ type Event struct {
 	Link int `json:"link"`
 	// Kind names the event type (e.g. "tx", "interval", "swap", "debt").
 	Kind string `json:"kind"`
-	// Fields carries the kind-specific numeric payload. Encoders write its
-	// keys in sorted order, which keeps the JSONL stream byte-for-byte
-	// deterministic for a fixed seed.
+	// Payload carries the kind-specific numeric fields, encoded as the "f"
+	// object with its keys in sorted order, which keeps the JSONL stream
+	// byte-for-byte deterministic for a fixed seed. Nil means no fields.
+	Payload *Payload `json:"-"`
+	// Fields is the payload as a map, filled only on decoded events
+	// (UnmarshalJSON, DecodeJSONL). Encoders and sinks read Payload; live
+	// events leave Fields nil.
 	Fields map[string]float64 `json:"f,omitempty"`
 	// Check names the invariant checker that produced a "violation" event;
 	// empty for every other kind.
@@ -59,8 +63,8 @@ const (
 	// (the DP family) emit it.
 	EventPriority = "prio"
 	// EventViolation is an invariant breach reported by the runtime monitor
-	// (internal/monitor): Check names the checker, Msg the detail, Fields
-	// the checker-specific payload.
+	// (internal/monitor): Check names the checker, Msg the detail, the
+	// payload the checker-specific fields.
 	EventViolation = "violation"
 	// EventConflict records one undirected conflict-graph edge at the start
 	// of a run (K = 0, At = 0): Link is the lower endpoint, field peer the
@@ -71,7 +75,7 @@ const (
 	EventConflict = "conflict"
 	// EventStall is a slot-budget watchdog overrun (internal/health): the
 	// wall-clock time spent simulating interval K exceeded the configured
-	// budget (Link = -1). Fields: budget_ns, elapsed_ns, overrun_ns,
+	// budget (Link = -1). Payload: budget_ns, elapsed_ns, overrun_ns,
 	// gc_pause_ns and gc_pauses (GC activity in the attribution window),
 	// sched_p99_ns, and cause (0 user code, 1 GC pause, 2 sched delay).
 	// Unlike every other kind it reports wall-clock truth, so its presence
@@ -79,7 +83,7 @@ const (
 	EventStall = "stall"
 	// EventAlert is an SLO conformance transition reported by the watch
 	// engine (internal/watch): Check names the detector, Msg the evidence
-	// line, Link the subject (-1 for network-wide). Fields: severity
+	// line, Link the subject (-1 for network-wide). Payload: severity
 	// (1 warning, 2 critical), state (1 firing, 0 resolved), value,
 	// threshold, window (intervals of evidence), scope (0 link,
 	// 1 neighborhood, 2 network). Alerts are deterministic functions of the
@@ -87,10 +91,11 @@ const (
 	EventAlert = "alert"
 )
 
-// Sink consumes events. Emitters reuse one scratch Fields map per emission
-// site, so an implementation must not retain ev.Fields beyond the call. A
-// sink that keeps events copies their key/value pairs into storage it owns,
-// as the flight recorder does into its per-interval arenas.
+// Sink consumes events. Emitters reuse one Payload per emission site,
+// overwriting its values for every event, so an implementation must not
+// retain ev.Payload or its value slice beyond the call. A sink that keeps
+// events copies the values into storage it owns, as the flight recorder does
+// into its per-interval buckets; the schema is immutable and may be kept.
 type Sink interface {
 	Emit(ev Event)
 }
@@ -139,9 +144,7 @@ func Only(kinds ...string) JSONLOption {
 type JSONL struct {
 	w *bufio.Writer
 	// line is the encoder's scratch, reused for every event.
-	line []byte
-	// order remembers each kind's sorted field keys for the encoder.
-	order  FieldOrder
+	line   []byte
 	sample map[string]int
 	seen   map[string]int
 	only   map[string]bool
@@ -189,7 +192,7 @@ func (j *JSONL) Emit(ev Event) {
 		}
 	}
 	var err error
-	if j.line, err = appendEvent(j.line[:0], ev, &j.order); err == nil {
+	if j.line, err = AppendJSON(j.line[:0], ev); err == nil {
 		_, err = j.w.Write(j.line)
 	}
 	if err != nil {
@@ -218,7 +221,9 @@ func (j *JSONL) Flush() error {
 // of the round trip, used by tests and analysis tooling. A leading schema
 // header line (written by NewJSONL) is validated and skipped; headerless
 // legacy streams decode as before. A header carrying a different schema or
-// an unsupported version is an error, not a zero-valued event.
+// an unsupported version is an error, not a zero-valued event. Each decoded
+// event carries its fields twice: as Payload, under the canonical schema of
+// the same names when there is one, and as the Fields map.
 func DecodeJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	_, err := ReadJSONL(r, EventStreamSchema, EventStreamVersion, "telemetry: decode event",

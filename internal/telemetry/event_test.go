@@ -8,13 +8,22 @@ import (
 	"testing"
 )
 
+// withPayloads gives each event the payload of its Fields map, so that it
+// equals the event decoding its line yields.
+func withPayloads(evs []Event) []Event {
+	for i := range evs {
+		evs[i].Payload = PayloadOf(evs[i].Fields)
+	}
+	return evs
+}
+
 func sampleEvents() []Event {
-	return []Event{
+	return withPayloads([]Event{
 		{K: 0, At: 120, Link: 3, Kind: "tx", Fields: map[string]float64{"dur": 120, "outcome": 0}},
 		{K: 0, At: 2000, Link: -1, Kind: "interval", Fields: map[string]float64{"arrivals": 7, "served": 5}},
 		{K: 1, At: 2120, Link: 0, Kind: "tx", Fields: map[string]float64{"dur": 120, "outcome": 2}},
 		{K: 1, At: 4000, Link: -1, Kind: "swap", Fields: map[string]float64{"pos": 4, "accepted": 1}},
-	}
+	})
 }
 
 func TestJSONLRoundTrip(t *testing.T) {

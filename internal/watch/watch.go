@@ -64,8 +64,8 @@ const (
 	ScopeNetwork      = "network"
 )
 
-// Numeric codes carried in the alert event's Fields, so a recorded stream
-// round-trips the alert without string payloads (Fields is map[string]float64).
+// Numeric codes carried in the alert event's payload, so a recorded stream
+// round-trips the alert without string fields (payload values are numbers).
 const (
 	severityCodeWarning  = 1
 	severityCodeCritical = 2
@@ -103,10 +103,10 @@ type Alert struct {
 	Msg string `json:"msg"`
 }
 
-// Event renders the alert as a telemetry event using the caller's Fields map
-// (the engine reuses one scratch map per emission; offline tools may pass a
-// fresh one).
-func (a Alert) Event(fields map[string]float64) telemetry.Event {
+// Event renders the alert as a telemetry event, writing its fields into p,
+// which must have telemetry.AlertSchema (the engine reuses one payload for
+// every alert).
+func (a Alert) Event(p *telemetry.Payload) telemetry.Event {
 	sev := float64(severityCodeWarning)
 	if a.Severity == SeverityCritical {
 		sev = severityCodeCritical
@@ -122,16 +122,17 @@ func (a Alert) Event(fields map[string]float64) telemetry.Event {
 	case ScopeNetwork:
 		scope = scopeCodeNetwork
 	}
-	fields["severity"] = sev
-	fields["state"] = st
-	fields["value"] = a.Value
-	fields["threshold"] = a.Threshold
-	fields["window"] = float64(a.Window)
-	fields["scope"] = scope
+	v := p.Values
+	v[telemetry.AlertSeverity] = sev
+	v[telemetry.AlertState] = st
+	v[telemetry.AlertValue] = a.Value
+	v[telemetry.AlertThreshold] = a.Threshold
+	v[telemetry.AlertWindow] = float64(a.Window)
+	v[telemetry.AlertScope] = scope
 	return telemetry.Event{
 		K: a.K, At: a.At, Link: a.Link,
 		Kind: telemetry.EventAlert, Check: a.Detector, Msg: a.Msg,
-		Fields: fields,
+		Payload: p,
 	}
 }
 
@@ -247,9 +248,9 @@ type Engine struct {
 	total       *telemetry.Counter
 	perDetector map[string]*telemetry.Counter
 
-	// alertFields is the reused scratch Fields map for alert events (fixed
-	// key set; sinks must not retain it, per the Sink contract).
-	alertFields map[string]float64
+	// alertPayload is the payload reused for every alert event (sinks must
+	// not retain it, per the Sink contract).
+	alertPayload *telemetry.Payload
 }
 
 // linkState is one link's detector state.
@@ -320,13 +321,13 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Budget = 0.1
 	}
 	e := &Engine{
-		cfg:         cfg,
-		delivered:   make([]int, cfg.Links),
-		attempts:    make([]int, cfg.Links),
-		links:       make([]linkState, cfg.Links),
-		byDetector:  make(map[string]int64),
-		perDetector: make(map[string]*telemetry.Counter),
-		alertFields: make(map[string]float64, 6),
+		cfg:          cfg,
+		delivered:    make([]int, cfg.Links),
+		attempts:     make([]int, cfg.Links),
+		links:        make([]linkState, cfg.Links),
+		byDetector:   make(map[string]int64),
+		perDetector:  make(map[string]*telemetry.Counter),
+		alertPayload: telemetry.NewPayload(telemetry.AlertSchema),
 	}
 	for i := range e.links {
 		q := cfg.Required[i]
@@ -356,15 +357,15 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Emit(ev telemetry.Event) {
 	switch ev.Kind {
 	case telemetry.EventTx:
-		if ev.Link < 0 || ev.Link >= e.cfg.Links || ev.Fields["empty"] != 0 {
+		if ev.Link < 0 || ev.Link >= e.cfg.Links || ev.Value("empty") != 0 {
 			return
 		}
 		e.attempts[ev.Link]++
-		if ev.Fields["outcome"] == 0 { // medium.Delivered
+		if ev.Value("outcome") == 0 { // medium.Delivered
 			e.delivered[ev.Link]++
 		}
 	case telemetry.EventConflict:
-		peer := int(ev.Fields["peer"])
+		peer := int(ev.Value("peer"))
 		if ev.Link < 0 || ev.Link >= e.cfg.Links || peer < 0 || peer >= e.cfg.Links {
 			return
 		}
@@ -403,7 +404,7 @@ func (e *Engine) endInterval(ev telemetry.Event) {
 	for _, s := range e.series {
 		e.observeDrift(s, k, at, total)
 	}
-	e.observeSpike(ev.Fields["expired"], k, at)
+	e.observeSpike(ev.Value("expired"), k, at)
 
 	for i := range e.delivered {
 		e.delivered[i] = 0
@@ -478,7 +479,7 @@ func (e *Engine) record(a Alert) {
 		e.retained = append(e.retained, a)
 	}
 	if e.cfg.Output != nil {
-		e.cfg.Output.Emit(a.Event(e.alertFields))
+		e.cfg.Output.Emit(a.Event(e.alertPayload))
 	}
 }
 

@@ -25,21 +25,21 @@ func emitTx(e *Engine, k int64, link int, delivered bool) {
 	}
 	e.Emit(telemetry.Event{
 		K: k, At: sim.Time(k*testInterval + 500), Link: link, Kind: telemetry.EventTx,
-		Fields: map[string]float64{"dur": 120, "empty": 0, "outcome": outcome},
+		Payload: telemetry.PayloadOf(map[string]float64{"dur": 120, "empty": 0, "outcome": outcome}),
 	})
 }
 
 func emitInterval(e *Engine, k int64, expired float64) {
 	e.Emit(telemetry.Event{
 		K: k, At: sim.Time((k + 1) * testInterval), Link: -1, Kind: telemetry.EventInterval,
-		Fields: map[string]float64{"arrivals": 1, "served": 1, "expired": expired},
+		Payload: telemetry.PayloadOf(map[string]float64{"arrivals": 1, "served": 1, "expired": expired}),
 	})
 }
 
 func emitConflict(e *Engine, a, b int) {
 	e.Emit(telemetry.Event{
 		K: 0, At: 0, Link: a, Kind: telemetry.EventConflict,
-		Fields: map[string]float64{"peer": float64(b)},
+		Payload: telemetry.PayloadOf(map[string]float64{"peer": float64(b)}),
 	})
 }
 
@@ -290,7 +290,7 @@ func TestAlertEventRoundTrip(t *testing.T) {
 		K: 42, At: 344000, Link: 3, Scope: ScopeNeighborhood,
 		Value: 0.02, Threshold: 0.01, Window: 500, Msg: "m",
 	}
-	ev := a.Event(make(map[string]float64))
+	ev := a.Event(telemetry.NewPayload(telemetry.AlertSchema))
 	if ev.Kind != telemetry.EventAlert || ev.Check != DetectorDebtDrift ||
 		ev.Link != 3 || ev.K != 42 || ev.Msg != "m" {
 		t.Fatalf("event envelope wrong: %+v", ev)
@@ -299,8 +299,8 @@ func TestAlertEventRoundTrip(t *testing.T) {
 		"severity": severityCodeCritical, "state": stateCodeFiring,
 		"value": 0.02, "threshold": 0.01, "window": 500, "scope": scopeCodeNeighbor,
 	}
-	if !reflect.DeepEqual(ev.Fields, want) {
-		t.Fatalf("event fields = %v, want %v", ev.Fields, want)
+	if got := ev.Payload.Map(); !reflect.DeepEqual(got, want) || ev.Payload.Schema != telemetry.AlertSchema {
+		t.Fatalf("event fields = %v, want %v under the alert schema", got, want)
 	}
 }
 
@@ -310,10 +310,7 @@ func TestEngineEmitsAlertEvents(t *testing.T) {
 	var got []telemetry.Event
 	sink := sinkFunc(func(ev telemetry.Event) {
 		cp := ev
-		cp.Fields = map[string]float64{}
-		for k, v := range ev.Fields {
-			cp.Fields[k] = v
-		}
+		cp.Payload, cp.Fields = nil, ev.Payload.Map()
 		got = append(got, cp)
 	})
 	e := mustEngine(t, Config{Links: 1, Required: []float64{0}, Output: sink})
@@ -384,8 +381,8 @@ func TestReplayJSONLMatchesLive(t *testing.T) {
 	for k := int64(0); k < 1200; k++ {
 		ev := telemetry.Event{
 			K: k, At: sim.Time((k + 1) * testInterval), Link: -1,
-			Kind:   telemetry.EventInterval,
-			Fields: map[string]float64{"arrivals": 1, "served": 0, "expired": 0},
+			Kind:    telemetry.EventInterval,
+			Payload: telemetry.PayloadOf(map[string]float64{"arrivals": 1, "served": 0, "expired": 0}),
 		}
 		tee.Emit(ev)
 	}

@@ -370,15 +370,26 @@ func (s *Simulation) Intervals() int64 { return s.nw.Intervals() }
 func (s *Simulation) Now() sim.Time { return s.nw.Engine().Now() }
 
 // Snapshots returns the recorded convergence checkpoints (empty unless
-// Config.SnapshotEvery was set).
+// Config.SnapshotEvery was set). The per-link slices of all checkpoints are
+// copied into one buffer, so a call allocates twice whatever the number of
+// checkpoints.
 func (s *Simulation) Snapshots() []Snapshot {
 	raw := s.col.Series()
+	n := 0
+	for _, r := range raw {
+		n += len(r.Throughput) + len(r.Windowed)
+	}
+	buf := make([]float64, 0, n)
 	out := make([]Snapshot, len(raw))
 	for i, r := range raw {
+		lo := len(buf)
+		buf = append(buf, r.Throughput...)
+		mid := len(buf)
+		buf = append(buf, r.Windowed...)
 		out[i] = Snapshot{
 			Intervals:  r.Intervals,
-			Cumulative: append([]float64(nil), r.Throughput...),
-			Windowed:   append([]float64(nil), r.Windowed...),
+			Cumulative: buf[lo:mid:mid],
+			Windowed:   buf[mid:len(buf):len(buf)],
 		}
 	}
 	return out
