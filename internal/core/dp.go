@@ -94,8 +94,6 @@ type Protocol struct {
 	positions   []int
 	// swaps counts committed priority exchanges, for diagnostics.
 	swaps int64
-	// swapHook, when set, observes every swap decision (telemetry).
-	swapHook mac.SwapHook
 	// graph/local describe the per-neighborhood mode: on a non-complete
 	// conflict graph each link's backoff counter is its local priority rank
 	// within its closed neighborhood (links in disjoint neighborhoods reuse
@@ -109,11 +107,6 @@ type Protocol struct {
 	graph *medium.Graph
 	local bool
 }
-
-// SetSwapHook installs an observer invoked once per swap pair at each
-// interval's end with the decision outcome. Networks use it to count swap
-// accept/reject dynamics and stream swap events.
-func (p *Protocol) SetSwapHook(h mac.SwapHook) { p.swapHook = h }
 
 // New builds a DP protocol for n links using the given µ policy.
 func New(n int, policy MuPolicy, opts ...Option) (*Protocol, error) {
@@ -547,9 +540,7 @@ func (p *Protocol) EndInterval(ctx *mac.Context) {
 			p.inv[ps.c] = ps.down
 			p.swaps++
 		}
-		if p.swapHook != nil {
-			p.swapHook(ctx.K, ctx.End, ps.c, ps.down, ps.up, swap)
-		}
+		ctx.NoteSwap(ps.c, ps.down, ps.up, swap)
 	}
 	p.active = p.active[:0]
 }

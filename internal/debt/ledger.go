@@ -8,15 +8,7 @@ type Ledger struct {
 	debts     []float64 // d_n(k)
 	delivered []int64   // Σ_j S_n(j), cumulative
 	intervals int64     // k
-	hook      func(k int64, debts []float64)
 }
-
-// SetUpdateHook installs a callback invoked after every Eq. 1 debt update
-// with the just-completed interval index and the updated debt vector. The
-// slice is the ledger's own storage: observers must not retain or mutate it.
-// Telemetry uses this to record pathwise debt evolution, which mean-level
-// metrics cannot show.
-func (l *Ledger) SetUpdateHook(fn func(k int64, debts []float64)) { l.hook = fn }
 
 // NewLedger creates a ledger with d_n(0) = 0 for the given per-interval
 // timely-throughput requirements q.
@@ -48,6 +40,13 @@ func (l *Ledger) Required(n int) float64 { return l.required[n] }
 // running ahead of its requirement.
 func (l *Ledger) Debt(n int) float64 { return l.debts[n] }
 
+// Debts returns the current debt vector: debts[n] is d_n(k). The slice is
+// the ledger's own storage, overwritten by the next EndInterval; callers
+// read it and must not retain or mutate it. Telemetry reads it after every
+// update to record pathwise debt evolution, which mean-level metrics cannot
+// show.
+func (l *Ledger) Debts() []float64 { return l.debts }
+
 // PositiveDebt returns d_n⁺(k) = max{0, d_n(k)}.
 func (l *Ledger) PositiveDebt(n int) float64 {
 	if d := l.debts[n]; d > 0 {
@@ -75,9 +74,6 @@ func (l *Ledger) EndInterval(served []int) error {
 		l.delivered[n] += int64(s)
 	}
 	l.intervals++
-	if l.hook != nil {
-		l.hook(l.intervals-1, l.debts)
-	}
 	return nil
 }
 

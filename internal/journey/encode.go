@@ -1,10 +1,6 @@
 package journey
 
-import (
-	"strconv"
-
-	"rtmac/internal/telemetry"
-)
+import "rtmac/internal/telemetry"
 
 // appendJSON appends the JSON encoding of j and a newline to dst, byte for
 // byte what json.Marshal(j) followed by '\n' produces: fields in declaration
@@ -65,5 +61,5 @@ func appendJSON(dst []byte, j *Journey) []byte {
 
 // appendInt appends a literal prefix, typically a key, and then v.
 func appendInt(dst []byte, prefix string, v int64) []byte {
-	return strconv.AppendInt(append(dst, prefix...), v, 10)
+	return telemetry.AppendInt(append(dst, prefix...), v)
 }

@@ -7,7 +7,6 @@ import (
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
-	"rtmac/internal/telemetry"
 )
 
 // Contender receives the contention coordinator's callbacks for one link.
@@ -119,15 +118,9 @@ type Contention struct {
 	// dirty lists the grids whose leaves wait for the next rearm.
 	inBoundary bool
 	dirty      []int
-	// backoffHist, when set, observes every initial backoff counter —
-	// protocol-independent visibility into how much idle countdown each
-	// policy pays per interval. The counters wait in backoffs, which holds
-	// one per link, and reach the histogram in one call when the interval
-	// closes (Clear) or the buffer fills.
-	backoffHist *telemetry.Histogram
-	backoffs    []float64
-	// backoffObs, when set, additionally observes (link, counter) pairs; the
-	// network hands them to its probes as Backoff records.
+	// backoffObs, when set, observes every initial (link, counter) pair;
+	// the network feeds its backoff histogram and its probes' Backoff
+	// records from it.
 	backoffObs func(link, counter int)
 	// fireObs, when set, observes every counter-zero firing and whether the
 	// link actually started a transmission; senseObs mirrors each delivered
@@ -287,12 +280,6 @@ func (c *Contention) Add(link, counter int, contender Contender) {
 	e.target, e.active, e.contender = g.clock+join+counter, true, contender
 	c.active++
 	c.insert(g, c.slotOf[link])
-	if c.backoffHist != nil {
-		if len(c.backoffs) == cap(c.backoffs) {
-			c.flushBackoffs()
-		}
-		c.backoffs = append(c.backoffs, float64(counter))
-	}
 	if c.backoffObs != nil {
 		c.backoffObs(link, counter)
 	}
@@ -318,24 +305,6 @@ func (c *Contention) Add(link, counter int, contender Contender) {
 	// boundary, where the dirty grids are recomputed first.
 	if moved || len(c.dirty) != 0 {
 		c.rearm()
-	}
-}
-
-// SetBackoffHistogram installs the telemetry histogram fed by every Add.
-// The counters are observed in batches, by Clear at the latest.
-func (c *Contention) SetBackoffHistogram(h *telemetry.Histogram) {
-	c.flushBackoffs()
-	c.backoffHist = h
-	if h != nil && c.backoffs == nil {
-		c.backoffs = make([]float64, 0, len(c.entries))
-	}
-}
-
-// flushBackoffs observes the buffered initial counters in one call.
-func (c *Contention) flushBackoffs() {
-	if len(c.backoffs) != 0 {
-		c.backoffHist.Observe(c.backoffs...)
-		c.backoffs = c.backoffs[:0]
 	}
 }
 
@@ -420,10 +389,8 @@ func (c *Contention) rekey(g *grid, slot int) {
 }
 
 // Clear removes every entry and cancels the slot clock. Networks call it at
-// interval end so no countdown leaks across the deadline; it also hands the
-// interval's initial counters to the backoff histogram.
+// interval end so no countdown leaks across the deadline.
 func (c *Contention) Clear() {
-	c.flushBackoffs()
 	clear(c.entries)
 	c.active = 0
 	for i := range c.grids {

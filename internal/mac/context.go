@@ -42,9 +42,9 @@ type Context struct {
 	dataDone  []func(delivered bool)
 	emptyDone []func()
 
-	// noteRound, when set, hands NoteRound's contention rounds to the
-	// network's probes; it is installed with the first probe.
-	noteRound func(link, slots int)
+	// inst is the network's instrumentation, which NoteRound and NoteSwap
+	// report to.
+	inst *instrumentation
 }
 
 func newContext(eng *sim.Engine, med *medium.Medium, profile phy.Profile, ledger *debt.Ledger) *Context {
@@ -112,11 +112,45 @@ func (c *Context) Contention() *Contention { return c.cont }
 
 // NoteRound reports one contention round a protocol ran outside the shared
 // coordinator — FCSMA's private per-round backoff draws — as a Round record,
-// so the journey tracer still sees the link competing. No-op until a probe
-// is attached.
+// so the journey tracer still sees the link competing.
 func (c *Context) NoteRound(n, backoff int) {
-	if c.noteRound != nil {
-		c.noteRound(n, backoff)
+	c.inst.observeRound(c.K, c.Eng.Now(), n, backoff)
+}
+
+// NoteSwap reports one DP priority-swap decision at the interval's end: pos
+// is the priority position C(k), down and up the candidate links, accepted
+// whether the exchange was committed. The network counts it and hands it to
+// its probes as a Swap record.
+func (c *Context) NoteSwap(pos, down, up int, accepted bool) {
+	c.inst.observeSwap(c.K, c.End, pos, down, up, accepted)
+}
+
+// DebtOrder fills order with the links in decreasing priority weight
+// f(d_n⁺(k))·p_n (Ledger.Weight under f, p_n the link's success
+// probability), ties broken by link ID for determinism (Eq. 4 allows any
+// tie-break). weights is scratch for the weights; both slices hold Links()
+// entries. The link-ID tie-break makes the order a strict total order, so
+// this allocation-free insertion sort yields exactly the order
+// sort.SliceStable would.
+func (c *Context) DebtOrder(f debt.InfluenceFunc, order []int, weights []float64) {
+	for link := range order {
+		order[link] = link
+		weights[link] = c.Ledger.Weight(link, f, c.Med.SuccessProb(link))
+	}
+	for i := 1; i < len(order); i++ {
+		li := order[i]
+		wi := weights[li]
+		j := i - 1
+		for j >= 0 {
+			lj := order[j]
+			wj := weights[lj]
+			if wj > wi || (wj == wi && lj < li) {
+				break
+			}
+			order[j+1] = lj
+			j--
+		}
+		order[j+1] = li
 	}
 }
 

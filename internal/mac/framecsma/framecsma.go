@@ -103,32 +103,8 @@ func (p *Protocol) BeginInterval(ctx *mac.Context) {
 	p.alloc = p.alloc[:n]
 	p.order = p.order[:n]
 	p.weights = p.weights[:n]
-
 	// Debt ordering, as the distributed contention of [23] would produce.
-	// Decreasing weight, ties broken by link ID: a strict total order, so
-	// this allocation-free insertion sort reproduces sort.SliceStable's
-	// result exactly.
-	weights := p.weights
-	for link := 0; link < n; link++ {
-		p.order[link] = link
-		weights[link] = ctx.Ledger.Weight(link, p.f, ctx.Med.SuccessProb(link))
-	}
-	order := p.order
-	for i := 1; i < n; i++ {
-		li := order[i]
-		wi := weights[li]
-		j := i - 1
-		for j >= 0 {
-			lj := order[j]
-			wj := weights[lj]
-			if wj > wi || (wj == wi && lj < li) {
-				break
-			}
-			order[j+1] = lj
-			j--
-		}
-		order[j+1] = li
-	}
+	ctx.DebtOrder(p.f, p.order, p.weights)
 
 	// Control phase consumes N mini-slots off the top of the frame.
 	controlTime := sim.Time(n) * p.cfg.ControlSlot

@@ -69,31 +69,7 @@ func (s *Scheduler) BeginInterval(ctx *mac.Context) {
 	}
 	s.order = s.order[:n]
 	s.weights = s.weights[:n]
-	weights := s.weights
-	for link := 0; link < n; link++ {
-		s.order[link] = link
-		weights[link] = ctx.Ledger.Weight(link, s.f, ctx.Med.SuccessProb(link))
-	}
-	// Decreasing weight; ties broken by link ID for determinism (Eq. 4
-	// allows any tie-break). The link-ID tie-break makes the order a strict
-	// total order, so this allocation-free insertion sort yields exactly the
-	// order sort.SliceStable used to.
-	order := s.order
-	for i := 1; i < n; i++ {
-		li := order[i]
-		wi := weights[li]
-		j := i - 1
-		for j >= 0 {
-			lj := order[j]
-			wj := weights[lj]
-			if wj > wi || (wj == wi && lj < li) {
-				break
-			}
-			order[j+1] = lj
-			j--
-		}
-		order[j+1] = li
-	}
+	ctx.DebtOrder(s.f, s.order, s.weights)
 	s.serveSet(ctx)
 }
 

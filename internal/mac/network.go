@@ -154,6 +154,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	}
 	ctx := newContext(eng, med, cfg.Profile, ledger)
 	ctx.cont = cont
+	ctx.inst = newInstrumentation(reg, ctx)
 	nw := &Network{
 		cfg:      cfg,
 		eng:      eng,
@@ -163,15 +164,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		cont:     cont,
 		arrivals: make([]int, n),
 		reg:      reg,
-		inst:     newInstrumentation(reg, n),
+		inst:     ctx.inst,
 	}
-	cont.SetBackoffHistogram(nw.inst.backoffHist)
-	ledger.SetUpdateHook(func(k int64, debts []float64) {
-		nw.inst.observeDebts(k, nw.ctx.End, debts)
-	})
-	if carrier, ok := cfg.Protocol.(swapHookCarrier); ok {
-		carrier.SetSwapHook(nw.inst.observeSwap)
-	}
+	cont.SetBackoffObserver(nw.inst.observeBackoff)
 	if carrier, ok := cfg.Protocol.(priorityCarrier); ok {
 		nw.prio = carrier
 	}
@@ -221,11 +216,13 @@ func (nw *Network) AddProbe(p Probe) {
 }
 
 // tap installs, once, the fan-outs that hand the medium's and the
-// contention coordinator's records to the probes: the medium's trace hook,
-// the coordinator's backoff, fire and sense observers, and the context's
-// round reporter. Nothing is installed before the first probe arrives, so
-// an unobserved network pays no calls for them. The closures read the
-// current list, so later probes need no re-installation.
+// contention coordinator's remaining records to the probes: the medium's
+// trace hook and the coordinator's fire and sense observers. Nothing is
+// installed before the first probe arrives, so an unobserved network pays
+// no calls for them. The closures read the current list, so later probes
+// need no re-installation. Backoff, round, swap and debt records reach the
+// instrumentation directly: the coordinator's backoff observer is installed
+// at construction, and the context's reporters call it.
 //
 // The medium's trace hook runs before the context's delivery bookkeeping,
 // so a Tx record always precedes the served count it changes.
@@ -240,12 +237,6 @@ func (nw *Network) tap() {
 			p.Tx(ctx.K, tx, outcome)
 		}
 	})
-	nw.cont.SetBackoffObserver(func(link, slots int) {
-		k, at := ctx.K, eng.Now()
-		for _, p := range in.probes {
-			p.Backoff(k, at, link, slots)
-		}
-	})
 	nw.cont.SetFireObserver(func(link int, started bool) {
 		k, at := ctx.K, eng.Now()
 		for _, p := range in.probes {
@@ -258,12 +249,6 @@ func (nw *Network) tap() {
 			p.Sense(k, at, link, busy)
 		}
 	})
-	ctx.noteRound = func(link, slots int) {
-		k, at := ctx.K, eng.Now()
-		for _, p := range in.probes {
-			p.Round(k, at, link, slots)
-		}
-	}
 }
 
 // SetJourneyTracer validates the packet-journey tracer against the network
@@ -346,16 +331,18 @@ func (nw *Network) endInterval() error {
 	k := nw.intervals
 	nw.cfg.Protocol.EndInterval(nw.ctx)
 	nw.cont.Clear()
+	nw.inst.flushBackoffs()
 	if pending := nw.eng.Pending(); pending != 0 {
 		return fmt.Errorf("mac: protocol %s leaked %d events past interval %d",
 			nw.cfg.Protocol.Name(), pending, k)
 	}
-	// The ledger's Eq. 1 update hands the Debt record to the probes; the
-	// journey tracer closes its interval there, before the interval event,
-	// so live /api/links readers see a board as fresh as the event stream.
+	// The Debt record follows the ledger's Eq. 1 update; the journey tracer
+	// closes its interval there, before the interval event, so live
+	// /api/links readers see a board as fresh as the event stream.
 	if err := nw.ledger.EndInterval(nw.ctx.served); err != nil {
 		return err
 	}
+	nw.inst.observeDebts(k, nw.ctx.End, nw.ledger.Debts())
 	for _, obs := range nw.cfg.Observers {
 		obs.ObserveInterval(k, nw.arrivals, nw.ctx.served)
 	}

@@ -6,18 +6,6 @@ import (
 	"rtmac/internal/telemetry"
 )
 
-// SwapHook observes one DP priority-swap decision: pos is the priority
-// position C(k), down/up the candidate link ids, accepted whether the
-// exchange was committed. Protocols expose SetSwapHook(SwapHook) to opt in;
-// the network wires it automatically.
-type SwapHook func(k int64, at sim.Time, pos, down, up int, accepted bool)
-
-// swapHookCarrier is implemented by protocols with observable swap dynamics
-// (the DP family).
-type swapHookCarrier interface {
-	SetSwapHook(SwapHook)
-}
-
 // priorityCarrier is implemented by protocols maintaining an explicit
 // priority permutation σ (the DP family); the network hands σ snapshots to
 // the probes so the runtime monitor can audit bijectivity and swap
@@ -35,7 +23,9 @@ var debtHistogramBounds = []float64{0, 0.25, 0.5, 1, 2, 4, 8, 16, 32, 64}
 // windows of the CSMA baselines (up to 1024 slots).
 var backoffHistogramBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// instrumentation bundles the network-level metrics and the probe list.
+// instrumentation bundles the network-level metrics and the probe list. It
+// is the one place that decides what the interval loop's records feed: the
+// ledger, the protocols and the contention coordinator only report them.
 // The registry-backed parts are always on (counter updates are cheap and
 // give Report and tests one source of truth); records are only built when a
 // probe is attached.
@@ -45,6 +35,9 @@ type instrumentation struct {
 	// AddProbe attached, in attach order.
 	probes []Probe
 	events *eventProbe
+	// ctx supplies the interval index and the clock of the records the
+	// coordinator reports without them.
+	ctx *Context
 
 	intervals    *telemetry.Counter
 	swapAccepted *telemetry.Counter
@@ -63,15 +56,23 @@ type instrumentation struct {
 	// posDebts holds one interval's positive debts, one per link, for the
 	// debt histogram's single Observe call.
 	posDebts []float64
+	// backoffs buffers initial backoff counters, one slot per link, for the
+	// backoff histogram: they reach it in one call when the interval closes
+	// or the buffer fills (a protocol that re-enters contention, like DCF,
+	// draws more counters than there are links).
+	backoffs []float64
 
 	// prioScratch is the reusable σ snapshot filled by priorityCarrier
 	// protocols.
 	prioScratch perm.Permutation
 }
 
-func newInstrumentation(reg *telemetry.Registry, links int) *instrumentation {
+func newInstrumentation(reg *telemetry.Registry, ctx *Context) *instrumentation {
+	links := ctx.Links()
 	return &instrumentation{
+		ctx:           ctx,
 		posDebts:      make([]float64, links),
+		backoffs:      make([]float64, 0, links),
 		intervals:     reg.Counter("rtmac_intervals_total", "completed simulation intervals"),
 		swapAccepted:  reg.Counter("rtmac_swap_accepted_total", "DP priority swaps committed"),
 		swapRejected:  reg.Counter("rtmac_swap_rejected_total", "DP swap candidacies that did not commit"),
@@ -87,9 +88,9 @@ func newInstrumentation(reg *telemetry.Registry, links int) *instrumentation {
 	}
 }
 
-// observeDebts feeds the ledger's update hook: histogram always, in one
-// call for the interval's links, one network-wide debt record per interval
-// to the probes.
+// observeDebts records the debt vector after the interval's Eq. 1 update:
+// histogram always, in one call for the interval's links, one network-wide
+// debt record per interval to the probes.
 func (in *instrumentation) observeDebts(k int64, at sim.Time, debts []float64) {
 	maxDebt, sum := 0.0, 0.0
 	positive := 0
@@ -117,7 +118,39 @@ func (in *instrumentation) observeDebts(k int64, at sim.Time, debts []float64) {
 	}
 }
 
-// observeSwap feeds the protocol's swap hook.
+// observeBackoff is the contention coordinator's backoff observer: it
+// buffers every initial counter for the backoff histogram and hands the
+// probes a Backoff record.
+func (in *instrumentation) observeBackoff(link, slots int) {
+	if len(in.backoffs) == cap(in.backoffs) {
+		in.flushBackoffs()
+	}
+	in.backoffs = append(in.backoffs, float64(slots))
+	if len(in.probes) == 0 {
+		return
+	}
+	k, at := in.ctx.K, in.ctx.Eng.Now()
+	for _, p := range in.probes {
+		p.Backoff(k, at, link, slots)
+	}
+}
+
+// flushBackoffs observes the buffered initial counters in one call.
+func (in *instrumentation) flushBackoffs() {
+	if len(in.backoffs) != 0 {
+		in.backoffHist.Observe(in.backoffs...)
+		in.backoffs = in.backoffs[:0]
+	}
+}
+
+// observeRound hands a protocol's private contention round to the probes.
+func (in *instrumentation) observeRound(k int64, at sim.Time, link, slots int) {
+	for _, p := range in.probes {
+		p.Round(k, at, link, slots)
+	}
+}
+
+// observeSwap counts one DP swap decision and hands it to the probes.
 func (in *instrumentation) observeSwap(k int64, at sim.Time, pos, down, up int, accepted bool) {
 	if accepted {
 		in.swapAccepted.Inc()
@@ -136,14 +169,11 @@ func (in *instrumentation) endInterval(nw *Network, k int64, end sim.Time) {
 	eng := nw.eng
 	in.engineEvents.Set(float64(eng.EventsFired()))
 	in.queueDepthMax.Set(float64(eng.MaxPending()))
-	if now := eng.Now(); now > 0 {
-		at := nw.med.Airtime()
-		span := float64(now)
-		in.utilization.Set(float64(at.Busy) / span)
-		in.dataFraction.Set(float64(at.Data) / span)
-		in.emptyFraction.Set(float64(at.Empty) / span)
-		in.collFraction.Set(float64(at.Collided) / span)
-	}
+	busy, data, empty, collided := nw.med.Airtime().Shares(eng.Now())
+	in.utilization.Set(busy)
+	in.dataFraction.Set(data)
+	in.emptyFraction.Set(empty)
+	in.collFraction.Set(collided)
 	if len(in.probes) == 0 {
 		return
 	}

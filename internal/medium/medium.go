@@ -125,13 +125,16 @@ type Airtime struct {
 	Collided sim.Time
 }
 
-// Utilization returns the fraction of the simulated span [0, now] the
-// channel was occupied (0 when now is zero).
-func (a Airtime) Utilization(now sim.Time) float64 {
+// Shares returns the fractions of the simulated span [0, now] that each
+// field covers: busy is the channel utilization, data, empty and collided
+// the clean-data, clean-empty and collided airtimes. All four are 0 when now
+// is zero.
+func (a Airtime) Shares(now sim.Time) (busy, data, empty, collided float64) {
 	if now <= 0 {
-		return 0
+		return 0, 0, 0, 0
 	}
-	return float64(a.Busy) / float64(now)
+	span := float64(now)
+	return float64(a.Busy) / span, float64(a.Data) / span, float64(a.Empty) / span, float64(a.Collided) / span
 }
 
 // channelMetrics are the medium's registry-backed counters.
@@ -353,9 +356,6 @@ func (m *Medium) AllBusy() bool {
 	}
 	return m.busy[last] == m.lastMask
 }
-
-// ActiveCount returns the number of overlapping in-flight transmissions.
-func (m *Medium) ActiveCount() int { return m.inFlight }
 
 // requireQuiescent enforces the read contract of the aggregate views: they
 // are only consistent when no transmission is in flight (BusyTime of the

@@ -328,8 +328,12 @@ func TestAirtimeAccounting(t *testing.T) {
 	if at.Busy != 250 {
 		t.Errorf("busy airtime = %v, want 250 (union)", at.Busy)
 	}
-	if got := at.Utilization(eng.Now()); got != float64(250)/float64(250) {
-		t.Errorf("utilization = %v, want 1", got)
+	busy, data, empty, collided := at.Shares(eng.Now())
+	if busy != 1 || data != 100.0/250 || empty != 70.0/250 || collided != 130.0/250 {
+		t.Errorf("shares = %v %v %v %v, want 1 0.4 0.28 0.52", busy, data, empty, collided)
+	}
+	if busy, data, empty, collided := at.Shares(0); busy != 0 || data != 0 || empty != 0 || collided != 0 {
+		t.Errorf("shares at time zero = %v %v %v %v, want all 0", busy, data, empty, collided)
 	}
 	if got := m.Stats().BusyTime; got != at.Busy {
 		t.Errorf("Stats().BusyTime = %v disagrees with Airtime().Busy = %v", got, at.Busy)

@@ -68,14 +68,6 @@ func NewChain(mu []float64, txProb float64) (*Chain, error) {
 // Links returns N.
 func (c *Chain) Links() int { return c.n }
 
-// States returns the enumerated state space in rank order.
-func (c *Chain) States() []Permutation { return c.states }
-
-// Prob returns the one-step transition probability between two states.
-func (c *Chain) Prob(from, to Permutation) float64 {
-	return c.matrix[from.Rank()][to.Rank()]
-}
-
 // RowSumError returns the largest deviation of any row sum from 1.
 func (c *Chain) RowSumError() float64 {
 	worst := 0.0

@@ -50,9 +50,3 @@ func (t Time) String() string {
 func (t Time) Std() time.Duration {
 	return time.Duration(t) * time.Microsecond
 }
-
-// FromStd converts a standard-library duration to simulated time, truncating
-// to microsecond resolution.
-func FromStd(d time.Duration) Time {
-	return Time(d / time.Microsecond)
-}

@@ -221,6 +221,3 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	}
 	panic(fmt.Sprintf("stats: quantile %v not tracked by sketch %v", q, s.qs))
 }
-
-// Quantiles returns the tracked quantile targets.
-func (s *QuantileSketch) Quantiles() []float64 { return append([]float64(nil), s.qs...) }

@@ -21,11 +21,11 @@ import (
 func AppendJSON(dst []byte, ev Event) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"k":`...)
-	dst = appendInt(dst, ev.K)
+	dst = AppendInt(dst, ev.K)
 	dst = append(dst, `,"t":`...)
-	dst = appendInt(dst, int64(ev.At))
+	dst = AppendInt(dst, int64(ev.At))
 	dst = append(dst, `,"link":`...)
-	dst = appendInt(dst, int64(ev.Link))
+	dst = AppendInt(dst, int64(ev.Link))
 	dst = append(dst, `,"kind":`...)
 	dst = AppendString(dst, ev.Kind)
 	if p := ev.Payload; p.Len() > 0 {
@@ -60,7 +60,7 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 	// path. The conversion of a NaN, an infinity or an out-of-range value
 	// yields some integer that does not convert back to f.
 	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
-		return appendInt(dst, i), nil
+		return AppendInt(dst, i), nil
 	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, &json.UnsupportedValueError{
@@ -82,9 +82,9 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
-// appendInt appends v in decimal, as strconv.AppendInt(dst, v, 10) does,
+// AppendInt appends v in decimal, as strconv.AppendInt(dst, v, 10) does,
 // but writes the digits straight into dst, two at a time.
-func appendInt(dst []byte, v int64) []byte {
+func AppendInt(dst []byte, v int64) []byte {
 	u := uint64(v)
 	if v < 0 {
 		dst = append(dst, '-')

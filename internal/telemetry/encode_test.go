@@ -199,7 +199,7 @@ func TestAppendJSONNoAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendInt holds appendInt to strconv.AppendInt at every digit-count
+// TestAppendInt holds AppendInt to strconv.AppendInt at every digit-count
 // boundary, the 64-bit extremes and a spread of values in between.
 func TestAppendInt(t *testing.T) {
 	values := []int64{0, 1, 9, 10, 11, 99, 100, 101, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
@@ -210,8 +210,8 @@ func TestAppendInt(t *testing.T) {
 		values = append(values, v, -v)
 	}
 	for _, v := range values {
-		if got, want := appendInt([]byte("x"), v), strconv.AppendInt([]byte("x"), v, 10); string(got) != string(want) {
-			t.Errorf("appendInt(%d) = %q, want %q", v, got, want)
+		if got, want := AppendInt([]byte("x"), v), strconv.AppendInt([]byte("x"), v, 10); string(got) != string(want) {
+			t.Errorf("AppendInt(%d) = %q, want %q", v, got, want)
 		}
 	}
 }

@@ -69,9 +69,9 @@ type Monitor struct {
 }
 
 // simFanout forwards an event to every sink attached to the simulation at
-// emission time. The monitor uses it as its violation output, so violation
-// events appear on the JSONL stream, the flight recorder, and the Perfetto
-// trace. The monitor is a probe that runs after the event stream at every
+// emission time. It is the network's event sink, and the monitor uses it as
+// its violation output, so violation events appear on the JSONL stream, the
+// flight recorder, and the Perfetto trace. The monitor is a probe that runs after the event stream at every
 // site, so each violation follows the event that triggered it.
 type simFanout struct{ s *Simulation }
 

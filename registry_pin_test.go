@@ -36,13 +36,18 @@ func histogramPin(t *testing.T, s *rtmac.Simulation, name string) string {
 }
 
 // TestRegistryHistogramPins pins the two always-on registry histograms after
-// 2000 seed-1 DB-DP intervals, on the paper's control channel and on two
-// disjoint 10-link cliques. The histograms observe in batches (one lock per
-// interval); these values were recorded when they observed one value per
-// call, so they show that batching changes no statistic.
+// 2000 seed-1 intervals: DB-DP on the paper's control channel and on two
+// disjoint 10-link cliques, and DCF on the control channel. The histograms
+// observe in batches (one lock per interval); the DB-DP values were
+// recorded when they observed one value per call, so they show that
+// batching changes no statistic. DCF re-enters contention after every
+// exchange and draws more backoffs in an interval than there are links, so
+// its row also covers the early batch a full buffer forces.
 func TestRegistryHistogramPins(t *testing.T) {
 	control := cliqueConfig(t, 10, rtmac.DBDP(), 1)
 	control.Conflicts = nil
+	dcf := cliqueConfig(t, 10, rtmac.DCF(), 1)
+	dcf.Conflicts = nil
 	cases := []struct {
 		name          string
 		cfg           rtmac.Config
@@ -54,6 +59,9 @@ func TestRegistryHistogramPins(t *testing.T) {
 		{"two-cliques", cliqueConfig(t, 20, rtmac.DBDP(), 1),
 			"counts=[20703 287 301 580 1158 2331 4028 6181 2865 1566 0] count=40000 sum=232134.52799999784",
 			"counts=[3116 3147 3122 6283 12485 3100 0 0 0 0 0 0 0] count=31253 sum=140561"},
+		{"dcf", dcf,
+			"counts=[143 28 26 43 37 124 338 571 673 1506 16511] count=20000 sum=3634712.8867999748",
+			"counts=[963 978 1036 2044 4054 7276 4130 2239 1333 909 509 295 0] count=25766 sum=1049685"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,15 +58,7 @@ func (s *Simulation) Report() Report {
 		}
 	}
 	st := s.nw.Medium().Stats()
-	at := s.nw.Medium().Airtime()
-	busyShare, dataShare, emptyShare, collidedShare := 0.0, 0.0, 0.0, 0.0
-	if now := s.nw.Engine().Now(); now > 0 {
-		span := float64(now)
-		busyShare = float64(at.Busy) / span
-		dataShare = float64(at.Data) / span
-		emptyShare = float64(at.Empty) / span
-		collidedShare = float64(at.Collided) / span
-	}
+	busyShare, dataShare, emptyShare, collidedShare := s.nw.Medium().Airtime().Shares(s.nw.Engine().Now())
 	return Report{
 		Protocol:        s.prot.Name(),
 		Intervals:       s.col.Intervals(),

@@ -189,14 +189,18 @@ type Simulation struct {
 	watch    *Watch
 	// sinks holds every attached event consumer (JSONL streams, flight
 	// recorder, Perfetto exporter, watch engine) in attach order; the
-	// network sees them as one fan-out.
+	// network sees them as one fan-out, simFanout.
 	sinks []telemetry.Sink
 }
 
-// addSink attaches one more event consumer, rebuilding the network's fan-out.
+// addSink attaches one more event consumer. The first one installs the
+// network's event stream, the simulation's live fan-out over sinks, so the
+// later ones only join the list.
 func (s *Simulation) addSink(sink telemetry.Sink) {
+	if len(s.sinks) == 0 {
+		s.nw.SetEventSink(simFanout{s})
+	}
 	s.sinks = append(s.sinks, sink)
-	s.nw.SetEventSink(telemetry.MultiSink(append([]telemetry.Sink(nil), s.sinks...)))
 }
 
 // network validates cfg and returns the network it describes without a
