@@ -69,6 +69,8 @@ fuzz:
 # scanning reference, the medium's neighborhood bitsets against a naive
 # per-link model, and component labels against a BFS.
 	$(FUZZ) -fuzz=FuzzContentionGraph ./internal/mac
+# FCSMA, LDF and frame-CSMA against reference scans over every link.
+	$(FUZZ) -fuzz=FuzzBaselineScans ./internal/mac
 	$(FUZZ) -fuzz=FuzzMediumLinkTransitions ./internal/medium
 	$(FUZZ) -fuzz=FuzzGraphComponents ./internal/medium
 # Directly built rtmac.Config values: errors allowed, panics not.

@@ -205,6 +205,26 @@ func BenchmarkIntervalDBDPLargeNetwork(b *testing.B) {
 	}
 }
 
+// benchVideoIntervals prices one baseline on the video workload of the
+// video/<protocol> stream pins (videoPinConfig): 20 links whose bursts of
+// 1-6 packets drain mid-interval, where the baselines' scans skip drained
+// links.
+func benchVideoIntervals(b *testing.B, protocol rtmac.Protocol) {
+	s, err := rtmac.NewSimulation(videoPinConfig(protocol))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkIntervalVideoFCSMA(b *testing.B)     { benchVideoIntervals(b, rtmac.FCSMA()) }
+func BenchmarkIntervalVideoLDF(b *testing.B)       { benchVideoIntervals(b, rtmac.LDF()) }
+func BenchmarkIntervalVideoFrameCSMA(b *testing.B) { benchVideoIntervals(b, rtmac.FrameCSMA()) }
+
 // ---------------------------------------------------------------------------
 // Ablation benchmarks: design choices DESIGN.md calls out. Each reports the
 // total deficiency reached on a fixed workload as a custom metric, so

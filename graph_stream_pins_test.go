@@ -119,6 +119,29 @@ func pinConfig(n int, graph *rtmac.ConflictGraph, protocol rtmac.Protocol) rtmac
 	}
 }
 
+// videoPinConfig is the video workload of the video/<protocol> pins and the
+// BenchmarkIntervalVideo* benchmarks: 20 links on the fully-interfering
+// video profile (p = 0.7, bursts of 1-6 packets with probability 0.55,
+// delivery ratio 0.9, seed 7). Unlike the control profile, links hold
+// several packets per interval, so the baselines drain backlogs
+// mid-interval.
+func videoPinConfig(protocol rtmac.Protocol) rtmac.Config {
+	links := make([]rtmac.Link, 20)
+	for i := range links {
+		links[i] = rtmac.Link{
+			SuccessProb:   0.7,
+			Arrivals:      rtmac.MustVideoArrivals(0.55),
+			DeliveryRatio: 0.9,
+		}
+	}
+	return rtmac.Config{
+		Seed:     7,
+		Profile:  rtmac.VideoProfile(),
+		Links:    links,
+		Protocol: protocol,
+	}
+}
+
 // TestGraphModeStreamsPinned pins the event and journey streams of every
 // protocol on every property graph, plus the 50-link five-clique DB-DP
 // workload, to digests recorded before the graph-mode contention clock was
@@ -131,7 +154,9 @@ func pinConfig(n int, graph *rtmac.ConflictGraph, protocol rtmac.Protocol) rtmac
 // clique and non-clique components alike. The complete/<protocol> pins run
 // the same workload on the fully-interfering channel (nil conflicts),
 // pinning its one-grid streams against a recorded digest rather than a
-// second run of the same code. Regenerate with -update-graph-pins only for
+// second run of the same code. The video/<protocol> pins run
+// videoPinConfig, where each link drains a multi-packet backlog within the
+// interval. Regenerate with -update-graph-pins only for
 // an intended behaviour change.
 func TestGraphModeStreamsPinned(t *testing.T) {
 	const intervals = 1000
@@ -155,6 +180,12 @@ func TestGraphModeStreamsPinned(t *testing.T) {
 	ring := ringConflicts(t, 130)
 	for _, tc := range propertyProtocols() {
 		got["ring-130/"+tc.name] = graphStreamDigests(t, pinConfig(130, ring, tc.p), intervals)
+	}
+
+	for name, p := range map[string]rtmac.Protocol{
+		"dbdp": rtmac.DBDP(), "ldf": rtmac.LDF(), "fcsma": rtmac.FCSMA(), "framecsma": rtmac.FrameCSMA(),
+	} {
+		got["video/"+name] = graphStreamDigests(t, videoPinConfig(p), 300)
 	}
 
 	if *updateGraphPins {

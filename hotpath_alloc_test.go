@@ -275,3 +275,52 @@ func mallocsDuring(runs int, f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }
+
+// TestObservedAttachAllocs pins the allocations made while attaching the
+// observed planes (journeys, events, the strict monitor and watch) to a
+// freshly built control simulation: the count is the allocations of
+// building and attaching, less those of building alone. Routing per-slot
+// records only to the probes that read them costs the attach no
+// allocation, and the two JSONL writers append into their own buffers.
+func TestObservedAttachAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not repeat under the race detector")
+	}
+	const maxAttach = 161
+	build := func() *rtmac.Simulation { return newHotPathSim(t, rtmac.DBDP()) }
+	built := testing.AllocsPerRun(20, func() { build() })
+	attached := testing.AllocsPerRun(20, func() {
+		s := build()
+		if _, err := s.EnableJourneys(io.Discard, 1); err != nil {
+			t.Fatal(err)
+		}
+		s.StreamEvents(io.Discard)
+		if _, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.EnableWatch(rtmac.WatchConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if attach := attached - built; attach > maxAttach {
+		t.Errorf("attaching the observed planes made %v allocations, want at most %d", attach, maxAttach)
+	}
+}
+
+// TestReportAllocs pins Simulation.Report at one allocation, its per-link
+// slice, for every protocol: each protocol builds its name once, on the
+// first call.
+func TestReportAllocs(t *testing.T) {
+	protocols := hotPathProtocols()
+	protocols["eldf"] = rtmac.ELDF(rtmac.PaperInfluence())
+	protocols["dbdp-pairs"] = rtmac.DBDP(rtmac.WithSwapPairs(2))
+	for name, protocol := range protocols {
+		s := newHotPathSim(t, protocol)
+		if err := s.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { s.Report() }); allocs != 1 {
+			t.Errorf("%s: Report made %v allocations, want 1", name, allocs)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"rtmac/internal/mac"
 	"rtmac/internal/medium"
@@ -77,6 +78,10 @@ type Protocol struct {
 	pairs   int
 	frozen  bool
 	initial perm.Permutation
+	// name is Name's result, built by its first call: construction does
+	// not pay for a name no caller reads.
+	name     string
+	nameOnce sync.Once
 
 	prio perm.Permutation // σ(k-1), carried across intervals
 	// inv is the maintained inverse of prio (priority c ↦ link at index c-1),
@@ -166,14 +171,17 @@ func NewDBDP(n int, opts ...Option) (*Protocol, error) {
 
 // Name implements mac.Protocol.
 func (p *Protocol) Name() string {
-	switch {
-	case p.frozen:
-		return "dp-frozen"
-	case p.pairs > 1:
-		return fmt.Sprintf("dbdp[%s,pairs=%d]", p.policy.Name(), p.pairs)
-	default:
-		return fmt.Sprintf("dbdp[%s]", p.policy.Name())
-	}
+	p.nameOnce.Do(func() {
+		switch {
+		case p.frozen:
+			p.name = "dp-frozen"
+		case p.pairs > 1:
+			p.name = fmt.Sprintf("dbdp[%s,pairs=%d]", p.policy.Name(), p.pairs)
+		default:
+			p.name = fmt.Sprintf("dbdp[%s]", p.policy.Name())
+		}
+	})
+	return p.name
 }
 
 // Priorities returns σ(k-1), the current priority assignment.

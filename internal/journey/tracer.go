@@ -1,7 +1,6 @@
 package journey
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sync"
@@ -13,10 +12,11 @@ import (
 )
 
 // Tracer records sampled packet journeys and per-link debt timelines from
-// one simulation. It is a mac.Probe: the network drives it through the
-// probe records, all called from the simulation goroutine, while the
-// published state (attribution tallies, timelines) is read through
-// mutex-guarded accessors so a live HTTP plane can serve it mid-run.
+// one simulation. It is a mac.Probe and a mac.SlotProbe: the network drives
+// it through the probe and per-slot records, all called from the simulation
+// goroutine, while the published state (attribution tallies, timelines) is
+// read through mutex-guarded accessors so a live HTTP plane can serve it
+// mid-run.
 //
 // Sampling is by global arrival sequence: packet seq is recorded iff
 // seq % sample == 0, which keeps the decision independent of scheduling and
@@ -26,9 +26,9 @@ import (
 type Tracer struct {
 	links  int
 	sample int64
-	buf    *bufio.Writer
-	line   []byte // encoder scratch, reused for every journey
-	err    error
+	// out buffers the JSONL stream; nil when the tracer streams nothing.
+	out *telemetry.LineBuffer
+	err error
 
 	// Interval-local state, owned by the simulation goroutine.
 	open     bool
@@ -92,12 +92,13 @@ func NewTracer(links int, w io.Writer, sample int) (*Tracer, error) {
 		t.timelines[i] = newTimeline(timelineCapacity)
 	}
 	if w != nil {
-		t.buf = bufio.NewWriter(w)
+		out := telemetry.NewLineBuffer(w)
+		t.out = &out
 		header := telemetry.StreamHeader{
 			Schema:  telemetry.JourneyStreamSchema,
 			Version: telemetry.JourneyStreamVersion,
 		}
-		if _, err := t.buf.Write(header.MarshalLine()); err != nil {
+		if err := out.Commit(append(out.Bytes(), header.MarshalLine()...)); err != nil {
 			t.err = fmt.Errorf("journey: stream: %w", err)
 		}
 	}
@@ -296,11 +297,10 @@ func (t *Tracer) EndInterval(int64, sim.Time, int, int, int, perm.Permutation) {
 // encode streams one finished journey; errors are sticky, like the telemetry
 // JSONL sink, so a failed disk write cannot silently truncate mid-record.
 func (t *Tracer) encode(j *Journey) {
-	if t.buf == nil || t.err != nil {
+	if t.out == nil || t.err != nil {
 		return
 	}
-	t.line = appendJSON(t.line[:0], j)
-	if _, err := t.buf.Write(t.line); err != nil {
+	if err := t.out.Commit(appendJSON(t.out.Bytes(), j)); err != nil {
 		t.err = fmt.Errorf("journey: stream: %w", err)
 		return
 	}
@@ -312,10 +312,10 @@ func (t *Tracer) Flush() error {
 	if t.err != nil {
 		return t.err
 	}
-	if t.buf == nil {
+	if t.out == nil {
 		return nil
 	}
-	if err := t.buf.Flush(); err != nil {
+	if err := t.out.Flush(); err != nil {
 		t.err = fmt.Errorf("journey: stream: %w", err)
 	}
 	return t.err

@@ -94,6 +94,12 @@ type Protocol struct {
 	rng     *sim.RNG
 	winners []int
 	fireFn  func()
+	// window[link] is link's contention window for the running interval and
+	// backlog the links still holding packets, in link order. The ledger
+	// moves only between intervals, so BeginInterval sets both; packets
+	// never arrive mid-interval, so each round only drops drained links.
+	window  []int
+	backlog []int
 }
 
 // New validates cfg and returns the protocol.
@@ -112,6 +118,7 @@ func (p *Protocol) Rounds() int64 { return p.rounds }
 
 // BeginInterval implements mac.Protocol.
 func (p *Protocol) BeginInterval(ctx *mac.Context) {
+	n := ctx.Links()
 	if !p.subscribed {
 		// The network's contention coordinator subscribed at construction,
 		// so FCSMA is the last listener and may transmit from LinksIdle.
@@ -122,8 +129,19 @@ func (p *Protocol) BeginInterval(ctx *mac.Context) {
 			p.roundTimer = nil
 			p.fireRound()
 		}
+		// The per-link scratch shares one allocation; a round has at most
+		// n winners.
+		buf := make([]int, 3*n)
+		p.window, p.backlog, p.winners = buf[:n:n], buf[n:n:2*n], buf[2*n:2*n]
 	}
 	p.ctx = ctx
+	p.backlog = p.backlog[:0]
+	for link := 0; link < n; link++ {
+		if ctx.Pending(link) > 0 {
+			p.window[link] = p.cfg.Window(ctx.Ledger.PositiveDebt(link))
+			p.backlog = append(p.backlog, link)
+		}
+	}
 	p.startRound()
 }
 
@@ -152,6 +170,9 @@ func (p *Protocol) LinksIdle([]uint64, sim.Time) {
 
 // startRound draws a backoff for every backlogged link and schedules the
 // minimum-draw links to transmit. Ties transmit simultaneously and collide.
+// Links that drained since the last round leave the backlog here, so the
+// draws are the ones a scan over every link with pending packets makes, in
+// the same link order.
 func (p *Protocol) startRound() {
 	ctx := p.ctx
 	if p.roundTimer != nil || !ctx.FitsData() {
@@ -160,15 +181,16 @@ func (p *Protocol) startRound() {
 	rng := p.rng
 	minDraw := -1
 	p.winners = p.winners[:0]
-	for link := 0; link < ctx.Links(); link++ {
+	kept := p.backlog[:0]
+	for _, link := range p.backlog {
 		if ctx.Pending(link) == 0 {
 			continue
 		}
-		cw := p.cfg.Window(ctx.Ledger.PositiveDebt(link))
-		draw := rng.IntN(cw)
+		kept = append(kept, link)
+		draw := rng.IntN(p.window[link])
 		// FCSMA contends outside the shared coordinator, so its rounds reach
-		// the probes (the journey tracer) as Round records through the
-		// context; a no-op while no probe is attached.
+		// the slot probes (the journey tracer) as Round records through the
+		// context; a no-op while none is attached.
 		ctx.NoteRound(link, draw)
 		switch {
 		case minDraw == -1 || draw < minDraw:
@@ -179,6 +201,7 @@ func (p *Protocol) startRound() {
 			p.winners = append(p.winners, link)
 		}
 	}
+	p.backlog = kept
 	if minDraw == -1 {
 		return // nothing backlogged
 	}

@@ -56,9 +56,12 @@ type Protocol struct {
 	// allocated: the paper's log function.
 	f debt.InfluenceFunc
 	// Per-interval scratch: remaining pre-allocated attempts per link and
-	// the debt-ordered link sequence.
+	// the debt-ordered link sequence. next is the length of the order's
+	// prefix whose allocations are spent: allocations never grow within a
+	// frame, so that prefix never refills.
 	alloc []int
 	order []int
+	next  int
 	// timer is the pending control-phase or idle-slot event, cancelled at
 	// interval end so nothing leaks past the deadline.
 	timer *sim.Timer
@@ -105,6 +108,7 @@ func (p *Protocol) BeginInterval(ctx *mac.Context) {
 	p.weights = p.weights[:n]
 	// Debt ordering, as the distributed contention of [23] would produce.
 	ctx.DebtOrder(p.f, p.order, p.weights)
+	p.next = 0
 
 	// Control phase consumes N mini-slots off the top of the frame.
 	controlTime := sim.Time(n) * p.cfg.ControlSlot
@@ -138,24 +142,24 @@ func (p *Protocol) BeginInterval(ctx *mac.Context) {
 // packet burns as idle airtime (the non-adaptivity cost); it is not
 // reassigned.
 func (p *Protocol) serveNext(ctx *mac.Context) {
-	for _, link := range p.order {
-		if p.alloc[link] == 0 {
-			continue
-		}
-		p.alloc[link]--
-		if ctx.Pending(link) > 0 {
-			if !ctx.TransmitData(link, p.serveFn) {
-				return // nothing fits before the deadline anymore
-			}
-			return
-		}
-		// Idle slot: its owner finished early. Time passes, nobody talks.
-		if ctx.Remaining() < ctx.Profile.DataAirtime {
-			return
-		}
-		p.timer = ctx.Eng.After(ctx.Profile.DataAirtime, p.timerFn)
+	for p.next < len(p.order) && p.alloc[p.order[p.next]] == 0 {
+		p.next++
+	}
+	if p.next == len(p.order) {
 		return
 	}
+	link := p.order[p.next]
+	p.alloc[link]--
+	if ctx.Pending(link) > 0 {
+		// A false return means nothing fits before the deadline anymore.
+		ctx.TransmitData(link, p.serveFn)
+		return
+	}
+	// Idle slot: its owner finished early. Time passes, nobody talks.
+	if ctx.Remaining() < ctx.Profile.DataAirtime {
+		return
+	}
+	p.timer = ctx.Eng.After(ctx.Profile.DataAirtime, p.timerFn)
 }
 
 // EndInterval implements mac.Protocol.

@@ -10,6 +10,7 @@ package ldf
 
 import (
 	"fmt"
+	"sync"
 
 	"rtmac/internal/debt"
 	"rtmac/internal/mac"
@@ -18,9 +19,15 @@ import (
 // Scheduler is the centralized ELDF policy.
 type Scheduler struct {
 	f debt.InfluenceFunc
+	// name is Name's result, built by its first call.
+	name     string
+	nameOnce sync.Once
 	// order is the priority order of the current interval: order[0] is
-	// served first.
+	// served first. next is the length of its drained prefix: pending
+	// packets never grow within an interval, so links before next can
+	// never transmit again until the next interval.
 	order []int
+	next  int
 	// weights is the per-interval f(d⁺)p scratch, reused across intervals.
 	weights []float64
 	// ctx/serveSetFn cache the interval context (stable across intervals) and
@@ -41,10 +48,13 @@ func NewLDF() *Scheduler {
 
 // Name implements mac.Protocol.
 func (s *Scheduler) Name() string {
-	if s.f.Name() == "identity" {
-		return "ldf"
-	}
-	return fmt.Sprintf("eldf[%s]", s.f.Name())
+	s.nameOnce.Do(func() {
+		s.name = "ldf"
+		if s.f.Name() != "identity" {
+			s.name = fmt.Sprintf("eldf[%s]", s.f.Name())
+		}
+	})
+	return s.name
 }
 
 // Order returns the priority order chosen for the current interval (served
@@ -70,6 +80,7 @@ func (s *Scheduler) BeginInterval(ctx *mac.Context) {
 	s.order = s.order[:n]
 	s.weights = s.weights[:n]
 	ctx.DebtOrder(s.f, s.order, s.weights)
+	s.next = 0
 	s.serveSet(ctx)
 }
 
@@ -82,14 +93,17 @@ func (s *Scheduler) BeginInterval(ctx *mac.Context) {
 // On the complete graph that is right after the highest-weight pending link
 // starts: the paper's back-to-back LDF service. Each completed exchange
 // rescans: the finished link may re-serve its own queue or unblock a
-// lower-weight neighbor.
+// lower-weight neighbor. The walk starts past the drained prefix.
 func (s *Scheduler) serveSet(ctx *mac.Context) {
 	if !ctx.FitsData() {
 		// Equal airtimes: nothing fits for any link (Remark 4: stay idle
 		// until the interval ends).
 		return
 	}
-	for _, link := range s.order {
+	for s.next < len(s.order) && ctx.Pending(s.order[s.next]) == 0 {
+		s.next++
+	}
+	for _, link := range s.order[s.next:] {
 		if ctx.Pending(link) > 0 && !ctx.Med.BusyFor(link) {
 			ctx.TransmitData(link, s.serveSetFn)
 			if ctx.Med.AllBusy() {

@@ -208,21 +208,31 @@ func (nw *Network) SetEventSink(s telemetry.Sink) {
 }
 
 // AddProbe appends p to the probe list; it sees every record from the next
-// one on, after the event adapter and the probes attached before it. Call
-// it before Run; intervals already simulated are not replayed.
+// one on, after the event adapter and the probes attached before it. A probe
+// that implements SlotProbe also joins the slot-probe list. Call it before
+// Run; intervals already simulated are not replayed.
 func (nw *Network) AddProbe(p Probe) {
-	nw.inst.probes = append(nw.inst.probes, p)
+	in := nw.inst
+	in.probes = append(in.probes, p)
 	nw.tap()
+	sp, ok := p.(SlotProbe)
+	if !ok {
+		return
+	}
+	if in.slotProbes == nil {
+		in.slotProbes = in.slotBuf[:0]
+		nw.tapSlots()
+	}
+	in.slotProbes = append(in.slotProbes, sp)
 }
 
-// tap installs, once, the fan-outs that hand the medium's and the
-// contention coordinator's remaining records to the probes: the medium's
-// trace hook and the coordinator's fire and sense observers. Nothing is
-// installed before the first probe arrives, so an unobserved network pays
-// no calls for them. The closures read the current list, so later probes
-// need no re-installation. Backoff, round, swap and debt records reach the
-// instrumentation directly: the coordinator's backoff observer is installed
-// at construction, and the context's reporters call it.
+// tap installs, once, the medium's trace hook, which hands Tx records to the
+// probes. Nothing is installed before the first probe arrives, so an
+// unobserved network pays no call for it. The closure reads the current
+// list, so later probes need no re-installation. Backoff, swap and debt
+// records reach the instrumentation directly: the coordinator's backoff
+// observer is installed at construction, and the context's reporters call
+// it.
 //
 // The medium's trace hook runs before the context's delivery bookkeeping,
 // so a Tx record always precedes the served count it changes.
@@ -231,21 +241,29 @@ func (nw *Network) tap() {
 		return
 	}
 	nw.tapped = true
-	in, ctx, eng := nw.inst, nw.ctx, nw.eng
+	in, ctx := nw.inst, nw.ctx
 	nw.med.SetTrace(func(tx medium.Transmission, outcome medium.Outcome) {
 		for _, p := range in.probes {
 			p.Tx(ctx.K, tx, outcome)
 		}
 	})
+}
+
+// tapSlots installs the contention coordinator's fire and sense observers,
+// which hand Fire and Sense records to the slot probes. AddProbe calls it
+// with the first slot probe, so a network whose probes read no per-slot
+// record pays no call per counter expiry or carrier sense.
+func (nw *Network) tapSlots() {
+	in, ctx, eng := nw.inst, nw.ctx, nw.eng
 	nw.cont.SetFireObserver(func(link int, started bool) {
 		k, at := ctx.K, eng.Now()
-		for _, p := range in.probes {
+		for _, p := range in.slotProbes {
 			p.Fire(k, at, link, started)
 		}
 	})
 	nw.cont.SetSenseObserver(func(link int, busy bool) {
 		k, at := ctx.K, eng.Now()
-		for _, p := range in.probes {
+		for _, p := range in.slotProbes {
 			p.Sense(k, at, link, busy)
 		}
 	})
@@ -265,6 +283,9 @@ func (nw *Network) SetJourneyTracer(t *journey.Tracer) error {
 	nw.AddProbe(t)
 	return nil
 }
+
+// The journey tracer reads the per-slot records.
+var _ SlotProbe = (*journey.Tracer)(nil)
 
 // Links returns N.
 func (nw *Network) Links() int { return nw.med.Links() }

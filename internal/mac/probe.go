@@ -14,7 +14,9 @@ import (
 // at every site: the event adapter SetEventSink installs always comes first,
 // then the probes AddProbe attached, in attach order. Slices a probe
 // receives are reused between calls; a probe copies what it keeps. Embed
-// NopProbe to implement only the records a probe reads.
+// NopProbe to implement only the records a probe reads. The per-slot
+// records of the contention rounds (Round, Fire, Sense) are not part of
+// Probe: a probe that reads them also implements SlotProbe.
 type Probe interface {
 	// BeginInterval runs once interval k's arrivals are in the buffers,
 	// before the protocol schedules anything. The interval spans
@@ -25,16 +27,6 @@ type Probe interface {
 	// Backoff reports the initial counter link was handed as it joined the
 	// contention coordinator at simulated time at.
 	Backoff(k int64, at sim.Time, link, slots int)
-	// Round reports one contention round a protocol ran outside the
-	// coordinator (FCSMA's private per-round draws): link drew slots. It
-	// never reaches an event stream.
-	Round(k int64, at sim.Time, link, slots int)
-	// Fire reports link's coordinator counter reaching zero; started tells
-	// whether the link put a frame on the air.
-	Fire(k int64, at sim.Time, link int, started bool)
-	// Sense reports the carrier-sense observation delivered at link's
-	// counter-one instant.
-	Sense(k int64, at sim.Time, link int, busy bool)
 	// Tx reports one completed transmission and its resolved outcome, before
 	// the transmitter's delivery bookkeeping runs.
 	Tx(k int64, tx medium.Transmission, outcome medium.Outcome)
@@ -53,15 +45,30 @@ type Probe interface {
 	EndInterval(k int64, end sim.Time, arrivals, served, expired int, prio perm.Permutation)
 }
 
+// SlotProbe is the optional interface of a probe that reads the per-slot
+// records of the contention rounds; the journey tracer is the one that
+// does. The network hands these records only to the probes implementing
+// it, in attach order, and installs the coordinator's fire and sense
+// observers only once the first of them attaches. None reaches an event
+// stream.
+type SlotProbe interface {
+	// Round reports one contention round a protocol ran outside the
+	// coordinator (FCSMA's private per-round draws): link drew slots.
+	Round(k int64, at sim.Time, link, slots int)
+	// Fire reports link's coordinator counter reaching zero; started tells
+	// whether the link put a frame on the air.
+	Fire(k int64, at sim.Time, link int, started bool)
+	// Sense reports the carrier-sense observation delivered at link's
+	// counter-one instant.
+	Sense(k int64, at sim.Time, link int, busy bool)
+}
+
 // NopProbe implements every Probe record as a no-op. A probe embeds it and
 // overrides only the records it reads.
 type NopProbe struct{}
 
 func (NopProbe) BeginInterval(int64, sim.Time, sim.Time, []int, perm.Permutation) {}
 func (NopProbe) Backoff(int64, sim.Time, int, int)                                {}
-func (NopProbe) Round(int64, sim.Time, int, int)                                  {}
-func (NopProbe) Fire(int64, sim.Time, int, bool)                                  {}
-func (NopProbe) Sense(int64, sim.Time, int, bool)                                 {}
 func (NopProbe) Tx(int64, medium.Transmission, medium.Outcome)                    {}
 func (NopProbe) Swap(int64, sim.Time, int, int, int, bool)                        {}
 func (NopProbe) Debt(int64, sim.Time, []float64, float64, float64, int)           {}
@@ -72,7 +79,7 @@ func (NopProbe) EndInterval(int64, sim.Time, int, int, int, perm.Permutation)   
 // payload of its kind's canonical schema and overwrites its values for every
 // event, so steady-state emission allocates nothing and builds no map. This
 // is safe because the Sink contract forbids retaining the payload beyond the
-// Emit call. Round, Fire and Sense have no event kind and stay no-ops.
+// Emit call.
 type eventProbe struct {
 	NopProbe
 	sink telemetry.Sink

@@ -268,9 +268,9 @@ func (c *countProbe) Fire(int64, sim.Time, int, bool)   { c.fires++ }
 func (c *countProbe) Sense(int64, sim.Time, int, bool)  { c.senses++ }
 
 // TestContentionRecordsReachProbesOnce pins the one fan-out the network
-// installs on the coordinator: every probe sees each fire and sense exactly
-// once, as many as observers installed directly on an unprobed twin run
-// count, and FCSMA's private draws arrive as Round records only.
+// installs on the coordinator: every slot probe sees each fire and sense
+// exactly once, as many as observers installed directly on an unprobed twin
+// run count, and FCSMA's private draws arrive as Round records only.
 func TestContentionRecordsReachProbesOnce(t *testing.T) {
 	const intervals = 200
 	build := func() mac.Protocol {
@@ -315,5 +315,33 @@ func TestContentionRecordsReachProbesOnce(t *testing.T) {
 	}
 	if c.rounds == 0 || c.backoffs != 0 {
 		t.Errorf("FCSMA probe saw %+v, want private rounds and no coordinator backoffs", *c)
+	}
+}
+
+// TestSlotObserversWaitForSlotProbe pins when the network installs the
+// coordinator's fire and sense observers: not for the event adapter or a
+// probe that reads no per-slot record, only once a SlotProbe attaches.
+func TestSlotObserversWaitForSlotProbe(t *testing.T) {
+	prot, err := core.NewDBDP(oracleLinks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := oracleNetwork(t, prot, nil)
+	var log orderLog
+	nw.SetEventSink(logSink{"a", &log})
+	nw.AddProbe(logProbe{log: &log})
+	if nw.Contention().SlotObserved() {
+		t.Fatal("fire and sense observers installed without a slot probe")
+	}
+	c := &countProbe{}
+	nw.AddProbe(c)
+	if !nw.Contention().SlotObserved() {
+		t.Fatal("the first slot probe installed no fire and sense observers")
+	}
+	if err := nw.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if c.fires == 0 || c.senses == 0 {
+		t.Errorf("slot probe saw %+v, want fires and senses", *c)
 	}
 }

@@ -35,6 +35,11 @@ type instrumentation struct {
 	// AddProbe attached, in attach order.
 	probes []Probe
 	events *eventProbe
+	// slotProbes lists the probes that also implement SlotProbe, in attach
+	// order: the only ones Round, Fire and Sense records reach. slotBuf
+	// backs the first, so attaching the journey tracer allocates no slice.
+	slotProbes []SlotProbe
+	slotBuf    [1]SlotProbe
 	// ctx supplies the interval index and the clock of the records the
 	// coordinator reports without them.
 	ctx *Context
@@ -143,9 +148,10 @@ func (in *instrumentation) flushBackoffs() {
 	}
 }
 
-// observeRound hands a protocol's private contention round to the probes.
+// observeRound hands a protocol's private contention round to the slot
+// probes.
 func (in *instrumentation) observeRound(k int64, at sim.Time, link, slots int) {
-	for _, p := range in.probes {
+	for _, p := range in.slotProbes {
 		p.Round(k, at, link, slots)
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -138,13 +137,67 @@ func Only(kinds ...string) JSONLOption {
 	}
 }
 
+// LineBuffer buffers a JSON Lines stream for an io.Writer without copying
+// its lines: an encoder appends each line straight onto Bytes and hands the
+// result to Commit, which writes the whole buffer in one call once it
+// passes lineFlushSize. The first write error is kept: Commit and Flush
+// return it from then on and write nothing more.
+type LineBuffer struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// A LineBuffer holds lineBufferSize bytes, bufio's default, and writes out
+// once it passes lineFlushSize, so a line of up to 1 KiB is appended without
+// growing it. Event lines stay far below that; a longer journey line grows
+// the buffer once.
+const (
+	lineBufferSize = 4096
+	lineFlushSize  = lineBufferSize - 1024
+)
+
+// NewLineBuffer returns a buffer writing to w.
+func NewLineBuffer(w io.Writer) LineBuffer {
+	return LineBuffer{w: w, buf: make([]byte, 0, lineBufferSize)}
+}
+
+// Bytes returns the buffered bytes; append a line to it and pass the result
+// to Commit. Until then nothing is buffered, so dropping the result drops
+// the line.
+func (b *LineBuffer) Bytes() []byte { return b.buf }
+
+// Commit buffers buf, Bytes with lines appended, and writes the buffer out
+// once it passes lineFlushSize. It returns the sticky write error.
+func (b *LineBuffer) Commit(buf []byte) error {
+	if b.err != nil {
+		return b.err
+	}
+	b.buf = buf
+	if len(buf) < lineFlushSize {
+		return nil
+	}
+	return b.Flush()
+}
+
+// Flush writes out whatever is buffered and returns the sticky write error.
+func (b *LineBuffer) Flush() error {
+	if b.err != nil || len(b.buf) == 0 {
+		return b.err
+	}
+	n, err := b.w.Write(b.buf)
+	if err == nil && n < len(b.buf) {
+		err = io.ErrShortWrite
+	}
+	b.buf, b.err = b.buf[:0], err
+	return err
+}
+
 // JSONL streams events to an io.Writer, one JSON object per line. Encoding
 // errors are sticky: the first one is retained and all later events are
 // dropped, so a failed disk write cannot silently truncate mid-record.
 type JSONL struct {
-	w *bufio.Writer
-	// line is the encoder's scratch, reused for every event.
-	line   []byte
+	out    LineBuffer
 	sample map[string]int
 	seen   map[string]int
 	only   map[string]bool
@@ -157,12 +210,8 @@ type JSONL struct {
 // DecodeJSONL and the rundiff tooling recognize it and refuse streams from
 // incompatible layouts, while still accepting headerless legacy streams.
 func NewJSONL(w io.Writer, opts ...JSONLOption) *JSONL {
-	bw := bufio.NewWriter(w)
 	j := &JSONL{
-		w: bw,
-		// Sized for every simulator event at N <= 16, so steady-state
-		// emission never grows it.
-		line:   make([]byte, 0, 512),
+		out:    NewLineBuffer(w),
 		sample: make(map[string]int),
 		seen:   make(map[string]int),
 	}
@@ -170,7 +219,7 @@ func NewJSONL(w io.Writer, opts ...JSONLOption) *JSONL {
 		opt(j)
 	}
 	header := StreamHeader{Schema: EventStreamSchema, Version: EventStreamVersion}
-	if _, err := bw.Write(header.MarshalLine()); err != nil {
+	if err := j.out.Commit(append(j.out.Bytes(), header.MarshalLine()...)); err != nil {
 		j.err = fmt.Errorf("telemetry: event stream: %w", err)
 	}
 	return j
@@ -191,9 +240,9 @@ func (j *JSONL) Emit(ev Event) {
 			return
 		}
 	}
-	var err error
-	if j.line, err = AppendJSON(j.line[:0], ev); err == nil {
-		_, err = j.w.Write(j.line)
+	line, err := AppendJSON(j.out.Bytes(), ev)
+	if err == nil {
+		err = j.out.Commit(line)
 	}
 	if err != nil {
 		j.err = fmt.Errorf("telemetry: event stream: %w", err)
@@ -211,7 +260,7 @@ func (j *JSONL) Flush() error {
 	if j.err != nil {
 		return j.err
 	}
-	if err := j.w.Flush(); err != nil {
+	if err := j.out.Flush(); err != nil {
 		j.err = fmt.Errorf("telemetry: event stream: %w", err)
 	}
 	return j.err

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -169,5 +171,61 @@ func TestManifestRoundTrip(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("manifest missing %q:\n%s", want, sb.String())
 		}
+	}
+}
+
+// chunkWriter records every Write call's bytes.
+type chunkWriter struct{ chunks [][]byte }
+
+func (c *chunkWriter) Write(p []byte) (int, error) {
+	c.chunks = append(c.chunks, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestLineBufferWritesWholeLines pins the LineBuffer contract: the stream
+// reaches the writer byte for byte, in calls that each end on a line
+// boundary and are made only once the buffer passes its flush size.
+func TestLineBufferWritesWholeLines(t *testing.T) {
+	var w chunkWriter
+	b := NewLineBuffer(&w)
+	var want []byte
+	for i := 0; i < 500; i++ {
+		line := fmt.Appendf(nil, "{\"line\":%d,\"pad\":%q}\n", i, strings.Repeat("x", i%97))
+		want = append(want, line...)
+		if err := b.Commit(append(b.Bytes(), line...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(w.chunks, nil); !bytes.Equal(got, want) {
+		t.Fatalf("stream differs: %d bytes written, %d committed", len(got), len(want))
+	}
+	for i, c := range w.chunks {
+		if c[len(c)-1] != '\n' {
+			t.Errorf("write %d splits a line", i)
+		}
+		if last := i == len(w.chunks)-1; !last && len(c) < lineFlushSize {
+			t.Errorf("write %d of %d bytes, below the flush size %d", i, len(c), lineFlushSize)
+		}
+	}
+}
+
+// shortWriter accepts one byte less than it is handed.
+type shortWriter struct{}
+
+func (shortWriter) Write(p []byte) (int, error) { return len(p) - 1, nil }
+
+func TestLineBufferShortWriteSticks(t *testing.T) {
+	b := NewLineBuffer(shortWriter{})
+	if err := b.Commit(append(b.Bytes(), "{}\n"...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Flush = %v, want io.ErrShortWrite", err)
+	}
+	if err := b.Commit(append(b.Bytes(), "{}\n"...)); !errors.Is(err, io.ErrShortWrite) {
+		t.Errorf("Commit after a short write = %v, want the sticky io.ErrShortWrite", err)
 	}
 }
